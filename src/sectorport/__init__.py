@@ -21,6 +21,7 @@ from .lstm import (
     load_checkpoint,
     mae,
     make_windows,
+    predict_batch,
     predict_next,
     save_checkpoint,
     train,

@@ -247,7 +247,7 @@ def cmd_plotdata(
         )
 
     windows = np.stack([closes[k - horizon - window + 1 : k - horizon + 1] for k in indices])
-    scaled_pred, _ = fc.forward_batch(model, model.scaler.transform(windows), training=False)
+    scaled_pred = fc.predict_batch(model, model.scaler.transform(windows))
     predicted = model.scaler.inverse_transform(scaled_pred)
 
     lines = ["date,actual_close,predicted_close"]

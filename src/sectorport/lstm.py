@@ -205,13 +205,22 @@ def init_model(config: LstmConfig, scaler: Scaler, rng: Generator) -> LstmModel:
     return LstmModel(config, scaler, tuple(layers), dense_w, dense_b, out_w, out_b)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _activate(z: np.ndarray, k, out: np.ndarray | None = None) -> np.ndarray:
+    """(1 - k) + k * tanh(k * z): the logistic function where k = 0.5, tanh where k = 1.
+
+    0.5 * (1 + tanh(z / 2)) is the logistic function in one tanh pass, with
+    no masking, so one call activates a whole row of gate blocks.
+    """
+    out = np.multiply(z, k, out=out)
+    np.tanh(out, out=out)
+    out *= k
+    out += 1.0 - k
     return out
+
+
+def _gate_coefficients(width: int) -> np.ndarray:
+    """k of _activate per gate column: 0.5 on the logistic gates i, f, o; 1 on the candidate g."""
+    return np.repeat([0.5, 0.5, 1.0, 0.5], width)
 
 
 def dropout_mask(rng: Generator, shape, rate: float) -> np.ndarray:
@@ -219,16 +228,17 @@ def dropout_mask(rng: Generator, shape, rate: float) -> np.ndarray:
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
+_BLOW_UP = "non-finite gate pre-activation (parameter blow-up)"
+
+
 def lstm_cell_step(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: LayerParams):
     """One timestep of one LSTM cell on vectors; returns (h_t, c_t)."""
     w = params.width
     z = np.asarray(x_t, float) @ params.wx + np.asarray(h_prev, float) @ params.wh + params.b
     if not np.isfinite(z).all():
-        raise FloatingPointError("non-finite gate pre-activation (parameter blow-up)")
-    i = _sigmoid(z[..., 0 * w : 1 * w])
-    f = _sigmoid(z[..., 1 * w : 2 * w])
-    g = np.tanh(z[..., 2 * w : 3 * w])
-    o = _sigmoid(z[..., 3 * w : 4 * w])
+        raise FloatingPointError(_BLOW_UP)
+    a = _activate(z, _gate_coefficients(w))
+    i, f, g, o = (a[..., k * w : (k + 1) * w] for k in range(4))
     c_t = f * np.asarray(c_prev, float) + i * g
     h_t = o * np.tanh(c_t)
     return h_t, c_t
@@ -236,20 +246,29 @@ def lstm_cell_step(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, para
 
 @dataclass
 class _LayerCache:
-    x: np.ndarray  # (B, T, D) layer input (post-dropout of the previous layer)
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    tc: np.ndarray  # tanh(c)
-    h: np.ndarray  # (B, T, H) hidden sequence
+    """One layer's forward activations, time-major: every array is (T, B, .)."""
+
+    xt: np.ndarray  # (T, B, D) layer input (post-dropout of the previous layer)
+    gates: np.ndarray  # (T, B, 4H) activations [i, f, g, o]
+    c: np.ndarray  # (T, B, H) cell state
+    tc: np.ndarray  # (T, B, H) tanh(c)
+    ht: np.ndarray  # (T, B, H) hidden sequence
+
+    @property
+    def x(self) -> np.ndarray:
+        """Layer input, batch-major (B, T, D) view."""
+        return self.xt.swapaxes(0, 1)
+
+    @property
+    def h(self) -> np.ndarray:
+        """Hidden sequence, batch-major (B, T, H) view."""
+        return self.ht.swapaxes(0, 1)
 
 
 @dataclass
 class ForwardCache:
     layers: list[_LayerCache]
-    seq_masks: list[np.ndarray | None]  # dropout masks on non-final layer sequences
+    seq_masks: list[np.ndarray | None]  # (T, B, H) dropout masks on non-final layer sequences
     last_mask: np.ndarray | None  # dropout mask on the final hidden state
     h_last: np.ndarray  # post-dropout final hidden state (B, H)
     a1: np.ndarray  # dense pre-activation
@@ -258,31 +277,44 @@ class ForwardCache:
 
 
 def _layer_forward(x: np.ndarray, params: LayerParams) -> _LayerCache:
-    batch, steps, _ = x.shape
+    """One layer over a time-major input x (T, B, D).
+
+    The input projection x @ wx + b of every step is one GEMM; each step then
+    adds h_prev @ wh and activates the gates in place. The sum of a step's
+    pre-activations is non-finite whenever one of them is (finite values sum
+    to inf only near the float range, which is blow-up as well), so keeping
+    the per-step sums lets one check at the end of the layer reject what a
+    check of every step would.
+    """
+    steps, batch, d = x.shape
     w = params.width
-    i = np.empty((batch, steps, w))
-    f = np.empty_like(i)
-    g = np.empty_like(i)
-    o = np.empty_like(i)
-    c = np.empty_like(i)
-    tc = np.empty_like(i)
-    h = np.empty_like(i)
-    h_t = np.zeros((batch, w))
-    c_t = np.zeros((batch, w))
-    for t in range(steps):
-        z = x[:, t, :] @ params.wx + h_t @ params.wh + params.b
-        if not np.isfinite(z).all():
-            raise FloatingPointError("non-finite gate pre-activation (parameter blow-up)")
-        i[:, t] = _sigmoid(z[:, 0 * w : 1 * w])
-        f[:, t] = _sigmoid(z[:, 1 * w : 2 * w])
-        g[:, t] = np.tanh(z[:, 2 * w : 3 * w])
-        o[:, t] = _sigmoid(z[:, 3 * w : 4 * w])
-        c_t = f[:, t] * c_t + i[:, t] * g[:, t]
-        tc[:, t] = np.tanh(c_t)
-        h_t = o[:, t] * tc[:, t]
-        c[:, t] = c_t
-        h[:, t] = h_t
-    return _LayerCache(x, i, f, g, o, c, tc, h)
+    gates = (x.reshape(steps * batch, d) @ params.wx).reshape(steps, batch, 4 * w)
+    gates += params.b
+    c = np.empty((steps, batch, w))
+    tc = np.empty_like(c)
+    h = np.empty_like(c)
+    z = np.empty((batch, 4 * w))
+    ig = np.empty((batch, w))
+    z_sums = np.empty(steps)
+    coef = _gate_coefficients(w)
+    h_prev = np.zeros((batch, w))
+    c_prev = np.zeros((batch, w))
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite values run on to the check
+        for t in range(steps):
+            a = gates[t]
+            np.matmul(h_prev, params.wh, out=z)
+            z += a
+            z_sums[t] = z.sum()
+            _activate(z, coef, out=a)
+            np.multiply(a[:, w : 2 * w], c_prev, out=c[t])
+            np.multiply(a[:, :w], a[:, 2 * w : 3 * w], out=ig)
+            c[t] += ig
+            np.tanh(c[t], out=tc[t])
+            np.multiply(a[:, 3 * w :], tc[t], out=h[t])
+            h_prev, c_prev = h[t], c[t]
+    if not np.isfinite(z_sums).all():
+        raise FloatingPointError(_BLOW_UP)
+    return _LayerCache(x, gates, c, tc, h)
 
 
 def forward_batch(
@@ -302,7 +334,7 @@ def forward_batch(
     if use_dropout and rng is None:
         raise ValueError("training forward with dropout needs an rng")
 
-    seq = X[:, :, None]
+    seq = np.ascontiguousarray(X.T)[:, :, None]
     caches: list[_LayerCache] = []
     seq_masks: list[np.ndarray | None] = []
     last_mask = None
@@ -311,11 +343,16 @@ def forward_batch(
         cache = _layer_forward(seq, params)
         caches.append(cache)
         if idx < n_layers - 1:
-            mask = dropout_mask(rng, cache.h.shape, rate) if use_dropout else None
+            mask = None
+            seq = cache.ht
+            if use_dropout:
+                # Drawn batch-major and viewed time-major, so the rng stream,
+                # and with it every seeded run, does not depend on the cache layout.
+                mask = dropout_mask(rng, cache.h.shape, rate).swapaxes(0, 1)
+                seq = np.multiply(seq, mask, out=np.empty_like(seq))
             seq_masks.append(mask)
-            seq = cache.h * mask if mask is not None else cache.h
         else:
-            h_last = cache.h[:, -1, :]
+            h_last = cache.ht[-1]
             if use_dropout:
                 last_mask = dropout_mask(rng, h_last.shape, rate)
                 h_last = h_last * last_mask
@@ -323,8 +360,23 @@ def forward_batch(
     a1 = h_last @ model.dense_w + model.dense_b
     r1 = np.maximum(a1, 0.0)
     z2 = r1 @ model.out_w + model.out_b
-    y = _sigmoid(z2)[:, 0]
+    y = _activate(z2, 0.5)[:, 0]
     return y, ForwardCache(caches, seq_masks, last_mask, h_last, a1, r1, y)
+
+
+def predict_batch(model: LstmModel, X: np.ndarray) -> np.ndarray:
+    """Inference predictions in (0, 1) for scaled windows X (n, window).
+
+    Runs forward_batch on consecutive blocks of config.batch_size rows and
+    keeps only the predictions, so memory stays at one block's activations
+    however many windows there are.
+    """
+    X = np.asarray(X, dtype=float)
+    step = model.config.batch_size
+    out = np.empty(len(X))
+    for lo in range(0, len(X), step):
+        out[lo : lo + step], _ = forward_batch(model, X[lo : lo + step], training=False)
+    return out
 
 
 def forward(
@@ -338,34 +390,53 @@ def forward(
     return float(y[0])
 
 
-def _layer_backward(cache: _LayerCache, params: LayerParams, dh_seq: np.ndarray):
-    """BPTT through one layer given per-timestep upstream gradients dh_seq."""
-    batch, steps, w = cache.h.shape
-    d_wx = np.zeros_like(params.wx)
-    d_wh = np.zeros_like(params.wh)
-    d_b = np.zeros_like(params.b)
-    d_x = np.empty_like(cache.x)
-    dh_carry = np.zeros((batch, w))
-    dc_carry = np.zeros((batch, w))
-    dz = np.empty((batch, 4 * w))
+def _layer_backward(cache: _LayerCache, params: LayerParams, dh_out: np.ndarray):
+    """BPTT through one layer; returns (d_x, d_wx, d_wh, d_b) with d_x time-major.
+
+    dh_out is dL/dh from above: (T, B, H) for a layer whose whole sequence
+    feeds the next layer, or (B, H) for the final layer, whose last hidden
+    state alone feeds the head. Every step's dz_t lives in one (T, B, 4H)
+    buffer: the local gate derivatives fill it for all steps at once, the
+    loop scales step t by dL/dc_t and dL/dh_t (only dz_t @ wh.T is
+    sequential), and the weight and input gradients are single GEMMs over
+    all T * B rows after it.
+    """
+    steps, batch, w = cache.c.shape
+    coef = _gate_coefficients(w)
+    a = cache.gates.reshape(steps, batch, 4, w)
+    # a = (1 - k) + k * tanh(k * z) (see _activate), so da/dz = k^2 - (a - (1 - k))^2.
+    dz = np.subtract(cache.gates, 1.0 - coef)
+    dz *= dz
+    np.subtract(coef * coef, dz, out=dz)
+    dz_blocks = dz.reshape(steps, batch, 4, w)
+    dz_blocks[:, :, 0] *= a[:, :, 2]  # i: dc_t/di = g
+    dz_blocks[0, :, 1] = 0.0  # f: dc_t/df = c_{t-1}, and c_{-1} = 0
+    dz_blocks[1:, :, 1] *= cache.c[:-1]
+    dz_blocks[:, :, 2] *= a[:, :, 0]  # g: dc_t/dg = i
+    dz_blocks[:, :, 3] *= cache.tc  # o: dh_t/do = tanh(c_t)
+    dc_dh = np.multiply(cache.tc, cache.tc)  # dc_t/dh_t through tanh(c_t)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= a[:, :, 3]
+
+    seq = dh_out if dh_out.ndim == 3 else None
+    dh = (dh_out[-1] if seq is not None else dh_out).copy()
+    dc = np.zeros((batch, w))
+    wh_t = params.wh.T
     for t in range(steps - 1, -1, -1):
-        i, f, g, o = cache.i[:, t], cache.f[:, t], cache.g[:, t], cache.o[:, t]
-        tc = cache.tc[:, t]
-        dh = dh_seq[:, t] + dh_carry
-        dc = dc_carry + dh * o * (1.0 - tc * tc)
-        c_prev = cache.c[:, t - 1] if t > 0 else 0.0
-        dz[:, 0 * w : 1 * w] = dc * g * i * (1.0 - i)
-        dz[:, 1 * w : 2 * w] = dc * c_prev * f * (1.0 - f)
-        dz[:, 2 * w : 3 * w] = dc * i * (1.0 - g * g)
-        dz[:, 3 * w : 4 * w] = dh * tc * o * (1.0 - o)
-        d_wx += cache.x[:, t].T @ dz
-        h_prev = cache.h[:, t - 1] if t > 0 else None
-        if h_prev is not None:
-            d_wh += h_prev.T @ dz
-        d_b += dz.sum(axis=0)
-        d_x[:, t] = dz @ params.wx.T
-        dh_carry = dz @ params.wh.T
-        dc_carry = dc * f
+        dc += dh * dc_dh[t]
+        dz_blocks[t, :, :3] *= dc[:, None, :]
+        dz_blocks[t, :, 3] *= dh
+        if t:
+            dc *= a[t, :, 1]
+            np.matmul(dz[t], wh_t, out=dh)
+            if seq is not None:
+                dh += seq[t - 1]
+
+    dz_rows = dz.reshape(steps * batch, 4 * w)
+    d_wx = cache.xt.reshape(steps * batch, -1).T @ dz_rows
+    d_wh = cache.ht[:-1].reshape(-1, w).T @ dz_rows[batch:]
+    d_b = dz_rows.sum(axis=0)
+    d_x = (dz_rows @ params.wx.T).reshape(steps, batch, -1)
     return d_x, d_wx, d_wh, d_b
 
 
@@ -385,20 +456,17 @@ def backward_batch(model: LstmModel, cache: ForwardCache, d_y: np.ndarray) -> di
     if cache.last_mask is not None:
         dh = dh * cache.last_mask
 
-    n_layers = len(model.layers)
-    # Final layer receives gradient only at its last timestep.
-    lc = cache.layers[-1]
-    dh_seq = np.zeros_like(lc.h)
-    dh_seq[:, -1] = dh
-    for idx in range(n_layers - 1, -1, -1):
-        lc = cache.layers[idx]
-        d_x, d_wx, d_wh, d_b = _layer_backward(lc, model.layers[idx], dh_seq)
+    # The final layer receives gradient only at its last timestep.
+    for idx in range(len(model.layers) - 1, -1, -1):
+        d_x, d_wx, d_wh, d_b = _layer_backward(cache.layers[idx], model.layers[idx], dh)
         grads[f"lstm{idx}.wx"] = d_wx
         grads[f"lstm{idx}.wh"] = d_wh
         grads[f"lstm{idx}.b"] = d_b
         if idx > 0:
             mask = cache.seq_masks[idx - 1]
-            dh_seq = d_x * mask if mask is not None else d_x
+            if mask is not None:
+                d_x *= mask
+            dh = d_x
     return grads
 
 
@@ -509,7 +577,7 @@ def train(config: LstmConfig, closes) -> TrainResult:
             adam.step(model.named_params(), grads, config.learning_rate)
 
         if y_val.size:
-            val_pred, _ = forward_batch(model, x_val, training=False)
+            val_pred = predict_batch(model, x_val)
             val_loss = float(np.mean(huber_loss(y_val, val_pred, config.huber_delta)))
             val_mae = mae(y_val, val_pred)
         else:
@@ -527,7 +595,7 @@ def predict_next(model: LstmModel, last_closes) -> float:
         raise ValueError(
             f"expected {model.config.window} trailing closes, got shape {last_closes.shape}"
         )
-    scaled = forward(model, model.scaler.transform(last_closes), training=False)
+    (scaled,) = predict_batch(model, model.scaler.transform(last_closes)[None, :])
     return float(model.scaler.inverse_transform(scaled))
 
 
@@ -653,20 +721,28 @@ def model_from_checkpoint_bytes(blob: bytes) -> LstmModel:
     scaler = Scaler(header["scaler"]["min"], header["scaler"]["max"])
     expected = _param_shapes(config)
     listed = {t["name"]: tuple(t["shape"]) for t in header["tensors"]}
-    if listed != expected:
+    if listed != expected or len(header["tensors"]) != len(expected):
         raise ValueError("checkpoint tensor names/shapes do not match its config")
 
+    # The payload is exactly the tensors, back to back in header order.
     payload = blob[pos + header_len :]
     arrays: dict[str, np.ndarray] = {}
+    start = 0
     for t in header["tensors"]:
-        shape = tuple(t["shape"])
-        count = int(np.prod(shape))
-        start = t["offset"]
-        end = start + count * 8
+        name, shape = t["name"], tuple(t["shape"])
+        if t.get("offset") != start:
+            raise ValueError(
+                f"checkpoint tensor {name} at offset {t.get('offset')!r}, expected {start} "
+                "(tensors must be contiguous in header order)"
+            )
+        end = start + int(np.prod(shape)) * 8
         if end > len(payload):
-            raise ValueError(f"checkpoint payload truncated at tensor {t['name']}")
-        arrays[t["name"]] = (
-            np.frombuffer(payload[start:end], dtype="<f8").astype(float).reshape(shape)
+            raise ValueError(f"checkpoint payload truncated at tensor {name}")
+        arrays[name] = np.frombuffer(payload[start:end], dtype="<f8").astype(float).reshape(shape)
+        start = end
+    if start != len(payload):
+        raise ValueError(
+            f"checkpoint payload has {len(payload) - start} trailing bytes after tensor {name}"
         )
 
     layers = tuple(

@@ -106,3 +106,43 @@ def test_nonfinite_parameters_rejected():
     bad[:8] = struct.pack("<d", float("nan"))
     with pytest.raises(ValueError, match="non-finite"):
         model_from_checkpoint_bytes(repack(header, bytes(bad)))
+
+
+def test_trailing_bytes_rejected_naming_last_tensor():
+    blob = checkpoint_bytes(make_model())
+    with pytest.raises(ValueError, match="trailing.*out.b"):
+        model_from_checkpoint_bytes(blob + b"\x00" * 8)
+
+
+def test_aliased_offsets_rejected_naming_tensor():
+    # every tensor read from the start of the payload
+    header, payload, _ = split_blob(checkpoint_bytes(make_model()))
+    for t in header["tensors"]:
+        t["offset"] = 0
+    with pytest.raises(ValueError, match="lstm0.wh"):
+        model_from_checkpoint_bytes(repack(header, payload))
+
+
+def test_overlapping_offset_rejected_naming_tensor():
+    header, payload, _ = split_blob(checkpoint_bytes(make_model()))
+    header["tensors"][2]["offset"] -= 8
+    with pytest.raises(ValueError, match="lstm0.b"):
+        model_from_checkpoint_bytes(repack(header, payload))
+
+
+def test_gap_between_tensors_rejected_naming_tensor():
+    # a hole before the last tensor, padded so the payload length still adds up
+    header, payload, _ = split_blob(checkpoint_bytes(make_model()))
+    last = header["tensors"][-1]
+    last["offset"] += 8
+    padded = payload[: last["offset"] - 8] + b"\x00" * 8 + payload[last["offset"] - 8 :]
+    with pytest.raises(ValueError, match="out.b"):
+        model_from_checkpoint_bytes(repack(header, padded))
+
+
+def test_duplicate_tensor_entry_rejected():
+    header, payload, _ = split_blob(checkpoint_bytes(make_model()))
+    extra = dict(header["tensors"][-1], offset=len(payload))
+    header["tensors"].append(extra)
+    with pytest.raises(ValueError, match="do not match"):
+        model_from_checkpoint_bytes(repack(header, payload + payload[-8:]))

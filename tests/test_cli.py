@@ -301,6 +301,20 @@ def test_plotdata_actual_column_is_passthrough(config, env, tmp_path):
         assert float(fields[1]) == pytest.approx(close, rel=1e-11)
 
 
+def test_plotdata_range_longer_than_batch_size(config, env, tmp_path):
+    # inference runs in blocks of batch_size windows; every day still gets a row
+    cmd_train(config, "CCC", tmp_path)
+    series = parse_csv((env / "data" / "CCC.csv").read_bytes(), "CCC")
+    start, end = dt.date(2020, 6, 1), dt.date(2021, 5, 31)
+    days = [d for d in series.dates if start <= d <= end]
+    assert len(days) > 2 * config.lstm.batch_size
+    path = cmd_plotdata(config, "CCC", start, end, tmp_path)
+    lines = path.read_text().strip().split("\n")[1:]
+    assert [line.split(",")[0] for line in lines] == [d.isoformat() for d in days]
+    predicted = np.array([float(line.split(",")[2]) for line in lines])
+    assert np.isfinite(predicted).all() and (predicted > 0).all()
+
+
 def test_plotdata_range_outside_data(config, tmp_path):
     cmd_train(config, "DDD", tmp_path)
     with pytest.raises(ValueError, match="no trading dates"):

@@ -21,6 +21,7 @@ from sectorport.lstm import (
     lstm_cell_step,
     mae,
     make_windows,
+    predict_batch,
 )
 
 
@@ -80,6 +81,32 @@ def test_cell_step_matches_reference_implementation():
     np.testing.assert_allclose(c, c_ref, atol=1e-12, rtol=0)
 
 
+def test_forward_batch_matches_reference_over_window():
+    # two layers, 4 steps, 2 samples: every cached h_t and c_t of the kernel
+    # equals the scalar reference iterated over the window
+    config = LstmConfig(window=4, lstm_layers=(3, 2), dense_width=4, dropout_rate=0.0)
+    rng = Generator(PCG64(SeedSequence(21)))
+    model = init_model(config, Scaler(0.0, 1.0), rng)
+    for layer in model.layers:
+        layer.b[...] = rng.normal(size=layer.b.shape)
+    X = rng.random((2, config.window))
+    _, cache = forward_batch(model, X)
+    for sample in range(2):
+        seq = [[v] for v in X[sample]]
+        for params, lc in zip(model.layers, cache.layers):
+            width = params.width
+            h, c = [0.0] * width, [0.0] * width
+            hs = []
+            for t, x_t in enumerate(seq):
+                h, c = reference_cell_step(
+                    x_t, h, c, params.wx.tolist(), params.wh.tolist(), params.b.tolist(), width
+                )
+                np.testing.assert_allclose(lc.h[sample, t], h, atol=1e-12, rtol=0)
+                np.testing.assert_allclose(lc.c[t, sample], c, atol=1e-12, rtol=0)
+                hs.append(h)
+            seq = hs
+
+
 def test_cell_step_all_zero_gives_zero_hidden():
     width = 4
     params = LayerParams(np.zeros((1, 16)), np.zeros((4, 16)), np.zeros(16))
@@ -104,6 +131,32 @@ def test_cell_step_rejects_nonfinite_parameters():
     params = LayerParams(np.full((1, 4), np.inf), np.zeros((1, 4)), np.zeros(4))
     with pytest.raises(FloatingPointError, match="blow-up"):
         lstm_cell_step(np.ones(1), np.zeros(1), np.zeros(1), params)
+
+
+@pytest.mark.parametrize(
+    "layers,layer,tensor,index,value",
+    [
+        ((5,), 0, "wh", (1, 2), np.inf),
+        ((5,), 0, "b", (3,), np.inf),
+        ((5, 4), 1, "wh", (0, 5), np.nan),
+    ],
+    ids=["inf-wh", "inf-b", "nan-wh-layer-1"],
+)
+def test_forward_rejects_nonfinite_parameter_as_blow_up(layers, layer, tensor, index, value):
+    # the poisoned layer is the last one, so no later layer's input can catch it
+    model = small_model(lstm_layers=layers)
+    getattr(model.layers[layer], tensor)[index] = value
+    X = Generator(PCG64(SeedSequence(12))).random((3, 8))
+    with pytest.raises(FloatingPointError, match="blow-up"):
+        forward_batch(model, X)
+
+
+def test_forward_rejects_nan_input_window_as_blow_up():
+    model = small_model(lstm_layers=(5, 4))
+    X = Generator(PCG64(SeedSequence(13))).random((3, 8))
+    X[1, 6] = np.nan
+    with pytest.raises(FloatingPointError, match="blow-up"):
+        forward_batch(model, X)
 
 
 # ------------------------------------------------------------------ forward
@@ -137,6 +190,32 @@ def test_default_config_layer_one_emits_50_by_256():
     assert cache.layers[0].h.shape == (1, 50, 256)
     assert cache.layers[1].x.shape == (1, 50, 256)
     assert cache.layers[1].h.shape == (1, 50, 256)
+
+
+def test_predict_batch_matches_per_window_forward():
+    # 150 windows in blocks of 64: the last block is partial
+    model = small_model(seed=14, lstm_layers=(5, 4), batch_size=64)
+    X = Generator(PCG64(SeedSequence(15))).random((150, 8))
+    blocked = predict_batch(model, X)
+    assert blocked.shape == (150,)
+    np.testing.assert_allclose(blocked, [forward(model, x) for x in X], rtol=1e-12, atol=0)
+
+
+def test_predict_batch_runs_blocks_of_batch_size(monkeypatch):
+    import sectorport.lstm as fc
+
+    model = small_model(batch_size=64)
+    sizes = []
+    real = fc.forward_batch
+
+    def spy(model, X, training=False, rng=None):
+        sizes.append((len(X), training))
+        return real(model, X, training=training, rng=rng)
+
+    monkeypatch.setattr(fc, "forward_batch", spy)
+    assert predict_batch(model, np.full((150, 8), 0.5)).shape == (150,)
+    assert sizes == [(64, False), (64, False), (22, False)]
+    assert predict_batch(model, np.empty((0, 8))).shape == (0,)
 
 
 def test_training_forward_needs_rng_when_dropout_active():

@@ -82,3 +82,41 @@ def test_gradient_check_subsamples_large_tensors():
     model, inputs, targets = build(seed=3, lstm_layers=(12,), dense_width=12)
     # wh is 12x48 = 576 coords; capped to 50 per tensor keeps this quick
     assert gradient_check(model, inputs, targets, coords_per_tensor=50) < 1e-4
+
+
+def test_gradient_check_through_dropout_masks():
+    # Two layers with dropout on the hidden sequence and on the final state.
+    # Every loss evaluation re-seeds the rng, so all evaluations share masks.
+    from sectorport.lstm import backward_batch, forward_batch, huber_gradient, huber_loss
+
+    model, inputs, targets = build(
+        seed=4, window=6, lstm_layers=(4, 3), dense_width=5, dropout_rate=0.4
+    )
+
+    def run():
+        return forward_batch(model, inputs, training=True, rng=Generator(PCG64(SeedSequence(99))))
+
+    def loss():
+        pred, _ = run()
+        return float(np.mean(huber_loss(targets, pred, 1.0)))
+
+    pred, cache = run()
+    assert (cache.seq_masks[0] == 0).any() and (cache.seq_masks[0] != 0).any()
+    assert (cache.last_mask == 0).any() and (cache.last_mask != 0).any()
+    analytic = backward_batch(model, cache, huber_gradient(targets, pred, 1.0) / targets.size)
+
+    eps = 1e-5
+    worst = 0.0
+    for name, param in model.named_params().items():
+        flat = param.reshape(-1)
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + eps
+            hi = loss()
+            flat[k] = orig - eps
+            lo = loss()
+            flat[k] = orig
+            numeric = (hi - lo) / (2.0 * eps)
+            a = analytic[name].reshape(-1)[k]
+            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+    assert worst < 1e-4

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from sectorport.market_data import PriceBar, PriceSeries, serialize_csv
+from sectorport.market_data import PriceSeries, serialize_csv
 
 SECTORS = {
     "tech": [("AAA", 25.1), ("BBB", 18.4), ("CCC", 12.2), ("DDD", 9.7), ("EEE", 9.1)],
@@ -26,26 +26,18 @@ def gbm_series(symbol: str, seed: int, start: dt.date) -> PriceSeries:
     rng = np.random.default_rng(seed)
     s0 = rng.uniform(50.0, 2000.0)
     closes = s0 * np.exp(np.concatenate([[0.0], np.cumsum(rng.normal(4e-4, 0.015, N_DAYS - 1))]))
-    bars = []
+    dates, opens, spreads, volumes = [], [], [], []
     day = start
-    for close in closes:
+    for close in closes.tolist():
         while day.weekday() >= 5:
             day += dt.timedelta(days=1)
-        close = float(close)
-        spread = abs(float(rng.normal(0.0, 0.01))) * close
-        bars.append(
-            PriceBar(
-                date=day,
-                open=close * (1 + float(rng.normal(0, 0.003))),
-                high=close + spread,
-                low=close - spread,
-                close=close,
-                volume=int(rng.integers(10_000, 1_000_000)),
-                adj_close=close,
-            )
-        )
+        dates.append(day)
+        spreads.append(abs(float(rng.normal(0.0, 0.01))) * close)
+        opens.append(close * (1 + float(rng.normal(0, 0.003))))
+        volumes.append(int(rng.integers(10_000, 1_000_000)))
         day += dt.timedelta(days=1)
-    return PriceSeries(symbol, tuple(bars))
+    spreads = np.array(spreads)
+    return PriceSeries(symbol, dates, opens, closes + spreads, closes - spreads, closes, volumes, closes)
 
 
 def main():
@@ -60,7 +52,7 @@ def main():
     for i, (symbol, _) in enumerate(w for members in SECTORS.values() for w in members):
         series = gbm_series(symbol, seed=args.seed * 1000 + i, start=dt.date(2016, 1, 1))
         (data / f"{symbol}.csv").write_text(serialize_csv(series), encoding="utf-8")
-        print(f"wrote {data / f'{symbol}.csv'} ({len(series.bars)} bars)")
+        print(f"wrote {data / f'{symbol}.csv'} ({len(series.dates)} bars)")
 
     config = {
         "data_dir": "data",

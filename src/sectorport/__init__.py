@@ -29,7 +29,6 @@ from .lstm import (
 from .market_data import (
     AlignedCloseMatrix,
     AssetStats,
-    PriceBar,
     PriceSeries,
     ReturnSeries,
     SectorUniverse,
@@ -45,13 +44,10 @@ from .portfolio import (
     FrontierCloud,
     FrontierPoint,
     PortfolioWeights,
-    analytic_min_variance,
     build_frontier,
     max_sharpe_portfolio,
     mean_and_covariance,
     min_variance_portfolio,
-    portfolio_stats,
-    random_weights,
     sharpe_ratio,
 )
 

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -50,20 +51,17 @@ def _load_series(data_dir: Path, symbol: str) -> md.PriceSeries:
 
 
 def _close_on_or_after(series: md.PriceSeries, date: dt.date) -> float:
-    for b in series.bars:
-        if b.date >= date:
-            return b.close
-    raise ValueError(f"{series.symbol}: no bar on or after {date}")
+    k = np.searchsorted(series.dates, np.datetime64(date, "D"), side="left")
+    if k == len(series.dates):
+        raise ValueError(f"{series.symbol}: no bar on or after {date}")
+    return float(series.closes[k])
 
 
 def _index_on_or_before(series: md.PriceSeries, date: dt.date) -> int:
-    idx = -1
-    for k, b in enumerate(series.bars):
-        if b.date <= date:
-            idx = k
-    if idx < 0:
+    k = int(np.searchsorted(series.dates, np.datetime64(date, "D"), side="right")) - 1
+    if k < 0:
         raise ValueError(f"{series.symbol}: no bar on or before {date}")
-    return idx
+    return k
 
 
 def cmd_stats(config: RunConfig, out_dir: Path) -> Path:
@@ -81,14 +79,19 @@ def cmd_stats(config: RunConfig, out_dir: Path) -> Path:
     return path
 
 
+def _load_members(config: RunConfig, sector_name: str) -> dict[str, md.PriceSeries]:
+    return {sym: _load_series(config.data_dir, sym) for sym in config.sector(sector_name).symbols}
+
+
 def _sector_frontier(
-    config: RunConfig, sector_name: str, n_draws: int | None, risk_free: float | None
+    config: RunConfig,
+    sector_name: str,
+    members: dict[str, md.PriceSeries],
+    n_draws: int | None,
+    risk_free: float | None,
 ) -> po.FrontierCloud:
-    sector = config.sector(sector_name)
-    series = [
-        _load_series(config.data_dir, sym).restrict(config.train_start, config.train_end)
-        for sym in sector.symbols
-    ]
+    """Frontier over the training window of the sector's loaded member series."""
+    series = [s.restrict(config.train_start, config.train_end) for s in members.values()]
     mean, cov = po.mean_and_covariance(md.align(series))
     return po.build_frontier(
         mean,
@@ -107,7 +110,7 @@ def cmd_frontier(
     risk_free: float | None = None,
 ) -> tuple[Path, Path]:
     """Write the frontier cloud CSV and the two-portfolio report JSON for a sector."""
-    cloud = _sector_frontier(config, sector_name, n_draws, risk_free)
+    cloud = _sector_frontier(config, sector_name, _load_members(config, sector_name), n_draws, risk_free)
     report = po.portfolio_report(
         sector_name, po.min_variance_portfolio(cloud), po.max_sharpe_portfolio(cloud)
     )
@@ -121,7 +124,7 @@ def cmd_frontier(
 def cmd_train(config: RunConfig, symbol: str, out_dir: Path) -> tuple[Path, Path]:
     """Train the forecaster on a symbol's training-window closes; write checkpoint and trace."""
     series = _load_series(config.data_dir, symbol).restrict(config.train_start, config.train_end)
-    lstm_config = fc.with_seed(config.lstm, derive_seed(config.seed, f"train:{symbol}"))
+    lstm_config = replace(config.lstm, seed=derive_seed(config.seed, f"train:{symbol}"))
     result = fc.train(lstm_config, series.closes)
     ckpt_path = Path(out_dir) / "checkpoints" / f"{symbol}.ckpt"
     trace_path = Path(out_dir) / f"trace_{symbol}.csv"
@@ -135,18 +138,23 @@ def _read_predicted_prices(path: Path) -> dict[str, float]:
     if not lines or lines[0].strip() != "symbol,price":
         raise ValueError(f"{path}: expected header 'symbol,price'")
     prices = {}
-    for line in lines[1:]:
-        sym, price = line.split(",")
-        prices[sym.strip()] = float(price)
+    for lineno, line in enumerate(lines[1:], start=2):
+        sym, comma, price = line.partition(",")
+        try:
+            if not comma:
+                raise ValueError(f"expected 'symbol,price', got {line!r}")
+            prices[sym.strip()] = float(price)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return prices
 
 
-def _predict_eval_price(config: RunConfig, symbol: str, out_dir: Path) -> float:
+def _predict_eval_price(config: RunConfig, series: md.PriceSeries, out_dir: Path) -> float:
+    symbol = series.symbol
     ckpt = Path(out_dir) / "checkpoints" / f"{symbol}.ckpt"
     if not ckpt.exists():
         raise FileNotFoundError(f"no checkpoint for {symbol}: expected {ckpt} (or pass --predicted-prices)")
     model = fc.load_checkpoint(ckpt)
-    series = _load_series(config.data_dir, symbol)
     idx_eval = _index_on_or_before(series, config.eval_date)
     window, horizon = model.config.window, model.config.horizon
     start = idx_eval - horizon - window + 1
@@ -182,9 +190,8 @@ def cmd_backtest(
     --predicted-prices CSV overrides them; a --weights-file JSON (symbol ->
     fraction) overrides the frontier-recommended weights.
     """
-    sector = config.sector(sector_name)
-    symbols = sector.symbols
-
+    members = _load_members(config, sector_name)
+    symbols = tuple(members)
     if weights_file is not None:
         mapping = json.loads(Path(weights_file).read_text(encoding="utf-8"))
         missing = [s for s in symbols if s not in mapping]
@@ -192,15 +199,14 @@ def cmd_backtest(
             raise ValueError(f"{weights_file}: missing weights for {missing}")
         weights = po.PortfolioWeights(symbols, np.array([mapping[s] for s in symbols], dtype=float))
     else:
-        cloud = _sector_frontier(config, sector_name, n_draws, risk_free)
+        cloud = _sector_frontier(config, sector_name, members, n_draws, risk_free)
         weights = po.max_sharpe_portfolio(cloud).weights
 
     start_prices = {}
     end_actual = {}
-    for sym in symbols:
-        series = _load_series(config.data_dir, sym)
+    for sym, series in members.items():
         start_prices[sym] = _close_on_or_after(series, config.invest_date)
-        end_actual[sym] = series.bars[_index_on_or_before(series, config.eval_date)].close
+        end_actual[sym] = float(series.closes[_index_on_or_before(series, config.eval_date)])
 
     if predicted_prices is not None:
         end_predicted = _read_predicted_prices(predicted_prices)
@@ -208,7 +214,7 @@ def cmd_backtest(
         if missing:
             raise ValueError(f"{predicted_prices}: missing predicted prices for {missing}")
     else:
-        end_predicted = {sym: _predict_eval_price(config, sym, out_dir) for sym in symbols}
+        end_predicted = {sym: _predict_eval_price(config, members[sym], out_dir) for sym in symbols}
 
     ledger = bt.run_backtest(
         config.capital, weights, start_prices, end_actual, end_predicted, sector=sector_name
@@ -235,24 +241,24 @@ def cmd_plotdata(
         raise FileNotFoundError(f"no checkpoint for {symbol}: expected {ckpt}")
     model = fc.load_checkpoint(ckpt)
     series = _load_series(config.data_dir, symbol)
-    closes = series.closes
     window, horizon = model.config.window, model.config.horizon
 
-    indices = [k for k, d in enumerate(series.dates) if start <= d <= end]
-    if not indices:
+    lo, hi = series.span(start, end)
+    if lo >= hi:
         raise ValueError(f"{symbol}: no trading dates in [{start}, {end}]")
-    if indices[0] - horizon - window + 1 < 0:
-        raise ValueError(
-            f"{symbol}: range starts at {series.dates[indices[0]]} without {window} days of history"
-        )
+    first = lo - horizon - window + 1
+    if first < 0:
+        raise ValueError(f"{symbol}: range starts at {series.dates[lo]} without {window} days of history")
 
-    windows = np.stack([closes[k - horizon - window + 1 : k - horizon + 1] for k in indices])
+    # Row j is the window that ends `horizon` days before date lo + j.
+    windows = np.lib.stride_tricks.sliding_window_view(series.closes, window)[first : first + hi - lo]
     scaled_pred = fc.predict_batch(model, model.scaler.transform(windows))
     predicted = model.scaler.inverse_transform(scaled_pred)
 
     lines = ["date,actual_close,predicted_close"]
-    for k, pred in zip(indices, predicted):
-        lines.append(f"{series.dates[k].isoformat()},{closes[k]:.12g},{pred:.12g}")
+    rows = zip(series.dates[lo:hi].tolist(), series.closes[lo:hi].tolist(), predicted.tolist())
+    for day, actual, pred in rows:
+        lines.append(f"{day.isoformat()},{actual:.12g},{pred:.12g}")
     path = Path(out_dir) / f"plotdata_{symbol}.csv"
     _atomic_write(path, "\n".join(lines) + "\n")
     return path

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
@@ -377,17 +377,6 @@ def predict_batch(model: LstmModel, X: np.ndarray) -> np.ndarray:
     for lo in range(0, len(X), step):
         out[lo : lo + step], _ = forward_batch(model, X[lo : lo + step], training=False)
     return out
-
-
-def forward(
-    model: LstmModel, window: np.ndarray, training: bool = False, rng: Generator | None = None
-) -> float:
-    """Prediction in (0, 1) for one scaled window."""
-    window = np.asarray(window, dtype=float)
-    if window.shape != (model.config.window,):
-        raise ValueError(f"expected window of length {model.config.window}, got shape {window.shape}")
-    y, _ = forward_batch(model, window[None, :], training=training, rng=rng)
-    return float(y[0])
 
 
 def _layer_backward(cache: _LayerCache, params: LayerParams, dh_out: np.ndarray):
@@ -771,7 +760,3 @@ def load_checkpoint(path) -> LstmModel:
     with open(path, "rb") as fh:
         return model_from_checkpoint_bytes(fh.read())
 
-
-def with_seed(config: LstmConfig, seed: int) -> LstmConfig:
-    """Copy of the config with a different seed (for derived substreams)."""
-    return replace(config, seed=seed)

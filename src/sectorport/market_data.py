@@ -1,5 +1,9 @@
 """Historical price ingestion, validation, and return/volatility statistics.
 
+A PriceSeries holds one NumPy array per CSV column, not one object per bar.
+Bars with a non-finite price, low above high, a non-positive close or a
+negative volume are rejected where the CSV is parsed.
+
 Everything downstream (frontier sampling, forecasting, backtesting) consumes
 close prices only; the other OHLCV columns are validated and stored but not
 used. Dates are aligned across symbols by intersection, never forward-filled.
@@ -8,6 +12,7 @@ used. Dates are aligned across symbols by intersection, never forward-filled.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import logging
 import math
 import time
@@ -20,6 +25,8 @@ log = logging.getLogger(__name__)
 
 TRADING_DAYS = 250
 CSV_HEADER = "date,open,high,low,close,volume,adj_close"
+_CSV_FIELDS = CSV_HEADER.split(",")
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
 class CsvFormatError(ValueError):
@@ -30,66 +37,60 @@ class FetchError(RuntimeError):
     """Raised when a history download fails after exhausting retries."""
 
 
-@dataclass(frozen=True)
-class PriceBar:
-    """One day of OHLCV data for a single symbol."""
-
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: int
-    adj_close: float
-
-    def check(self) -> str | None:
-        """Return a description of the violated invariant, or None if valid."""
-        if self.low > self.high:
-            return f"low {self.low} > high {self.high}"
-        if self.close <= 0:
-            return f"close {self.close} is not positive"
-        if self.volume < 0:
-            return f"volume {self.volume} is negative"
-        return None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Validated, date-ordered bars for one symbol."""
+    """Date-ordered OHLCV columns for one symbol; row i of every column is one trading day.
+
+    ``dates`` is ``datetime64[D]``, ``volume`` int64 and the prices float64.
+    """
 
     symbol: str
-    bars: tuple[PriceBar, ...]
+    dates: np.ndarray = field(repr=False)
+    open: np.ndarray = field(repr=False)
+    high: np.ndarray = field(repr=False)
+    low: np.ndarray = field(repr=False)
+    closes: np.ndarray = field(repr=False)
+    volume: np.ndarray = field(repr=False)
+    adj_close: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not self.bars:
+        for name, dtype in _COLUMN_DTYPES.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if len(self.dates) == 0:
             raise ValueError(f"{self.symbol}: price series is empty")
-        dates = [b.date for b in self.bars]
-        if any(a >= b for a, b in zip(dates, dates[1:])):
+        if any(getattr(self, name).shape != (len(self.dates),) for name in _COLUMN_DTYPES):
+            raise ValueError(f"{self.symbol}: columns are not 1-D arrays of one length")
+        if (self.dates[1:] <= self.dates[:-1]).any():
             raise ValueError(f"{self.symbol}: dates are not strictly increasing")
 
-    @property
-    def dates(self) -> tuple[dt.date, ...]:
-        return tuple(b.date for b in self.bars)
-
-    @property
-    def closes(self) -> np.ndarray:
-        return np.array([b.close for b in self.bars], dtype=float)
+    def span(self, start: dt.date, end: dt.date) -> tuple[int, int]:
+        """Row range [lo, hi) of the dates with start <= date <= end."""
+        lo = int(np.searchsorted(self.dates, np.datetime64(start, "D"), side="left"))
+        hi = int(np.searchsorted(self.dates, np.datetime64(end, "D"), side="right"))
+        return lo, hi
 
     def restrict(self, start: dt.date, end: dt.date) -> "PriceSeries":
         """Sub-series with start <= date <= end."""
-        kept = tuple(b for b in self.bars if start <= b.date <= end)
-        if not kept:
+        lo, hi = self.span(start, end)
+        if lo >= hi:
             raise ValueError(f"{self.symbol}: no bars in [{start}, {end}]")
-        return PriceSeries(self.symbol, kept)
+        return PriceSeries(self.symbol, *(getattr(self, name)[lo:hi] for name in _COLUMN_DTYPES))
+
+
+# PriceSeries columns and their dtypes, in CSV field order.
+_COLUMN_DTYPES = {
+    "dates": "datetime64[D]", "open": float, "high": float, "low": float,
+    "closes": float, "volume": np.int64, "adj_close": float,
+}
 
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Daily simple returns; dates align to the second through last bar."""
+    """Daily simple returns; dates (``datetime64[D]``) align to the second through last bar."""
 
     symbol: str
     returns: np.ndarray
-    dates: tuple[dt.date, ...]
+    dates: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,27 +129,12 @@ class AlignedCloseMatrix:
     """Close prices over the common trading dates of several symbols.
 
     closes has shape (n_dates, n_symbols); column order follows the input
-    series order.
+    series order. dates is ``datetime64[D]``.
     """
 
     symbols: tuple[str, ...]
-    dates: tuple[dt.date, ...]
+    dates: np.ndarray
     closes: np.ndarray = field(repr=False)
-
-
-def _parse_bar(fields: list[str], lineno: int) -> PriceBar:
-    try:
-        return PriceBar(
-            date=dt.date.fromisoformat(fields[0]),
-            open=float(fields[1]),
-            high=float(fields[2]),
-            low=float(fields[3]),
-            close=float(fields[4]),
-            volume=int(fields[5]),
-            adj_close=float(fields[6]),
-        )
-    except (ValueError, IndexError) as exc:
-        raise CsvFormatError(f"line {lineno}: malformed row: {exc}") from exc
 
 
 def parse_csv(raw_text: bytes | str, symbol: str, strict: bool = True) -> PriceSeries:
@@ -157,8 +143,10 @@ def parse_csv(raw_text: bytes | str, symbol: str, strict: bool = True) -> PriceS
     The expected schema is a header line ``date,open,high,low,close,volume,
     adj_close`` followed by one row per trading day. Rows may arrive in any
     order; the result is sorted by date. Duplicate dates are always rejected.
-    In strict mode a bar violating its invariants fails the parse; in lenient
-    mode it is dropped with a warning.
+    A bar is invalid when a price is not finite (NaN or infinite), low >
+    high, the close is not positive or the volume is negative. In strict
+    mode an invalid bar fails the parse; in lenient mode it is dropped with a
+    warning. Errors name the line, and the column of a non-finite price.
     """
     if isinstance(raw_text, bytes):
         raw_text = raw_text.decode("utf-8")
@@ -168,44 +156,72 @@ def parse_csv(raw_text: bytes | str, symbol: str, strict: bool = True) -> PriceS
     if not lines or lines[0].strip() != CSV_HEADER:
         raise CsvFormatError(f"line 1: expected header {CSV_HEADER!r}")
 
-    bars = []
+    # Dates are kept as day numbers since 1970-01-01, the integers of datetime64[D].
+    rows, linenos, malformed = [], [], None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split(",")
         if len(fields) != 7:
-            raise CsvFormatError(f"line {lineno}: expected 7 fields, got {len(fields)}")
-        bar = _parse_bar(fields, lineno)
-        problem = bar.check()
-        if problem is not None:
-            if strict:
-                raise CsvFormatError(f"line {lineno}: invalid bar ({problem})")
-            log.warning("%s: dropping line %d (%s)", symbol, lineno, problem)
-            continue
-        bars.append(bar)
+            malformed = CsvFormatError(f"line {lineno}: expected 7 fields, got {len(fields)}")
+            break
+        try:
+            day = dt.date.fromisoformat(fields[0]).toordinal() - _EPOCH_ORDINAL
+            rows.append((day, *map(float, fields[1:5]), int(fields[5]), float(fields[6])))
+        except ValueError as exc:
+            malformed = CsvFormatError(f"line {lineno}: malformed row: {exc}")
+            break
+        linenos.append(lineno)
+    values = list(zip(*rows)) or [()] * len(_CSV_FIELDS)
+    try:
+        columns = {
+            name: np.array(column, dtype=dtype)
+            for name, column, dtype in zip(_CSV_FIELDS, values, _COLUMN_DTYPES.values())
+        }
+    except OverflowError:
+        i = next(i for i, row in enumerate(rows) if not -(2**63) <= row[5] < 2**63)
+        raise CsvFormatError(f"line {linenos[i]}: volume {rows[i][5]} is out of range") from None
 
-    bars.sort(key=lambda b: b.date)
-    for a, b in zip(bars, bars[1:]):
-        if a.date == b.date:
-            raise CsvFormatError(f"duplicate date {a.date} for {symbol}")
-    if not bars:
+    # Bar invariants in check order, as (message, mask of violating rows). Non-finite
+    # prices come first, so a NaN is named by its column instead of slipping through
+    # a comparison. Rows above a malformed line are checked before it is reported,
+    # so the first error is always the one on the lowest line.
+    prices = ("open", "high", "low", "close", "adj_close")
+    checks = [(f"{name} {{{name}}} is not finite", ~np.isfinite(columns[name])) for name in prices]
+    checks += [
+        ("low {low} > high {high}", columns["low"] > columns["high"]),
+        ("close {close} is not positive", columns["close"] <= 0),
+        ("volume {volume} is negative", columns["volume"] < 0),
+    ]
+    invalid = np.logical_or.reduce([mask for _, mask in checks])
+    for i in np.flatnonzero(invalid):
+        message = next(message for message, mask in checks if mask[i])
+        problem = message.format(**dict(zip(_CSV_FIELDS, rows[i])))
+        if strict:
+            raise CsvFormatError(f"line {linenos[i]}: invalid bar ({problem})")
+        log.warning("%s: dropping line %d (%s)", symbol, linenos[i], problem)
+    if malformed is not None:
+        raise malformed
+
+    kept = np.flatnonzero(~invalid)
+    order = kept[np.argsort(columns["date"][kept], kind="stable")]
+    dates = columns["date"][order]
+    duplicates = np.flatnonzero(dates[1:] == dates[:-1])
+    if duplicates.size:
+        raise CsvFormatError(f"duplicate date {dates[duplicates[0]]} for {symbol}")
+    if not order.size:
         raise CsvFormatError(f"{symbol}: no valid rows")
-    return PriceSeries(symbol, tuple(bars))
+    return PriceSeries(symbol, *(column[order] for column in columns.values()))
 
 
 def serialize_csv(series: PriceSeries) -> str:
     """Render a PriceSeries in the exact schema parse_csv accepts.
 
-    Floats use shortest round-trip representation, so
-    parse_csv(serialize_csv(s)) == s.
+    Floats use shortest round-trip representation, so parsing the text
+    returns the same columns.
     """
-    lines = [CSV_HEADER]
-    for b in series.bars:
-        lines.append(
-            f"{b.date.isoformat()},{float(b.open)!r},{float(b.high)!r},{float(b.low)!r},"
-            f"{float(b.close)!r},{int(b.volume)},{float(b.adj_close)!r}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = zip(*(getattr(series, name).tolist() for name in _COLUMN_DTYPES))
+    return "".join([CSV_HEADER + "\n", *("%s,%r,%r,%r,%r,%d,%r\n" % row for row in columns)])
 
 
 def fetch_history(
@@ -250,7 +266,7 @@ def fetch_history(
 
 def daily_returns(series: PriceSeries) -> ReturnSeries:
     """Simple daily returns: r[i] = close[i+1] / close[i] - 1."""
-    if len(series.bars) < 2:
+    if len(series.dates) < 2:
         raise ValueError(f"{series.symbol}: need at least 2 bars for returns")
     closes = series.closes
     rets = closes[1:] / closes[:-1] - 1.0
@@ -278,15 +294,9 @@ def align(series_list: list[PriceSeries]) -> AlignedCloseMatrix:
     """Close-price matrix over the intersection of all series' dates."""
     if not series_list:
         raise ValueError("need at least one series to align")
-    common = set(series_list[0].dates)
-    for s in series_list[1:]:
-        common &= set(s.dates)
-    if not common:
+    dates = functools.reduce(np.intersect1d, [s.dates for s in series_list])
+    if not dates.size:
         symbols = ", ".join(s.symbol for s in series_list)
         raise ValueError(f"no common dates across {symbols}")
-    dates = tuple(sorted(common))
-    closes = np.empty((len(dates), len(series_list)), dtype=float)
-    for j, s in enumerate(series_list):
-        by_date = {b.date: b.close for b in s.bars}
-        closes[:, j] = [by_date[d] for d in dates]
+    closes = np.column_stack([s.closes[np.searchsorted(s.dates, dates)] for s in series_list])
     return AlignedCloseMatrix(tuple(s.symbol for s in series_list), dates, closes)

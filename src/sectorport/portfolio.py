@@ -1,9 +1,11 @@
 """Mean-variance statistics, Monte-Carlo efficient frontiers, and portfolio selection.
 
 The frontier is the full cloud of randomly weighted portfolios (10,000 draws
-by default); the minimum-variance and maximum-Sharpe portfolios are selected
-by scanning it. Weight vectors are independent uniform(0,1) draws normalized
-to sum to one, so short selling is excluded by construction.
+by default), held as columns: a (draws, symbols) weight matrix and one array
+each of returns, risks and Sharpe ratios. The minimum-variance and
+maximum-Sharpe portfolios are its argmin and argmax; only those two draws
+become PortfolioWeights objects. Weight vectors are independent uniform(0,1)
+draws normalized to sum to one, so short selling is excluded by construction.
 
 Draw ``i`` always consumes doubles ``[i*n, (i+1)*n)`` of a single PCG64
 stream keyed by the seed, so a cloud can be generated in chunks (or by
@@ -23,6 +25,7 @@ from .market_data import AlignedCloseMatrix, TRADING_DAYS
 
 DEFAULT_DRAWS = 10_000
 DEFAULT_RISK_FREE = 0.01
+_CSV_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,8 @@ class PortfolioWeights:
 
 @dataclass(frozen=True)
 class FrontierPoint:
+    """One selected draw of a cloud, with its weights validated."""
+
     weights: PortfolioWeights
     annual_return: float
     annual_risk: float
@@ -75,18 +80,35 @@ class FrontierPoint:
     draw_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrontierCloud:
-    points: tuple[FrontierPoint, ...]
+    """Monte-Carlo cloud as columns, row i being draw i: weights (n, k), the others (n,)."""
+
+    symbols: tuple[str, ...]
+    weights: np.ndarray = field(repr=False)
+    returns: np.ndarray = field(repr=False)
+    risks: np.ndarray = field(repr=False)
+    sharpes: np.ndarray = field(repr=False)
     seed: int
-    n_draws: int
     risk_free: float
 
     def __post_init__(self):
-        if len(self.points) != self.n_draws:
-            raise ValueError(f"{len(self.points)} points for n_draws={self.n_draws}")
-        if any(p.draw_index != i for i, p in enumerate(self.points)):
-            raise ValueError("draw_index values must be 0..n_draws-1 in order")
+        n, k = len(self.weights), len(self.symbols)
+        if n < 1:
+            raise ValueError("empty frontier cloud")
+        shapes = [np.shape(a) for a in (self.weights, self.returns, self.risks, self.sharpes)]
+        if shapes != [(n, k), (n,), (n,), (n,)]:
+            raise ValueError(f"column shapes {shapes} do not fit {n} draws of {k} symbols")
+
+    @property
+    def n_draws(self) -> int:
+        return len(self.weights)
+
+    def point(self, i: int) -> FrontierPoint:
+        """Draw i as a FrontierPoint holding a copy of its weights."""
+        weights = PortfolioWeights(self.symbols, self.weights[i].copy())
+        stats = (float(self.returns[i]), float(self.risks[i]), float(self.sharpes[i]))
+        return FrontierPoint(weights, *stats, draw_index=int(i))
 
 
 def mean_and_covariance(aligned: AlignedCloseMatrix) -> tuple[np.ndarray, CovarianceMatrix]:
@@ -103,35 +125,6 @@ def mean_and_covariance(aligned: AlignedCloseMatrix) -> tuple[np.ndarray, Covari
     cov = np.atleast_2d(np.cov(rets, rowvar=False, ddof=1)) * TRADING_DAYS
     cov = (cov + cov.T) / 2.0
     return mean, CovarianceMatrix(aligned.symbols, cov)
-
-
-def portfolio_stats(w: PortfolioWeights, mean: np.ndarray, cov) -> tuple[float, float]:
-    """Annualized (return, risk) of one weight vector: w'mean and sqrt(w'Cw)."""
-    entries = cov.entries if isinstance(cov, CovarianceMatrix) else np.asarray(cov, dtype=float)
-    wv = w.weights
-    mean = np.asarray(mean, dtype=float)
-    if mean.shape != wv.shape or entries.shape != (wv.size, wv.size):
-        raise ValueError(
-            f"dimension mismatch: weights {wv.shape}, mean {mean.shape}, cov {entries.shape}"
-        )
-    variance = float(wv @ entries @ wv)
-    if variance < -1e-9:
-        raise ValueError(f"invalid covariance: w'Cw = {variance:.3g} < 0")
-    return float(wv @ mean), float(np.sqrt(max(variance, 0.0)))
-
-
-def random_weights(n: int, rng: Generator) -> PortfolioWeights:
-    """n uniform(0,1) draws normalized by their sum.
-
-    Consumes exactly n doubles from rng, one per asset (the frontier's
-    chunked generation relies on this).
-    """
-    if n < 1:
-        raise ValueError("need at least one asset")
-    x = rng.random(n)
-    while x.sum() == 0.0:  # probability ~0, but normalization needs sum > 0
-        x = rng.random(n)
-    return PortfolioWeights(tuple(f"asset{i}" for i in range(n)), x / x.sum())
 
 
 def sharpe_ratio(annual_return: float, annual_risk: float, risk_free: float = DEFAULT_RISK_FREE) -> float:
@@ -187,70 +180,33 @@ def build_frontier(
     if (risks <= 0).any():
         raise ValueError("zero-risk draw encountered; Sharpe ratio undefined")
     sharpes = (returns - risk_free) / risks
-
-    points = tuple(
-        FrontierPoint(
-            weights=PortfolioWeights(symbols, weights[i]),
-            annual_return=float(returns[i]),
-            annual_risk=float(risks[i]),
-            sharpe=float(sharpes[i]),
-            draw_index=i,
-        )
-        for i in range(n_draws)
-    )
-    return FrontierCloud(points, seed=seed, n_draws=n_draws, risk_free=risk_free)
+    return FrontierCloud(symbols, weights, returns, risks, sharpes, seed=seed, risk_free=risk_free)
 
 
 def min_variance_portfolio(cloud: FrontierCloud) -> FrontierPoint:
     """Cloud point with minimum risk; ties resolve to the lowest draw_index."""
-    if not cloud.points:
-        raise ValueError("empty frontier cloud")
-    risks = np.fromiter((p.annual_risk for p in cloud.points), dtype=float, count=len(cloud.points))
-    return cloud.points[int(np.argmin(risks))]
+    return cloud.point(np.argmin(cloud.risks))
 
 
 def max_sharpe_portfolio(cloud: FrontierCloud) -> FrontierPoint:
     """Cloud point with maximum Sharpe ratio; ties resolve to the lowest draw_index."""
-    if not cloud.points:
-        raise ValueError("empty frontier cloud")
-    if any(p.annual_risk <= 0 for p in cloud.points):
+    if (cloud.risks <= 0).any():
         raise ValueError("all points must have positive risk")
-    sharpes = np.fromiter((p.sharpe for p in cloud.points), dtype=float, count=len(cloud.points))
-    return cloud.points[int(np.argmax(sharpes))]
-
-
-def analytic_min_variance(cov: CovarianceMatrix) -> PortfolioWeights:
-    """Closed-form minimum-variance weights C^-1 1 / (1' C^-1 1).
-
-    This is the unconstrained (sum-to-one only) optimum, used as a testing
-    oracle for the Monte-Carlo frontier. It is only comparable to the
-    nonnegative cloud when all components come out nonnegative; otherwise the
-    fixture is invalid and an error is raised.
-    """
-    ones = np.ones(len(cov.symbols))
-    try:
-        x = np.linalg.solve(cov.entries, ones)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular covariance matrix: {exc}") from exc
-    w = x / x.sum()
-    if (w < 0).any():
-        raise ValueError(
-            "unconstrained minimum-variance weights have negative components; "
-            "fixture invalid for nonnegative comparison"
-        )
-    return PortfolioWeights(cov.symbols, w)
+    return cloud.point(np.argmax(cloud.sharpes))
 
 
 def frontier_csv_text(cloud: FrontierCloud) -> str:
     """Frontier export: draw_index,risk,return,sharpe,w_<SYM>... with 12 significant digits."""
-    if not cloud.points:
-        raise ValueError("empty frontier cloud")
-    symbols = cloud.points[0].weights.symbols
+    row = "%d" + ",%.12g" * (3 + len(cloud.symbols)) + "\n"
     out = io.StringIO()
-    out.write("draw_index,risk,return,sharpe," + ",".join(f"w_{s}" for s in symbols) + "\n")
-    for p in cloud.points:
-        ws = ",".join(f"{w:.12g}" for w in p.weights.weights)
-        out.write(f"{p.draw_index},{p.annual_risk:.12g},{p.annual_return:.12g},{p.sharpe:.12g},{ws}\n")
+    out.write("draw_index,risk,return,sharpe," + ",".join(f"w_{s}" for s in cloud.symbols) + "\n")
+    # Formatting a block of rows at a time bounds the memory of the Python
+    # floats that .tolist() makes; the draw index goes through %d as a float.
+    columns = (cloud.risks, cloud.returns, cloud.sharpes, cloud.weights)
+    for lo in range(0, cloud.n_draws, _CSV_BLOCK_ROWS):
+        hi = min(lo + _CSV_BLOCK_ROWS, cloud.n_draws)
+        block = np.column_stack((np.arange(lo, hi), *(c[lo:hi] for c in columns)))
+        out.write((row * (hi - lo)) % tuple(block.ravel().tolist()))
     return out.getvalue()
 
 

@@ -3,15 +3,21 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from sectorport.market_data import PriceBar, PriceSeries, CSV_HEADER
+from sectorport.market_data import PriceSeries, CSV_HEADER
 
 
-def bar(date, close, low=None, high=None, volume=1000):
-    """PriceBar with consistent OHLC derived from the close."""
-    low = close * 0.95 if low is None else low
-    high = close * 1.05 if high is None else high
-    return PriceBar(
-        date=date, open=close, high=high, low=low, close=close, volume=volume, adj_close=close
+def series_on(symbol, dates, closes, volume=1000) -> PriceSeries:
+    """PriceSeries with consistent OHLC derived from each close."""
+    closes = np.asarray(closes, dtype=float)
+    return PriceSeries(
+        symbol,
+        np.array(dates, dtype="datetime64[D]"),
+        open=closes,
+        high=closes * 1.05,
+        low=closes * 0.95,
+        closes=closes,
+        volume=np.full(len(closes), volume),
+        adj_close=closes,
     )
 
 
@@ -27,8 +33,7 @@ def weekdays(start: dt.date, n: int) -> list[dt.date]:
 
 
 def series_from_closes(symbol, closes, start=dt.date(2020, 1, 1)) -> PriceSeries:
-    dates = weekdays(start, len(closes))
-    return PriceSeries(symbol, tuple(bar(d, float(c)) for d, c in zip(dates, closes)))
+    return series_on(symbol, weekdays(start, len(closes)), closes)
 
 
 def gbm_closes(n, seed, s0=100.0, drift=0.0004, vol=0.015) -> np.ndarray:

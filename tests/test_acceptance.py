@@ -22,6 +22,7 @@ from sectorport.config import load_config
 from sectorport.portfolio import PortfolioWeights, sharpe_ratio
 
 from conftest import gbm_closes, series_from_closes
+from oracles import analytic_min_variance, portfolio_stats
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -108,9 +109,9 @@ def _five_asset_problem():
 def test_criterion_04_monte_carlo_vs_analytic_min_variance():
     t0 = time.perf_counter()
     mean, cov = _five_asset_problem()
-    w_star = po.analytic_min_variance(cov)
+    w_star = analytic_min_variance(cov)
     assert (w_star.weights > 0).all()
-    _, risk_star = po.portfolio_stats(w_star, mean, cov)
+    _, risk_star = portfolio_stats(w_star, mean, cov)
 
     cloud_10k = po.build_frontier(mean, cov, n_draws=10_000, seed=42)
     rel_10k = (po.min_variance_portfolio(cloud_10k).annual_risk - risk_star) / risk_star
@@ -131,7 +132,7 @@ def test_criterion_05_max_sharpe_grid_oracle():
     cov = po.CovarianceMatrix(("A", "B"), np.array([[0.05, 0.015], [0.015, 0.16]]))
     grid_best = max(
         sharpe_ratio(
-            *po.portfolio_stats(PortfolioWeights(("A", "B"), np.array([w1, 1 - w1])), mean, cov)
+            *portfolio_stats(PortfolioWeights(("A", "B"), np.array([w1, 1 - w1])), mean, cov)
         )
         for w1 in np.linspace(0.0, 1.0, 10_000)
     )

@@ -19,7 +19,7 @@ from sectorport.cli import (
 from sectorport.config import load_config
 from sectorport.market_data import parse_csv, serialize_csv
 
-from conftest import bar, gbm_closes, series_from_closes, weekdays
+from conftest import gbm_closes, series_from_closes, series_on, weekdays
 
 SYMBOLS = ["AAA", "BBB", "CCC", "DDD", "EEE"]
 N_DAYS = 1440  # weekdays from 2016-01-01 passing 2021-06-01
@@ -180,8 +180,8 @@ def test_backtest_with_predicted_equal_actual(config, env, tmp_path):
     prices = {}
     for sym in SYMBOLS:
         series = parse_csv((env / "data" / f"{sym}.csv").read_bytes(), sym)
-        eligible = [b for b in series.bars if b.date <= config.eval_date]
-        prices[sym] = eligible[-1].close
+        eligible = [c for d, c in zip(series.dates.tolist(), series.closes.tolist()) if d <= config.eval_date]
+        prices[sym] = eligible[-1]
     override = tmp_path / "pred.csv"
     override.write_text("symbol,price\n" + "".join(f"{s},{p!r}\n" for s, p in prices.items()))
     json_path, csv_path, summary = cmd_backtest(config, "tech", tmp_path, predicted_prices=override)
@@ -201,15 +201,9 @@ def test_backtest_published_it_ledger_via_override_files(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
     for sym, _, start_price, end_price, _ in rows:
-        bars = (
-            bar(dt.date(2021, 1, 1), float(start_price)),
-            bar(dt.date(2021, 6, 1), float(end_price)),
-        )
-        series = series_from_closes(sym, [start_price, end_price], start=dt.date(2021, 1, 1))
         # pin the exact invest/eval dates
-        (data / f"{sym}.csv").write_text(
-            serialize_csv(series.__class__(sym, bars)), encoding="utf-8"
-        )
+        series = series_on(sym, [dt.date(2021, 1, 1), dt.date(2021, 6, 1)], [start_price, end_price])
+        (data / f"{sym}.csv").write_text(serialize_csv(series), encoding="utf-8")
     doc = base_doc(
         sectors=[{"name": "it", "members": [[r[0], 10.0] for r in rows]}],
         data_dir=str(data),
@@ -260,6 +254,31 @@ def test_seven_sector_summary(env, tmp_path):
     assert [l.split(",")[0] for l in lines[1:]] == [f"s{i}" for i in range(7)]
 
 
+@pytest.mark.parametrize("line", ["BBB", "BBB,abc", "BBB,1.0,2.0"])
+def test_backtest_malformed_predicted_price_names_file_and_line(config, tmp_path, line):
+    pred_file = tmp_path / "pred.csv"
+    pred_file.write_text(f"symbol,price\nAAA,100.0\n{line}\n")
+    with pytest.raises(ValueError, match=rf"pred\.csv: line 3"):
+        cmd_backtest(config, "tech", tmp_path / "out", predicted_prices=pred_file)
+
+
+def test_backtest_parses_each_member_once(config, tmp_path, monkeypatch):
+    import sectorport.market_data as md
+
+    parsed = []
+    real = md.parse_csv
+
+    def spy(raw_text, symbol, strict=True):
+        parsed.append(symbol)
+        return real(raw_text, symbol, strict)
+
+    monkeypatch.setattr(md, "parse_csv", spy)
+    pred_file = tmp_path / "pred.csv"
+    pred_file.write_text("symbol,price\n" + "".join(f"{s},100.0\n" for s in SYMBOLS))
+    cmd_backtest(config, "tech", tmp_path / "out", predicted_prices=pred_file)
+    assert sorted(parsed) == sorted(SYMBOLS)
+
+
 def test_backtest_rerun_leaves_summary_byte_identical(config, env, tmp_path):
     pred_file = tmp_path / "pred.csv"
     pred_file.write_text("symbol,price\n" + "".join(f"{s},100.0\n" for s in SYMBOLS))
@@ -275,15 +294,15 @@ def test_backtest_rerun_leaves_summary_byte_identical(config, env, tmp_path):
 def test_plotdata_single_day_range(config, env, tmp_path):
     cmd_train(config, "AAA", tmp_path)
     series = parse_csv((env / "data" / "AAA.csv").read_bytes(), "AAA")
-    day = [d for d in series.dates if d >= dt.date(2021, 2, 1)][0]
+    day = [d for d in series.dates.tolist() if d >= dt.date(2021, 2, 1)][0]
     path = cmd_plotdata(config, "AAA", day, day, tmp_path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "date,actual_close,predicted_close"
     assert len(lines) == 2
     date_str, actual, predicted = lines[1].split(",")
     assert date_str == day.isoformat()
-    idx = series.dates.index(day)
-    assert float(actual) == pytest.approx(series.bars[idx].close, rel=1e-11)
+    idx = series.dates.tolist().index(day)
+    assert float(actual) == pytest.approx(series.closes[idx], rel=1e-11)
     assert float(predicted) > 0 and np.isfinite(float(predicted))
 
 
@@ -293,7 +312,7 @@ def test_plotdata_actual_column_is_passthrough(config, env, tmp_path):
     start, end = dt.date(2021, 1, 1), dt.date(2021, 1, 31)
     path = cmd_plotdata(config, "BBB", start, end, tmp_path)
     lines = path.read_text().strip().split("\n")[1:]
-    expect = [(d, b.close) for d, b in zip(series.dates, series.bars) if start <= d <= end]
+    expect = [(d, c) for d, c in zip(series.dates.tolist(), series.closes.tolist()) if start <= d <= end]
     assert len(lines) == len(expect)
     for line, (d, close) in zip(lines, expect):
         fields = line.split(",")
@@ -306,7 +325,7 @@ def test_plotdata_range_longer_than_batch_size(config, env, tmp_path):
     cmd_train(config, "CCC", tmp_path)
     series = parse_csv((env / "data" / "CCC.csv").read_bytes(), "CCC")
     start, end = dt.date(2020, 6, 1), dt.date(2021, 5, 31)
-    days = [d for d in series.dates if start <= d <= end]
+    days = [d for d in series.dates.tolist() if start <= d <= end]
     assert len(days) > 2 * config.lstm.batch_size
     path = cmd_plotdata(config, "CCC", start, end, tmp_path)
     lines = path.read_text().strip().split("\n")[1:]
@@ -352,7 +371,7 @@ def test_fetch_writes_data_dir(tmp_path):
         cfg_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
         written = cmd_fetch(load_config(cfg_path))
         assert [p.name for p in written] == ["AAA.csv", "BBB.csv"]
-        assert parse_csv(written[0].read_bytes(), "AAA").bars
+        assert len(parse_csv(written[0].read_bytes(), "AAA").dates)
     finally:
         server.shutdown()
         server.server_close()

@@ -61,7 +61,7 @@ def endpoint():
 
 def test_fetch_parses_endpoint_body(endpoint):
     series = fetch_history("ABC", START, END, endpoint.url)
-    assert len(series.bars) == 3
+    assert len(series.dates) == 3
     assert series.symbol == "ABC"
     assert endpoint.requests == [
         {"symbol": ["ABC"], "start": ["2020-01-01"], "end": ["2020-02-01"]}

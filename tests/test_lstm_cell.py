@@ -14,7 +14,6 @@ from sectorport.lstm import (
     Scaler,
     dropout_mask,
     fit_scaler,
-    forward,
     forward_batch,
     huber_loss,
     init_model,
@@ -165,20 +164,20 @@ def test_forward_output_strictly_inside_unit_interval():
     model = small_model()
     rng = Generator(PCG64(SeedSequence(2)))
     for _ in range(10):
-        y = forward(model, rng.random(8))
-        assert 0.0 < y < 1.0
+        y, _ = forward_batch(model, rng.random((1, 8)))
+        assert 0.0 < y[0] < 1.0
 
 
 def test_forward_inference_is_deterministic():
     model = small_model()
     window = Generator(PCG64(SeedSequence(3))).random(8)
-    assert forward(model, window) == forward(model, window)
+    assert forward_batch(model, window[None])[0] == forward_batch(model, window[None])[0]
 
 
 def test_forward_rejects_wrong_window_length():
     model = small_model()
-    with pytest.raises(ValueError, match="length 8"):
-        forward(model, np.ones(9))
+    with pytest.raises(ValueError, match=r"expected \(batch, 8\) input, got \(1, 9\)"):
+        forward_batch(model, np.ones(9)[None])
 
 
 def test_default_config_layer_one_emits_50_by_256():
@@ -198,7 +197,8 @@ def test_predict_batch_matches_per_window_forward():
     X = Generator(PCG64(SeedSequence(15))).random((150, 8))
     blocked = predict_batch(model, X)
     assert blocked.shape == (150,)
-    np.testing.assert_allclose(blocked, [forward(model, x) for x in X], rtol=1e-12, atol=0)
+    per_window = [forward_batch(model, x[None])[0][0] for x in X]
+    np.testing.assert_allclose(blocked, per_window, rtol=1e-12, atol=0)
 
 
 def test_predict_batch_runs_blocks_of_batch_size(monkeypatch):
@@ -221,7 +221,7 @@ def test_predict_batch_runs_blocks_of_batch_size(monkeypatch):
 def test_training_forward_needs_rng_when_dropout_active():
     model = small_model(dropout_rate=0.5)
     with pytest.raises(ValueError, match="rng"):
-        forward(model, np.ones(8), training=True)
+        forward_batch(model, np.ones((1, 8)), training=True)
 
 
 # ------------------------------------------------------------------ dropout
@@ -230,7 +230,8 @@ def test_dropout_rate_zero_equals_inference_exactly():
     model = small_model(dropout_rate=0.0)
     window = Generator(PCG64(SeedSequence(5))).random(8)
     rng = Generator(PCG64(SeedSequence(6)))
-    assert forward(model, window, training=True, rng=rng) == forward(model, window)
+    trained, _ = forward_batch(model, window[None], training=True, rng=rng)
+    assert trained == forward_batch(model, window[None])[0]
 
 
 def test_dropout_mask_expectation_is_one():
@@ -254,8 +255,8 @@ def test_training_forward_with_dropout_differs_from_inference():
     model = small_model(dropout_rate=0.5)
     window = Generator(PCG64(SeedSequence(10))).random(8)
     rng = Generator(PCG64(SeedSequence(11)))
-    trained = forward(model, window, training=True, rng=rng)
-    assert trained != forward(model, window)
+    trained, _ = forward_batch(model, window[None], training=True, rng=rng)
+    assert trained != forward_batch(model, window[None])[0]
 
 
 # --------------------------------------------------------------- huber / mae

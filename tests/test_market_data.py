@@ -10,7 +10,6 @@ from sectorport.market_data import (
     CSV_HEADER,
     TRADING_DAYS,
     CsvFormatError,
-    PriceSeries,
     SectorUniverse,
     align,
     asset_stats,
@@ -19,7 +18,9 @@ from sectorport.market_data import (
     serialize_csv,
 )
 
-from conftest import bar, csv_text, series_from_closes, weekdays
+from conftest import csv_text, series_from_closes, series_on, weekdays
+
+COLUMNS = ("dates", "open", "high", "low", "closes", "volume", "adj_close")
 
 
 # ---------------------------------------------------------------- parse_csv
@@ -27,9 +28,9 @@ from conftest import bar, csv_text, series_from_closes, weekdays
 def test_parse_minimal():
     text = csv_text([("2020-01-02", 1, 2, 0.5, 1.5, 100, 1.5)])
     series = parse_csv(text, "X")
-    assert len(series.bars) == 1
-    assert series.bars[0].close == 1.5
-    assert series.bars[0].date == dt.date(2020, 1, 2)
+    assert len(series.dates) == 1
+    assert series.closes[0] == 1.5
+    assert series.dates[0] == np.datetime64("2020-01-02")
 
 
 def test_parse_rejects_low_above_high():
@@ -47,8 +48,54 @@ def test_lenient_drops_bad_bar(caplog):
     )
     with caplog.at_level("WARNING", logger="sectorport.market_data"):
         series = parse_csv(text, "X", strict=False)
-    assert [b.date for b in series.bars] == [dt.date(2020, 1, 3)]
+    assert series.dates.tolist() == [dt.date(2020, 1, 3)]
     assert any("dropping line 2" in r.message for r in caplog.records)
+
+
+FLOAT_COLUMNS = {"open": 1, "high": 2, "low": 3, "close": 4, "adj_close": 6}
+NON_FINITE = ["nan", "NaN", "inf", "-inf", "+inf", "Infinity", "-Infinity", "1e999"]
+
+
+def _rows_with(value, column, at, n=3):
+    rows = [[f"2020-01-0{2 + i}", 1, 2, 0.5, 1.5, 100, 1.5] for i in range(n)]
+    rows[at][FLOAT_COLUMNS[column]] = value
+    return rows
+
+
+@pytest.mark.parametrize("column", sorted(FLOAT_COLUMNS))
+def test_parse_rejects_nan_in_every_float_column(column):
+    with pytest.raises(CsvFormatError, match=rf"line 3: invalid bar \({column} nan is not finite\)"):
+        parse_csv(csv_text(_rows_with("nan", column, at=1)), "X")
+
+
+def test_lenient_drops_non_finite_bar(caplog):
+    text = csv_text(_rows_with("inf", "close", at=0))
+    with caplog.at_level("WARNING", logger="sectorport.market_data"):
+        series = parse_csv(text, "X", strict=False)
+    assert len(series.dates) == 2
+    assert any("dropping line 2 (close inf is not finite)" in r.message for r in caplog.records)
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+)
+@settings(max_examples=60)
+def test_non_finite_value_in_any_float_column_is_rejected(n, data):
+    at = data.draw(st.integers(min_value=0, max_value=n - 1), label="row")
+    column = data.draw(st.sampled_from(sorted(FLOAT_COLUMNS)), label="column")
+    value = data.draw(st.sampled_from(NON_FINITE), label="value")
+    text = csv_text(_rows_with(value, column, at, n))
+    with pytest.raises(CsvFormatError, match=rf"line {at + 2}: invalid bar \({column} "):
+        parse_csv(text, "X")
+    if n > 1:
+        assert len(parse_csv(text, "X", strict=False).dates) == n - 1
+
+
+def test_parse_rejects_volume_beyond_int64():
+    text = csv_text([("2020-01-02", 1, 2, 0.5, 1.5, 100, 1.5), ("2020-01-03", 1, 2, 0.5, 1.5, 2**63, 1.5)])
+    with pytest.raises(CsvFormatError, match="line 3: volume 9223372036854775808 is out of range"):
+        parse_csv(text, "X")
 
 
 def test_parse_synthetic_five_year_fixture():
@@ -57,7 +104,7 @@ def test_parse_synthetic_five_year_fixture():
     assert dates[-1] <= dt.date(2020, 12, 31)
     rows = [(d.isoformat(), 10, 11, 9, 10 + i % 7 * 0.1, 500, 10) for i, d in enumerate(dates)]
     series = parse_csv(csv_text(rows), "FIX")
-    assert len(series.bars) == 1258
+    assert len(series.dates) == 1258
 
 
 def test_parse_reports_malformed_line_number():
@@ -69,6 +116,21 @@ def test_parse_reports_malformed_line_number():
     )
     with pytest.raises(CsvFormatError, match="line 3"):
         parse_csv(text, "X")
+
+
+def test_invalid_bar_above_a_malformed_line_is_reported_first(caplog):
+    text = csv_text(
+        [
+            ("2020-01-02", 1, 2, 3, 1.5, 100, 1.5),  # low > high
+            ("2020-01-03", 1, 2, 0.5, "oops", 100, 1.5),
+        ]
+    )
+    with pytest.raises(CsvFormatError, match=r"line 2: invalid bar \(low 3.0 > high 2.0\)"):
+        parse_csv(text, "X")
+    with caplog.at_level("WARNING", logger="sectorport.market_data"):
+        with pytest.raises(CsvFormatError, match="line 3: malformed row"):
+            parse_csv(text, "X", strict=False)
+    assert any("dropping line 2" in r.message for r in caplog.records)
 
 
 def test_parse_rejects_wrong_field_count():
@@ -100,7 +162,7 @@ def test_parse_sorts_unordered_rows():
         ]
     )
     series = parse_csv(text, "X")
-    assert [b.date.day for b in series.bars] == [2, 3]
+    assert [d.day for d in series.dates.tolist()] == [2, 3]
 
 
 def test_parse_rejects_empty_document():
@@ -110,7 +172,7 @@ def test_parse_rejects_empty_document():
 
 def test_parse_accepts_bytes():
     text = csv_text([("2020-01-02", 1, 2, 0.5, 1.5, 100, 1.5)])
-    assert len(parse_csv(text.encode(), "X").bars) == 1
+    assert len(parse_csv(text.encode(), "X").dates) == 1
 
 
 # ----------------------------------------------------------- serialization
@@ -126,14 +188,16 @@ def price_series_strategy(draw):
             max_size=n,
         )
     )
-    bars = tuple(bar(d, c) for d, c in zip(weekdays(start, n), prices))
-    return PriceSeries("HYP", bars)
+    return series_on("HYP", weekdays(start, n), prices)
 
 
 @given(price_series_strategy())
 @settings(max_examples=50)
 def test_csv_round_trip(series):
-    assert parse_csv(serialize_csv(series), series.symbol) == series
+    parsed = parse_csv(serialize_csv(series), series.symbol)
+    assert parsed.symbol == series.symbol
+    for name in COLUMNS:
+        assert np.array_equal(getattr(parsed, name), getattr(series, name)), name
 
 
 def test_serialize_uses_exact_schema():
@@ -167,8 +231,8 @@ def test_daily_returns_needs_two_bars():
 def test_daily_returns_dates_align_to_second_bar():
     series = series_from_closes("X", [1, 2, 3])
     rets = daily_returns(series)
-    assert rets.dates == series.dates[1:]
-    assert len(rets.returns) == len(series.bars) - 1
+    np.testing.assert_array_equal(rets.dates, series.dates[1:])
+    assert len(rets.returns) == len(series.dates) - 1
 
 
 @given(
@@ -251,7 +315,7 @@ def test_align_identical_dates():
     a = series_from_closes("A", [1, 2, 3])
     b = series_from_closes("B", [4, 5, 6])
     aligned = align([a, b])
-    assert aligned.dates == a.dates
+    np.testing.assert_array_equal(aligned.dates, a.dates)
     assert aligned.symbols == ("A", "B")
     assert aligned.closes.shape == (3, 2)
     np.testing.assert_array_equal(aligned.closes[:, 1], [4, 5, 6])
@@ -259,10 +323,10 @@ def test_align_identical_dates():
 
 def test_align_intersects_dates():
     days = weekdays(dt.date(2020, 1, 1), 4)
-    a = PriceSeries("A", tuple(bar(d, 1.0 + i) for i, d in enumerate(days[:3])))
-    b = PriceSeries("B", tuple(bar(d, 2.0 + i) for i, d in enumerate(days[1:])))
+    a = series_on("A", days[:3], [1.0, 2.0, 3.0])
+    b = series_on("B", days[1:], [2.0, 3.0, 4.0])
     aligned = align([a, b])
-    assert aligned.dates == tuple(days[1:3])
+    assert aligned.dates.tolist() == days[1:3]
     np.testing.assert_allclose(aligned.closes, [[2.0, 2.0], [3.0, 3.0]])
 
 
@@ -288,14 +352,11 @@ def test_align_output_dates_subset_and_sorted(data):
     ]
     if not set(picks[0]) & set(picks[1]) & set(picks[2]):
         return
-    series = [
-        PriceSeries(f"S{i}", tuple(bar(d, 1.0 + j) for j, d in enumerate(p)))
-        for i, p in enumerate(picks)
-    ]
+    series = [series_on(f"S{i}", p, 1.0 + np.arange(len(p))) for i, p in enumerate(picks)]
     aligned = align(series)
     assert list(aligned.dates) == sorted(aligned.dates)
     for s in series:
-        assert set(aligned.dates) <= set(s.dates)
+        assert set(aligned.dates.tolist()) <= set(s.dates.tolist())
 
 
 # ---------------------------------------------------------------- types
@@ -303,12 +364,12 @@ def test_align_output_dates_subset_and_sorted(data):
 def test_price_series_rejects_unsorted_dates():
     days = weekdays(dt.date(2020, 1, 1), 2)
     with pytest.raises(ValueError, match="strictly increasing"):
-        PriceSeries("X", (bar(days[1], 1.0), bar(days[0], 1.0)))
+        series_on("X", [days[1], days[0]], [1.0, 1.0])
 
 
 def test_price_series_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
-        PriceSeries("X", ())
+        series_on("X", [], [])
 
 
 def test_sector_universe_rejects_duplicates():
@@ -324,6 +385,6 @@ def test_sector_universe_rejects_nonpositive_weight():
 def test_restrict_filters_by_date():
     series = series_from_closes("X", [1, 2, 3, 4, 5], start=dt.date(2020, 1, 1))
     sub = series.restrict(series.dates[1], series.dates[3])
-    assert sub.dates == series.dates[1:4]
+    np.testing.assert_array_equal(sub.dates, series.dates[1:4])
     with pytest.raises(ValueError, match="no bars"):
         series.restrict(dt.date(2030, 1, 1), dt.date(2030, 2, 1))

@@ -11,22 +11,19 @@ from sectorport.market_data import align
 from sectorport.portfolio import (
     CovarianceMatrix,
     FrontierCloud,
-    FrontierPoint,
     PortfolioWeights,
     _weight_block,
-    analytic_min_variance,
     build_frontier,
     frontier_csv_text,
     max_sharpe_portfolio,
     mean_and_covariance,
     min_variance_portfolio,
     portfolio_report,
-    portfolio_stats,
-    random_weights,
     sharpe_ratio,
 )
 
 from conftest import series_from_closes
+from oracles import analytic_min_variance, portfolio_stats
 
 
 def equicorrelated_cov(vols, rho):
@@ -124,29 +121,23 @@ def test_portfolio_stats_rejects_negative_quadratic_form():
         portfolio_stats(w, np.zeros(2), bad)
 
 
-# ------------------------------------------------------------ random_weights
+# ------------------------------------------------------------- weight rows
 
 def test_single_asset_weight_is_one():
-    w = random_weights(1, Generator(PCG64(SeedSequence(5))))
-    assert w.weights == pytest.approx([1.0])
+    assert _weight_block(5, 0, 1, 1)[0] == pytest.approx([1.0])
 
 
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=2**32))
 def test_random_weights_on_simplex(n, seed):
-    w = random_weights(n, Generator(PCG64(SeedSequence(seed)))).weights
+    w = _weight_block(seed, 0, 3, n)
     assert (w >= 0).all()
-    assert abs(w.sum() - 1.0) <= 1e-9
+    assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_random_weights_deterministic_per_seed():
-    a = random_weights(5, Generator(PCG64(SeedSequence(7)))).weights
-    b = random_weights(5, Generator(PCG64(SeedSequence(7)))).weights
+    a = _weight_block(7, 0, 3, 5)
+    b = _weight_block(7, 0, 3, 5)
     np.testing.assert_array_equal(a, b)
-
-
-def test_random_weights_rejects_zero_assets():
-    with pytest.raises(ValueError):
-        random_weights(0, Generator(PCG64(SeedSequence(0))))
 
 
 # -------------------------------------------------------------- sharpe_ratio
@@ -183,8 +174,8 @@ def test_sharpe_antisymmetric_around_risk_free(r, sigma, rf):
 
 def test_frontier_single_draw():
     cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=1, seed=0)
-    assert len(cloud.points) == 1
-    assert cloud.points[0].draw_index == 0
+    assert cloud.n_draws == 1
+    assert min_variance_portfolio(cloud).draw_index == 0
 
 
 def test_identical_assets_collapse_the_cloud():
@@ -192,8 +183,8 @@ def test_identical_assets_collapse_the_cloud():
     cov = CovarianceMatrix(("A", "B", "C"), equicorrelated_cov([0.2, 0.2, 0.2], 1.0))
     mean = np.array([0.1, 0.1, 0.1])
     cloud = build_frontier(mean, cov, n_draws=200, seed=3)
-    risks = {round(p.annual_risk, 12) for p in cloud.points}
-    rets = {round(p.annual_return, 12) for p in cloud.points}
+    risks = {round(r, 12) for r in cloud.risks.tolist()}
+    rets = {round(r, 12) for r in cloud.returns.tolist()}
     assert risks == {0.2}
     assert rets == {0.1}
 
@@ -202,16 +193,14 @@ def test_frontier_deterministic_for_fixed_seed():
     a = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=500, seed=11)
     b = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=500, seed=11)
     assert frontier_csv_text(a) == frontier_csv_text(b)
-    for pa, pb in zip(a.points, b.points):
-        np.testing.assert_array_equal(pa.weights.weights, pb.weights.weights)
+    np.testing.assert_array_equal(a.weights, b.weights)
 
 
 def test_frontier_draws_are_nested_prefixes():
     small = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=200, seed=5)
     big = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=400, seed=5)
-    for ps, pb in zip(small.points, big.points[:200]):
-        np.testing.assert_array_equal(ps.weights.weights, pb.weights.weights)
-    assert min(p.annual_risk for p in big.points) <= min(p.annual_risk for p in small.points)
+    np.testing.assert_array_equal(small.weights, big.weights[:200])
+    assert big.risks.min() <= small.risks.min()
 
 
 def test_weight_blocks_merge_to_serial_run():
@@ -229,12 +218,13 @@ def test_weight_block_rows_match_sequential_random_weights():
     rng = Generator(PCG64(SeedSequence(9)))
     rows = _weight_block(seed=9, start=0, count=4, n_assets=3)
     for i in range(4):
-        np.testing.assert_array_equal(random_weights(3, rng).weights, rows[i])
+        x = rng.random(3)
+        np.testing.assert_array_equal(x / x.sum(), rows[i])
 
 
 def test_frontier_point_stats_recompute_from_weights():
     cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=300, seed=2)
-    for p in cloud.points[::23]:
+    for p in map(cloud.point, range(0, cloud.n_draws, 23)):
         ret, risk = portfolio_stats(p.weights, FIVE_ASSET_MEAN, FIVE_ASSET_COV)
         assert ret == pytest.approx(p.annual_return, abs=1e-10)
         assert risk == pytest.approx(p.annual_risk, abs=1e-10)
@@ -248,67 +238,50 @@ def test_frontier_rejects_zero_draws():
 
 # ----------------------------------------------------------------- selectors
 
-def _point(risk, ret, sharpe, idx):
-    return FrontierPoint(
-        weights=PortfolioWeights(("A",), np.array([1.0])),
-        annual_return=ret,
-        annual_risk=risk,
-        sharpe=sharpe,
-        draw_index=idx,
-    )
+def _cloud(risks, returns, sharpes, risk_free=0.01):
+    columns = (np.asarray(c, dtype=float) for c in (returns, risks, sharpes))
+    return FrontierCloud(("A",), np.ones((len(risks), 1)), *columns, seed=0, risk_free=risk_free)
 
 
 def test_min_variance_scans_for_argmin():
-    cloud = FrontierCloud(
-        (_point(0.3, 0.1, 0.3, 0), _point(0.1, 0.05, 0.4, 1), _point(0.2, 0.2, 0.9, 2)),
-        seed=0,
-        n_draws=3,
-        risk_free=0.01,
-    )
+    cloud = _cloud(risks=[0.3, 0.1, 0.2], returns=[0.1, 0.05, 0.2], sharpes=[0.3, 0.4, 0.9])
     assert min_variance_portfolio(cloud).draw_index == 1
 
 
 def test_selector_ties_break_by_draw_index():
-    cloud = FrontierCloud(
-        (_point(0.2, 0.1, 0.5, 0), _point(0.2, 0.1, 0.5, 1)),
-        seed=0,
-        n_draws=2,
-        risk_free=0.01,
-    )
+    cloud = _cloud(risks=[0.2, 0.2], returns=[0.1, 0.1], sharpes=[0.5, 0.5])
     assert min_variance_portfolio(cloud).draw_index == 0
     assert max_sharpe_portfolio(cloud).draw_index == 0
 
 
 def test_max_sharpe_scans_for_argmax():
-    cloud = FrontierCloud(
-        (_point(0.3, 0.1, 0.2, 0), _point(0.1, 0.05, 0.9, 1), _point(0.2, 0.2, 0.5, 2)),
-        seed=0,
-        n_draws=3,
-        risk_free=0.01,
-    )
+    cloud = _cloud(risks=[0.3, 0.1, 0.2], returns=[0.1, 0.05, 0.2], sharpes=[0.2, 0.9, 0.5])
     assert max_sharpe_portfolio(cloud).draw_index == 1
 
 
 def test_max_sharpe_argmax_invariant_under_risk_free_shift_at_equal_risk():
     # shifting rf moves every equal-risk point's Sharpe by the same amount
     def cloud(rf):
-        returns = [0.10, 0.30, 0.20]
-        return FrontierCloud(
-            tuple(_point(0.25, r, (r - rf) / 0.25, i) for i, r in enumerate(returns)),
-            seed=0,
-            n_draws=3,
-            risk_free=rf,
-        )
+        returns = np.array([0.10, 0.30, 0.20])
+        return _cloud([0.25] * 3, returns, (returns - rf) / 0.25, risk_free=rf)
 
     assert max_sharpe_portfolio(cloud(0.01)).draw_index == max_sharpe_portfolio(cloud(0.05)).draw_index == 1
 
 
 def test_selectors_reject_empty_cloud():
-    cloud = FrontierCloud((), seed=0, n_draws=0, risk_free=0.01)
+    # an empty cloud cannot be built, so no selector ever sees one
     with pytest.raises(ValueError, match="empty"):
-        min_variance_portfolio(cloud)
-    with pytest.raises(ValueError, match="empty"):
-        max_sharpe_portfolio(cloud)
+        _cloud(risks=[], returns=[], sharpes=[])
+
+
+def test_selected_point_is_its_row():
+    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=300, seed=2)
+    p = max_sharpe_portfolio(cloud)
+    i = p.draw_index
+    np.testing.assert_array_equal(p.weights.weights, cloud.weights[i])
+    assert p.weights.symbols == cloud.symbols
+    assert (p.annual_return, p.annual_risk, p.sharpe) == (cloud.returns[i], cloud.risks[i], cloud.sharpes[i])
+    assert not np.shares_memory(p.weights.weights, cloud.weights)
 
 
 def test_two_asset_min_variance_approaches_inverse_variance_weights():
@@ -387,11 +360,17 @@ def test_portfolio_weights_validation():
         PortfolioWeights(("A", "B"), np.array([0.4, 0.4]))
 
 
-def test_frontier_cloud_validates_draw_indices():
-    with pytest.raises(ValueError, match="draw_index"):
-        FrontierCloud((_point(0.1, 0.1, 0.5, 3),), seed=0, n_draws=1, risk_free=0.01)
-    with pytest.raises(ValueError, match="points"):
-        FrontierCloud((), seed=0, n_draws=2, risk_free=0.01)
+def test_frontier_cloud_validates_shapes():
+    def cloud(symbols, weights, risks, sharpes):
+        return FrontierCloud(symbols, weights, np.zeros(2), risks, sharpes, seed=0, risk_free=0.01)
+
+    cloud(("A",), np.ones((2, 1)), np.ones(2), np.zeros(2))
+    with pytest.raises(ValueError, match="do not fit 2 draws of 2 symbols"):
+        cloud(("A", "B"), np.ones((2, 3)), np.ones(2), np.zeros(2))
+    with pytest.raises(ValueError, match="column shapes"):
+        cloud(("A",), np.ones((2, 1)), np.ones(3), np.zeros(2))
+    with pytest.raises(ValueError, match="column shapes"):
+        cloud(("A",), np.ones((2, 1)), np.ones(2), np.zeros((2, 1)))
 
 
 # ------------------------------------------------------------------ exports
@@ -406,7 +385,7 @@ def test_frontier_csv_layout():
     assert first[0] == "0"
     # weights round-trip through the >=10-significant-digit format
     parsed = np.array([float(x) for x in first[4:]])
-    np.testing.assert_allclose(parsed, cloud.points[0].weights.weights, rtol=1e-11)
+    np.testing.assert_allclose(parsed, cloud.weights[0], rtol=1e-11)
 
 
 def test_portfolio_report_shape():

@@ -1,14 +1,18 @@
 """Run configuration: a YAML file with flat keys, sector blocks, and an lstm block.
 
-Unknown keys anywhere in the document are errors (catches typos). All
-randomness in a run flows from the single `seed` via derive_seed, so each
-subcommand is independently reproducible.
+Unknown keys anywhere in the document are errors (catches typos), and every
+value is typed strictly where it enters: an integer key rejects 2.7 rather
+than truncating it, a numeric key rejects a bool or a string, and a sector
+name or symbol, which becomes a CSV field, rejects a comma or a line break.
+Errors name the key. All randomness in a run flows from the single `seed`
+via derive_seed, so each subcommand is independently reproducible.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,8 +100,37 @@ def _as_date(value, key: str) -> dt.date:
     if isinstance(value, dt.date) and not isinstance(value, dt.datetime):
         return value
     if isinstance(value, str):
-        return dt.date.fromisoformat(value)
+        try:
+            return dt.date.fromisoformat(value)
+        except ValueError:
+            pass
     raise ValueError(f"{key}: expected an ISO date, got {value!r}")
+
+
+def _as_int(value, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _as_number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _as_str(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key}: expected a string, got {value!r}")
+    return value
+
+
+def _as_csv_field(value, key: str) -> str:
+    """A name that is written into CSV files: a string with no comma or line break."""
+    value = _as_str(value, key)
+    if any(ch in value for ch in ",\r\n"):
+        raise ValueError(f"{key}: {value!r} contains a comma or a line break")
+    return value
 
 
 def _check_keys(mapping: dict, allowed: set[str], context: str):
@@ -112,12 +145,16 @@ def _parse_sector(block: dict, index: int) -> SectorUniverse:
     _check_keys(block, _SECTOR_KEYS, f"sectors[{index}]")
     if "name" not in block or "members" not in block:
         raise ValueError(f"sectors[{index}]: needs 'name' and 'members'")
+    name = _as_csv_field(block["name"], f"sectors[{index}].name")
+    if not isinstance(block["members"], list):
+        raise ValueError(f"sector {name}: members are [symbol, index_weight] pairs")
     members = []
-    for m in block["members"]:
+    for j, m in enumerate(block["members"]):
         if not (isinstance(m, (list, tuple)) and len(m) == 2):
-            raise ValueError(f"sector {block['name']}: members are [symbol, index_weight] pairs")
-        members.append((str(m[0]), float(m[1])))
-    return SectorUniverse(str(block["name"]), tuple(members))
+            raise ValueError(f"sector {name}: members are [symbol, index_weight] pairs")
+        key = f"sector {name}: members[{j}]"
+        members.append((_as_csv_field(m[0], f"{key} symbol"), _as_number(m[1], f"{key} index weight")))
+    return SectorUniverse(name, tuple(members))
 
 
 def load_config(path, seed_override: int | None = None) -> RunConfig:
@@ -135,26 +172,33 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     if not isinstance(lstm_block, dict):
         raise ValueError(f"{path}: lstm must be a mapping")
     _check_keys(lstm_block, _LSTM_KEYS, f"{path}: lstm")
-    seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
-    lstm_config = LstmConfig(seed=seed, **lstm_block)
+    if seed_override is None:
+        seed = _as_int(doc.get("seed", 0), f"{path}: seed")
+    else:
+        seed = _as_int(seed_override, "seed override")
+    try:
+        lstm_config = LstmConfig(seed=seed, **lstm_block)
+    except ValueError as exc:
+        raise ValueError(f"{path}: lstm: {exc}") from exc
 
-    data_dir = Path(doc["data_dir"])
+    data_dir = Path(_as_str(doc["data_dir"], f"{path}: data_dir"))
     if not data_dir.is_absolute():
         data_dir = path.parent / data_dir
 
     kwargs = {}
     for key in ("train_start", "train_end", "invest_date", "eval_date"):
         if key in doc:
-            kwargs[key] = _as_date(doc[key], key)
-    if "capital" in doc:
-        kwargs["capital"] = float(doc["capital"])
+            kwargs[key] = _as_date(doc[key], f"{path}: {key}")
+    for key in ("capital", "risk_free"):
+        if key in doc:
+            kwargs[key] = _as_number(doc[key], f"{path}: {key}")
     if "n_draws" in doc:
-        kwargs["n_draws"] = int(doc["n_draws"])
-    if "risk_free" in doc:
-        kwargs["risk_free"] = float(doc["risk_free"])
+        kwargs["n_draws"] = _as_int(doc["n_draws"], f"{path}: n_draws")
     if "endpoint" in doc:
-        kwargs["endpoint"] = str(doc["endpoint"])
+        kwargs["endpoint"] = _as_str(doc["endpoint"], f"{path}: endpoint")
 
+    if not isinstance(doc["sectors"], list):
+        raise ValueError(f"{path}: sectors must be a list")
     sectors = tuple(_parse_sector(b, i) for i, b in enumerate(doc["sectors"]))
     return RunConfig(
         data_dir=data_dir, sectors=sectors, lstm=lstm_config, seed=seed, **kwargs

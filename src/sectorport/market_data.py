@@ -84,7 +84,7 @@ _COLUMN_DTYPES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnSeries:
     """Daily simple returns; dates (``datetime64[D]``) align to the second through last bar."""
 
@@ -124,7 +124,7 @@ class SectorUniverse:
         return tuple(s for s, _ in self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignedCloseMatrix:
     """Close prices over the common trading dates of several symbols.
 

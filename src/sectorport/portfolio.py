@@ -28,7 +28,7 @@ DEFAULT_RISK_FREE = 0.01
 _CSV_BLOCK_ROWS = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Annualized return covariance, validated symmetric and PSD."""
 
@@ -48,7 +48,7 @@ class CovarianceMatrix:
         object.__setattr__(self, "entries", sym)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PortfolioWeights:
     """Nonnegative allocation fractions summing to one."""
 

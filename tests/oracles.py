@@ -1,4 +1,9 @@
-"""Reference computations the portfolio tests compare the Monte-Carlo frontier against."""
+"""Reference computations the tests compare the library against.
+
+The portfolio tests compare the Monte-Carlo frontier against the first two;
+the LSTM kernel test compares every step of the time-major kernel against
+lstm_cell_step.
+"""
 
 import numpy as np
 
@@ -40,3 +45,26 @@ def analytic_min_variance(cov: CovarianceMatrix) -> PortfolioWeights:
             "fixture invalid for nonnegative comparison"
         )
     return PortfolioWeights(cov.symbols, w)
+
+
+def lstm_cell_step(x_t, h_prev, c_prev, params) -> tuple[np.ndarray, np.ndarray]:
+    """One textbook LSTM step in float64; returns (h_t, c_t).
+
+    Gate blocks are stacked [input, forget, candidate, output] along the last
+    axis of params.wx, params.wh and params.b, the gates are 1 / (1 + exp(-z))
+    and the candidate and cell output tanh. x_t, h_prev and c_prev may carry
+    leading batch axes. Written apart from the library kernel, which computes
+    the logistic as 0.5 * (1 + tanh(z / 2)) in place over all gates at once.
+    """
+    wx = np.asarray(params.wx, dtype=np.float64)
+    wh = np.asarray(params.wh, dtype=np.float64)
+    b = np.asarray(params.b, dtype=np.float64)
+    width = wh.shape[0]
+    z = np.asarray(x_t, dtype=np.float64) @ wx + np.asarray(h_prev, dtype=np.float64) @ wh + b
+    i = 1.0 / (1.0 + np.exp(-z[..., :width]))
+    f = 1.0 / (1.0 + np.exp(-z[..., width : 2 * width]))
+    g = np.tanh(z[..., 2 * width : 3 * width])
+    o = 1.0 / (1.0 + np.exp(-z[..., 3 * width :]))
+    c_t = f * np.asarray(c_prev, dtype=np.float64) + i * g
+    h_t = o * np.tanh(c_t)
+    return h_t, c_t

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, PCG64, SeedSequence
 
 from sectorport.lstm import (
@@ -146,3 +148,53 @@ def test_duplicate_tensor_entry_rejected():
     header["tensors"].append(extra)
     with pytest.raises(ValueError, match="do not match"):
         model_from_checkpoint_bytes(repack(header, payload + payload[-8:]))
+
+
+def test_float64_checkpoint_loads_narrowed_to_float32():
+    # a checkpoint of float64 values that float32 cannot hold exactly
+    wide = make_model(seed=5).astype(np.float64)
+    for arr in wide.named_params().values():
+        arr += 1e-10
+    loaded = model_from_checkpoint_bytes(checkpoint_bytes(wide))
+    for name, arr in wide.named_params().items():
+        assert loaded.named_params()[name].dtype == np.float32
+        np.testing.assert_array_equal(loaded.named_params()[name], arr.astype(np.float32))
+
+
+def test_value_beyond_float32_range_rejected():
+    header, payload, _ = split_blob(checkpoint_bytes(make_model()))
+    bad = bytearray(payload)
+    bad[8:16] = struct.pack("<d", 1e300)
+    with pytest.raises(ValueError, match="non-finite.*lstm0.wx"):
+        model_from_checkpoint_bytes(repack(header, bytes(bad)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_flipped_byte_loads_as_float32_or_raises_value_error(data):
+    # The v1 container has no checksum, so a flip that lands on the sign,
+    # exponent or upper mantissa of a value, or on a digit of a config or
+    # scaler number, can load a different well-formed model. What holds for
+    # every flip: ValueError and nothing else, or a float32 model that differs
+    # from the original at most in the element holding the flipped byte, and
+    # not at all when the byte lies below float32's mantissa.
+    model = make_model()
+    blob = checkpoint_bytes(model)
+    payload_start = len(CHECKPOINT_MAGIC) + 4 + split_blob(blob)[2]
+    pos = data.draw(st.integers(0, len(blob) - 1), label="byte")
+    flipped = bytearray(blob)
+    flipped[pos] ^= data.draw(st.integers(1, 255), label="xor mask")
+    try:
+        loaded = model_from_checkpoint_bytes(bytes(flipped))
+    except ValueError:
+        return
+    assert {a.dtype for a in loaded.named_params().values()} == {np.dtype(np.float32)}
+    before = np.concatenate([a.ravel() for a in model.named_params().values()])
+    after = np.concatenate([a.ravel() for a in loaded.named_params().values()])
+    changed = set(np.flatnonzero(after != before).tolist())
+    if pos < payload_start:
+        assert not changed
+    else:
+        element, byte = divmod(pos - payload_start, 8)
+        assert (loaded.config, loaded.scaler) == (model.config, model.scaler)
+        assert changed <= ({element} if byte >= 3 else set())

@@ -110,3 +110,67 @@ def test_derive_seed_is_stable_and_tag_sensitive():
     assert a != derive_seed(11, "frontier:oil")
     assert a != derive_seed(12, "frontier:tech")
     assert 0 <= a < 2**63
+
+
+@pytest.mark.parametrize("key,value", [("n_draws", 2.7), ("seed", 1.9), ("n_draws", True), ("seed", "3")])
+def test_top_level_integer_keys_are_typed_strictly(tmp_path, key, value):
+    # 2.7 and 1.9 used to be truncated to 2 and 1
+    path = write_config(tmp_path / "c.yaml", **{key: value})
+    with pytest.raises(ValueError, match=f"{key}: expected an integer"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key,value", [("capital", True), ("risk_free", "0.01"), ("risk_free", float("nan"))])
+def test_top_level_number_keys_are_typed_strictly(tmp_path, key, value):
+    path = write_config(tmp_path / "c.yaml", **{key: value})
+    with pytest.raises(ValueError, match=f"{key}: expected a finite number"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("window", True),
+        ("window", "10"),
+        ("epochs", 1.5),
+        ("learning_rate", "1e-3"),  # YAML 1.1 reads 1e-3 without a dot as a string
+        ("dropout_rate", False),
+        ("lstm_layers", ["8"]),
+        ("lstm_layers", [8.0]),
+        ("lstm_layers", 8),
+    ],
+)
+def test_lstm_fields_are_typed_strictly(tmp_path, key, value):
+    lstm = {"window": 10, "lstm_layers": [8], "dense_width": 8, "epochs": 1, key: value}
+    path = write_config(tmp_path / "c.yaml", lstm=lstm)
+    with pytest.raises(ValueError, match=f"lstm: {key}: expected"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("name", ["tech,hardware", "tech\nhardware", "tech\r", 7])
+def test_sector_name_must_be_a_csv_safe_string(tmp_path, name):
+    # a comma or a line break in the name used to corrupt summary.csv
+    path = write_config(tmp_path / "c.yaml", sectors=[{"name": name, "members": [["AAA", 1.0]]}])
+    with pytest.raises(ValueError, match=r"sectors\[0\]\.name"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "member,match",
+    [
+        (["A,B", 1.0], "symbol"),
+        ([True, 1.0], "symbol"),  # YAML 1.1 reads an unquoted ON or YES as a bool
+        (["AAA", "1.0"], "index weight"),
+        (["AAA", True], "index weight"),
+    ],
+)
+def test_sector_members_are_typed_strictly(tmp_path, member, match):
+    path = write_config(tmp_path / "c.yaml", sectors=[{"name": "tech", "members": [member]}])
+    with pytest.raises(ValueError, match=rf"members\[0\] {match}"):
+        load_config(path)
+
+
+def test_malformed_date_names_its_key(tmp_path):
+    path = write_config(tmp_path / "c.yaml", eval_date="2021-13-01")
+    with pytest.raises(ValueError, match="eval_date: expected an ISO date"):
+        load_config(path)

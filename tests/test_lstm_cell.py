@@ -1,5 +1,6 @@
 """Cell mechanics, forward pass, dropout, windowing, scaling, and loss functions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,19 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, PCG64, SeedSequence
 
+from oracles import lstm_cell_step
 from sectorport.lstm import (
     LayerParams,
     LstmConfig,
     Scaler,
+    backward_batch,
     dropout_mask,
     fit_scaler,
     forward_batch,
+    huber_gradient,
     huber_loss,
     init_model,
-    lstm_cell_step,
     mae,
     make_windows,
     predict_batch,
+    train,
 )
 
 
@@ -33,9 +37,12 @@ def small_model(seed=0, **overrides):
 
 
 # ------------------------------------------------------------ lstm_cell_step
+# lstm_cell_step is the float64 oracle in tests/oracles.py. The first tests
+# check it against a scalar loop; the kernel test then checks the library
+# against it.
 
 def reference_cell_step(x, h_prev, c_prev, wx, wh, b, width):
-    """Scalar-loop reference implementation, written independently of the module."""
+    """Scalar-loop reference implementation, written independently of the oracle."""
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
@@ -81,29 +88,25 @@ def test_cell_step_matches_reference_implementation():
 
 
 def test_forward_batch_matches_reference_over_window():
-    # two layers, 4 steps, 2 samples: every cached h_t and c_t of the kernel
-    # equals the scalar reference iterated over the window
+    # two layers, 4 steps, 2 samples: every cached h_t and c_t of the kernel,
+    # run on a float64 copy, equals the oracle cell iterated over the window
     config = LstmConfig(window=4, lstm_layers=(3, 2), dense_width=4, dropout_rate=0.0)
     rng = Generator(PCG64(SeedSequence(21)))
-    model = init_model(config, Scaler(0.0, 1.0), rng)
+    model = init_model(config, Scaler(0.0, 1.0), rng).astype(np.float64)
     for layer in model.layers:
         layer.b[...] = rng.normal(size=layer.b.shape)
     X = rng.random((2, config.window))
     _, cache = forward_batch(model, X)
-    for sample in range(2):
-        seq = [[v] for v in X[sample]]
-        for params, lc in zip(model.layers, cache.layers):
-            width = params.width
-            h, c = [0.0] * width, [0.0] * width
-            hs = []
-            for t, x_t in enumerate(seq):
-                h, c = reference_cell_step(
-                    x_t, h, c, params.wx.tolist(), params.wh.tolist(), params.b.tolist(), width
-                )
-                np.testing.assert_allclose(lc.h[sample, t], h, atol=1e-12, rtol=0)
-                np.testing.assert_allclose(lc.c[t, sample], c, atol=1e-12, rtol=0)
-                hs.append(h)
-            seq = hs
+    seq = X[:, :, None]  # (batch, T, D)
+    for params, lc in zip(model.layers, cache.layers):
+        h = c = np.zeros((2, params.width))
+        hs = []
+        for t in range(config.window):
+            h, c = lstm_cell_step(seq[:, t], h, c, params)
+            np.testing.assert_allclose(lc.h[:, t], h, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(lc.c[t], c, atol=1e-12, rtol=0)
+            hs.append(h)
+        seq = np.stack(hs, axis=1)
 
 
 def test_cell_step_all_zero_gives_zero_hidden():
@@ -127,9 +130,11 @@ def test_cell_step_saturated_forget_gate_is_pure_memory():
 
 
 def test_cell_step_rejects_nonfinite_parameters():
-    params = LayerParams(np.full((1, 4), np.inf), np.zeros((1, 4)), np.zeros(4))
+    # a one-step window of one unit is a single cell step of the kernel
+    model = small_model(window=1, lstm_layers=(1,))
+    model.layers[0].wx[...] = np.inf
     with pytest.raises(FloatingPointError, match="blow-up"):
-        lstm_cell_step(np.ones(1), np.zeros(1), np.zeros(1), params)
+        forward_batch(model, np.ones((1, 1)))
 
 
 @pytest.mark.parametrize(
@@ -193,7 +198,7 @@ def test_default_config_layer_one_emits_50_by_256():
 
 def test_predict_batch_matches_per_window_forward():
     # 150 windows in blocks of 64: the last block is partial
-    model = small_model(seed=14, lstm_layers=(5, 4), batch_size=64)
+    model = small_model(seed=14, lstm_layers=(5, 4), batch_size=64).astype(np.float64)
     X = Generator(PCG64(SeedSequence(15))).random((150, 8))
     blocked = predict_batch(model, X)
     assert blocked.shape == (150,)
@@ -222,6 +227,129 @@ def test_training_forward_needs_rng_when_dropout_active():
     model = small_model(dropout_rate=0.5)
     with pytest.raises(ValueError, match="rng"):
         forward_batch(model, np.ones((1, 8)), training=True)
+
+
+# ----------------------------------------------------------- float32 kernel
+
+def _arrays(obj):
+    """Every ndarray held by a cache, a gradient dict, a model or a list of them."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _arrays(v)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+def _training_step(model, X, targets, seed=16):
+    """One dropout forward, BPTT and Adam step; returns (predictions, cache, grads, adam)."""
+    import sectorport.lstm as fc
+
+    rng = Generator(PCG64(SeedSequence(seed)))
+    y, cache = forward_batch(model, X, training=True, rng=rng)
+    grads = backward_batch(model, cache, huber_gradient(targets, y) / len(targets))
+    adam = fc._Adam(model.named_params())
+    adam.step(model.named_params(), grads, 1e-3)
+    return y, cache, grads, adam
+
+
+def test_init_model_stores_float64_draws_as_float32():
+    # the Glorot values are float64 draws narrowed, and the rng is left where
+    # float64 draws leave it, so dropout masks and batch order keep their stream
+    model = small_model(seed=3, lstm_layers=(5, 4))
+    rng = Generator(PCG64(SeedSequence(3)))
+    init_model(model.config, model.scaler, rng)
+    replay = Generator(PCG64(SeedSequence(3)))
+    for name, arr in model.named_params().items():
+        assert arr.dtype == np.float32, name
+        if arr.ndim == 2:  # weights are drawn, biases are constants
+            limit = math.sqrt(6.0 / sum(arr.shape))
+            np.testing.assert_array_equal(arr, replay.uniform(-limit, limit, arr.shape).astype(np.float32))
+    assert rng.random() == replay.random()
+    a = dropout_mask(Generator(PCG64(SeedSequence(4))), (3, 5), 0.3, np.float32)
+    b = dropout_mask(Generator(PCG64(SeedSequence(4))), (3, 5), 0.3, np.float64)
+    assert a.dtype == np.float32
+    np.testing.assert_array_equal(a, b.astype(np.float32))
+
+
+def test_float32_model_keeps_every_array_float32():
+    model = small_model(seed=5, lstm_layers=(5, 4), dropout_rate=0.3)
+    rng = Generator(PCG64(SeedSequence(6)))
+    X, targets = rng.random((7, 8)), rng.random(7)  # float64 in, as the CLI passes them
+    y, cache, grads, adam = _training_step(model, X, targets)
+    assert cache.seq_masks[0] is not None and cache.last_mask is not None
+    held = {
+        "cache": list(_arrays(cache)),
+        "grads": list(_arrays(grads)),
+        "adam": list(_arrays([adam.m, adam.v])),
+        "params": list(_arrays(model)),
+        "predict_batch": [predict_batch(model, X)],
+    }
+    for where, arrays in held.items():
+        assert arrays and {a.dtype for a in arrays} == {np.dtype(np.float32)}, where
+    cfg = LstmConfig(window=8, lstm_layers=(4,), dense_width=4, batch_size=16, epochs=1)
+    trained = train(cfg, 100.0 + np.sin(np.arange(60) / 3.0)).model
+    assert {a.dtype for a in _arrays(trained)} == {np.dtype(np.float32)}
+
+
+class _NoFloat64(np.ndarray):
+    """An array whose every ufunc call (operators, matmul, reductions) rejects a float64 operand or result."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        operands = inputs + (out or ())
+        if any(isinstance(x, (np.ndarray, np.float64)) and x.dtype == np.float64 for x in operands):
+            raise AssertionError(f"{ufunc.__name__}.{method} on a float64 operand")
+        plain = [x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        if isinstance(result, np.ndarray):
+            if result.dtype == np.float64:
+                raise AssertionError(f"{ufunc.__name__}.{method} widens to float64")
+            return result.view(_NoFloat64)
+        return result
+
+
+def test_float32_kernel_never_computes_in_float64():
+    # every value derived from the parameters stays a _NoFloat64 array, so an
+    # operation that widens anywhere in forward, BPTT, Adam or inference raises
+    model = small_model(seed=7, lstm_layers=(5, 4), dropout_rate=0.3)
+    for layer in model.layers:
+        layer.wx, layer.wh, layer.b = (a.view(_NoFloat64) for a in (layer.wx, layer.wh, layer.b))
+    for name in ("dense_w", "dense_b", "out_w", "out_b"):
+        setattr(model, name, getattr(model, name).view(_NoFloat64))
+    rng = Generator(PCG64(SeedSequence(8)))
+    X, targets = rng.random((5, 8)), rng.random(5)
+    _training_step(model, X, targets)
+    predict_batch(model, X)
+
+
+def test_float32_matches_float64_copy():
+    # Same parameters, same dropout masks. Float32 rounds each operation to a
+    # relative 6e-8; over seeds 9-18 of this model the worst differences were
+    # 3.5e-8 on the predictions, 1.5e-7 on h and c, and 8.4e-7 of a gradient
+    # tensor's largest entry. The bounds below leave at least a sixfold margin.
+    model = small_model(seed=9, window=20, lstm_layers=(16, 8), dense_width=12, dropout_rate=0.3)
+    ref = model.astype(np.float64)
+    rng = Generator(PCG64(SeedSequence(10)))
+    X, targets = rng.random((40, 20)), rng.random(40)
+    np.testing.assert_allclose(predict_batch(model, X), predict_batch(ref, X), rtol=0, atol=1e-6)
+    y32, c32, g32, _ = _training_step(model, X, targets)
+    y64, c64, g64, _ = _training_step(ref, X, targets)
+    assert y64.dtype == np.float64 and y32.dtype == np.float32
+    np.testing.assert_allclose(y32, y64, rtol=0, atol=1e-6)
+    for l32, l64 in zip(c32.layers, c64.layers):
+        np.testing.assert_allclose(l32.ht, l64.ht, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(l32.c, l64.c, rtol=0, atol=1e-6)
+    for name, g in g64.items():
+        np.testing.assert_allclose(g32[name], g, rtol=0, atol=1e-5 * np.abs(g).max(), err_msg=name)
 
 
 # ------------------------------------------------------------------ dropout

@@ -92,6 +92,7 @@ def test_gradient_check_through_dropout_masks():
     model, inputs, targets = build(
         seed=4, window=6, lstm_layers=(4, 3), dense_width=5, dropout_rate=0.4
     )
+    model = model.astype(np.float64)  # central differences at eps = 1e-5 need float64
 
     def run():
         return forward_batch(model, inputs, training=True, rng=Generator(PCG64(SeedSequence(99))))

@@ -396,3 +396,36 @@ def test_portfolio_report_shape():
         assert set(block) == {"weights", "annual_return", "annual_risk"}
         assert set(block["weights"]) == {"A", "B", "C", "D", "E"}
         assert sum(block["weights"].values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def _array_records():
+    """Two distinct, equal instances of each record type that holds arrays."""
+    from sectorport.lstm import LstmConfig, Scaler, init_model
+    from sectorport.market_data import daily_returns
+
+    series = series_from_closes("A", [10.0, 11.0, 12.0, 11.5])
+    other = series_from_closes("B", [20.0, 21.0, 19.0, 22.0])
+
+    def model():
+        config = LstmConfig(window=3, lstm_layers=(2,), dense_width=2)
+        return init_model(config, Scaler(0.0, 1.0), Generator(PCG64(SeedSequence(0))))
+
+    return {
+        "ReturnSeries": lambda: daily_returns(series),
+        "AlignedCloseMatrix": lambda: align([series, other]),
+        "CovarianceMatrix": lambda: mean_and_covariance(align([series, other]))[1],
+        "PortfolioWeights": lambda: PortfolioWeights(("A", "B"), np.array([0.25, 0.75])),
+        "LayerParams": lambda: model().layers[0],
+        "LstmModel": model,
+    }
+
+
+@pytest.mark.parametrize("kind", list(_array_records()))
+def test_array_records_compare_without_raising(kind):
+    # the generated __eq__ compared array fields with ==, which raised
+    # "truth value of an array ... is ambiguous"; equality is identity now
+    make = _array_records()[kind]
+    a, b = make(), make()
+    assert a == a
+    assert not a == b
+    assert a != b

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,18 +26,25 @@ from . import portfolio as po
 from .config import RunConfig, derive_seed, load_config
 
 
-def _atomic_write(path: Path, data: str | bytes):
+@contextmanager
+def _atomic_file(path: Path, mode: str):
+    """A temporary file beside path, open in mode; it replaces path when the block
+    exits cleanly and is removed when the block raises, so path is never partial."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "wb" if isinstance(data, bytes) else "w"
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, mode) as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: Path, data: str | bytes):
+    with _atomic_file(path, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
 
 
 def _json_text(obj) -> str:
@@ -116,13 +124,15 @@ def cmd_frontier(
     )
     csv_path = Path(out_dir) / f"frontier_{sector_name}.csv"
     json_path = Path(out_dir) / f"report_{sector_name}.json"
-    _atomic_write(csv_path, po.frontier_csv_text(cloud))
+    with _atomic_file(csv_path, "w") as fh:
+        fh.writelines(po.frontier_csv_blocks(cloud))
     _atomic_write(json_path, _json_text(report))
     return csv_path, json_path
 
 
 def cmd_train(config: RunConfig, symbol: str, out_dir: Path) -> tuple[Path, Path]:
     """Train the forecaster on a symbol's training-window closes; write checkpoint and trace."""
+    config.require_symbol(symbol)
     series = _load_series(config.data_dir, symbol).restrict(config.train_start, config.train_end)
     lstm_config = replace(config.lstm, seed=derive_seed(config.seed, f"train:{symbol}"))
     result = fc.train(lstm_config, series.closes)
@@ -236,6 +246,7 @@ def cmd_plotdata(
     Each prediction consumes the trailing window of *actual* closes, matching
     day-by-day tracking rather than recursive multi-step forecasting.
     """
+    config.require_symbol(symbol)
     ckpt = Path(out_dir) / "checkpoints" / f"{symbol}.ckpt"
     if not ckpt.exists():
         raise FileNotFoundError(f"no checkpoint for {symbol}: expected {ckpt}")

@@ -3,7 +3,8 @@
 Unknown keys anywhere in the document are errors (catches typos), and every
 value is typed strictly where it enters: an integer key rejects 2.7 rather
 than truncating it, a numeric key rejects a bool or a string, and a sector
-name or symbol, which becomes a CSV field, rejects a comma or a line break.
+name or symbol, which becomes a CSV field and part of file names, rejects a
+comma, a line break, a path separator, and the names "", "." and "..".
 Errors name the key. All randomness in a run flows from the single `seed`
 via derive_seed, so each subcommand is independently reproducible.
 """
@@ -80,6 +81,12 @@ class RunConfig:
         known = ", ".join(s.sector_name for s in self.sectors)
         raise ValueError(f"unknown sector {name!r} (configured: {known})")
 
+    def require_symbol(self, symbol: str):
+        """Reject a symbol no sector lists: it may name a file outside data_dir or --out."""
+        if symbol not in self.all_symbols():
+            known = ", ".join(self.all_symbols())
+            raise ValueError(f"unknown symbol {symbol!r} (configured: {known})")
+
     def all_symbols(self) -> tuple[str, ...]:
         """Member symbols in config order, first occurrence wins."""
         seen: list[str] = []
@@ -125,11 +132,15 @@ def _as_str(value, key: str) -> str:
     return value
 
 
-def _as_csv_field(value, key: str) -> str:
-    """A name that is written into CSV files: a string with no comma or line break."""
+def _as_name(value, key: str) -> str:
+    """A sector name or symbol: a string that is written into CSV files and makes
+    file names (<symbol>.csv, <symbol>.ckpt, frontier_<sector>.csv), so it holds
+    no comma, line break or path separator and is not empty, "." or ".."."""
     value = _as_str(value, key)
     if any(ch in value for ch in ",\r\n"):
         raise ValueError(f"{key}: {value!r} contains a comma or a line break")
+    if value in ("", ".", "..") or any(ch in value for ch in "/\\"):
+        raise ValueError(f"{key}: {value!r} is not a file name (empty, '.', '..' or a path separator)")
     return value
 
 
@@ -145,7 +156,7 @@ def _parse_sector(block: dict, index: int) -> SectorUniverse:
     _check_keys(block, _SECTOR_KEYS, f"sectors[{index}]")
     if "name" not in block or "members" not in block:
         raise ValueError(f"sectors[{index}]: needs 'name' and 'members'")
-    name = _as_csv_field(block["name"], f"sectors[{index}].name")
+    name = _as_name(block["name"], f"sectors[{index}].name")
     if not isinstance(block["members"], list):
         raise ValueError(f"sector {name}: members are [symbol, index_weight] pairs")
     members = []
@@ -153,7 +164,7 @@ def _parse_sector(block: dict, index: int) -> SectorUniverse:
         if not (isinstance(m, (list, tuple)) and len(m) == 2):
             raise ValueError(f"sector {name}: members are [symbol, index_weight] pairs")
         key = f"sector {name}: members[{j}]"
-        members.append((_as_csv_field(m[0], f"{key} symbol"), _as_number(m[1], f"{key} index weight")))
+        members.append((_as_name(m[0], f"{key} symbol"), _as_number(m[1], f"{key} index weight")))
     return SectorUniverse(name, tuple(members))
 
 

@@ -6,6 +6,8 @@ each of returns, risks and Sharpe ratios. The minimum-variance and
 maximum-Sharpe portfolios are its argmin and argmax; only those two draws
 become PortfolioWeights objects. Weight vectors are independent uniform(0,1)
 draws normalized to sum to one, so short selling is excluded by construction.
+The CSV export is a stream of text blocks of 8192 rows, so writing a cloud to
+a file holds one block of text at a time, never the whole export.
 
 Draw ``i`` always consumes doubles ``[i*n, (i+1)*n)`` of a single PCG64
 stream keyed by the seed, so a cloud can be generated in chunks (or by
@@ -15,7 +17,7 @@ a serial run.
 
 from __future__ import annotations
 
-import io
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,19 +197,21 @@ def max_sharpe_portfolio(cloud: FrontierCloud) -> FrontierPoint:
     return cloud.point(np.argmax(cloud.sharpes))
 
 
-def frontier_csv_text(cloud: FrontierCloud) -> str:
-    """Frontier export: draw_index,risk,return,sharpe,w_<SYM>... with 12 significant digits."""
+def frontier_csv_blocks(cloud: FrontierCloud) -> Iterator[str]:
+    """Frontier export as text blocks: the header, then _CSV_BLOCK_ROWS rows at a time.
+
+    Columns draw_index,risk,return,sharpe,w_<SYM>... with 12 significant digits.
+    The joined blocks are the file; a writer that consumes them one by one holds
+    one block (about 2 MB at 12 symbols), never the whole text.
+    """
     row = "%d" + ",%.12g" * (3 + len(cloud.symbols)) + "\n"
-    out = io.StringIO()
-    out.write("draw_index,risk,return,sharpe," + ",".join(f"w_{s}" for s in cloud.symbols) + "\n")
-    # Formatting a block of rows at a time bounds the memory of the Python
-    # floats that .tolist() makes; the draw index goes through %d as a float.
+    yield "draw_index,risk,return,sharpe," + ",".join(f"w_{s}" for s in cloud.symbols) + "\n"
+    # The draw index goes through %d as a float.
     columns = (cloud.risks, cloud.returns, cloud.sharpes, cloud.weights)
     for lo in range(0, cloud.n_draws, _CSV_BLOCK_ROWS):
         hi = min(lo + _CSV_BLOCK_ROWS, cloud.n_draws)
         block = np.column_stack((np.arange(lo, hi), *(c[lo:hi] for c in columns)))
-        out.write((row * (hi - lo)) % tuple(block.ravel().tolist()))
-    return out.getvalue()
+        yield (row * (hi - lo)) % tuple(block.ravel().tolist())
 
 
 def portfolio_report(sector_name: str, min_risk: FrontierPoint, opt_risk: FrontierPoint) -> dict:

@@ -1,7 +1,10 @@
 """End-to-end subcommand behavior on synthetic data environments."""
 
 import datetime as dt
+import itertools
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from sectorport.cli import (
     cmd_train,
     main,
 )
+from sectorport import portfolio as po
 from sectorport.config import load_config
 from sectorport.market_data import parse_csv, serialize_csv
 
@@ -144,6 +148,39 @@ def test_frontier_csv_row_count_honors_draw_override(config, tmp_path):
 def test_frontier_unknown_sector(config, tmp_path):
     with pytest.raises(ValueError, match="unknown sector 'oil'"):
         cmd_frontier(config, "oil", tmp_path)
+
+
+def test_interrupted_frontier_export_leaves_the_old_file(config, tmp_path, monkeypatch):
+    csv_path, report_path = cmd_frontier(config, "tech", tmp_path)
+    before = csv_path.read_bytes(), report_path.read_bytes()
+    blocks = po.frontier_csv_blocks
+
+    def interrupted(cloud):
+        yield from itertools.islice(blocks(cloud), 2)  # the header and the first rows
+        raise RuntimeError("export interrupted")
+
+    monkeypatch.setattr(po, "frontier_csv_blocks", interrupted)
+    with pytest.raises(RuntimeError, match="export interrupted"):
+        cmd_frontier(config, "tech", tmp_path, n_draws=50)
+    assert (csv_path.read_bytes(), report_path.read_bytes()) == before
+    assert not list(tmp_path.glob(".frontier_*"))
+
+
+def test_frontier_export_memory_is_bounded_by_a_block(config, tmp_path, monkeypatch):
+    # the cloud is built beforehand, so the traced peak is the export's
+    cov = po.CovarianceMatrix(tuple(SYMBOLS), np.diag([0.04, 0.05, 0.06, 0.07, 0.08]))
+    cloud = po.build_frontier(np.array([0.08, 0.10, 0.12, 0.14, 0.16]), cov, n_draws=100_000, seed=3)
+    monkeypatch.setattr(po, "build_frontier", lambda *args, **kwargs: cloud)
+    tracemalloc.start()
+    try:
+        csv_path, _ = cmd_frontier(config, "tech", tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = csv_path.stat().st_size
+    assert len(csv_path.read_text().splitlines()) == 100_001
+    # holding the whole text once already reaches the file size
+    assert peak < size, f"peak {peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of CSV"
 
 
 # --------------------------------------------------------------------- train
@@ -407,6 +444,51 @@ def test_full_pipeline_from_one_config(env, tmp_path):
     ledger = json.loads(ledger_json.read_text())
     assert {r["symbol"] for r in ledger["rows"]} == {"AAA", "BBB"}
     assert np.isfinite(ledger["roi_predicted_pct"])
+
+
+# ------------------------------------------------------- symbols outside config
+
+@pytest.fixture
+def outside(tmp_path):
+    """Config under tmp_path/run listing only AAA; ZZZ sits in data_dir, EVIL two levels above it."""
+    run = tmp_path / "run"
+    data = run / "data"
+    data.mkdir(parents=True)
+    closes = gbm_closes(N_DAYS, seed=100)
+    for sym in ("AAA", "ZZZ"):
+        write_series(data, sym, closes)
+    write_series(tmp_path, "EVIL", closes)
+    path = run / "config.yaml"
+    path.write_text(yaml.safe_dump(base_doc(sectors=[{"name": "solo", "members": [["AAA", 1.0]]}])))
+    return load_config(path), run / "out"
+
+
+@pytest.mark.parametrize("symbol", ["../../EVIL", "ZZZ"])
+def test_train_rejects_symbol_the_config_does_not_list(outside, tmp_path, symbol):
+    # "../../EVIL" used to read EVIL.csv above data_dir and write EVIL.ckpt outside --out
+    cfg, out = outside
+    with pytest.raises(ValueError, match=re.escape(f"unknown symbol {symbol!r}")):
+        cmd_train(cfg, symbol, out)
+    assert not list(tmp_path.rglob("*.ckpt"))
+
+
+@pytest.mark.parametrize("symbol", ["../../EVIL", "ZZZ"])
+def test_plotdata_rejects_symbol_the_config_does_not_list(outside, tmp_path, symbol):
+    cfg, out = outside
+    ckpt, _ = cmd_train(cfg, "AAA", out)
+    # a loadable checkpoint where the unchecked symbol would look for one
+    (out / "checkpoints" / f"{symbol}.ckpt").write_bytes(ckpt.read_bytes())
+    with pytest.raises(ValueError, match=re.escape(f"unknown symbol {symbol!r}")):
+        cmd_plotdata(cfg, symbol, dt.date(2021, 1, 4), dt.date(2021, 1, 8), out)
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoints", "trace_AAA.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["EVIL.csv", "run"]
+
+
+def test_main_train_outside_config_exits_nonzero_naming_symbol(outside, tmp_path, capsys):
+    cfg, out = outside
+    rc = main(["--config", str(tmp_path / "run" / "config.yaml"), "--out", str(out), "train", "../../EVIL"])
+    assert rc == 1
+    assert "'../../EVIL'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- main/exit

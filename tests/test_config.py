@@ -174,3 +174,23 @@ def test_malformed_date_names_its_key(tmp_path):
     path = write_config(tmp_path / "c.yaml", eval_date="2021-13-01")
     with pytest.raises(ValueError, match="eval_date: expected an ISO date"):
         load_config(path)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../../EVIL", "tech/hw", "A\\B"])
+def test_sector_name_and_symbol_must_be_file_names(tmp_path, name):
+    # names become files: <symbol>.csv under data_dir, <symbol>.ckpt and frontier_<sector>.csv under --out
+    cases = [
+        ({"name": name, "members": [["AAA", 1.0]]}, r"sectors\[0\]\.name"),
+        ({"name": "tech", "members": [[name, 1.0]]}, r"members\[0\] symbol"),
+    ]
+    for sector, key in cases:
+        path = write_config(tmp_path / "c.yaml", sectors=[sector])
+        with pytest.raises(ValueError, match=key):
+            load_config(path)
+
+
+def test_dotted_symbol_stays_valid(tmp_path):
+    sectors = [{"name": "nifty.it", "members": [["RELIANCE.NS", 1.0]]}]
+    cfg = load_config(write_config(tmp_path / "c.yaml", sectors=sectors))
+    assert cfg.all_symbols() == ("RELIANCE.NS",)
+    assert cfg.sectors[0].sector_name == "nifty.it"

@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 import math
 
 import numpy as np
@@ -12,9 +13,10 @@ from sectorport.portfolio import (
     CovarianceMatrix,
     FrontierCloud,
     PortfolioWeights,
+    _CSV_BLOCK_ROWS,
     _weight_block,
     build_frontier,
-    frontier_csv_text,
+    frontier_csv_blocks,
     max_sharpe_portfolio,
     mean_and_covariance,
     min_variance_portfolio,
@@ -192,7 +194,7 @@ def test_identical_assets_collapse_the_cloud():
 def test_frontier_deterministic_for_fixed_seed():
     a = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=500, seed=11)
     b = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=500, seed=11)
-    assert frontier_csv_text(a) == frontier_csv_text(b)
+    assert "".join(frontier_csv_blocks(a)) == "".join(frontier_csv_blocks(b))
     np.testing.assert_array_equal(a.weights, b.weights)
 
 
@@ -377,7 +379,7 @@ def test_frontier_cloud_validates_shapes():
 
 def test_frontier_csv_layout():
     cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=3, seed=0)
-    text = frontier_csv_text(cloud)
+    text = "".join(frontier_csv_blocks(cloud))
     lines = text.strip().split("\n")
     assert lines[0] == "draw_index,risk,return,sharpe,w_A,w_B,w_C,w_D,w_E"
     assert len(lines) == 4
@@ -386,6 +388,18 @@ def test_frontier_csv_layout():
     # weights round-trip through the >=10-significant-digit format
     parsed = np.array([float(x) for x in first[4:]])
     np.testing.assert_allclose(parsed, cloud.weights[0], rtol=1e-11)
+
+
+# sha256 of the export of the cloud below as one whole text, before it was streamed.
+BLOCKS_CSV_SHA256 = "bfdd8753fc7481dbbb5bf007e472cd525b3f7dc363c628cee2eda3ddee071e57"
+
+
+def test_frontier_csv_bytes_are_pinned_across_block_boundaries():
+    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=2 * _CSV_BLOCK_ROWS + 5, seed=7)
+    blocks = list(frontier_csv_blocks(cloud))
+    # the header, two full blocks and a partial one
+    assert [b.count("\n") for b in blocks] == [1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS, 5]
+    assert hashlib.sha256("".join(blocks).encode()).hexdigest() == BLOCKS_CSV_SHA256
 
 
 def test_portfolio_report_shape():

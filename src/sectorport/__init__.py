@@ -7,10 +7,9 @@ from .backtest import (
     allocate,
     roi,
     run_backtest,
-    summarize,
     value_portfolio,
 )
-from .config import RunConfig, derive_seed, load_config
+from .config import RunConfig, SectorUniverse, derive_seed, load_config
 from .lstm import (
     LstmConfig,
     LstmModel,
@@ -31,7 +30,6 @@ from .market_data import (
     AssetStats,
     PriceSeries,
     ReturnSeries,
-    SectorUniverse,
     align,
     asset_stats,
     daily_returns,

@@ -116,13 +116,6 @@ class SummaryRow:
     actual_return_pct: float
 
 
-def summarize(ledgers: list[BacktestLedger]) -> list[SummaryRow]:
-    """One (sector, predicted %, actual %) row per ledger, in input order."""
-    if not ledgers:
-        raise ValueError("need at least one ledger to summarize")
-    return [SummaryRow(l.sector, l.roi_predicted, l.roi_actual) for l in ledgers]
-
-
 def ledger_to_dict(ledger: BacktestLedger) -> dict:
     """JSON-ready ledger with full-precision per-symbol rows and totals."""
     rows = []

@@ -315,8 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plotdata", help="actual vs predicted close series")
     p.add_argument("symbol")
-    p.add_argument("--start", required=True, type=dt.date.fromisoformat)
-    p.add_argument("--end", required=True, type=dt.date.fromisoformat)
+    p.add_argument("--start", required=True, type=md.parse_date, help="YYYY-MM-DD")
+    p.add_argument("--end", required=True, type=md.parse_date, help="YYYY-MM-DD")
 
     p = sub.add_parser("fetch", help="download price history into data_dir")
     p.add_argument("--endpoint", default=None, help="history HTTP endpoint")

@@ -2,7 +2,8 @@
 
 Unknown keys anywhere in the document are errors (catches typos), and every
 value is typed strictly where it enters: an integer key rejects 2.7 rather
-than truncating it, a numeric key rejects a bool or a string, and a sector
+than truncating it, a numeric key rejects a bool or a string, a date key
+takes a YAML date or a YYYY-MM-DD string and nothing else, and a sector
 name or symbol, which becomes a CSV field and part of file names, rejects a
 comma, a line break, a path separator, and the names "", "." and "..".
 Errors name the key. All randomness in a run flows from the single `seed`
@@ -20,7 +21,7 @@ from pathlib import Path
 import yaml
 
 from .lstm import LstmConfig
-from .market_data import SectorUniverse
+from .market_data import parse_date
 
 _TOP_KEYS = {
     "data_dir",
@@ -48,6 +49,30 @@ _LSTM_KEYS = {
     "huber_delta",
 }
 _SECTOR_KEYS = {"name", "members"}
+
+
+@dataclass(frozen=True)
+class SectorUniverse:
+    """Named sector with member symbols and their index weights.
+
+    Index weights are metadata from the sectoral-index construction; they do
+    not constrain portfolio weights.
+    """
+
+    sector_name: str
+    members: tuple[tuple[str, float], ...]
+
+    def __post_init__(self):
+        symbols = [s for s, _ in self.members]
+        if len(set(symbols)) != len(symbols):
+            raise ValueError(f"{self.sector_name}: duplicate member symbols")
+        for sym, w in self.members:
+            if w <= 0:
+                raise ValueError(f"{self.sector_name}: index weight for {sym} must be > 0")
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        return tuple(s for s, _ in self.members)
 
 
 @dataclass(frozen=True)
@@ -108,7 +133,7 @@ def _as_date(value, key: str) -> dt.date:
         return value
     if isinstance(value, str):
         try:
-            return dt.date.fromisoformat(value)
+            return parse_date(value)
         except ValueError:
             pass
     raise ValueError(f"{key}: expected an ISO date, got {value!r}")

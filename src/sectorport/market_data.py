@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
 log = logging.getLogger(__name__)
 
@@ -100,30 +99,6 @@ class AssetStats:
     annual_volatility: float
 
 
-@dataclass(frozen=True)
-class SectorUniverse:
-    """Named sector with member symbols and their index weights.
-
-    Index weights are metadata from the sectoral-index construction; they do
-    not constrain portfolio weights.
-    """
-
-    sector_name: str
-    members: tuple[tuple[str, float], ...]
-
-    def __post_init__(self):
-        symbols = [s for s, _ in self.members]
-        if len(set(symbols)) != len(symbols):
-            raise ValueError(f"{self.sector_name}: duplicate member symbols")
-        for sym, w in self.members:
-            if w <= 0:
-                raise ValueError(f"{self.sector_name}: index weight for {sym} must be > 0")
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.members)
-
-
 @dataclass(frozen=True, eq=False)
 class AlignedCloseMatrix:
     """Close prices over the common trading dates of several symbols.
@@ -137,6 +112,18 @@ class AlignedCloseMatrix:
     closes: np.ndarray = field(repr=False)
 
 
+def parse_date(text: str) -> dt.date:
+    """A YYYY-MM-DD date, the one form every supported Python reads alike.
+
+    From 3.11 on, date.fromisoformat also reads 20160101 and the week dates
+    2016-W01-1 and 2016W011, so the shape is checked first; given a dash at
+    indices 4 and 7, fromisoformat takes nothing but ASCII digits elsewhere.
+    """
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"expected a YYYY-MM-DD date, got {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def parse_csv(raw_text: bytes | str, symbol: str, strict: bool = True) -> PriceSeries:
     """Parse price history CSV into a validated PriceSeries.
 
@@ -146,7 +133,8 @@ def parse_csv(raw_text: bytes | str, symbol: str, strict: bool = True) -> PriceS
     A bar is invalid when a price is not finite (NaN or infinite), low >
     high, the close is not positive or the volume is negative. In strict
     mode an invalid bar fails the parse; in lenient mode it is dropped with a
-    warning. Errors name the line, and the column of a non-finite price.
+    warning. Dates must be YYYY-MM-DD (parse_date). Errors name the line, and
+    the column of a non-finite price.
     """
     if isinstance(raw_text, bytes):
         raw_text = raw_text.decode("utf-8")
@@ -166,7 +154,7 @@ def parse_csv(raw_text: bytes | str, symbol: str, strict: bool = True) -> PriceS
             malformed = CsvFormatError(f"line {lineno}: expected 7 fields, got {len(fields)}")
             break
         try:
-            day = dt.date.fromisoformat(fields[0]).toordinal() - _EPOCH_ORDINAL
+            day = parse_date(fields[0]).toordinal() - _EPOCH_ORDINAL
             rows.append((day, *map(float, fields[1:5]), int(fields[5]), float(fields[6])))
         except ValueError as exc:
             malformed = CsvFormatError(f"line {lineno}: malformed row: {exc}")
@@ -235,30 +223,45 @@ def fetch_history(
 ) -> PriceSeries:
     """Download price history over HTTP and parse it.
 
-    Issues GET <endpoint>?symbol=...&start=...&end=... expecting the CSV
-    schema of parse_csv in the body. Connection failures and 5xx responses
-    are retried up to max_attempts total attempts; other HTTP errors and an
-    empty body fail immediately.
+    Issues GET <endpoint>?symbol=...&start=...&end=... (joined with & when the
+    endpoint already has a query) expecting the CSV schema of parse_csv in the
+    body. The endpoint must be an http or https URL with a host. Connection
+    failures, timeouts (reading the body included) and 5xx responses are
+    retried up to max_attempts total attempts; any other status but 200, and
+    an empty body, fail immediately.
     """
+    # The HTTP stack is imported here, so only the fetch subcommand pays for it.
+    import http.client
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
     if start >= end:
         raise ValueError(f"start {start} must precede end {end}")
+    parts = urllib.parse.urlsplit(endpoint)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"fetch endpoint {endpoint!r} is not an http or https URL with a host")
 
     params = {"symbol": symbol, "start": start.isoformat(), "end": end.isoformat()}
+    url = endpoint + ("&" if "?" in endpoint else "?") + urllib.parse.urlencode(params)
     last_error = None
     for attempt in range(1, max_attempts + 1):
         try:
-            resp = requests.get(endpoint, params=params, timeout=timeout)
-        except (requests.ConnectionError, requests.Timeout) as exc:
+            with urllib.request.urlopen(url, timeout=timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:  # urlopen raises on a status outside 2xx
+            exc.close()
+            if exc.code < 500:
+                raise FetchError(f"{symbol}: HTTP {exc.code} from {endpoint}") from None
+            last_error = f"server returned {exc.code}"
+        except (OSError, http.client.HTTPException) as exc:
             last_error = f"connection failed: {exc}"
         else:
-            if resp.status_code >= 500:
-                last_error = f"server returned {resp.status_code}"
-            elif resp.status_code != 200:
-                raise FetchError(f"{symbol}: HTTP {resp.status_code} from {endpoint}")
-            elif not resp.content:
+            if status != 200:
+                raise FetchError(f"{symbol}: HTTP {status} from {endpoint}")
+            if not body:
                 raise FetchError(f"{symbol}: empty response body from {endpoint}")
-            else:
-                return parse_csv(resp.content, symbol)
+            return parse_csv(body, symbol)
         if attempt < max_attempts:
             time.sleep(retry_wait)
     raise FetchError(f"{symbol}: {last_error} after {max_attempts} attempts")

@@ -129,10 +129,14 @@ def mean_and_covariance(aligned: AlignedCloseMatrix) -> tuple[np.ndarray, Covari
     return mean, CovarianceMatrix(aligned.symbols, cov)
 
 
-def sharpe_ratio(annual_return: float, annual_risk: float, risk_free: float = DEFAULT_RISK_FREE) -> float:
-    """Excess return over the risk-free rate per unit of risk."""
-    if annual_risk <= 0:
-        raise ValueError(f"annual_risk must be positive, got {annual_risk}")
+def sharpe_ratio(
+    annual_return: float | np.ndarray,
+    annual_risk: float | np.ndarray,
+    risk_free: float = DEFAULT_RISK_FREE,
+) -> float | np.ndarray:
+    """Excess return over the risk-free rate per unit of risk, for scalars or arrays."""
+    if np.any(np.less_equal(annual_risk, 0)):
+        raise ValueError(f"annual_risk must be positive, got {np.min(annual_risk)}")
     return (annual_return - risk_free) / annual_risk
 
 
@@ -179,9 +183,7 @@ def build_frontier(
     if variances.min() < -1e-9:
         raise ValueError(f"invalid covariance: w'Cw = {variances.min():.3g} < 0")
     risks = np.sqrt(np.maximum(variances, 0.0))
-    if (risks <= 0).any():
-        raise ValueError("zero-risk draw encountered; Sharpe ratio undefined")
-    sharpes = (returns - risk_free) / risks
+    sharpes = sharpe_ratio(returns, risks, risk_free)
     return FrontierCloud(symbols, weights, returns, risks, sharpes, seed=seed, risk_free=risk_free)
 
 

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from sectorport.backtest import (
     Allocation,
-    BacktestLedger,
     SummaryRow,
     allocate,
     ledger_csv_text,
     ledger_to_dict,
     roi,
     run_backtest,
-    summarize,
     summary_csv_text,
     value_portfolio,
 )
@@ -221,45 +219,6 @@ def test_allocation_round_trip_within_rounding_bound(seed, n):
     _, total = value_portfolio(allocs, prices)
     # valuation at buy prices returns capital within total rounding: n/2 units
     assert abs(total - CAPITAL) <= n / 2 + 1e-9
-
-
-# ----------------------------------------------------------------- summarize
-
-def _ledger(sector, pred_pct, act_pct) -> BacktestLedger:
-    return BacktestLedger(
-        sector=sector,
-        capital=CAPITAL,
-        allocations=(),
-        end_actual_price={},
-        end_predicted_price={},
-        actual_value={},
-        predicted_value={},
-        total_actual=CAPITAL * (1 + act_pct / 100),
-        total_predicted=CAPITAL * (1 + pred_pct / 100),
-        roi_actual=act_pct,
-        roi_predicted=pred_pct,
-    )
-
-
-def test_summarize_auto_sector_row():
-    rows = summarize([_ledger("auto", -0.37, -0.51)])
-    assert rows == [SummaryRow("auto", -0.37, -0.51)]
-
-
-def test_summarize_zero_change_rows():
-    rows = summarize([_ledger("a", 0.0, 0.0), _ledger("b", 0.0, 0.0)])
-    assert all(r.predicted_return_pct == 0.0 and r.actual_return_pct == 0.0 for r in rows)
-
-
-def test_summarize_preserves_input_order():
-    sectors = ["auto", "consdur", "health", "it", "metal", "oilgas", "fmcg"]
-    rows = summarize([_ledger(s, i * 1.0, i * 2.0) for i, s in enumerate(sectors)])
-    assert [r.sector for r in rows] == sectors
-
-
-def test_summarize_rejects_empty():
-    with pytest.raises(ValueError):
-        summarize([])
 
 
 # ------------------------------------------------------------------- exports

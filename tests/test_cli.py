@@ -3,8 +3,12 @@
 import datetime as dt
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from sectorport.cli import (
     cmd_train,
     main,
 )
+import sectorport
 from sectorport import portfolio as po
 from sectorport.config import load_config
 from sectorport.market_data import parse_csv, serialize_csv
@@ -371,6 +376,17 @@ def test_plotdata_range_longer_than_batch_size(config, env, tmp_path):
     assert np.isfinite(predicted).all() and (predicted > 0).all()
 
 
+@pytest.mark.parametrize("option", ["--start", "--end"])
+@pytest.mark.parametrize("date", ["20210104", "2021-W01-1", "2021W011"])
+def test_plotdata_accepts_only_yyyy_mm_dd_dates(env, tmp_path, capsys, option, date):
+    dates = {"--start": "2021-01-04", "--end": "2021-03-01", option: date}
+    argv = ["--config", str(env / "config.yaml"), "--out", str(tmp_path), "plotdata", "AAA"]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--start", dates["--start"], "--end", dates["--end"]])
+    assert info.value.code == 2
+    assert f"argument {option}" in capsys.readouterr().err
+
+
 def test_plotdata_range_outside_data(config, tmp_path):
     cmd_train(config, "DDD", tmp_path)
     with pytest.raises(ValueError, match="no trading dates"):
@@ -417,6 +433,29 @@ def test_fetch_writes_data_dir(tmp_path):
 def test_fetch_requires_endpoint(config):
     with pytest.raises(ValueError, match="endpoint"):
         cmd_fetch(config)
+
+
+def test_startup_loads_no_http_stack(env):
+    # Only fetch needs HTTP; every other subcommand must start without paying for it.
+    code = (
+        "import sys\n"
+        "import sectorport.cli\n"
+        "from sectorport.config import load_config\n"
+        "load_config(sys.argv[1])\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    src = str(Path(sectorport.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(env / "config.yaml")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "sectorport.cli" in loaded
+    heavy = {"requests", "urllib3", "urllib.request", "http.client", "ssl"}
+    assert heavy & loaded == set()
 
 
 # ------------------------------------------------------------- full pipeline

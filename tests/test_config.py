@@ -3,8 +3,7 @@ import datetime as dt
 import pytest
 import yaml
 
-from sectorport.config import RunConfig, derive_seed, load_config
-from sectorport.market_data import SectorUniverse
+from sectorport.config import RunConfig, SectorUniverse, derive_seed, load_config
 
 
 def write_config(path, **overrides):
@@ -173,6 +172,14 @@ def test_sector_members_are_typed_strictly(tmp_path, member, match):
 def test_malformed_date_names_its_key(tmp_path):
     path = write_config(tmp_path / "c.yaml", eval_date="2021-13-01")
     with pytest.raises(ValueError, match="eval_date: expected an ISO date"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", ["20160101", "2016-W01-1", "2016W011"])
+def test_only_yyyy_mm_dd_date_strings_are_accepted(tmp_path, value):
+    # Python 3.11's date.fromisoformat reads all three; 3.10 reads none.
+    path = write_config(tmp_path / "c.yaml", train_start=value)
+    with pytest.raises(ValueError, match=f"train_start: expected an ISO date, got '{value}'"):
         load_config(path)
 
 

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -24,20 +25,32 @@ THREE_ROWS = csv_text(
 
 
 class MockEndpoint:
-    """Serves a fixed (status, body) and records every request's query."""
+    """Serves a fixed (status, body) and records every request's query.
+
+    Statuses queued in ``statuses`` are served first, one per request; a
+    positive ``delay`` makes the handler sleep that many seconds between the
+    headers and the body.
+    """
 
     def __init__(self, status=200, body=THREE_ROWS):
         self.status = status
+        self.statuses: list[int] = []
         self.body = body
+        self.delay = 0.0
         self.requests: list[dict] = []
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_GET(self):
                 outer.requests.append(parse_qs(urlparse(self.path).query))
-                self.send_response(outer.status)
-                self.end_headers()
-                self.wfile.write(outer.body.encode())
+                status = outer.statuses.pop(0) if outer.statuses else outer.status
+                try:
+                    self.send_response(status)
+                    self.end_headers()
+                    time.sleep(outer.delay)
+                    self.wfile.write(outer.body.encode())
+                except OSError:  # the client gave up waiting
+                    pass
 
             def log_message(self, *args):
                 pass
@@ -98,3 +111,42 @@ def test_fetch_connection_failure_retries_then_fails():
     # nothing listens on this port
     with pytest.raises(FetchError, match="connection failed.*3 attempts"):
         fetch_history("ABC", START, END, "http://127.0.0.1:9/history", retry_wait=0.01)
+
+
+def test_fetch_body_read_timeout_retries_then_fails(endpoint):
+    endpoint.delay = 0.3
+    with pytest.raises(FetchError, match="connection failed.*after 3 attempts"):
+        fetch_history("ABC", START, END, endpoint.url, timeout=0.05, retry_wait=0.01)
+    assert len(endpoint.requests) == 3
+
+
+def test_fetch_503_then_200_succeeds_on_second_attempt(endpoint):
+    endpoint.statuses = [503]
+    series = fetch_history("ABC", START, END, endpoint.url, retry_wait=0.01)
+    assert len(series.dates) == 3
+    assert len(endpoint.requests) == 2
+
+
+def test_fetch_204_fails_without_retry(endpoint):
+    endpoint.status = 204
+    with pytest.raises(FetchError, match="HTTP 204"):
+        fetch_history("ABC", START, END, endpoint.url, retry_wait=0.01)
+    assert len(endpoint.requests) == 1
+
+
+def test_fetch_appends_to_an_existing_query(endpoint):
+    fetch_history("ABC", START, END, endpoint.url + "?key=v")
+    assert endpoint.requests == [
+        {"key": ["v"], "symbol": ["ABC"], "start": ["2020-01-01"], "end": ["2020-02-01"]}
+    ]
+
+
+@pytest.mark.parametrize("url", ["file://{}/history", "ftp://127.0.0.1:9{}/history", "http://{}"])
+def test_fetch_rejects_non_http_endpoint_before_any_request(endpoint, tmp_path, url):
+    # urlopen would read the file, so the check must come before it
+    (tmp_path / "history").write_text(THREE_ROWS)
+    url = url.format(tmp_path)
+    with pytest.raises(ValueError, match="not an http or https URL") as info:
+        fetch_history("ABC", START, END, url, retry_wait=0.01)
+    assert url in str(info.value)
+    assert endpoint.requests == []

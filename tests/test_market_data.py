@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sectorport.config import SectorUniverse
 from sectorport.market_data import (
     CSV_HEADER,
     TRADING_DAYS,
     CsvFormatError,
-    SectorUniverse,
     align,
     asset_stats,
     daily_returns,
@@ -116,6 +116,23 @@ def test_parse_reports_malformed_line_number():
     )
     with pytest.raises(CsvFormatError, match="line 3"):
         parse_csv(text, "X")
+
+
+# Python 3.11's date.fromisoformat reads these (the last two as 2016-01-04); 3.10 does not.
+NOT_YYYY_MM_DD = ["20160101", "2016-W01-1", "2016W011"]
+
+
+@pytest.mark.parametrize("date", NOT_YYYY_MM_DD)
+@pytest.mark.parametrize("strict", [True, False])
+def test_parse_accepts_only_yyyy_mm_dd_dates(date, strict):
+    text = csv_text(
+        [
+            ("2015-12-31", 1, 2, 0.5, 1.5, 100, 1.5),
+            (date, 1, 2, 0.5, 1.5, 100, 1.5),
+        ]
+    )
+    with pytest.raises(CsvFormatError, match=f"line 3: malformed row: .*{date}"):
+        parse_csv(text, "X", strict=strict)
 
 
 def test_invalid_bar_above_a_malformed_line_is_reported_first(caplog):

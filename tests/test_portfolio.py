@@ -161,6 +161,19 @@ def test_sharpe_requires_positive_risk():
         sharpe_ratio(0.1, -0.2)
 
 
+def test_sharpe_on_arrays_matches_scalars_and_rejects_any_nonpositive_risk():
+    returns, risks = np.array([0.1326, 0.6879, 0.01]), np.array([0.2757, 0.4105, 0.5])
+    expected = [sharpe_ratio(r, s, 0.01) for r, s in zip(returns, risks)]
+    np.testing.assert_array_equal(sharpe_ratio(returns, risks, 0.01), expected)
+    with pytest.raises(ValueError, match="positive, got 0.0"):
+        sharpe_ratio(returns, np.array([0.2757, 0.0, 0.5]))
+
+
+def test_frontier_sharpes_come_from_sharpe_ratio():
+    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=300, risk_free=0.02, seed=4)
+    np.testing.assert_array_equal(cloud.sharpes, sharpe_ratio(cloud.returns, cloud.risks, 0.02))
+
+
 @given(
     st.floats(-2, 2, allow_nan=False),
     st.floats(0.01, 5, allow_nan=False),

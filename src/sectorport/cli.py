@@ -159,19 +159,16 @@ def _read_predicted_prices(path: Path) -> dict[str, float]:
     return prices
 
 
-def _predict_eval_price(config: RunConfig, series: md.PriceSeries, out_dir: Path) -> float:
-    symbol = series.symbol
-    ckpt = Path(out_dir) / "checkpoints" / f"{symbol}.ckpt"
+def _forecast(series: md.PriceSeries, out_dir: Path, lo: int, hi: int) -> np.ndarray:
+    """Predicted closes for rows [lo, hi) of series, from its symbol's checkpoint under out_dir."""
+    ckpt = Path(out_dir) / "checkpoints" / f"{series.symbol}.ckpt"
     if not ckpt.exists():
-        raise FileNotFoundError(f"no checkpoint for {symbol}: expected {ckpt} (or pass --predicted-prices)")
+        raise FileNotFoundError(f"no checkpoint for {series.symbol}: expected {ckpt}")
     model = fc.load_checkpoint(ckpt)
-    idx_eval = _index_on_or_before(series, config.eval_date)
-    window, horizon = model.config.window, model.config.horizon
-    start = idx_eval - horizon - window + 1
-    if start < 0:
-        raise ValueError(f"{symbol}: not enough history before {config.eval_date} for a {window}-day window")
-    closes = series.closes[start : idx_eval - horizon + 1]
-    return fc.predict_next(model, closes)
+    try:
+        return fc.forecast(model, series.closes, lo, hi)
+    except ValueError as exc:
+        raise ValueError(f"{series.symbol} on {series.dates[lo]}: {exc}") from None
 
 
 def _upsert_summary(summary_path: Path, row: bt.SummaryRow):
@@ -213,10 +210,11 @@ def cmd_backtest(
         weights = po.max_sharpe_portfolio(cloud).weights
 
     start_prices = {}
-    end_actual = {}
+    eval_rows = {}
     for sym, series in members.items():
         start_prices[sym] = _close_on_or_after(series, config.invest_date)
-        end_actual[sym] = float(series.closes[_index_on_or_before(series, config.eval_date)])
+        eval_rows[sym] = _index_on_or_before(series, config.eval_date)
+    end_actual = {sym: float(members[sym].closes[k]) for sym, k in eval_rows.items()}
 
     if predicted_prices is not None:
         end_predicted = _read_predicted_prices(predicted_prices)
@@ -224,7 +222,9 @@ def cmd_backtest(
         if missing:
             raise ValueError(f"{predicted_prices}: missing predicted prices for {missing}")
     else:
-        end_predicted = {sym: _predict_eval_price(config, members[sym], out_dir) for sym in symbols}
+        end_predicted = {
+            sym: float(_forecast(members[sym], out_dir, k, k + 1)[0]) for sym, k in eval_rows.items()
+        }
 
     ledger = bt.run_backtest(
         config.capital, weights, start_prices, end_actual, end_predicted, sector=sector_name
@@ -247,24 +247,11 @@ def cmd_plotdata(
     day-by-day tracking rather than recursive multi-step forecasting.
     """
     config.require_symbol(symbol)
-    ckpt = Path(out_dir) / "checkpoints" / f"{symbol}.ckpt"
-    if not ckpt.exists():
-        raise FileNotFoundError(f"no checkpoint for {symbol}: expected {ckpt}")
-    model = fc.load_checkpoint(ckpt)
     series = _load_series(config.data_dir, symbol)
-    window, horizon = model.config.window, model.config.horizon
-
     lo, hi = series.span(start, end)
     if lo >= hi:
         raise ValueError(f"{symbol}: no trading dates in [{start}, {end}]")
-    first = lo - horizon - window + 1
-    if first < 0:
-        raise ValueError(f"{symbol}: range starts at {series.dates[lo]} without {window} days of history")
-
-    # Row j is the window that ends `horizon` days before date lo + j.
-    windows = np.lib.stride_tricks.sliding_window_view(series.closes, window)[first : first + hi - lo]
-    scaled_pred = fc.predict_batch(model, model.scaler.transform(windows))
-    predicted = model.scaler.inverse_transform(scaled_pred)
+    predicted = _forecast(series, out_dir, lo, hi)
 
     lines = ["date,actual_close,predicted_close"]
     rows = zip(series.dates[lo:hi].tolist(), series.closes[lo:hi].tolist(), predicted.tolist())

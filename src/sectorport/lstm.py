@@ -21,9 +21,11 @@ every GEMM, gate pass and cached activation moves, and NumPy's float32 tanh
 is several times faster than the float64 one; at paper scale that about
 halves training and inference time, while the final validation MAE moves by
 less than 1e-6 relative. The kernel follows the dtype of the parameters, so
-a float64 copy (LstmModel.astype) is the reference that the gradient check
-and the tests use. Checkpoints keep float64 tensors: widening float32 is
-exact, and loading narrows them back.
+the tests run it on float64 copies as a reference. Checkpoints keep float64
+tensors: widening float32 is exact, and loading narrows them back.
+
+forecast is the one inference entry point: the predicted closes for a row
+range of a series, each from the window that ends `horizon` rows earlier.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
@@ -186,20 +188,6 @@ class LstmModel:
         """The dtype of the parameters, which every kernel buffer shares."""
         return self.out_b.dtype
 
-    def astype(self, dtype) -> LstmModel:
-        """A copy of the model with every parameter tensor in `dtype`."""
-        layers = tuple(
-            LayerParams(p.wx.astype(dtype), p.wh.astype(dtype), p.b.astype(dtype)) for p in self.layers
-        )
-        return replace(
-            self,
-            layers=layers,
-            dense_w=self.dense_w.astype(dtype),
-            dense_b=self.dense_b.astype(dtype),
-            out_w=self.out_w.astype(dtype),
-            out_b=self.out_b.astype(dtype),
-        )
-
     def named_params(self) -> dict[str, np.ndarray]:
         """Parameter tensors in canonical order (views, not copies)."""
         params: dict[str, np.ndarray] = {}
@@ -296,11 +284,6 @@ class _LayerCache:
     c: np.ndarray  # (T, B, H) cell state
     tc: np.ndarray  # (T, B, H) tanh(c)
     ht: np.ndarray  # (T, B, H) hidden sequence
-
-    @property
-    def x(self) -> np.ndarray:
-        """Layer input, batch-major (B, T, D) view."""
-        return self.xt.swapaxes(0, 1)
 
     @property
     def h(self) -> np.ndarray:
@@ -627,15 +610,22 @@ def train(config: LstmConfig, closes) -> TrainResult:
     return TrainResult(model, tuple(trace))
 
 
-def predict_next(model: LstmModel, last_closes) -> float:
-    """Price forecast `horizon` days past the end of the given window."""
-    last_closes = np.asarray(last_closes, dtype=float)
-    if last_closes.shape != (model.config.window,):
-        raise ValueError(
-            f"expected {model.config.window} trailing closes, got shape {last_closes.shape}"
-        )
-    (scaled,) = predict_batch(model, model.scaler.transform(last_closes)[None, :])
-    return float(model.scaler.inverse_transform(scaled))
+def forecast(model: LstmModel, closes, lo: int, hi: int) -> np.ndarray:
+    """Predicted closes for rows [lo, hi) of a close series, in float64.
+
+    Row k is predicted from the window that ends `horizon` rows before it,
+    closes[k - horizon - window + 1 : k - horizon + 1], so each prediction
+    sees only closes known `horizon` rows earlier; rows up to `horizon` past
+    the end of closes can be predicted.
+    """
+    window, horizon = model.config.window, model.config.horizon
+    first = lo - (window + horizon - 1)
+    if first < 0:
+        raise ValueError(f"row {lo} needs {window + horizon - 1} rows of history before it, has {lo}")
+    if hi > len(closes) + horizon:
+        raise ValueError(f"rows [{lo}, {hi}) run more than {horizon} past the {len(closes)} closes")
+    windows = np.lib.stride_tricks.sliding_window_view(closes, window)[first : first + hi - lo]
+    return model.scaler.inverse_transform(predict_batch(model, model.scaler.transform(windows)))
 
 
 def trace_csv_text(trace) -> str:
@@ -647,65 +637,6 @@ def trace_csv_text(trace) -> str:
             f"{row.val_loss:.12g},{row.val_mae:.12g}"
         )
     return "\n".join(lines) + "\n"
-
-
-def gradient_check(
-    model: LstmModel,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    epsilon: float = 1e-5,
-    coords_per_tensor: int = 100,
-    coord_seed: int = 0,
-    fault: str | None = None,
-) -> float:
-    """Max relative error of BPTT gradients vs central finite differences.
-
-    Checks every parameter tensor on the Huber loss of the given scaled
-    sample batch, dropout off. Tensors larger than coords_per_tensor are
-    subsampled at seeded random coordinates. The relative error denominator
-    is max(|analytic|, |numeric|, 1e-8). `fault` names a tensor whose
-    analytic gradient is doubled first (for verifying the check can fail).
-    The check runs on a float64 copy of the model: central differences at
-    epsilon = 1e-5 are below float32 resolution.
-    """
-    model = model.astype(np.float64)
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    delta = model.config.huber_delta
-
-    def loss() -> float:
-        pred, _ = forward_batch(model, inputs, training=False)
-        return float(np.mean(huber_loss(targets, pred, delta)))
-
-    pred, cache = forward_batch(model, inputs, training=False)
-    d_y = huber_gradient(targets, pred, delta) / targets.size
-    analytic = backward_batch(model, cache, d_y)
-    if fault is not None:
-        if fault not in analytic:
-            raise KeyError(f"unknown tensor {fault!r}")
-        analytic[fault] = analytic[fault] * 2.0
-
-    coord_rng = Generator(PCG64(SeedSequence(coord_seed)))
-    worst = 0.0
-    for name, param in model.named_params().items():
-        flat = param.reshape(-1)
-        grad_flat = analytic[name].reshape(-1)
-        if flat.size <= coords_per_tensor:
-            coords = np.arange(flat.size)
-        else:
-            coords = coord_rng.choice(flat.size, size=coords_per_tensor, replace=False)
-        for k in coords:
-            orig = flat[k]
-            flat[k] = orig + epsilon
-            hi = loss()
-            flat[k] = orig - epsilon
-            lo = loss()
-            flat[k] = orig
-            numeric = (hi - lo) / (2.0 * epsilon)
-            a = grad_flat[k]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
 
 
 def _config_to_dict(config: LstmConfig) -> dict:
@@ -817,11 +748,6 @@ def model_from_checkpoint_bytes(blob: bytes) -> LstmModel:
     )
     model.check_finite()
     return model
-
-
-def save_checkpoint(model: LstmModel, path):
-    with open(path, "wb") as fh:
-        fh.write(checkpoint_bytes(model))
 
 
 def load_checkpoint(path) -> LstmModel:

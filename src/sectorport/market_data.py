@@ -13,19 +13,21 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
-import logging
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-log = logging.getLogger(__name__)
-
 TRADING_DAYS = 250
 CSV_HEADER = "date,open,high,low,close,volume,adj_close"
 _CSV_FIELDS = CSV_HEADER.split(",")
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+
+# fetch_history: attempts per symbol, seconds per request, seconds between attempts.
+FETCH_ATTEMPTS = 3
+FETCH_TIMEOUT = 10.0
+FETCH_RETRY_WAIT = 0.1
 
 
 class CsvFormatError(ValueError):
@@ -124,17 +126,16 @@ def parse_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def parse_csv(raw_text: bytes | str, symbol: str, strict: bool = True) -> PriceSeries:
+def parse_csv(raw_text: bytes | str, symbol: str) -> PriceSeries:
     """Parse price history CSV into a validated PriceSeries.
 
     The expected schema is a header line ``date,open,high,low,close,volume,
     adj_close`` followed by one row per trading day. Rows may arrive in any
     order; the result is sorted by date. Duplicate dates are always rejected.
     A bar is invalid when a price is not finite (NaN or infinite), low >
-    high, the close is not positive or the volume is negative. In strict
-    mode an invalid bar fails the parse; in lenient mode it is dropped with a
-    warning. Dates must be YYYY-MM-DD (parse_date). Errors name the line, and
-    the column of a non-finite price.
+    high, the close is not positive or the volume is negative; the first
+    invalid bar fails the parse. Dates must be YYYY-MM-DD (parse_date).
+    Errors name the line, and the column of a non-finite price.
     """
     if isinstance(raw_text, bytes):
         raw_text = raw_text.decode("utf-8")
@@ -181,24 +182,22 @@ def parse_csv(raw_text: bytes | str, symbol: str, strict: bool = True) -> PriceS
         ("close {close} is not positive", columns["close"] <= 0),
         ("volume {volume} is negative", columns["volume"] < 0),
     ]
-    invalid = np.logical_or.reduce([mask for _, mask in checks])
-    for i in np.flatnonzero(invalid):
+    invalid = np.flatnonzero(np.logical_or.reduce([mask for _, mask in checks]))
+    if invalid.size:
+        i = invalid[0]
         message = next(message for message, mask in checks if mask[i])
         problem = message.format(**dict(zip(_CSV_FIELDS, rows[i])))
-        if strict:
-            raise CsvFormatError(f"line {linenos[i]}: invalid bar ({problem})")
-        log.warning("%s: dropping line %d (%s)", symbol, linenos[i], problem)
+        raise CsvFormatError(f"line {linenos[i]}: invalid bar ({problem})")
     if malformed is not None:
         raise malformed
 
-    kept = np.flatnonzero(~invalid)
-    order = kept[np.argsort(columns["date"][kept], kind="stable")]
+    order = np.argsort(columns["date"], kind="stable")
     dates = columns["date"][order]
     duplicates = np.flatnonzero(dates[1:] == dates[:-1])
     if duplicates.size:
         raise CsvFormatError(f"duplicate date {dates[duplicates[0]]} for {symbol}")
     if not order.size:
-        raise CsvFormatError(f"{symbol}: no valid rows")
+        raise CsvFormatError(f"{symbol}: no data rows")
     return PriceSeries(symbol, *(column[order] for column in columns.values()))
 
 
@@ -212,23 +211,16 @@ def serialize_csv(series: PriceSeries) -> str:
     return "".join([CSV_HEADER + "\n", *("%s,%r,%r,%r,%r,%d,%r\n" % row for row in columns)])
 
 
-def fetch_history(
-    symbol: str,
-    start: dt.date,
-    end: dt.date,
-    endpoint: str,
-    max_attempts: int = 3,
-    timeout: float = 10.0,
-    retry_wait: float = 0.1,
-) -> PriceSeries:
+def fetch_history(symbol: str, start: dt.date, end: dt.date, endpoint: str) -> PriceSeries:
     """Download price history over HTTP and parse it.
 
     Issues GET <endpoint>?symbol=...&start=...&end=... (joined with & when the
     endpoint already has a query) expecting the CSV schema of parse_csv in the
-    body. The endpoint must be an http or https URL with a host. Connection
-    failures, timeouts (reading the body included) and 5xx responses are
-    retried up to max_attempts total attempts; any other status but 200, and
-    an empty body, fail immediately.
+    body. The endpoint must be an http or https URL with a host, and so must
+    any redirect target. Connection failures, timeouts (reading the body
+    included) and 5xx responses are retried up to FETCH_ATTEMPTS attempts in
+    all; any other status but 200, a redirect elsewhere, and an empty body
+    fail immediately.
     """
     # The HTTP stack is imported here, so only the fetch subcommand pays for it.
     import http.client
@@ -242,14 +234,23 @@ def fetch_history(
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"fetch endpoint {endpoint!r} is not an http or https URL with a host")
 
+    class HttpOnlyRedirects(urllib.request.HTTPRedirectHandler):
+        # The default handler also follows a redirect to ftp://.
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            if urllib.parse.urlsplit(newurl).scheme not in ("http", "https"):
+                fp.close()
+                raise FetchError(f"{symbol}: HTTP {code} from {endpoint} redirects to {newurl!r}")
+            return super().redirect_request(req, fp, code, msg, headers, newurl)
+
+    opener = urllib.request.build_opener(HttpOnlyRedirects)
     params = {"symbol": symbol, "start": start.isoformat(), "end": end.isoformat()}
     url = endpoint + ("&" if "?" in endpoint else "?") + urllib.parse.urlencode(params)
     last_error = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, FETCH_ATTEMPTS + 1):
         try:
-            with urllib.request.urlopen(url, timeout=timeout) as resp:
+            with opener.open(url, timeout=FETCH_TIMEOUT) as resp:
                 status, body = resp.status, resp.read()
-        except urllib.error.HTTPError as exc:  # urlopen raises on a status outside 2xx
+        except urllib.error.HTTPError as exc:  # the opener raises on a status outside 2xx
             exc.close()
             if exc.code < 500:
                 raise FetchError(f"{symbol}: HTTP {exc.code} from {endpoint}") from None
@@ -262,9 +263,9 @@ def fetch_history(
             if not body:
                 raise FetchError(f"{symbol}: empty response body from {endpoint}")
             return parse_csv(body, symbol)
-        if attempt < max_attempts:
-            time.sleep(retry_wait)
-    raise FetchError(f"{symbol}: {last_error} after {max_attempts} attempts")
+        if attempt < FETCH_ATTEMPTS:
+            time.sleep(FETCH_RETRY_WAIT)
+    raise FetchError(f"{symbol}: {last_error} after {FETCH_ATTEMPTS} attempts")
 
 
 def daily_returns(series: PriceSeries) -> ReturnSeries:

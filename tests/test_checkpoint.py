@@ -14,12 +14,13 @@ from sectorport.lstm import (
     LstmConfig,
     Scaler,
     checkpoint_bytes,
+    forecast,
     init_model,
     load_checkpoint,
     model_from_checkpoint_bytes,
-    predict_next,
-    save_checkpoint,
 )
+
+from oracles import float64_copy
 
 
 def make_model(seed=0):
@@ -44,7 +45,7 @@ def repack(header, payload):
 def test_round_trip_preserves_everything(tmp_path):
     model = make_model()
     path = tmp_path / "m.ckpt"
-    save_checkpoint(model, path)
+    path.write_bytes(checkpoint_bytes(model))
     loaded = load_checkpoint(path)
     assert loaded.config == model.config
     assert loaded.scaler == model.scaler
@@ -55,10 +56,11 @@ def test_round_trip_preserves_everything(tmp_path):
 def test_round_trip_preserves_predictions(tmp_path):
     model = make_model(seed=4)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(model, path)
+    path.write_bytes(checkpoint_bytes(model))
     loaded = load_checkpoint(path)
     window = np.linspace(60.0, 140.0, model.config.window)
-    assert predict_next(loaded, window) == predict_next(model, window)
+    row = model.config.window + model.config.horizon - 1  # the first row past the window
+    assert forecast(loaded, window, row, row + 1) == forecast(model, window, row, row + 1)
 
 
 def test_serialization_is_byte_deterministic():
@@ -152,7 +154,7 @@ def test_duplicate_tensor_entry_rejected():
 
 def test_float64_checkpoint_loads_narrowed_to_float32():
     # a checkpoint of float64 values that float32 cannot hold exactly
-    wide = make_model(seed=5).astype(np.float64)
+    wide = float64_copy(make_model(seed=5))
     for arr in wide.named_params().values():
         arr += 1e-10
     loaded = model_from_checkpoint_bytes(checkpoint_bytes(wide))

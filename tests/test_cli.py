@@ -269,8 +269,9 @@ def test_backtest_published_it_ledger_via_override_files(tmp_path):
 
 
 def test_backtest_missing_checkpoint_names_symbol(config, tmp_path):
-    with pytest.raises(FileNotFoundError, match="AAA"):
+    with pytest.raises(FileNotFoundError, match="AAA") as info:
         cmd_backtest(config, "tech", tmp_path)
+    assert str(tmp_path / "checkpoints" / "AAA.ckpt") in str(info.value)
 
 
 def test_seven_sector_summary(env, tmp_path):
@@ -310,9 +311,9 @@ def test_backtest_parses_each_member_once(config, tmp_path, monkeypatch):
     parsed = []
     real = md.parse_csv
 
-    def spy(raw_text, symbol, strict=True):
+    def spy(raw_text, symbol):
         parsed.append(symbol)
-        return real(raw_text, symbol, strict)
+        return real(raw_text, symbol)
 
     monkeypatch.setattr(md, "parse_csv", spy)
     pred_file = tmp_path / "pred.csv"
@@ -329,6 +330,19 @@ def test_backtest_rerun_leaves_summary_byte_identical(config, env, tmp_path):
     first = summary.read_bytes()
     cmd_backtest(config, "tech", out, predicted_prices=pred_file)
     assert summary.read_bytes() == first
+
+
+def test_backtest_prediction_is_the_plotdata_row_at_eval_date(config, tmp_path):
+    # both subcommands forecast through lstm.forecast; plotdata prints 12 digits
+    for sym in ("TW1", "TW2"):
+        cmd_train(config, sym, tmp_path)
+    json_path, _, _ = cmd_backtest(config, "twin", tmp_path)
+    for row in json.loads(json_path.read_text())["rows"]:
+        start = config.eval_date - dt.timedelta(days=7)
+        plot = cmd_plotdata(config, row["symbol"], start, config.eval_date, tmp_path)
+        _, actual, predicted = plot.read_text().strip().split("\n")[-1].split(",")
+        assert float(actual) == pytest.approx(row["actual_price"], rel=1e-11)
+        assert float(predicted) == pytest.approx(row["predicted_price"], rel=1e-6)
 
 
 # ------------------------------------------------------------------ plotdata

@@ -8,6 +8,7 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
+from sectorport import market_data as md
 from sectorport.market_data import FetchError, fetch_history
 
 from conftest import csv_text
@@ -29,7 +30,8 @@ class MockEndpoint:
 
     Statuses queued in ``statuses`` are served first, one per request; a
     positive ``delay`` makes the handler sleep that many seconds between the
-    headers and the body.
+    headers and the body; a 3xx status carries ``location`` as its Location
+    header.
     """
 
     def __init__(self, status=200, body=THREE_ROWS):
@@ -37,6 +39,7 @@ class MockEndpoint:
         self.statuses: list[int] = []
         self.body = body
         self.delay = 0.0
+        self.location = None
         self.requests: list[dict] = []
         outer = self
 
@@ -46,6 +49,8 @@ class MockEndpoint:
                 status = outer.statuses.pop(0) if outer.statuses else outer.status
                 try:
                     self.send_response(status)
+                    if 300 <= status < 400 and outer.location:
+                        self.send_header("Location", outer.location)
                     self.end_headers()
                     time.sleep(outer.delay)
                     self.wfile.write(outer.body.encode())
@@ -84,7 +89,7 @@ def test_fetch_parses_endpoint_body(endpoint):
 def test_fetch_errors_after_three_500s(endpoint):
     endpoint.status = 500
     with pytest.raises(FetchError, match="after 3 attempts"):
-        fetch_history("ABC", START, END, endpoint.url, retry_wait=0.01)
+        fetch_history("ABC", START, END, endpoint.url)
     assert len(endpoint.requests) == 3
 
 
@@ -97,7 +102,7 @@ def test_fetch_precondition_before_network(endpoint):
 def test_fetch_404_fails_without_retry(endpoint):
     endpoint.status = 404
     with pytest.raises(FetchError, match="HTTP 404"):
-        fetch_history("ABC", START, END, endpoint.url, retry_wait=0.01)
+        fetch_history("ABC", START, END, endpoint.url)
     assert len(endpoint.requests) == 1
 
 
@@ -110,19 +115,20 @@ def test_fetch_empty_body_fails(endpoint):
 def test_fetch_connection_failure_retries_then_fails():
     # nothing listens on this port
     with pytest.raises(FetchError, match="connection failed.*3 attempts"):
-        fetch_history("ABC", START, END, "http://127.0.0.1:9/history", retry_wait=0.01)
+        fetch_history("ABC", START, END, "http://127.0.0.1:9/history")
 
 
-def test_fetch_body_read_timeout_retries_then_fails(endpoint):
+def test_fetch_body_read_timeout_retries_then_fails(endpoint, monkeypatch):
+    monkeypatch.setattr(md, "FETCH_TIMEOUT", 0.05)
     endpoint.delay = 0.3
     with pytest.raises(FetchError, match="connection failed.*after 3 attempts"):
-        fetch_history("ABC", START, END, endpoint.url, timeout=0.05, retry_wait=0.01)
+        fetch_history("ABC", START, END, endpoint.url)
     assert len(endpoint.requests) == 3
 
 
 def test_fetch_503_then_200_succeeds_on_second_attempt(endpoint):
     endpoint.statuses = [503]
-    series = fetch_history("ABC", START, END, endpoint.url, retry_wait=0.01)
+    series = fetch_history("ABC", START, END, endpoint.url)
     assert len(series.dates) == 3
     assert len(endpoint.requests) == 2
 
@@ -130,7 +136,7 @@ def test_fetch_503_then_200_succeeds_on_second_attempt(endpoint):
 def test_fetch_204_fails_without_retry(endpoint):
     endpoint.status = 204
     with pytest.raises(FetchError, match="HTTP 204"):
-        fetch_history("ABC", START, END, endpoint.url, retry_wait=0.01)
+        fetch_history("ABC", START, END, endpoint.url)
     assert len(endpoint.requests) == 1
 
 
@@ -147,6 +153,24 @@ def test_fetch_rejects_non_http_endpoint_before_any_request(endpoint, tmp_path, 
     (tmp_path / "history").write_text(THREE_ROWS)
     url = url.format(tmp_path)
     with pytest.raises(ValueError, match="not an http or https URL") as info:
-        fetch_history("ABC", START, END, url, retry_wait=0.01)
+        fetch_history("ABC", START, END, url)
     assert url in str(info.value)
     assert endpoint.requests == []
+
+
+def test_fetch_refuses_redirect_to_non_http_url(endpoint):
+    # urlopen's default opener would follow this and try FTP, three times
+    endpoint.status = 302
+    endpoint.location = "ftp://127.0.0.1:9/x"
+    with pytest.raises(FetchError, match="ABC: .*ftp://127.0.0.1:9/x"):
+        fetch_history("ABC", START, END, endpoint.url)
+    assert len(endpoint.requests) == 1
+
+
+def test_fetch_follows_http_redirect(endpoint):
+    endpoint.statuses = [302]
+    endpoint.location = endpoint.url + "?moved=1"
+    series = fetch_history("ABC", START, END, endpoint.url)
+    assert len(series.dates) == 3
+    assert len(endpoint.requests) == 2
+    assert endpoint.requests[1] == {"moved": ["1"]}

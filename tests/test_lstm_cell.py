@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, PCG64, SeedSequence
 
-from oracles import lstm_cell_step
+from oracles import float64_copy, lstm_cell_step
 from sectorport.lstm import (
     LayerParams,
     LstmConfig,
@@ -92,7 +92,7 @@ def test_forward_batch_matches_reference_over_window():
     # run on a float64 copy, equals the oracle cell iterated over the window
     config = LstmConfig(window=4, lstm_layers=(3, 2), dense_width=4, dropout_rate=0.0)
     rng = Generator(PCG64(SeedSequence(21)))
-    model = init_model(config, Scaler(0.0, 1.0), rng).astype(np.float64)
+    model = float64_copy(init_model(config, Scaler(0.0, 1.0), rng))
     for layer in model.layers:
         layer.b[...] = rng.normal(size=layer.b.shape)
     X = rng.random((2, config.window))
@@ -192,13 +192,13 @@ def test_default_config_layer_one_emits_50_by_256():
     x = rng.random((1, 50))
     _, cache = forward_batch(model, x)
     assert cache.layers[0].h.shape == (1, 50, 256)
-    assert cache.layers[1].x.shape == (1, 50, 256)
+    assert cache.layers[1].xt.shape == (50, 1, 256)  # the layer input, time-major
     assert cache.layers[1].h.shape == (1, 50, 256)
 
 
 def test_predict_batch_matches_per_window_forward():
     # 150 windows in blocks of 64: the last block is partial
-    model = small_model(seed=14, lstm_layers=(5, 4), batch_size=64).astype(np.float64)
+    model = float64_copy(small_model(seed=14, lstm_layers=(5, 4), batch_size=64))
     X = Generator(PCG64(SeedSequence(15))).random((150, 8))
     blocked = predict_batch(model, X)
     assert blocked.shape == (150,)
@@ -337,7 +337,7 @@ def test_float32_matches_float64_copy():
     # 3.5e-8 on the predictions, 1.5e-7 on h and c, and 8.4e-7 of a gradient
     # tensor's largest entry. The bounds below leave at least a sixfold margin.
     model = small_model(seed=9, window=20, lstm_layers=(16, 8), dense_width=12, dropout_rate=0.3)
-    ref = model.astype(np.float64)
+    ref = float64_copy(model)
     rng = Generator(PCG64(SeedSequence(10)))
     X, targets = rng.random((40, 20)), rng.random(40)
     np.testing.assert_allclose(predict_batch(model, X), predict_batch(ref, X), rtol=0, atol=1e-6)

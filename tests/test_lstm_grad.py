@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.random import Generator, PCG64, SeedSequence
 
-from sectorport.lstm import LstmConfig, Scaler, gradient_check, init_model
+from sectorport.lstm import LstmConfig, Scaler, init_model
+
+from oracles import float64_copy, gradient_check
 
 TINY = dict(window=5, lstm_layers=(4,), dense_width=4, dropout_rate=0.0)
 
@@ -92,7 +94,7 @@ def test_gradient_check_through_dropout_masks():
     model, inputs, targets = build(
         seed=4, window=6, lstm_layers=(4, 3), dense_width=5, dropout_rate=0.4
     )
-    model = model.astype(np.float64)  # central differences at eps = 1e-5 need float64
+    model = float64_copy(model)  # central differences at eps = 1e-5 need float64
 
     def run():
         return forward_batch(model, inputs, training=True, rng=Generator(PCG64(SeedSequence(99))))

@@ -5,7 +5,7 @@ import pytest
 from numpy.random import Generator, PCG64, SeedSequence
 
 from sectorport import lstm as fc
-from sectorport.lstm import LstmConfig, Scaler, checkpoint_bytes, init_model, predict_next, train
+from sectorport.lstm import LstmConfig, Scaler, checkpoint_bytes, forecast, init_model, predict_batch, train
 
 QUICK = dict(
     window=10,
@@ -101,17 +101,20 @@ def test_predict_next_constant_series_value():
     closes = np.concatenate([np.linspace(0.8 * v, 1.2 * v, 40), np.full(120, v)])
     cfg = LstmConfig(**QUICK, epochs=150, seed=1)
     result = train(cfg, closes)
-    pred = predict_next(result.model, np.full(cfg.window, v))
+    row = cfg.window + cfg.horizon - 1  # the first row past the window
+    (pred,) = forecast(result.model, np.full(cfg.window, v), row, row + 1)
     assert pred == pytest.approx(v, rel=0.02)
 
 
 def test_predict_next_deterministic_and_validates_window():
     cfg = LstmConfig(**QUICK, epochs=1, seed=3)
     result = train(cfg, sine_series(100))
-    window = sine_series(100)[-cfg.window :]
-    assert predict_next(result.model, window) == predict_next(result.model, window)
-    with pytest.raises(ValueError, match="trailing closes"):
-        predict_next(result.model, window[:-1])
+    closes = sine_series(100)
+    first = cfg.window + cfg.horizon - 1
+    again = forecast(result.model, closes, first, 100)
+    np.testing.assert_array_equal(forecast(result.model, closes, first, 100), again)
+    with pytest.raises(ValueError, match="history"):
+        forecast(result.model, closes, first - 1, 100)
 
 
 def test_prediction_bounded_by_affine_image_of_unit_interval():
@@ -122,8 +125,24 @@ def test_prediction_bounded_by_affine_image_of_unit_interval():
     rng = Generator(PCG64(SeedSequence(0)))
     for _ in range(5):
         window = scaler.min + (scaler.max - scaler.min) * rng.random(cfg.window)
-        pred = predict_next(result.model, window)
+        (pred,) = forecast(result.model, window, cfg.window, cfg.window + 1)
         assert scaler.min <= pred <= scaler.max
+
+
+def test_forecast_row_k_uses_the_window_ending_horizon_rows_before_it():
+    cfg = LstmConfig(**QUICK, horizon=3, epochs=1, seed=8)
+    closes = sine_series(60)
+    model = train(cfg, closes).model
+    first = cfg.window + cfg.horizon - 1
+    predicted = forecast(model, closes, first, len(closes) + cfg.horizon)
+    windows = np.array([closes[k - cfg.horizon - cfg.window + 1 : k - cfg.horizon + 1]
+                        for k in range(first, len(closes) + cfg.horizon)])
+    expected = model.scaler.inverse_transform(predict_batch(model, model.scaler.transform(windows)))
+    np.testing.assert_array_equal(predicted, expected)
+    with pytest.raises(ValueError, match="history"):
+        forecast(model, closes, first - 1, first)
+    with pytest.raises(ValueError, match="past the 60 closes"):
+        forecast(model, closes, first, len(closes) + cfg.horizon + 1)
 
 
 def test_forward_rejects_nonfinite_parameters():

@@ -39,19 +39,6 @@ def test_parse_rejects_low_above_high():
         parse_csv(text, "X")
 
 
-def test_lenient_drops_bad_bar(caplog):
-    text = csv_text(
-        [
-            ("2020-01-02", 1, 2, 3, 1.5, 100, 1.5),  # low > high
-            ("2020-01-03", 1, 2, 0.5, 1.5, 100, 1.5),
-        ]
-    )
-    with caplog.at_level("WARNING", logger="sectorport.market_data"):
-        series = parse_csv(text, "X", strict=False)
-    assert series.dates.tolist() == [dt.date(2020, 1, 3)]
-    assert any("dropping line 2" in r.message for r in caplog.records)
-
-
 FLOAT_COLUMNS = {"open": 1, "high": 2, "low": 3, "close": 4, "adj_close": 6}
 NON_FINITE = ["nan", "NaN", "inf", "-inf", "+inf", "Infinity", "-Infinity", "1e999"]
 
@@ -68,14 +55,6 @@ def test_parse_rejects_nan_in_every_float_column(column):
         parse_csv(csv_text(_rows_with("nan", column, at=1)), "X")
 
 
-def test_lenient_drops_non_finite_bar(caplog):
-    text = csv_text(_rows_with("inf", "close", at=0))
-    with caplog.at_level("WARNING", logger="sectorport.market_data"):
-        series = parse_csv(text, "X", strict=False)
-    assert len(series.dates) == 2
-    assert any("dropping line 2 (close inf is not finite)" in r.message for r in caplog.records)
-
-
 @given(
     st.integers(min_value=1, max_value=6),
     st.data(),
@@ -88,8 +67,6 @@ def test_non_finite_value_in_any_float_column_is_rejected(n, data):
     text = csv_text(_rows_with(value, column, at, n))
     with pytest.raises(CsvFormatError, match=rf"line {at + 2}: invalid bar \({column} "):
         parse_csv(text, "X")
-    if n > 1:
-        assert len(parse_csv(text, "X", strict=False).dates) == n - 1
 
 
 def test_parse_rejects_volume_beyond_int64():
@@ -123,8 +100,7 @@ NOT_YYYY_MM_DD = ["20160101", "2016-W01-1", "2016W011"]
 
 
 @pytest.mark.parametrize("date", NOT_YYYY_MM_DD)
-@pytest.mark.parametrize("strict", [True, False])
-def test_parse_accepts_only_yyyy_mm_dd_dates(date, strict):
+def test_parse_accepts_only_yyyy_mm_dd_dates(date):
     text = csv_text(
         [
             ("2015-12-31", 1, 2, 0.5, 1.5, 100, 1.5),
@@ -132,10 +108,10 @@ def test_parse_accepts_only_yyyy_mm_dd_dates(date, strict):
         ]
     )
     with pytest.raises(CsvFormatError, match=f"line 3: malformed row: .*{date}"):
-        parse_csv(text, "X", strict=strict)
+        parse_csv(text, "X")
 
 
-def test_invalid_bar_above_a_malformed_line_is_reported_first(caplog):
+def test_invalid_bar_above_a_malformed_line_is_reported_first():
     text = csv_text(
         [
             ("2020-01-02", 1, 2, 3, 1.5, 100, 1.5),  # low > high
@@ -144,10 +120,6 @@ def test_invalid_bar_above_a_malformed_line_is_reported_first(caplog):
     )
     with pytest.raises(CsvFormatError, match=r"line 2: invalid bar \(low 3.0 > high 2.0\)"):
         parse_csv(text, "X")
-    with caplog.at_level("WARNING", logger="sectorport.market_data"):
-        with pytest.raises(CsvFormatError, match="line 3: malformed row"):
-            parse_csv(text, "X", strict=False)
-    assert any("dropping line 2" in r.message for r in caplog.records)
 
 
 def test_parse_rejects_wrong_field_count():

@@ -135,41 +135,21 @@ def parse_csv(raw_text: bytes | str, symbol: str) -> PriceSeries:
     A bar is invalid when a price is not finite (NaN or infinite), low >
     high, the close is not positive or the volume is negative; the first
     invalid bar fails the parse. Dates must be YYYY-MM-DD (parse_date).
-    Errors name the line, and the column of a non-finite price.
+    Errors start with the symbol and name the line, and the column of a
+    non-finite price; bytes that are not UTF-8 fail on their line.
     """
     if isinstance(raw_text, bytes):
-        raw_text = raw_text.decode("utf-8")
+        try:
+            raw_text = raw_text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw_text.count(b"\n", 0, exc.start) + 1
+            raise CsvFormatError(f"{symbol}: line {line}: not UTF-8: {exc}") from None
     lines = raw_text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0].strip() != CSV_HEADER:
-        raise CsvFormatError(f"line 1: expected header {CSV_HEADER!r}")
-
-    # Dates are kept as day numbers since 1970-01-01, the integers of datetime64[D].
-    rows, linenos, malformed = [], [], None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            malformed = CsvFormatError(f"line {lineno}: expected 7 fields, got {len(fields)}")
-            break
-        try:
-            day = parse_date(fields[0]).toordinal() - _EPOCH_ORDINAL
-            rows.append((day, *map(float, fields[1:5]), int(fields[5]), float(fields[6])))
-        except ValueError as exc:
-            malformed = CsvFormatError(f"line {lineno}: malformed row: {exc}")
-            break
-        linenos.append(lineno)
-    values = list(zip(*rows)) or [()] * len(_CSV_FIELDS)
-    try:
-        columns = {
-            name: np.array(column, dtype=dtype)
-            for name, column, dtype in zip(_CSV_FIELDS, values, _COLUMN_DTYPES.values())
-        }
-    except OverflowError:
-        i = next(i for i, row in enumerate(rows) if not -(2**63) <= row[5] < 2**63)
-        raise CsvFormatError(f"line {linenos[i]}: volume {rows[i][5]} is out of range") from None
+        raise CsvFormatError(f"{symbol}: line 1: expected header {CSV_HEADER!r}")
+    columns, linenos, malformed = _columns_at_once(lines[1:]) or _columns_by_line(lines[1:])
 
     # Bar invariants in check order, as (message, mask of violating rows). Non-finite
     # prices come first, so a NaN is named by its column instead of slipping through
@@ -186,19 +166,76 @@ def parse_csv(raw_text: bytes | str, symbol: str) -> PriceSeries:
     if invalid.size:
         i = invalid[0]
         message = next(message for message, mask in checks if mask[i])
-        problem = message.format(**dict(zip(_CSV_FIELDS, rows[i])))
-        raise CsvFormatError(f"line {linenos[i]}: invalid bar ({problem})")
+        problem = message.format(**{name: column[i].item() for name, column in columns.items()})
+        raise CsvFormatError(f"{symbol}: line {linenos[i]}: invalid bar ({problem})")
     if malformed is not None:
-        raise malformed
+        raise CsvFormatError(f"{symbol}: {malformed}")
 
     order = np.argsort(columns["date"], kind="stable")
     dates = columns["date"][order]
     duplicates = np.flatnonzero(dates[1:] == dates[:-1])
     if duplicates.size:
-        raise CsvFormatError(f"duplicate date {dates[duplicates[0]]} for {symbol}")
+        raise CsvFormatError(f"{symbol}: duplicate date {dates[duplicates[0]]}")
     if not order.size:
         raise CsvFormatError(f"{symbol}: no data rows")
     return PriceSeries(symbol, *(column[order] for column in columns.values()))
+
+
+def _columns_at_once(body: list[str]) -> tuple[dict[str, np.ndarray], range, None] | None:
+    """_columns_by_line's result for a body with no malformed line, each column converted in one call.
+
+    None defers to the loop. Numbers go through Python's float and int, as in
+    the loop. Dates are taken only if every string is its own datetime64 round
+    trip from year 1 on, which is the YYYY-MM-DD set parse_date accepts. A
+    blank line, a line without exactly six commas or any conversion error defers.
+    """
+    if not body or {line.count(",") for line in body} != {6}:
+        return None
+    fields = ",".join(body).split(",")
+    try:
+        columns = {
+            name: np.array(list(map(int, fields[k::7])) if name == "volume" else fields[k::7], dtype=dtype)
+            for k, (name, dtype) in enumerate(zip(_CSV_FIELDS, _COLUMN_DTYPES.values()))
+        }
+        round_trip = columns["date"].astype("U10").tolist()
+    except (ValueError, OverflowError, RuntimeError):
+        return None
+    if round_trip != fields[0::7] or not (columns["date"] >= np.datetime64("0001-01-01")).all():
+        return None
+    return columns, range(2, len(body) + 2), None
+
+
+def _columns_by_line(body: list[str]) -> tuple[dict[str, np.ndarray], list[int], str | None]:
+    """Columns of the rows above the first malformed line, their line numbers, and that line's error.
+
+    Blank lines are skipped; the error is None when no line is malformed.
+    """
+    # Dates are kept as day numbers since 1970-01-01, the integers of datetime64[D].
+    rows, linenos, malformed = [], [], None
+    for lineno, line in enumerate(body, start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 7:
+            malformed = f"line {lineno}: expected 7 fields, got {len(fields)}"
+            break
+        try:
+            day = parse_date(fields[0]).toordinal() - _EPOCH_ORDINAL
+            row = (day, *map(float, fields[1:5]), int(fields[5]), float(fields[6]))
+        except ValueError as exc:
+            malformed = f"line {lineno}: malformed row: {exc}"
+            break
+        if not -(2**63) <= row[5] < 2**63:
+            malformed = f"line {lineno}: volume {row[5]} is out of range"
+            break
+        rows.append(row)
+        linenos.append(lineno)
+    values = list(zip(*rows)) or [()] * len(_CSV_FIELDS)
+    columns = {
+        name: np.array(column, dtype=dtype)
+        for name, column, dtype in zip(_CSV_FIELDS, values, _COLUMN_DTYPES.values())
+    }
+    return columns, linenos, malformed
 
 
 def serialize_csv(series: PriceSeries) -> str:

@@ -5,12 +5,10 @@ lines alongside pytest's own verdicts.
 """
 
 import datetime as dt
-import json
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 import yaml
 from numpy.random import Generator, PCG64, SeedSequence
 

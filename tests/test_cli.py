@@ -28,7 +28,7 @@ from sectorport import portfolio as po
 from sectorport.config import load_config
 from sectorport.market_data import parse_csv, serialize_csv
 
-from conftest import gbm_closes, series_from_closes, series_on, weekdays
+from conftest import gbm_closes, series_from_closes, series_on
 
 SYMBOLS = ["AAA", "BBB", "CCC", "DDD", "EEE"]
 N_DAYS = 1440  # weekdays from 2016-01-01 passing 2021-06-01
@@ -545,6 +545,20 @@ def test_main_train_outside_config_exits_nonzero_naming_symbol(outside, tmp_path
 
 
 # ----------------------------------------------------------------- main/exit
+
+@pytest.mark.parametrize(
+    "bad, message", [(b"x1824.70", "malformed row: could not convert"), (b"\xff", "not UTF-8")]
+)
+def test_main_price_csv_error_names_symbol_and_line(outside, tmp_path, capsys, bad, message):
+    cfg, out = outside
+    path = tmp_path / "run" / "data" / "AAA.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[5] = lines[5].replace(b",", b"," + bad, 1)
+    path.write_bytes(b"\n".join(lines))
+    rc = main(["--config", str(tmp_path / "run" / "config.yaml"), "--out", str(out), "stats"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: AAA: line 6: {message}")
+
 
 def test_main_success_exit_zero(env, tmp_path, capsys):
     rc = main(["--config", str(env / "config.yaml"), "--out", str(tmp_path), "stats"])

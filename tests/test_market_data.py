@@ -1,11 +1,13 @@
 import datetime as dt
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import sectorport.market_data as md
 from sectorport.config import SectorUniverse
 from sectorport.market_data import (
     CSV_HEADER,
@@ -122,6 +124,12 @@ def test_invalid_bar_above_a_malformed_line_is_reported_first():
         parse_csv(text, "X")
 
 
+def test_invalid_bar_above_an_out_of_range_volume_is_reported_first():
+    text = csv_text([("2020-01-02", 1, 2, 3, 1.5, 100, 1.5), ("2020-01-03", 1, 2, 0.5, 1.5, 2**63, 1.5)])
+    with pytest.raises(CsvFormatError, match=r"line 2: invalid bar \(low 3.0 > high 2.0\)"):
+        parse_csv(text, "X")
+
+
 def test_parse_rejects_wrong_field_count():
     with pytest.raises(CsvFormatError, match="line 2"):
         parse_csv(CSV_HEADER + "\n2020-01-02,1,2\n", "X")
@@ -162,6 +170,168 @@ def test_parse_rejects_empty_document():
 def test_parse_accepts_bytes():
     text = csv_text([("2020-01-02", 1, 2, 0.5, 1.5, 100, 1.5)])
     assert len(parse_csv(text.encode(), "X").dates) == 1
+
+
+GOOD_ROW = ("2020-01-02", 1, 2, 0.5, 1.5, 100, 1.5)
+BAD_DOCUMENTS = {
+    "header": "date,close\n2020-01-02,1\n",
+    "field count": CSV_HEADER + "\n2020-01-02,1,2\n",
+    "malformed row": csv_text([GOOD_ROW, ("2020-01-03", 1, 2, 0.5, "x1", 100, 1.5)]),
+    "invalid bar": csv_text([("2020-01-02", 1, 2, 3, 1.5, 100, 1.5)]),
+    "volume range": csv_text([GOOD_ROW, ("2020-01-03", 1, 2, 0.5, 1.5, 2**63, 1.5)]),
+    "duplicate date": csv_text([GOOD_ROW, GOOD_ROW]),
+    "no rows": CSV_HEADER + "\n",
+    "not utf-8": csv_text([GOOD_ROW]).encode() + b"\xff\n",
+}
+
+
+@pytest.mark.parametrize("document", BAD_DOCUMENTS.values(), ids=BAD_DOCUMENTS.keys())
+def test_every_parse_error_starts_with_the_symbol(document):
+    with pytest.raises(CsvFormatError) as exc:
+        parse_csv(document, "ZZZ")
+    assert str(exc.value).startswith("ZZZ: ")
+
+
+@pytest.mark.parametrize("line", [1, 2, 4])
+def test_undecodable_bytes_are_a_format_error_naming_symbol_and_line(line):
+    rows = [GOOD_ROW, ("2020-01-03", 1, 2, 0.5, 1.5, 100, 1.5), ("2020-01-06", 1, 2, 0.5, 1.5, 100, 1.5)]
+    lines = csv_text(rows).encode().split(b"\n")
+    lines[line - 1] = lines[line - 1][:5] + b"\xff" + lines[line - 1][5:]
+    with pytest.raises(CsvFormatError, match=rf"^ZZZ: line {line}: .*0xff"):
+        parse_csv(b"\n".join(lines), "ZZZ")
+
+
+# ---------------------------------------------- parse_csv: columnar fast path
+#
+# parse_csv converts whole columns at once (_columns_at_once) and falls back
+# to the per-line loop (_columns_by_line) whenever that returns None. The
+# fast path must accept exactly what the loop accepts, with equal columns.
+
+DATE_TRAPS = [
+    "20160101", "2016-W01-1", "2016W011", "NaT", "nat", "", "today", "0000-01-01", "-001-01-01",
+    "+2016-01-04", " 2016-01-04", "2016-01-04T00", "2016-01", "2016-02-30", "10000-01-01",
+]
+PRICE_TRAPS = [
+    "1_000", " 1.5", "0x1p3", "+inf", "Infinity", "-Infinity", "1e999", "nan", "-1", "١٢", "", "x1",
+]
+VOLUME_TRAPS = ["1_000", " 7", "1.5", "-3", "١٢", str(2**63), str(-(2**63) - 1), "0x10", ""]
+
+
+@st.composite
+def _row_fields(draw):
+    date = draw(st.dates(dt.date(1, 1, 1), dt.date(9999, 12, 31))).isoformat()
+    price = draw(st.floats(min_value=0.01, max_value=1e6))
+    volume = draw(st.integers(0, 2**63 - 1))
+    return [date, repr(price), repr(2 * price), repr(price / 2), repr(price), str(volume), repr(price)]
+
+
+@st.composite
+def _trap_lines(draw):
+    """One or two body lines holding one thing the fast path must not get wrong."""
+    fields = draw(_row_fields())
+    kind = draw(st.sampled_from(["date", "number", "blank", "realigning pair", "field count"]))
+    if kind == "date":
+        fields[0] = draw(st.sampled_from(DATE_TRAPS))
+    elif kind == "number":
+        k = draw(st.integers(1, 6))
+        fields[k] = draw(st.sampled_from(VOLUME_TRAPS if k == 5 else PRICE_TRAPS))
+    elif kind == "blank":
+        return [draw(st.sampled_from(["", " ", "\t"]))]
+    elif kind == "realigning pair":
+        # A valid row plus the next row's date, then that row's other six fields:
+        # splitting the body flat would realign these into two valid rows.
+        second = draw(_row_fields())
+        return [",".join(fields + second[:1]), ",".join(second[1:])]
+    else:
+        fields = fields[: draw(st.sampled_from([1, 6, 8]))]
+    return [",".join(fields)]
+
+
+@st.composite
+def csv_documents(draw):
+    """Price CSV text: valid rows with up to two trap lines among them."""
+    lines = [",".join(draw(_row_fields())) for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = draw(_trap_lines())
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([CSV_HEADER, *lines]) + draw(st.sampled_from([eol, ""]))
+
+
+def _body(text):
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines[1:]
+
+
+def _outcome(text):
+    """The parsed columns, or the error message."""
+    try:
+        series = parse_csv(text, "D")
+    except CsvFormatError as exc:
+        return str(exc)
+    return [getattr(series, name) for name in COLUMNS]
+
+
+def _assert_same_columns(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(csv_documents())
+@settings(max_examples=400)
+def test_fast_path_agrees_with_the_per_line_loop(text):
+    fast = md._columns_at_once(_body(text))
+    event("fast path" if fast is not None else "deferred")
+    if fast is not None:
+        columns, linenos, malformed = md._columns_by_line(_body(text))
+        assert malformed is None and list(fast[1]) == linenos
+        _assert_same_columns(list(fast[0].values()), list(columns.values()))
+    outcome = _outcome(text)
+    with mock.patch.object(md, "_columns_at_once", return_value=None):
+        reference = _outcome(text)
+    if isinstance(reference, str):
+        assert outcome == reference
+    else:
+        _assert_same_columns(outcome, reference)
+
+
+def test_fast_path_takes_a_clean_document():
+    series = series_from_closes("X", [1.5, 2.25, 1e-300, 7e20])
+    for eol in ("\n", "\r\n"):
+        fast = md._columns_at_once(_body(serialize_csv(series).replace("\n", eol)))
+        assert fast is not None
+        _assert_same_columns(list(fast[0].values()), [getattr(series, name) for name in COLUMNS])
+
+
+TRAP_LINES = [f"{date},1,2,0.5,1.5,100,1.5" for date in DATE_TRAPS] + [
+    "2020-01-06,1,2,0.5,0x1p3,100,1.5",
+    "2020-01-06,1,2,0.5,1.5,1.5,1.5",
+    "2020-01-06,1,2,0.5,1.5,9223372036854775808,1.5",
+    "",
+    " ",
+    "2020-01-06,1,2,0.5,1.5,100",
+    "2020-01-06,1,2,0.5,1.5,100,1.5,2020-01-07\n1,2,0.5,1.5,100,1.5",
+]
+
+
+@pytest.mark.parametrize("line", TRAP_LINES)
+def test_fast_path_defers_on_each_trap(line):
+    assert md._columns_at_once(["2020-01-02,1,2,0.5,1.5,100,1.5", *line.split("\n")]) is None
+
+
+PYTHON_NUMBERS = ["1_000,2,0.5,1.5,1_000", " 1.5,2,0.5,1.5, 7", "١٢,2,0.5,+inf,١٢", "1,Infinity,0.5,1e999,100"]
+
+
+@pytest.mark.parametrize("fields", PYTHON_NUMBERS)
+def test_fast_path_reads_numbers_as_python_does(fields):
+    body = ["2020-01-02,1,2,0.5,1.5,100,1.5", f"2020-01-03,{fields},1.5"]
+    fast = md._columns_at_once(body)
+    columns, _, malformed = md._columns_by_line(body)
+    assert fast is not None and malformed is None
+    _assert_same_columns(list(fast[0].values()), list(columns.values()))
 
 
 # ----------------------------------------------------------- serialization

@@ -1,10 +1,9 @@
-import datetime as dt
 import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from numpy.random import Generator, PCG64, SeedSequence
 

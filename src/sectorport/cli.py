@@ -23,7 +23,7 @@ from . import backtest as bt
 from . import lstm as fc
 from . import market_data as md
 from . import portfolio as po
-from .config import RunConfig, derive_seed, load_config
+from .config import RunConfig, _as_number, derive_seed, load_config
 
 
 @contextmanager
@@ -150,10 +150,15 @@ def _read_predicted_prices(path: Path) -> dict[str, float]:
     prices = {}
     for lineno, line in enumerate(lines[1:], start=2):
         sym, comma, price = line.partition(",")
+        sym = sym.strip()
         try:
             if not comma:
                 raise ValueError(f"expected 'symbol,price', got {line!r}")
-            prices[sym.strip()] = float(price)
+            if sym in prices:
+                raise ValueError(f"{sym} is listed twice")
+            prices[sym] = float(price)
+            if not 0.0 < prices[sym] < np.inf:
+                raise ValueError(f"{sym}: price {price.strip()!r} is not a positive finite number")
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return prices
@@ -204,7 +209,9 @@ def cmd_backtest(
         missing = [s for s in symbols if s not in mapping]
         if missing:
             raise ValueError(f"{weights_file}: missing weights for {missing}")
-        weights = po.PortfolioWeights(symbols, np.array([mapping[s] for s in symbols], dtype=float))
+        weights = po.PortfolioWeights(
+            symbols, np.array([_as_number(mapping[s], f"{weights_file}: {s}") for s in symbols])
+        )
     else:
         cloud = _sector_frontier(config, sector_name, members, n_draws, risk_free)
         weights = po.max_sharpe_portfolio(cloud).weights

@@ -15,40 +15,13 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from .lstm import LstmConfig
 from .market_data import parse_date
-
-_TOP_KEYS = {
-    "data_dir",
-    "sectors",
-    "train_start",
-    "train_end",
-    "invest_date",
-    "eval_date",
-    "capital",
-    "n_draws",
-    "risk_free",
-    "lstm",
-    "seed",
-    "endpoint",
-}
-_LSTM_KEYS = {
-    "window",
-    "horizon",
-    "lstm_layers",
-    "dropout_rate",
-    "dense_width",
-    "batch_size",
-    "epochs",
-    "learning_rate",
-    "huber_delta",
-}
-_SECTOR_KEYS = {"name", "members"}
 
 
 @dataclass(frozen=True)
@@ -120,6 +93,11 @@ class RunConfig:
                 if sym not in seen:
                     seen.append(sym)
         return tuple(seen)
+
+
+_TOP_KEYS = {f.name for f in fields(RunConfig)}
+_LSTM_KEYS = {f.name for f in fields(LstmConfig)} - {"seed"}
+_SECTOR_KEYS = {"name", "members"}
 
 
 def derive_seed(seed: int, tag: str) -> int:

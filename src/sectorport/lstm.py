@@ -21,8 +21,8 @@ every GEMM, gate pass and cached activation moves, and NumPy's float32 tanh
 is several times faster than the float64 one; at paper scale that about
 halves training and inference time, while the final validation MAE moves by
 less than 1e-6 relative. The kernel follows the dtype of the parameters, so
-the tests run it on float64 copies as a reference. Checkpoints keep float64
-tensors: widening float32 is exact, and loading narrows them back.
+the tests run it on float64 copies as a reference. Checkpoints store the
+parameters as float32 too.
 
 forecast is the one inference entry point: the predicted closes for a row
 range of a series, each from the window that ends `horizon` rows earlier.
@@ -30,16 +30,18 @@ range of a series, each from the window that ends `horizon` rows earlier.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 CHECKPOINT_MAGIC = b"SPLSTMCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 COMPUTE_DTYPE = np.float32
 
@@ -208,6 +210,7 @@ class LstmModel:
 
 
 def _param_shapes(config: LstmConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in named_params order: the one statement of the layout."""
     shapes: dict[str, tuple[int, ...]] = {}
     d = 1
     for idx, width in enumerate(config.lstm_layers):
@@ -228,22 +231,26 @@ def _glorot(rng: Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape).astype(COMPUTE_DTYPE)
 
 
+def _assemble(config: LstmConfig, scaler: Scaler, arrays: dict[str, np.ndarray]) -> LstmModel:
+    """The model holding arrays, keyed by the names of _param_shapes."""
+    layers = tuple(
+        LayerParams(arrays[f"lstm{i}.wx"], arrays[f"lstm{i}.wh"], arrays[f"lstm{i}.b"])
+        for i in range(len(config.lstm_layers))
+    )
+    return LstmModel(
+        config, scaler, layers, arrays["dense.w"], arrays["dense.b"], arrays["out.w"], arrays["out.b"]
+    )
+
+
 def init_model(config: LstmConfig, scaler: Scaler, rng: Generator) -> LstmModel:
-    """Glorot-uniform weights, zero biases except forget-gate biases at 1.0; all COMPUTE_DTYPE."""
-    layers = []
-    d = 1
-    for width in config.lstm_layers:
-        wx = _glorot(rng, (d, 4 * width))
-        wh = _glorot(rng, (width, 4 * width))
-        b = np.zeros(4 * width, dtype=COMPUTE_DTYPE)
-        b[width : 2 * width] = 1.0  # forget gate: start remembering
-        layers.append(LayerParams(wx, wh, b))
-        d = width
-    dense_w = _glorot(rng, (d, config.dense_width))
-    dense_b = np.zeros(config.dense_width, dtype=COMPUTE_DTYPE)
-    out_w = _glorot(rng, (config.dense_width, 1))
-    out_b = np.zeros(1, dtype=COMPUTE_DTYPE)
-    return LstmModel(config, scaler, tuple(layers), dense_w, dense_b, out_w, out_b)
+    """Glorot-uniform weights drawn in _param_shapes order, zero biases except forget-gate biases at 1.0."""
+    arrays = {
+        name: _glorot(rng, shape) if len(shape) == 2 else np.zeros(shape, dtype=COMPUTE_DTYPE)
+        for name, shape in _param_shapes(config).items()
+    }
+    for i, width in enumerate(config.lstm_layers):
+        arrays[f"lstm{i}.b"][width : 2 * width] = 1.0  # forget gate: start remembering
+    return _assemble(config, scaler, arrays)
 
 
 def _activate(z: np.ndarray, k, out: np.ndarray | None = None) -> np.ndarray:
@@ -639,49 +646,33 @@ def trace_csv_text(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _config_to_dict(config: LstmConfig) -> dict:
-    return {
-        "window": config.window,
-        "horizon": config.horizon,
-        "lstm_layers": list(config.lstm_layers),
-        "dropout_rate": config.dropout_rate,
-        "dense_width": config.dense_width,
-        "batch_size": config.batch_size,
-        "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-        "huber_delta": config.huber_delta,
-        "seed": config.seed,
-    }
-
-
 def checkpoint_bytes(model: LstmModel) -> bytes:
-    """Serialize a model to the checkpoint container format.
+    """Serialize a model to the checkpoint container format, version 2.
 
     Layout: 8-byte magic, little-endian uint32 header length, UTF-8 JSON
-    header (version, config, scaler bounds, named tensor shapes/offsets),
-    then the concatenated tensors as little-endian float64 in C order
-    (float32 parameters widen to float64 exactly).
+    header (version, config, scaler bounds), the parameters in named_params
+    order as little-endian float32 in C order, and the sha256 of all the
+    bytes before it. The config fixes every parameter's shape.
     """
-    tensors = []
-    payload = bytearray()
-    for name, arr in model.named_params().items():
-        tensors.append({"name": name, "shape": list(arr.shape), "offset": len(payload)})
-        payload += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": _config_to_dict(model.config),
+        "config": asdict(model.config),
         "scaler": {"min": model.scaler.min, "max": model.scaler.max},
-        "tensors": tensors,
     }
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return CHECKPOINT_MAGIC + struct.pack("<I", len(encoded)) + encoded + bytes(payload)
+    body = b"".join(
+        [CHECKPOINT_MAGIC, struct.pack("<I", len(encoded)), encoded]
+        + [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in model.named_params().values()]
+    )
+    return body + hashlib.sha256(body).digest()
 
 
 def model_from_checkpoint_bytes(blob: bytes) -> LstmModel:
     """Parse and validate a checkpoint; raises ValueError on any corruption.
 
-    The float64 tensors are narrowed to COMPUTE_DTYPE; a value beyond its
-    range becomes infinite there and is rejected as non-finite.
+    The checks run in order: magic, header length and JSON, version, the
+    sha256 trailer, then the config, the scaler, the payload length its
+    config needs, and finiteness.
     """
     if len(blob) < len(CHECKPOINT_MAGIC) + 4 or blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError("not a model checkpoint (bad magic)")
@@ -694,58 +685,33 @@ def model_from_checkpoint_bytes(blob: bytes) -> LstmModel:
         raise ValueError(f"corrupt checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise ValueError("corrupt checkpoint header: not a JSON object")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {header.get('version')!r}")
+    version = header.get("version")
+    if version == 1:
+        raise ValueError("checkpoint version 1 is no longer read: retrain to write version 2")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version!r}")
+    pos += header_len
+    if hashlib.sha256(memoryview(blob)[:-_DIGEST_SIZE]).digest() != blob[-_DIGEST_SIZE:]:
+        raise ValueError("checkpoint digest mismatch: the file is corrupt or truncated")
 
     try:
         config = LstmConfig(**header["config"])
         bounds = (header["scaler"]["min"], header["scaler"]["max"])
-        tensors = [(t["name"], tuple(t["shape"]), t.get("offset")) for t in header["tensors"]]
-        listed = {name: shape for name, shape, _ in tensors}
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"corrupt checkpoint header: {exc!r}") from exc
     if not all(_is_real(v) and math.isfinite(v) for v in bounds):
         raise ValueError(f"corrupt checkpoint header: scaler bounds {bounds!r} are not finite numbers")
     scaler = Scaler(*bounds)
-    expected = _param_shapes(config)
-    if listed != expected or len(tensors) != len(expected):
-        raise ValueError("checkpoint tensor names/shapes do not match its config")
 
-    # The payload is exactly the tensors, back to back in header order.
-    payload = blob[pos + header_len :]
-    arrays: dict[str, np.ndarray] = {}
-    start = 0
-    for name, _, offset in tensors:
-        if offset != start:
-            raise ValueError(
-                f"checkpoint tensor {name} at offset {offset!r}, expected {start} "
-                "(tensors must be contiguous in header order)"
-            )
-        shape = expected[name]
-        end = start + math.prod(shape) * 8
-        if end > len(payload):
-            raise ValueError(f"checkpoint payload truncated at tensor {name}")
-        with np.errstate(over="ignore"):
-            arrays[name] = np.frombuffer(payload[start:end], dtype="<f8").astype(COMPUTE_DTYPE).reshape(shape)
-        start = end
-    if start != len(payload):
-        raise ValueError(
-            f"checkpoint payload has {len(payload) - start} trailing bytes after tensor {name}"
-        )
-
-    layers = tuple(
-        LayerParams(arrays[f"lstm{i}.wx"], arrays[f"lstm{i}.wh"], arrays[f"lstm{i}.b"])
-        for i in range(len(config.lstm_layers))
-    )
-    model = LstmModel(
-        config,
-        scaler,
-        layers,
-        arrays["dense.w"],
-        arrays["dense.b"],
-        arrays["out.w"],
-        arrays["out.b"],
-    )
+    shapes = _param_shapes(config)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    have, need = len(blob) - pos - _DIGEST_SIZE, 4 * sum(sizes)
+    if have != need:
+        raise ValueError(f"checkpoint payload is {have} bytes, its config needs {need}")
+    # One copy: writable, aligned float32 arrays that no longer refer to blob.
+    flat = np.frombuffer(blob, dtype="<f4", count=need // 4, offset=pos).astype(COMPUTE_DTYPE)
+    chunks = np.split(flat, np.cumsum(sizes)[:-1])
+    model = _assemble(config, scaler, {name: c.reshape(shapes[name]) for name, c in zip(shapes, chunks)})
     model.check_finite()
     return model
 

@@ -61,6 +61,8 @@ class PortfolioWeights:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(self.symbols),):
             raise ValueError(f"{len(self.symbols)} symbols but weight shape {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:

@@ -297,12 +297,28 @@ def test_seven_sector_summary(env, tmp_path):
     assert [l.split(",")[0] for l in lines[1:]] == [f"s{i}" for i in range(7)]
 
 
-@pytest.mark.parametrize("line", ["BBB", "BBB,abc", "BBB,1.0,2.0"])
+@pytest.mark.parametrize(
+    "line", ["BBB", "BBB,abc", "BBB,1.0,2.0", "BBB,nan", "BBB,inf", "BBB,0", "AAA,101.0"]
+)
 def test_backtest_malformed_predicted_price_names_file_and_line(config, tmp_path, line):
     pred_file = tmp_path / "pred.csv"
-    pred_file.write_text(f"symbol,price\nAAA,100.0\n{line}\n")
+    rest = "".join(f"{s},100.0\n" for s in SYMBOLS[2:])
+    pred_file.write_text(f"symbol,price\nAAA,100.0\n{line}\n{rest}")
     with pytest.raises(ValueError, match=rf"pred\.csv: line 3"):
         cmd_backtest(config, "tech", tmp_path / "out", predicted_prices=pred_file)
+    assert not list((tmp_path / "out").glob("ledger_*"))
+
+
+@pytest.mark.parametrize("tw1, tw2", [("0.5", 0.5), (True, 0.0), (float("nan"), 1.0)])
+def test_backtest_weights_file_value_must_be_a_finite_number(config, tmp_path, tw1, tw2):
+    # a JSON string or bool is not a weight even where float() takes it, nor is a NaN
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"TW1": tw1, "TW2": tw2}))
+    pred_file = tmp_path / "pred.csv"
+    pred_file.write_text("symbol,price\nTW1,100.0\nTW2,200.0\n")
+    with pytest.raises(ValueError, match=r"w\.json: TW1: "):
+        cmd_backtest(config, "twin", tmp_path / "out", predicted_prices=pred_file, weights_file=weights)
+    assert not list((tmp_path / "out").glob("ledger_*"))
 
 
 def test_backtest_parses_each_member_once(config, tmp_path, monkeypatch):

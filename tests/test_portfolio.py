@@ -372,6 +372,9 @@ def test_portfolio_weights_validation():
         PortfolioWeights(("A", "B"), np.array([1.5, -0.5]))
     with pytest.raises(ValueError, match="sum"):
         PortfolioWeights(("A", "B"), np.array([0.4, 0.4]))
+    # abs(nan - 1) > 1e-9 is False, so the sum check alone lets a NaN through
+    with pytest.raises(ValueError, match="finite"):
+        PortfolioWeights(("A", "B"), np.array([np.nan, 1.0]))
 
 
 def test_frontier_cloud_validates_shapes():

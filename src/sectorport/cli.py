@@ -58,20 +58,6 @@ def _load_series(data_dir: Path, symbol: str) -> md.PriceSeries:
     return md.parse_csv(path.read_bytes(), symbol)
 
 
-def _close_on_or_after(series: md.PriceSeries, date: dt.date) -> float:
-    k = np.searchsorted(series.dates, np.datetime64(date, "D"), side="left")
-    if k == len(series.dates):
-        raise ValueError(f"{series.symbol}: no bar on or after {date}")
-    return float(series.closes[k])
-
-
-def _index_on_or_before(series: md.PriceSeries, date: dt.date) -> int:
-    k = int(np.searchsorted(series.dates, np.datetime64(date, "D"), side="right")) - 1
-    if k < 0:
-        raise ValueError(f"{series.symbol}: no bar on or before {date}")
-    return k
-
-
 def cmd_stats(config: RunConfig, out_dir: Path) -> Path:
     """Per-symbol mean daily return and daily/annual volatility over the training window."""
     lines = ["symbol,mean_daily_return,daily_volatility,annual_volatility"]
@@ -92,33 +78,18 @@ def _load_members(config: RunConfig, sector_name: str) -> dict[str, md.PriceSeri
 
 
 def _sector_frontier(
-    config: RunConfig,
-    sector_name: str,
-    members: dict[str, md.PriceSeries],
-    n_draws: int | None,
-    risk_free: float | None,
+    config: RunConfig, sector_name: str, members: dict[str, md.PriceSeries]
 ) -> po.FrontierCloud:
     """Frontier over the training window of the sector's loaded member series."""
     series = [s.restrict(config.train_start, config.train_end) for s in members.values()]
     mean, cov = po.mean_and_covariance(md.align(series))
-    return po.build_frontier(
-        mean,
-        cov,
-        n_draws=config.n_draws if n_draws is None else n_draws,
-        risk_free=config.risk_free if risk_free is None else risk_free,
-        seed=derive_seed(config.seed, f"frontier:{sector_name}"),
-    )
+    seed = derive_seed(config.seed, f"frontier:{sector_name}")
+    return po.build_frontier(mean, cov, n_draws=config.n_draws, risk_free=config.risk_free, seed=seed)
 
 
-def cmd_frontier(
-    config: RunConfig,
-    sector_name: str,
-    out_dir: Path,
-    n_draws: int | None = None,
-    risk_free: float | None = None,
-) -> tuple[Path, Path]:
+def cmd_frontier(config: RunConfig, sector_name: str, out_dir: Path) -> tuple[Path, Path]:
     """Write the frontier cloud CSV and the two-portfolio report JSON for a sector."""
-    cloud = _sector_frontier(config, sector_name, _load_members(config, sector_name), n_draws, risk_free)
+    cloud = _sector_frontier(config, sector_name, _load_members(config, sector_name))
     report = po.portfolio_report(
         sector_name, po.min_variance_portfolio(cloud), po.max_sharpe_portfolio(cloud)
     )
@@ -193,19 +164,24 @@ def cmd_backtest(
     out_dir: Path,
     predicted_prices: Path | None = None,
     weights_file: Path | None = None,
-    n_draws: int | None = None,
-    risk_free: float | None = None,
 ) -> tuple[Path, Path, Path]:
     """Invest the configured capital per the sector's max-Sharpe weights and value it.
 
-    Predicted end prices come from the per-symbol checkpoints unless a
-    --predicted-prices CSV overrides them; a --weights-file JSON (symbol ->
-    fraction) overrides the frontier-recommended weights.
+    Each member is bought at its first close in [invest_date, eval_date] and
+    valued at its last close in that range. Predicted end prices come from the
+    per-symbol checkpoints unless a --predicted-prices CSV overrides them; a
+    --weights-file JSON (symbol -> fraction) overrides the frontier-recommended
+    weights.
     """
     members = _load_members(config, sector_name)
     symbols = tuple(members)
     if weights_file is not None:
-        mapping = json.loads(Path(weights_file).read_text(encoding="utf-8"))
+        try:
+            mapping = json.loads(Path(weights_file).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{weights_file}: not valid JSON: {exc}") from None
+        if not isinstance(mapping, dict):
+            raise ValueError(f"{weights_file}: expected a JSON object {{symbol: fraction}}")
         missing = [s for s in symbols if s not in mapping]
         if missing:
             raise ValueError(f"{weights_file}: missing weights for {missing}")
@@ -213,15 +189,16 @@ def cmd_backtest(
             symbols, np.array([_as_number(mapping[s], f"{weights_file}: {s}") for s in symbols])
         )
     else:
-        cloud = _sector_frontier(config, sector_name, members, n_draws, risk_free)
-        weights = po.max_sharpe_portfolio(cloud).weights
+        weights = po.max_sharpe_portfolio(_sector_frontier(config, sector_name, members)).weights
 
-    start_prices = {}
-    eval_rows = {}
+    start_prices, end_actual, eval_rows = {}, {}, {}
     for sym, series in members.items():
-        start_prices[sym] = _close_on_or_after(series, config.invest_date)
-        eval_rows[sym] = _index_on_or_before(series, config.eval_date)
-    end_actual = {sym: float(members[sym].closes[k]) for sym, k in eval_rows.items()}
+        lo, hi = series.span(config.invest_date, config.eval_date)
+        if lo >= hi:
+            raise ValueError(f"{sym}: no bars in [{config.invest_date}, {config.eval_date}]")
+        start_prices[sym] = float(series.closes[lo])
+        end_actual[sym] = float(series.closes[hi - 1])
+        eval_rows[sym] = hi - 1
 
     if predicted_prices is not None:
         end_predicted = _read_predicted_prices(predicted_prices)
@@ -269,14 +246,13 @@ def cmd_plotdata(
     return path
 
 
-def cmd_fetch(config: RunConfig, endpoint: str | None = None) -> list[Path]:
+def cmd_fetch(config: RunConfig) -> list[Path]:
     """Download every configured symbol's history into data_dir as CSV."""
-    url = endpoint or config.endpoint
-    if not url:
-        raise ValueError("no fetch endpoint: set 'endpoint' in the config or pass --endpoint")
+    if not config.endpoint:
+        raise ValueError("no fetch endpoint: set 'endpoint' in the config")
     written = []
     for symbol in config.all_symbols():
-        series = md.fetch_history(symbol, config.train_start, config.eval_date, url)
+        series = md.fetch_history(symbol, config.train_start, config.eval_date, config.endpoint)
         path = Path(config.data_dir) / f"{symbol}.csv"
         _atomic_write(path, md.serialize_csv(series))
         written.append(path)
@@ -286,7 +262,6 @@ def cmd_fetch(config: RunConfig, endpoint: str | None = None) -> list[Path]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sectorport", description=__doc__)
     parser.add_argument("--config", required=True, help="YAML run configuration")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -294,16 +269,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frontier", help="Monte-Carlo frontier and portfolio report")
     p.add_argument("sector")
-    p.add_argument("--draws", type=int, default=None, help="override n_draws")
-    p.add_argument("--risk-free", type=float, default=None, help="override the risk-free rate")
 
     p = sub.add_parser("train", help="train the forecaster for one symbol")
     p.add_argument("symbol")
 
     p = sub.add_parser("backtest", help="allocate at invest_date, value at eval_date")
     p.add_argument("sector")
-    p.add_argument("--draws", type=int, default=None, help="override n_draws")
-    p.add_argument("--risk-free", type=float, default=None, help="override the risk-free rate")
     p.add_argument("--predicted-prices", default=None, help="CSV 'symbol,price' overriding model predictions")
     p.add_argument("--weights-file", default=None, help="JSON {symbol: fraction} overriding frontier weights")
 
@@ -312,20 +283,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, type=md.parse_date, help="YYYY-MM-DD")
     p.add_argument("--end", required=True, type=md.parse_date, help="YYYY-MM-DD")
 
-    p = sub.add_parser("fetch", help="download price history into data_dir")
-    p.add_argument("--endpoint", default=None, help="history HTTP endpoint")
+    sub.add_parser("fetch", help="download price history from the config endpoint into data_dir")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, seed_override=args.seed)
+        config = load_config(args.config)
         out_dir = Path(args.out)
         if args.command == "stats":
             print(cmd_stats(config, out_dir))
         elif args.command == "frontier":
-            for p in cmd_frontier(config, args.sector, out_dir, args.draws, args.risk_free):
+            for p in cmd_frontier(config, args.sector, out_dir):
                 print(p)
         elif args.command == "train":
             for p in cmd_train(config, args.symbol, out_dir):
@@ -337,15 +307,13 @@ def main(argv: list[str] | None = None) -> int:
                 out_dir,
                 predicted_prices=Path(args.predicted_prices) if args.predicted_prices else None,
                 weights_file=Path(args.weights_file) if args.weights_file else None,
-                n_draws=args.draws,
-                risk_free=args.risk_free,
             )
             for p in paths:
                 print(p)
         elif args.command == "plotdata":
             print(cmd_plotdata(config, args.symbol, args.start, args.end, out_dir))
         elif args.command == "fetch":
-            for p in cmd_fetch(config, endpoint=args.endpoint):
+            for p in cmd_fetch(config):
                 print(p)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import yaml
 
-from .lstm import LstmConfig
 from .market_data import parse_date
 
 
@@ -46,6 +45,51 @@ class SectorUniverse:
     @property
     def symbols(self) -> tuple[str, ...]:
         return tuple(s for s, _ in self.members)
+
+
+@dataclass(frozen=True)
+class LstmConfig:
+    """Architecture and training hyperparameters of the forecaster.
+
+    Defaults are the full-scale configuration: a 50-day window feeding two
+    256-unit LSTM layers with 30% dropout, a 256-unit dense layer, batch
+    size 64, 100 epochs, one-day forecast horizon.
+    """
+
+    window: int = 50
+    horizon: int = 1
+    lstm_layers: tuple[int, ...] = (256, 256)
+    dropout_rate: float = 0.3
+    dense_width: int = 256
+    batch_size: int = 64
+    epochs: int = 100
+    learning_rate: float = 1e-3
+    huber_delta: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self):
+        # Strict types: a float would be truncated silently, a bool is an int to
+        # Python, and a string would only fail mid-run. Values are checked, not
+        # converted, so a checkpoint header keeps the types it was given.
+        for name in ("window", "horizon", "dense_width", "batch_size", "epochs", "seed"):
+            _as_int(getattr(self, name), name)
+        for name in ("dropout_rate", "learning_rate", "huber_delta"):
+            _as_number(getattr(self, name), name)
+        if not isinstance(self.lstm_layers, (list, tuple)):
+            raise ValueError(f"lstm_layers: expected a list of integers, got {self.lstm_layers!r}")
+        object.__setattr__(self, "lstm_layers", tuple(_as_int(w, "lstm_layers") for w in self.lstm_layers))
+        if self.window < 1 or self.horizon < 1:
+            raise ValueError("window and horizon must be >= 1")
+        if not self.lstm_layers or any(w < 1 for w in self.lstm_layers):
+            raise ValueError("lstm_layers must be a non-empty list of positive widths")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must be in [0, 1)")
+        if self.dense_width < 1 or self.batch_size < 1:
+            raise ValueError("dense_width and batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.learning_rate <= 0 or self.huber_delta <= 0:
+            raise ValueError("learning_rate and huber_delta must be positive")
 
 
 @dataclass(frozen=True)
@@ -171,7 +215,7 @@ def _parse_sector(block: dict, index: int) -> SectorUniverse:
     return SectorUniverse(name, tuple(members))
 
 
-def load_config(path, seed_override: int | None = None) -> RunConfig:
+def load_config(path) -> RunConfig:
     """Load and validate a YAML run configuration."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -186,10 +230,7 @@ def load_config(path, seed_override: int | None = None) -> RunConfig:
     if not isinstance(lstm_block, dict):
         raise ValueError(f"{path}: lstm must be a mapping")
     _check_keys(lstm_block, _LSTM_KEYS, f"{path}: lstm")
-    if seed_override is None:
-        seed = _as_int(doc.get("seed", 0), f"{path}: seed")
-    else:
-        seed = _as_int(seed_override, "seed override")
+    seed = _as_int(doc.get("seed", 0), f"{path}: seed")
     try:
         lstm_config = LstmConfig(seed=seed, **lstm_block)
     except ValueError as exc:

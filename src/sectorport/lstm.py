@@ -39,6 +39,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
+from .config import LstmConfig, _as_number
+
 CHECKPOINT_MAGIC = b"SPLSTMCK"
 CHECKPOINT_VERSION = 2
 _DIGEST_SIZE = hashlib.sha256().digest_size
@@ -50,63 +52,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 TRAIN_FRACTION = 0.9  # chronological train/validation split of windows
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class LstmConfig:
-    """Architecture and training hyperparameters.
-
-    Defaults are the full-scale configuration: a 50-day window feeding two
-    256-unit LSTM layers with 30% dropout, a 256-unit dense layer, batch
-    size 64, 100 epochs, one-day forecast horizon.
-    """
-
-    window: int = 50
-    horizon: int = 1
-    lstm_layers: tuple[int, ...] = (256, 256)
-    dropout_rate: float = 0.3
-    dense_width: int = 256
-    batch_size: int = 64
-    epochs: int = 100
-    learning_rate: float = 1e-3
-    huber_delta: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        # Strict types: a float would be truncated silently, a bool is an int
-        # to Python, and a string would only fail mid-run.
-        for name in ("window", "horizon", "dense_width", "batch_size", "epochs", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name}: expected an integer, got {value!r}")
-        for name in ("dropout_rate", "learning_rate", "huber_delta"):
-            value = getattr(self, name)
-            if not (_is_real(value) and math.isfinite(value)):
-                raise ValueError(f"{name}: expected a finite number, got {value!r}")
-        layers = self.lstm_layers
-        if not (isinstance(layers, (list, tuple)) and all(_is_int(w) for w in layers)):
-            raise ValueError(f"lstm_layers: expected a list of integers, got {layers!r}")
-        object.__setattr__(self, "lstm_layers", tuple(layers))
-        if self.window < 1 or self.horizon < 1:
-            raise ValueError("window and horizon must be >= 1")
-        if not self.lstm_layers or any(w < 1 for w in self.lstm_layers):
-            raise ValueError("lstm_layers must be a non-empty list of positive widths")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if self.dense_width < 1 or self.batch_size < 1:
-            raise ValueError("dense_width and batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0 or self.huber_delta <= 0:
-            raise ValueError("learning_rate and huber_delta must be positive")
 
 
 @dataclass(frozen=True)
@@ -696,11 +641,11 @@ def model_from_checkpoint_bytes(blob: bytes) -> LstmModel:
 
     try:
         config = LstmConfig(**header["config"])
-        bounds = (header["scaler"]["min"], header["scaler"]["max"])
+        bounds = [
+            _as_number(header["scaler"][key], f"corrupt checkpoint header: scaler {key}") for key in ("min", "max")
+        ]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"corrupt checkpoint header: {exc!r}") from exc
-    if not all(_is_real(v) and math.isfinite(v) for v in bounds):
-        raise ValueError(f"corrupt checkpoint header: scaler bounds {bounds!r} are not finite numbers")
     scaler = Scaler(*bounds)
 
     shapes = _param_shapes(config)

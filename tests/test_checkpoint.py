@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from numpy.random import Generator, PCG64, SeedSequence
 
+from sectorport.config import LstmConfig
 from sectorport.lstm import (
     CHECKPOINT_MAGIC,
-    LstmConfig,
     Scaler,
     checkpoint_bytes,
     forecast,
@@ -122,6 +122,15 @@ def test_nonfinite_parameters_rejected():
     bad[4:8] = struct.pack("<f", float("nan"))
     with pytest.raises(ValueError, match="non-finite.*lstm0.wx"):
         model_from_checkpoint_bytes(repack(header, bytes(bad)))
+
+
+@pytest.mark.parametrize("key, value", [("min", "50.0"), ("min", True), ("max", float("nan")), ("max", None)])
+def test_scaler_bound_must_be_a_finite_number(key, value):
+    # re-sealed, so the bound check and not the digest rejects it
+    header, payload = split_blob(checkpoint_bytes(make_model()))
+    header["scaler"][key] = value
+    with pytest.raises(ValueError, match=f"scaler {key}: expected a finite number"):
+        model_from_checkpoint_bytes(repack(header, payload))
 
 
 def test_trailing_bytes_rejected():

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +147,7 @@ def test_frontier_identical_assets_collapse(config, tmp_path):
 
 
 def test_frontier_csv_row_count_honors_draw_override(config, tmp_path):
-    csv_path, _ = cmd_frontier(config, "tech", tmp_path, n_draws=37)
+    csv_path, _ = cmd_frontier(replace(config, n_draws=37), "tech", tmp_path)
     assert len(csv_path.read_text().strip().split("\n")) == 38
 
 
@@ -166,7 +167,7 @@ def test_interrupted_frontier_export_leaves_the_old_file(config, tmp_path, monke
 
     monkeypatch.setattr(po, "frontier_csv_blocks", interrupted)
     with pytest.raises(RuntimeError, match="export interrupted"):
-        cmd_frontier(config, "tech", tmp_path, n_draws=50)
+        cmd_frontier(replace(config, n_draws=50), "tech", tmp_path)
     assert (csv_path.read_bytes(), report_path.read_bytes()) == before
     assert not list(tmp_path.glob(".frontier_*"))
 
@@ -309,15 +310,44 @@ def test_backtest_malformed_predicted_price_names_file_and_line(config, tmp_path
     assert not list((tmp_path / "out").glob("ledger_*"))
 
 
-@pytest.mark.parametrize("tw1, tw2", [("0.5", 0.5), (True, 0.0), (float("nan"), 1.0)])
-def test_backtest_weights_file_value_must_be_a_finite_number(config, tmp_path, tw1, tw2):
-    # a JSON string or bool is not a weight even where float() takes it, nor is a NaN
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a JSON string or bool is not a weight even where float() takes it, nor is a NaN
+        pytest.param(json.dumps({"TW1": "0.5", "TW2": 0.5}), "TW1: expected a finite number", id="0.5-0.5"),
+        pytest.param(json.dumps({"TW1": True, "TW2": 0.0}), "TW1: expected a finite number", id="True-0.0"),
+        pytest.param(json.dumps({"TW1": float("nan"), "TW2": 1.0}), "TW1: expected a finite number", id="nan-1.0"),
+        # these used to fail naming neither the file nor the option
+        pytest.param('{"TW1": 0.5,', "not valid JSON", id="truncated-json"),
+        pytest.param(json.dumps(["TW1", "TW2"]), "expected a JSON object", id="json-list"),
+    ],
+)
+def test_backtest_weights_file_value_must_be_a_finite_number(config, tmp_path, text, message):
     weights = tmp_path / "w.json"
-    weights.write_text(json.dumps({"TW1": tw1, "TW2": tw2}))
+    weights.write_text(text)
     pred_file = tmp_path / "pred.csv"
     pred_file.write_text("symbol,price\nTW1,100.0\nTW2,200.0\n")
-    with pytest.raises(ValueError, match=r"w\.json: TW1: "):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(weights))}: {message}"):
         cmd_backtest(config, "twin", tmp_path / "out", predicted_prices=pred_file, weights_file=weights)
+    assert not list((tmp_path / "out").glob("ledger_*"))
+
+
+def test_backtest_member_without_bars_from_invest_to_eval_date(env, tmp_path):
+    # BBB has no bars from 2021-01-01 to 2021-06-15: it used to be bought at the
+    # 2021-06-16 close, after the eval date, and valued at the 2020-12-31 close
+    data = tmp_path / "data"
+    data.mkdir()
+    for sym in SYMBOLS:
+        lines = (env / "data" / f"{sym}.csv").read_text().splitlines(keepends=True)
+        if sym == "BBB":
+            lines = [l for l in lines if not "2021-01-01" <= l[:10] <= "2021-06-15"]
+        (data / f"{sym}.csv").write_text("".join(lines))
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump(base_doc(data_dir=str(data))), encoding="utf-8")
+    pred_file = tmp_path / "pred.csv"
+    pred_file.write_text("symbol,price\n" + "".join(f"{s},100.0\n" for s in SYMBOLS))
+    with pytest.raises(ValueError, match=r"^BBB: no bars in \[2021-01-01, 2021-06-01\]"):
+        cmd_backtest(load_config(cfg_path), "tech", tmp_path / "out", predicted_prices=pred_file)
     assert not list((tmp_path / "out").glob("ledger_*"))
 
 
@@ -589,15 +619,36 @@ def test_main_error_exit_nonzero_names_entity(env, tmp_path, capsys):
 
 
 def test_main_seed_override_changes_frontier(env, tmp_path, capsys):
-    rc1 = main(
-        ["--config", str(env / "config.yaml"), "--seed", "1", "--out", str(tmp_path / "a"),
-         "frontier", "tech", "--draws", "50"]
-    )
-    rc2 = main(
-        ["--config", str(env / "config.yaml"), "--seed", "2", "--out", str(tmp_path / "b"),
-         "frontier", "tech", "--draws", "50"]
-    )
-    assert rc1 == rc2 == 0
-    a = (tmp_path / "a" / "frontier_tech.csv").read_bytes()
-    b = (tmp_path / "b" / "frontier_tech.csv").read_bytes()
+    # the seed comes from the config file alone: two files that differ only in it
+    for seed in (1, 2):
+        cfg_path = tmp_path / f"seed{seed}.yaml"
+        doc = base_doc(seed=seed, n_draws=50, data_dir=str(env / "data"))
+        cfg_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / str(seed)), "frontier", "tech"]) == 0
+    a = (tmp_path / "1" / "frontier_tech.csv").read_bytes()
+    b = (tmp_path / "2" / "frontier_tech.csv").read_bytes()
+    assert len(a.splitlines()) == 51
     assert a != b
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed=1", "stats"],
+        ["frontier", "tech", "--draws=50"],
+        ["frontier", "tech", "--risk-free=0.02"],
+        ["backtest", "tech", "--draws=50"],
+        ["backtest", "tech", "--risk-free=0.02"],
+        ["fetch", "--endpoint=http://127.0.0.1:9/history"],
+    ],
+    ids=" ".join,
+)
+def test_main_rejects_flags_that_would_shadow_config_keys(env, tmp_path, capsys, argv):
+    # seed, n_draws, risk_free and endpoint are set in the config file only, so the
+    # portfolio that frontier reports is the one that backtest invests in
+    flag = next(arg for arg in argv if arg.startswith("--"))
+    with pytest.raises(SystemExit) as info:
+        main(["--config", str(env / "config.yaml"), "--out", str(tmp_path)] + argv)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -38,7 +38,7 @@ def test_load_config_basics(tmp_path):
 
 
 def test_seed_override_reaches_lstm_config(tmp_path):
-    cfg = load_config(write_config(tmp_path / "c.yaml"), seed_override=99)
+    cfg = load_config(write_config(tmp_path / "c.yaml", seed=99))
     assert cfg.seed == 99
     assert cfg.lstm.seed == 99
 

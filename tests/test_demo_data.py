@@ -1,22 +1,51 @@
-"""The demo market script writes the same bytes for the same seed."""
+"""The demo market script writes the same bytes for the same seed, and the
+README's quick start runs on what it writes."""
 
 import datetime as dt
 import hashlib
 import importlib.util
+import shlex
+import sys
 from pathlib import Path
 
+from sectorport.cli import main
 from sectorport.market_data import serialize_csv
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_demo_data.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "make_demo_data.py"
 
 # sha256 of the AAA file the script writes at its default seed 11.
 AAA_SHA256 = "83b08859fc0903f64d01680a7edb8fdc9e5f7d7d989f0cd8c7370de92eb7f715"
 
 
-def test_demo_series_bytes_are_pinned():
+def load_script():
     spec = importlib.util.spec_from_file_location("make_demo_data", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def quick_start_commands() -> list[list[str]]:
+    """The arguments of each `sectorport ...` line in the README's Quick start section."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line)[1:] for line in section.splitlines() if line.startswith("sectorport ")]
+
+
+def test_demo_series_bytes_are_pinned():
+    script = load_script()
     series = script.gbm_series("AAA", 11000, dt.date(2016, 1, 1))
     assert len(series.dates) == script.N_DAYS
     assert hashlib.sha256(serialize_csv(series).encode()).hexdigest() == AAA_SHA256
+
+
+def test_readme_quick_start_runs_on_fresh_demo_data(tmp_path, monkeypatch, capsys):
+    # the quick start used to train AAA only, so `backtest tech` found no checkpoint for BBB
+    commands = quick_start_commands()
+    assert {argv[4] for argv in commands} == {"stats", "frontier", "train", "backtest", "plotdata"}
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--dir", "demo"])
+    load_script().main()
+    for argv in commands:
+        assert main(argv) == 0, f"sectorport {shlex.join(argv)}: {capsys.readouterr().err}"
+    assert (tmp_path / "demo" / "out" / "ledger_tech.json").exists()

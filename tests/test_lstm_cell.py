@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from numpy.random import Generator, PCG64, SeedSequence
 
 from oracles import float64_copy, lstm_cell_step
+from sectorport.config import LstmConfig
 from sectorport.lstm import (
     LayerParams,
-    LstmConfig,
     Scaler,
     backward_batch,
     dropout_mask,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.random import Generator, PCG64, SeedSequence
 
-from sectorport.lstm import LstmConfig, Scaler, init_model
+from sectorport.config import LstmConfig
+from sectorport.lstm import Scaler, init_model
 
 from oracles import float64_copy, gradient_check
 

@@ -5,7 +5,8 @@ import pytest
 from numpy.random import Generator, PCG64, SeedSequence
 
 from sectorport import lstm as fc
-from sectorport.lstm import LstmConfig, checkpoint_bytes, forecast, init_model, predict_batch, train
+from sectorport.config import LstmConfig
+from sectorport.lstm import checkpoint_bytes, forecast, init_model, predict_batch, train
 
 QUICK = dict(
     window=10,

@@ -429,7 +429,8 @@ def test_portfolio_report_shape():
 
 def _array_records():
     """Two distinct, equal instances of each record type that holds arrays."""
-    from sectorport.lstm import LstmConfig, Scaler, init_model
+    from sectorport.config import LstmConfig
+    from sectorport.lstm import Scaler, init_model
     from sectorport.market_data import daily_returns
 
     series = series_from_closes("A", [10.0, 11.0, 12.0, 11.5])

@@ -115,6 +115,8 @@ class RunConfig:
             )
         if self.capital <= 0:
             raise ValueError(f"capital must be positive, got {self.capital}")
+        if self.n_draws < 1:
+            raise ValueError(f"n_draws: must be >= 1, got {self.n_draws}")
 
     def sector(self, name: str) -> SectorUniverse:
         for s in self.sectors:
@@ -255,6 +257,7 @@ def load_config(path) -> RunConfig:
     if not isinstance(doc["sectors"], list):
         raise ValueError(f"{path}: sectors must be a list")
     sectors = tuple(_parse_sector(b, i) for i, b in enumerate(doc["sectors"]))
-    return RunConfig(
-        data_dir=data_dir, sectors=sectors, lstm=lstm_config, seed=seed, **kwargs
-    )
+    try:
+        return RunConfig(data_dir=data_dir, sectors=sectors, lstm=lstm_config, seed=seed, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

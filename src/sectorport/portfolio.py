@@ -1,7 +1,7 @@
 """Mean-variance statistics, Monte-Carlo efficient frontiers, and portfolio selection.
 
-The frontier is the full cloud of randomly weighted portfolios (10,000 draws
-by default), held as columns: a (draws, symbols) weight matrix and one array
+The frontier is the full cloud of randomly weighted portfolios (the config's
+n_draws of them), held as columns: a (draws, symbols) weight matrix and one array
 each of returns, risks and Sharpe ratios. The minimum-variance and
 maximum-Sharpe portfolios are its argmin and argmax; only those two draws
 become PortfolioWeights objects. Weight vectors are independent uniform(0,1)
@@ -25,8 +25,6 @@ from numpy.random import Generator, PCG64, SeedSequence
 
 from .market_data import AlignedCloseMatrix, TRADING_DAYS
 
-DEFAULT_DRAWS = 10_000
-DEFAULT_RISK_FREE = 0.01
 _CSV_BLOCK_ROWS = 8192
 
 
@@ -134,7 +132,7 @@ def mean_and_covariance(aligned: AlignedCloseMatrix) -> tuple[np.ndarray, Covari
 def sharpe_ratio(
     annual_return: float | np.ndarray,
     annual_risk: float | np.ndarray,
-    risk_free: float = DEFAULT_RISK_FREE,
+    risk_free: float,
 ) -> float | np.ndarray:
     """Excess return over the risk-free rate per unit of risk, for scalars or arrays."""
     if np.any(np.less_equal(annual_risk, 0)):
@@ -161,8 +159,8 @@ def _weight_block(seed: int, start: int, count: int, n_assets: int) -> np.ndarra
 def build_frontier(
     mean: np.ndarray,
     cov: CovarianceMatrix,
-    n_draws: int = DEFAULT_DRAWS,
-    risk_free: float = DEFAULT_RISK_FREE,
+    n_draws: int,
+    risk_free: float,
     seed: int = 0,
 ) -> FrontierCloud:
     """Monte-Carlo cloud of randomly weighted portfolios.
@@ -201,19 +199,24 @@ def max_sharpe_portfolio(cloud: FrontierCloud) -> FrontierPoint:
     return cloud.point(np.argmax(cloud.sharpes))
 
 
-def frontier_csv_blocks(cloud: FrontierCloud) -> Iterator[str]:
-    """Frontier export as text blocks: the header, then _CSV_BLOCK_ROWS rows at a time.
+def frontier_csv_blocks(cloud: FrontierCloud, start: int = 0, stop: int | None = None) -> Iterator[str]:
+    """Frontier export of draws [start, stop) as text blocks of _CSV_BLOCK_ROWS rows,
+    after the header when start is 0.
 
     Columns draw_index,risk,return,sharpe,w_<SYM>... with 12 significant digits.
-    The joined blocks are the file; a writer that consumes them one by one holds
-    one block (about 2 MB at 12 symbols), never the whole text.
+    Each row's text depends only on its draw, so the exports of adjacent ranges,
+    joined, are the export of their union; the whole cloud's joined blocks are the
+    file. A writer that consumes them one by one holds one block (about 2 MB at 12
+    symbols), never the whole text.
     """
+    stop = cloud.n_draws if stop is None else stop
     row = "%d" + ",%.12g" * (3 + len(cloud.symbols)) + "\n"
-    yield "draw_index,risk,return,sharpe," + ",".join(f"w_{s}" for s in cloud.symbols) + "\n"
+    if start == 0:
+        yield "draw_index,risk,return,sharpe," + ",".join(f"w_{s}" for s in cloud.symbols) + "\n"
     # The draw index goes through %d as a float.
     columns = (cloud.risks, cloud.returns, cloud.sharpes, cloud.weights)
-    for lo in range(0, cloud.n_draws, _CSV_BLOCK_ROWS):
-        hi = min(lo + _CSV_BLOCK_ROWS, cloud.n_draws)
+    for lo in range(start, stop, _CSV_BLOCK_ROWS):
+        hi = min(lo + _CSV_BLOCK_ROWS, stop)
         block = np.column_stack((np.arange(lo, hi), *(c[lo:hi] for c in columns)))
         yield (row * (hi - lo)) % tuple(block.ravel().tolist())
 

@@ -111,9 +111,9 @@ def test_criterion_04_monte_carlo_vs_analytic_min_variance():
     assert (w_star.weights > 0).all()
     _, risk_star = portfolio_stats(w_star, mean, cov)
 
-    cloud_10k = po.build_frontier(mean, cov, n_draws=10_000, seed=42)
+    cloud_10k = po.build_frontier(mean, cov, n_draws=10_000, risk_free=0.01, seed=42)
     rel_10k = (po.min_variance_portfolio(cloud_10k).annual_risk - risk_star) / risk_star
-    cloud_100k = po.build_frontier(mean, cov, n_draws=100_000, seed=42)
+    cloud_100k = po.build_frontier(mean, cov, n_draws=100_000, risk_free=0.01, seed=42)
     rel_100k = (po.min_variance_portfolio(cloud_100k).annual_risk - risk_star) / risk_star
     elapsed = time.perf_counter() - t0
     ok = 0 <= rel_10k <= 0.05 and 0 <= rel_100k <= 0.02 and elapsed < 10.0
@@ -130,11 +130,11 @@ def test_criterion_05_max_sharpe_grid_oracle():
     cov = po.CovarianceMatrix(("A", "B"), np.array([[0.05, 0.015], [0.015, 0.16]]))
     grid_best = max(
         sharpe_ratio(
-            *portfolio_stats(PortfolioWeights(("A", "B"), np.array([w1, 1 - w1])), mean, cov)
+            *portfolio_stats(PortfolioWeights(("A", "B"), np.array([w1, 1 - w1])), mean, cov), 0.01
         )
         for w1 in np.linspace(0.0, 1.0, 10_000)
     )
-    cloud = po.build_frontier(mean, cov, n_draws=100_000, seed=42)
+    cloud = po.build_frontier(mean, cov, n_draws=100_000, risk_free=0.01, seed=42)
     mc_best = po.max_sharpe_portfolio(cloud).sharpe
     rel = abs(mc_best - grid_best) / grid_best
     elapsed = time.perf_counter() - t0

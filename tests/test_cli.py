@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -172,10 +173,62 @@ def test_interrupted_frontier_export_leaves_the_old_file(config, tmp_path, monke
     assert not list(tmp_path.glob(".frontier_*"))
 
 
+# The export forks from four blocks up; small blocks let small clouds take that path.
+SPLIT_BLOCK_ROWS = 64
+
+
+@pytest.mark.parametrize("n_draws", [255, 256, 257, 461, 1000])
+def test_split_frontier_export_writes_the_serial_bytes(config, tmp_path, monkeypatch, n_draws):
+    # 256 = 4 blocks is the smallest cloud that forks; 461 and 1000 end in a partial block.
+    # cmd_frontier builds the cloud before the export, so BLAS threads exist when it forks.
+    monkeypatch.setattr(po, "_CSV_BLOCK_ROWS", SPLIT_BLOCK_ROWS)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    config = replace(config, n_draws=n_draws)
+    split = [p.read_bytes() for p in cmd_frontier(config, "tech", tmp_path / "split")]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = [p.read_bytes() for p in cmd_frontier(config, "tech", tmp_path / "serial")]
+    assert len(forks) == (n_draws >= 4 * SPLIT_BLOCK_ROWS)
+    assert split == serial
+    assert len(split[0].splitlines()) == n_draws + 1
+    assert not list(tmp_path.glob("*/.frontier_*"))
+
+
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_failed_split_frontier_export_leaves_the_old_files_and_no_child(
+    config, tmp_path, monkeypatch, side
+):
+    monkeypatch.setattr(po, "_CSV_BLOCK_ROWS", SPLIT_BLOCK_ROWS)
+    config = replace(config, n_draws=1000)  # the child writes draws [448, 1000)
+    csv_path, report_path = cmd_frontier(replace(config, seed=12), "tech", tmp_path)
+    before = csv_path.read_bytes(), report_path.read_bytes()
+    blocks = po.frontier_csv_blocks
+
+    def failing(cloud, start=0, stop=None):
+        if (start > 0) == (side == "child"):
+            yield from itertools.islice(blocks(cloud, start, stop), 2)
+            raise RuntimeError(f"{side} export failed")
+        if side == "parent":
+            time.sleep(60)  # in the child, which the failing parent must kill
+        yield from blocks(cloud, start, stop)
+
+    monkeypatch.setattr(po, "frontier_csv_blocks", failing)
+    match = r"draws \[448, 1000\): child exited with 1" if side == "child" else "parent export failed"
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match=match):
+        cmd_frontier(config, "tech", tmp_path)
+    assert time.monotonic() - started < 30
+    assert (csv_path.read_bytes(), report_path.read_bytes()) == before
+    assert not list(tmp_path.glob(".frontier_*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_frontier_export_memory_is_bounded_by_a_block(config, tmp_path, monkeypatch):
     # the cloud is built beforehand, so the traced peak is the export's
     cov = po.CovarianceMatrix(tuple(SYMBOLS), np.diag([0.04, 0.05, 0.06, 0.07, 0.08]))
-    cloud = po.build_frontier(np.array([0.08, 0.10, 0.12, 0.14, 0.16]), cov, n_draws=100_000, seed=3)
+    mean = np.array([0.08, 0.10, 0.12, 0.14, 0.16])
+    cloud = po.build_frontier(mean, cov, n_draws=100_000, risk_free=0.01, seed=3)
     monkeypatch.setattr(po, "build_frontier", lambda *args, **kwargs: cloud)
     tracemalloc.start()
     try:
@@ -516,6 +569,8 @@ def test_startup_loads_no_http_stack(env):
     assert "sectorport.cli" in loaded
     heavy = {"requests", "urllib3", "urllib.request", "http.client", "ssl"}
     assert heavy & loaded == set()
+    # the frontier export forks by hand; a process pool would cost every subcommand its import
+    assert {"multiprocessing", "concurrent.futures"} & loaded == set()
 
 
 # ------------------------------------------------------------- full pipeline

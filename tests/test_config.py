@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 
 import pytest
 import yaml
@@ -101,6 +102,16 @@ def test_all_symbols_preserves_order_dedupes(tmp_path):
 def test_capital_must_be_positive():
     with pytest.raises(ValueError, match="capital"):
         RunConfig(data_dir=".", sectors=(SectorUniverse("s", (("A", 1.0),)),), capital=0.0)
+
+
+@pytest.mark.parametrize("n_draws", [0, -1])
+def test_n_draws_must_be_positive(tmp_path, n_draws):
+    # used to load, and fail only in `frontier`, naming neither the file nor the key
+    path = write_config(tmp_path / "c.yaml", n_draws=n_draws)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: n_draws: must be >= 1, got {n_draws}$"):
+        load_config(path)
+    with pytest.raises(ValueError, match=rf"^n_draws: must be >= 1, got {n_draws}$"):
+        RunConfig(data_dir=".", sectors=(SectorUniverse("s", (("A", 1.0),)),), n_draws=n_draws)
 
 
 def test_derive_seed_is_stable_and_tag_sensitive():

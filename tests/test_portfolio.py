@@ -155,9 +155,9 @@ def test_sharpe_zero_at_risk_free_return():
 
 def test_sharpe_requires_positive_risk():
     with pytest.raises(ValueError, match="positive"):
-        sharpe_ratio(0.1, 0.0)
+        sharpe_ratio(0.1, 0.0, 0.01)
     with pytest.raises(ValueError, match="positive"):
-        sharpe_ratio(0.1, -0.2)
+        sharpe_ratio(0.1, -0.2, 0.01)
 
 
 def test_sharpe_on_arrays_matches_scalars_and_rejects_any_nonpositive_risk():
@@ -165,7 +165,7 @@ def test_sharpe_on_arrays_matches_scalars_and_rejects_any_nonpositive_risk():
     expected = [sharpe_ratio(r, s, 0.01) for r, s in zip(returns, risks)]
     np.testing.assert_array_equal(sharpe_ratio(returns, risks, 0.01), expected)
     with pytest.raises(ValueError, match="positive, got 0.0"):
-        sharpe_ratio(returns, np.array([0.2757, 0.0, 0.5]))
+        sharpe_ratio(returns, np.array([0.2757, 0.0, 0.5]), 0.01)
 
 
 def test_frontier_sharpes_come_from_sharpe_ratio():
@@ -187,7 +187,7 @@ def test_sharpe_antisymmetric_around_risk_free(r, sigma, rf):
 # ------------------------------------------------------------ build_frontier
 
 def test_frontier_single_draw():
-    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=1, seed=0)
+    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=1, risk_free=0.01, seed=0)
     assert cloud.n_draws == 1
     assert min_variance_portfolio(cloud).draw_index == 0
 
@@ -196,7 +196,7 @@ def test_identical_assets_collapse_the_cloud():
     # correlation 1 and equal means: weights cannot matter
     cov = CovarianceMatrix(("A", "B", "C"), equicorrelated_cov([0.2, 0.2, 0.2], 1.0))
     mean = np.array([0.1, 0.1, 0.1])
-    cloud = build_frontier(mean, cov, n_draws=200, seed=3)
+    cloud = build_frontier(mean, cov, n_draws=200, risk_free=0.01, seed=3)
     risks = {round(r, 12) for r in cloud.risks.tolist()}
     rets = {round(r, 12) for r in cloud.returns.tolist()}
     assert risks == {0.2}
@@ -204,15 +204,15 @@ def test_identical_assets_collapse_the_cloud():
 
 
 def test_frontier_deterministic_for_fixed_seed():
-    a = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=500, seed=11)
-    b = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=500, seed=11)
+    a = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=500, risk_free=0.01, seed=11)
+    b = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=500, risk_free=0.01, seed=11)
     assert "".join(frontier_csv_blocks(a)) == "".join(frontier_csv_blocks(b))
     np.testing.assert_array_equal(a.weights, b.weights)
 
 
 def test_frontier_draws_are_nested_prefixes():
-    small = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=200, seed=5)
-    big = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=400, seed=5)
+    small = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=200, risk_free=0.01, seed=5)
+    big = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=400, risk_free=0.01, seed=5)
     np.testing.assert_array_equal(small.weights, big.weights[:200])
     assert big.risks.min() <= small.risks.min()
 
@@ -237,7 +237,7 @@ def test_weight_block_rows_match_sequential_random_weights():
 
 
 def test_frontier_point_stats_recompute_from_weights():
-    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=300, seed=2)
+    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=300, risk_free=0.01, seed=2)
     for p in map(cloud.point, range(0, cloud.n_draws, 23)):
         ret, risk = portfolio_stats(p.weights, FIVE_ASSET_MEAN, FIVE_ASSET_COV)
         assert ret == pytest.approx(p.annual_return, abs=1e-10)
@@ -247,7 +247,7 @@ def test_frontier_point_stats_recompute_from_weights():
 
 def test_frontier_rejects_zero_draws():
     with pytest.raises(ValueError):
-        build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=0, seed=0)
+        build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=0, risk_free=0.01, seed=0)
 
 
 # ----------------------------------------------------------------- selectors
@@ -289,7 +289,7 @@ def test_selectors_reject_empty_cloud():
 
 
 def test_selected_point_is_its_row():
-    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=300, seed=2)
+    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=300, risk_free=0.01, seed=2)
     p = max_sharpe_portfolio(cloud)
     i = p.draw_index
     np.testing.assert_array_equal(p.weights.weights, cloud.weights[i])
@@ -300,7 +300,7 @@ def test_selected_point_is_its_row():
 
 def test_two_asset_min_variance_approaches_inverse_variance_weights():
     cov = CovarianceMatrix(("A", "B"), np.diag([1.0, 4.0]))
-    cloud = build_frontier(np.array([0.1, 0.2]), cov, n_draws=100_000, seed=1)
+    cloud = build_frontier(np.array([0.1, 0.2]), cov, n_draws=100_000, risk_free=0.01, seed=1)
     w = min_variance_portfolio(cloud).weights.weights
     assert np.abs(w - np.array([0.8, 0.2])).max() <= 0.03
 
@@ -309,10 +309,10 @@ def test_two_asset_max_sharpe_matches_grid_oracle():
     mean = np.array([0.12, 0.28])
     cov = CovarianceMatrix(("A", "B"), np.array([[0.05, 0.015], [0.015, 0.16]]))
     grid_best = max(
-        sharpe_ratio(*portfolio_stats(PortfolioWeights(("A", "B"), np.array([w1, 1 - w1])), mean, cov))
+        sharpe_ratio(*portfolio_stats(PortfolioWeights(("A", "B"), np.array([w1, 1 - w1])), mean, cov), 0.01)
         for w1 in np.linspace(0.0, 1.0, 10_000)
     )
-    cloud = build_frontier(mean, cov, n_draws=100_000, seed=4)
+    cloud = build_frontier(mean, cov, n_draws=100_000, risk_free=0.01, seed=4)
     mc_best = max_sharpe_portfolio(cloud).sharpe
     assert abs(mc_best - grid_best) / grid_best <= 0.01
 
@@ -348,7 +348,7 @@ def test_analytic_rejects_negative_components():
 
 def test_monte_carlo_minimum_never_beats_analytic():
     for seed in range(3):
-        cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=2000, seed=seed)
+        cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=2000, risk_free=0.01, seed=seed)
         mc_risk = min_variance_portfolio(cloud).annual_risk
         w_star = analytic_min_variance(FIVE_ASSET_COV)
         _, risk_star = portfolio_stats(w_star, FIVE_ASSET_MEAN, FIVE_ASSET_COV)
@@ -393,7 +393,7 @@ def test_frontier_cloud_validates_shapes():
 # ------------------------------------------------------------------ exports
 
 def test_frontier_csv_layout():
-    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=3, seed=0)
+    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=3, risk_free=0.01, seed=0)
     text = "".join(frontier_csv_blocks(cloud))
     lines = text.strip().split("\n")
     assert lines[0] == "draw_index,risk,return,sharpe,w_A,w_B,w_C,w_D,w_E"
@@ -410,7 +410,7 @@ BLOCKS_CSV_SHA256 = "bfdd8753fc7481dbbb5bf007e472cd525b3f7dc363c628cee2eda3ddee0
 
 
 def test_frontier_csv_bytes_are_pinned_across_block_boundaries():
-    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=2 * _CSV_BLOCK_ROWS + 5, seed=7)
+    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=2 * _CSV_BLOCK_ROWS + 5, risk_free=0.01, seed=7)
     blocks = list(frontier_csv_blocks(cloud))
     # the header, two full blocks and a partial one
     assert [b.count("\n") for b in blocks] == [1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS, 5]
@@ -418,7 +418,7 @@ def test_frontier_csv_bytes_are_pinned_across_block_boundaries():
 
 
 def test_portfolio_report_shape():
-    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=50, seed=0)
+    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=50, risk_free=0.01, seed=0)
     report = portfolio_report("demo", min_variance_portfolio(cloud), max_sharpe_portfolio(cloud))
     assert report["sector"] == "demo"
     for block in (report["min_risk"], report["opt_risk"]):

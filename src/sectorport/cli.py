@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import hashlib
 import json
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,6 +34,8 @@ def _atomic_file(path: Path, mode: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
+        os.umask(umask := os.umask(0))  # reading the umask means setting it
+        os.fchmod(fd, 0o666 & ~umask)  # the mode open() would give, not mkstemp's 0o600
         with os.fdopen(fd, mode) as fh:
             yield fh
         os.replace(tmp, path)
@@ -51,18 +54,31 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load_series(data_dir: Path, symbol: str) -> md.PriceSeries:
-    path = Path(data_dir) / f"{symbol}.csv"
+def _load_series(config: RunConfig, symbol: str, out_dir: Path) -> md.PriceSeries:
+    """symbol's prices, parsed once per out_dir: <out_dir>/.cache/<symbol>.npz holds the
+    CSV's sha256 and columns. An entry with the CSV's digest whose columns pass the checks
+    of a parse is a hit; any other is a miss, which parses the CSV and rewrites the entry."""
+    path = Path(config.data_dir) / f"{symbol}.csv"
     if not path.exists():
         raise FileNotFoundError(f"no data file for {symbol}: expected {path}")
-    return md.parse_csv(path.read_bytes(), symbol)
+    raw = path.read_bytes()
+    digest = hashlib.sha256(raw).hexdigest()
+    cache = Path(out_dir) / ".cache" / f"{symbol}.npz"
+    # An entry that cannot be read is a miss too. np.load(path) would leak the file of a corrupt zip.
+    with suppress(Exception), open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as entry:
+        if entry["sha256"].item() == digest:
+            return md.series_from_columns(symbol, {k: entry[k] for k in entry.files if k != "sha256"})
+    series = md.parse_csv(raw, symbol)
+    with _atomic_file(cache, "wb") as fh:
+        np.savez(fh, sha256=digest, **md.csv_columns(series))
+    return series
 
 
 def cmd_stats(config: RunConfig, out_dir: Path) -> Path:
     """Per-symbol mean daily return and daily/annual volatility over the training window."""
     lines = ["symbol,mean_daily_return,daily_volatility,annual_volatility"]
     for symbol in config.all_symbols():
-        series = _load_series(config.data_dir, symbol).restrict(config.train_start, config.train_end)
+        series = _load_series(config, symbol, out_dir).restrict(config.train_start, config.train_end)
         stats = md.asset_stats(md.daily_returns(series))
         lines.append(
             f"{symbol},{stats.mean_daily_return:.12g},"
@@ -73,8 +89,8 @@ def cmd_stats(config: RunConfig, out_dir: Path) -> Path:
     return path
 
 
-def _load_members(config: RunConfig, sector_name: str) -> dict[str, md.PriceSeries]:
-    return {sym: _load_series(config.data_dir, sym) for sym in config.sector(sector_name).symbols}
+def _load_members(config: RunConfig, sector_name: str, out_dir: Path) -> dict[str, md.PriceSeries]:
+    return {sym: _load_series(config, sym, out_dir) for sym in config.sector(sector_name).symbols}
 
 
 def _sector_frontier(
@@ -135,7 +151,7 @@ def cmd_frontier(config: RunConfig, sector_name: str, out_dir: Path) -> tuple[Pa
     blocks, and otherwise by two processes (see _write_frontier_csv), during
     which a .frontier_<sector>.csv.* tail file exists beside the output.
     """
-    cloud = _sector_frontier(config, sector_name, _load_members(config, sector_name))
+    cloud = _sector_frontier(config, sector_name, _load_members(config, sector_name, out_dir))
     report = po.portfolio_report(
         sector_name, po.min_variance_portfolio(cloud), po.max_sharpe_portfolio(cloud)
     )
@@ -150,7 +166,7 @@ def cmd_frontier(config: RunConfig, sector_name: str, out_dir: Path) -> tuple[Pa
 def cmd_train(config: RunConfig, symbol: str, out_dir: Path) -> tuple[Path, Path]:
     """Train the forecaster on a symbol's training-window closes; write checkpoint and trace."""
     config.require_symbol(symbol)
-    series = _load_series(config.data_dir, symbol).restrict(config.train_start, config.train_end)
+    series = _load_series(config, symbol, out_dir).restrict(config.train_start, config.train_end)
     lstm_config = replace(config.lstm, seed=derive_seed(config.seed, f"train:{symbol}"))
     result = fc.train(lstm_config, series.closes)
     ckpt_path = Path(out_dir) / "checkpoints" / f"{symbol}.ckpt"
@@ -219,7 +235,7 @@ def cmd_backtest(
     --weights-file JSON (symbol -> fraction) overrides the frontier-recommended
     weights.
     """
-    members = _load_members(config, sector_name)
+    members = _load_members(config, sector_name, out_dir)
     symbols = tuple(members)
     if weights_file is not None:
         try:
@@ -277,7 +293,7 @@ def cmd_plotdata(
     day-by-day tracking rather than recursive multi-step forecasting.
     """
     config.require_symbol(symbol)
-    series = _load_series(config.data_dir, symbol)
+    series = _load_series(config, symbol, out_dir)
     lo, hi = series.span(start, end)
     if lo >= hi:
         raise ValueError(f"{symbol}: no trading dates in [{start}, {end}]")

@@ -117,6 +117,11 @@ class RunConfig:
             raise ValueError(f"capital must be positive, got {self.capital}")
         if self.n_draws < 1:
             raise ValueError(f"n_draws: must be >= 1, got {self.n_draws}")
+        for i, s in enumerate(self.sectors):
+            if s.sector_name in (earlier.sector_name for earlier in self.sectors[:i]):
+                raise ValueError(f"sector {s.sector_name}: named again in sectors[{i}]")
+            if not s.members:
+                raise ValueError(f"sector {s.sector_name}: members is empty")
 
     def sector(self, name: str) -> SectorUniverse:
         for s in self.sectors:
@@ -217,11 +222,25 @@ def _parse_sector(block: dict, index: int) -> SectorUniverse:
     return SectorUniverse(name, tuple(members))
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key repeated in one mapping, where PyYAML keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ValueError(f"{self.name}: line {key_node.start_mark.line + 1}: duplicate key {key!r}")
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path) -> RunConfig:
     """Load and validate a YAML run configuration."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        doc = yaml.load(fh, Loader=_UniqueKeyLoader)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a mapping")
     _check_keys(doc, _TOP_KEYS, str(path))
@@ -256,8 +275,8 @@ def load_config(path) -> RunConfig:
 
     if not isinstance(doc["sectors"], list):
         raise ValueError(f"{path}: sectors must be a list")
-    sectors = tuple(_parse_sector(b, i) for i, b in enumerate(doc["sectors"]))
     try:
+        sectors = tuple(_parse_sector(b, i) for i, b in enumerate(doc["sectors"]))
         return RunConfig(data_dir=data_dir, sectors=sectors, lstm=lstm_config, seed=seed, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

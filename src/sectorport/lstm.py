@@ -266,7 +266,10 @@ def _layer_forward(x: np.ndarray, params: LayerParams) -> _LayerCache:
     """
     steps, batch, d = x.shape
     w, dtype = params.width, params.wh.dtype
-    gates = (x.reshape(steps * batch, d) @ params.wx).reshape(steps, batch, 4 * w)
+    if d == 1:  # OpenBLAS runs a K=1 GEMM slowly; the broadcast product is the same bits
+        gates = np.multiply(x, params.wx[0])
+    else:
+        gates = (x.reshape(steps * batch, d) @ params.wx).reshape(steps, batch, 4 * w)
     gates += params.b
     c = np.empty((steps, batch, w), dtype=dtype)
     tc = np.empty_like(c)

@@ -151,23 +151,10 @@ def parse_csv(raw_text: bytes | str, symbol: str) -> PriceSeries:
         raise CsvFormatError(f"{symbol}: line 1: expected header {CSV_HEADER!r}")
     columns, linenos, malformed = _columns_at_once(lines[1:]) or _columns_by_line(lines[1:])
 
-    # Bar invariants in check order, as (message, mask of violating rows). Non-finite
-    # prices come first, so a NaN is named by its column instead of slipping through
-    # a comparison. Rows above a malformed line are checked before it is reported,
-    # so the first error is always the one on the lowest line.
-    prices = ("open", "high", "low", "close", "adj_close")
-    checks = [(f"{name} {{{name}}} is not finite", ~np.isfinite(columns[name])) for name in prices]
-    checks += [
-        ("low {low} > high {high}", columns["low"] > columns["high"]),
-        ("close {close} is not positive", columns["close"] <= 0),
-        ("volume {volume} is negative", columns["volume"] < 0),
-    ]
-    invalid = np.flatnonzero(np.logical_or.reduce([mask for _, mask in checks]))
-    if invalid.size:
-        i = invalid[0]
-        message = next(message for message, mask in checks if mask[i])
-        problem = message.format(**{name: column[i].item() for name, column in columns.items()})
-        raise CsvFormatError(f"{symbol}: line {linenos[i]}: invalid bar ({problem})")
+    # Rows above a malformed line are checked before it is reported: the first error is on the lowest line.
+    invalid = invalid_bar(columns)
+    if invalid is not None:
+        raise CsvFormatError(f"{symbol}: line {linenos[invalid[0]]}: invalid bar ({invalid[1]})")
     if malformed is not None:
         raise CsvFormatError(f"{symbol}: {malformed}")
 
@@ -179,6 +166,40 @@ def parse_csv(raw_text: bytes | str, symbol: str) -> PriceSeries:
     if not order.size:
         raise CsvFormatError(f"{symbol}: no data rows")
     return PriceSeries(symbol, *(column[order] for column in columns.values()))
+
+
+def invalid_bar(columns: dict[str, np.ndarray]) -> tuple[int, str] | None:
+    """(index, problem) of the first row of columns, keyed by CSV field, that breaks a bar
+    invariant, or None. Non-finite prices come first, so a NaN is named by its column."""
+    prices = ("open", "high", "low", "close", "adj_close")
+    checks = [(f"{name} {{{name}}} is not finite", ~np.isfinite(columns[name])) for name in prices]
+    checks += [
+        ("low {low} > high {high}", columns["low"] > columns["high"]),
+        ("close {close} is not positive", columns["close"] <= 0),
+        ("volume {volume} is negative", columns["volume"] < 0),
+    ]
+    invalid = np.flatnonzero(np.logical_or.reduce([mask for _, mask in checks]))
+    if not invalid.size:
+        return None
+    i = int(invalid[0])
+    message = next(message for message, mask in checks if mask[i])
+    return i, message.format(**{name: column[i].item() for name, column in columns.items()})
+
+
+def csv_columns(series: PriceSeries) -> dict[str, np.ndarray]:
+    """series' columns keyed by CSV field, the form series_from_columns takes back."""
+    return {field: getattr(series, name) for field, name in zip(_CSV_FIELDS, _COLUMN_DTYPES)}
+
+
+def series_from_columns(symbol: str, columns: dict[str, np.ndarray]) -> PriceSeries:
+    """The PriceSeries of columns from csv_columns, checked as a parse is: ValueError for
+    another key, order, dtype or shape, a bar that breaks an invariant, or unsorted dates."""
+    if [(k, c.dtype) for k, c in columns.items()] != list(zip(_CSV_FIELDS, _COLUMN_DTYPES.values())):
+        raise ValueError(f"{symbol}: expected the columns {_CSV_FIELDS} in their parsed dtypes")
+    invalid = invalid_bar(columns)
+    if invalid is not None:
+        raise ValueError(f"{symbol}: row {invalid[0]}: invalid bar ({invalid[1]})")
+    return PriceSeries(symbol, *columns.values())
 
 
 def _columns_at_once(body: list[str]) -> tuple[dict[str, np.ndarray], range, None] | None:
@@ -335,7 +356,8 @@ def align(series_list: list[PriceSeries]) -> AlignedCloseMatrix:
     """Close-price matrix over the intersection of all series' dates."""
     if not series_list:
         raise ValueError("need at least one series to align")
-    dates = functools.reduce(np.intersect1d, [s.dates for s in series_list])
+    # Dates are sorted and unique, and filtering keeps them so; intersect1d would sort them again.
+    dates = functools.reduce(lambda d, e: d[np.isin(d, e, assume_unique=True)], [s.dates for s in series_list])
     if not dates.size:
         symbols = ", ".join(s.symbol for s in series_list)
         raise ValueError(f"no common dates across {symbols}")

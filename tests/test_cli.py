@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior on synthetic data environments."""
 
 import datetime as dt
+import io
 import itertools
 import json
 import os
@@ -17,6 +18,7 @@ import pytest
 import yaml
 
 from sectorport.cli import (
+    _load_series,
     cmd_backtest,
     cmd_fetch,
     cmd_frontier,
@@ -26,9 +28,10 @@ from sectorport.cli import (
     main,
 )
 import sectorport
+from sectorport import market_data as md
 from sectorport import portfolio as po
-from sectorport.config import load_config
-from sectorport.market_data import parse_csv, serialize_csv
+from sectorport.config import RunConfig, SectorUniverse, load_config
+from sectorport.market_data import CsvFormatError, parse_csv, serialize_csv
 
 from conftest import gbm_closes, series_from_closes, series_on
 
@@ -116,6 +119,164 @@ def test_stats_missing_file_names_symbol_and_path(env, tmp_path):
     with pytest.raises(FileNotFoundError, match="ZZZ") as exc:
         cmd_stats(load_config(cfg_path), tmp_path)
     assert "ZZZ.csv" in str(exc.value)
+
+
+# --------------------------------------------------------------- price cache
+
+COLUMNS = ("dates", "open", "high", "low", "closes", "volume", "adj_close")
+
+
+def assert_same_series(got, want):
+    assert got.symbol == want.symbol
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The symbols parse_csv is called with from here on."""
+    seen, real = [], md.parse_csv
+
+    def spy(raw_text, symbol):
+        seen.append(symbol)
+        return real(raw_text, symbol)
+
+    monkeypatch.setattr(md, "parse_csv", spy)
+    return seen
+
+
+@pytest.fixture
+def solo(tmp_path):
+    """A config listing only AAA, which has 60 rows under tmp_path/data, and AAA's CSV path."""
+    data = tmp_path / "data"
+    data.mkdir()
+    write_series(data, "AAA", gbm_closes(60, seed=3))
+    return RunConfig(data, (SectorUniverse("solo", (("AAA", 1.0),)),)), data / "AAA.csv"
+
+
+@pytest.fixture
+def cached(solo, tmp_path):
+    """solo after one load into tmp_path/out: (config, csv, out, cache entry)."""
+    cfg, csv = solo
+    out = tmp_path / "out"
+    _load_series(cfg, "AAA", out)
+    return cfg, csv, out, out / ".cache" / "AAA.npz"
+
+
+def parsed(csv):
+    return parse_csv(csv.read_bytes(), "AAA")
+
+
+def test_cache_hit_returns_the_parsed_columns_without_parsing(cached, parses):
+    cfg, csv, out, entry = cached
+    before = entry.read_bytes()
+    assert_same_series(_load_series(cfg, "AAA", out), parsed(csv))
+    assert parses == []
+    assert entry.read_bytes() == before
+
+
+def test_editing_one_close_invalidates_the_entry(cached, parses):
+    cfg, csv, out, entry = cached
+    lines = csv.read_text(encoding="utf-8").split("\n")
+    fields = lines[30].split(",")
+    fields[4] = repr(float(fields[4]) * 1.001)
+    lines[30] = ",".join(fields)
+    csv.write_text("\n".join(lines), encoding="utf-8")
+    for _ in range(2):  # a miss that rewrites the entry, then a hit on it
+        series = _load_series(cfg, "AAA", out)
+        assert series.closes[29] == float(fields[4])
+        assert_same_series(series, parsed(csv))
+    assert parses == ["AAA"]
+
+
+def with_nan(column):
+    column = column.copy()
+    column[7] = np.nan
+    return column
+
+
+BYTE_DAMAGE = {
+    "empty": lambda good: b"",
+    "truncated": lambda good: good[: len(good) // 2],
+    "one byte short": lambda good: good[:-1],
+    "a .npy, not a .npz": lambda good: good[good.index(b"\x93NUMPY") :],
+}
+COLUMN_DAMAGE = {  # arrays -> the arrays to replace; None drops one
+    "another digest": lambda a: {"sha256": np.array("0" * 64)},
+    "digest as bytes": lambda a: {"sha256": a["sha256"].astype("S64")},
+    "no digest": lambda a: {"sha256": None},
+    "missing column": lambda a: {"volume": None},
+    "extra column": lambda a: {"extra": np.zeros(60)},
+    "pickled column": lambda a: {"close": a["close"].astype(object)},
+    "float volume": lambda a: {"volume": a["volume"].astype(float)},
+    "big-endian close": lambda a: {"close": a["close"].astype(">f8")},
+    "dates in seconds": lambda a: {"date": a["date"].astype("datetime64[s]")},
+    "short close": lambda a: {"close": a["close"][:-1]},
+    "NaN close": lambda a: {"close": with_nan(a["close"])},
+    "NaN open": lambda a: {"open": with_nan(a["open"])},
+    "low above high": lambda a: {"low": a["high"] * 2},
+    "reversed dates": lambda a: {"date": a["date"][::-1]},
+}
+
+
+def damaged(good: bytes, damage: str) -> bytes:
+    if damage in BYTE_DAMAGE:
+        return BYTE_DAMAGE[damage](good)
+    with np.load(io.BytesIO(good)) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    arrays.update(COLUMN_DAMAGE[damage](arrays))
+    buf = io.BytesIO()
+    np.savez(buf, **{k: v for k, v in arrays.items() if v is not None})
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("damage", [*BYTE_DAMAGE, *COLUMN_DAMAGE])
+def test_damaged_entry_is_a_miss_that_parses_and_rewrites_it(cached, parses, damage):
+    # the column cases keep the entry's digest unless they name it
+    cfg, csv, out, entry = cached
+    good = entry.read_bytes()
+    entry.write_bytes(damaged(good, damage))
+    assert_same_series(_load_series(cfg, "AAA", out), parsed(csv))
+    assert parses == ["AAA"]
+    assert entry.read_bytes() == good
+
+
+def test_no_single_byte_flip_yields_other_columns(cached, parses):
+    cfg, csv, out, entry = cached
+    good, want = entry.read_bytes(), parsed(csv)
+    # the 8 bytes that end the close column's member, which a hit would return as the last close
+    last_close = good.index(b"PK\x03\x04", good.index(b"close.npy")) - 8
+    payload = range(last_close, last_close + 8)
+    for i in [*range(0, len(good), 17), *payload]:
+        entry.write_bytes(good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1 :])
+        parses.clear()
+        assert_same_series(_load_series(cfg, "AAA", out), want)
+        if parses or i in payload:  # a flip a hit ignores (a timestamp, say) may stay
+            assert parses == ["AAA"] and entry.read_bytes() == good, i
+
+
+def test_csv_that_fails_to_parse_raises_as_before_and_writes_no_entry(solo, tmp_path):
+    cfg, csv = solo
+    lines = csv.read_text(encoding="utf-8").split("\n")
+    lines[12] = lines[12].replace(",", ",x", 1)
+    csv.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(CsvFormatError, match="^AAA: line 13: malformed row: could not convert"):
+        _load_series(cfg, "AAA", tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_and_entries_take_their_mode_from_the_umask(config, tmp_path, umask, mode):
+    # mkstemp creates its file 0600 and os.replace kept that mode, whatever the umask
+    old = os.umask(umask)
+    try:
+        cmd_frontier(config, "twin", tmp_path)
+    finally:
+        os.umask(old)
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert files == [".cache/TW1.npz", ".cache/TW2.npz", "frontier_twin.csv", "report_twin.json"]
+    assert {oct((tmp_path / f).stat().st_mode & 0o777) for f in files} == {oct(mode)}
 
 
 # ------------------------------------------------------------------ frontier
@@ -634,7 +795,8 @@ def test_plotdata_rejects_symbol_the_config_does_not_list(outside, tmp_path, sym
     (out / "checkpoints" / f"{symbol}.ckpt").write_bytes(ckpt.read_bytes())
     with pytest.raises(ValueError, match=re.escape(f"unknown symbol {symbol!r}")):
         cmd_plotdata(cfg, symbol, dt.date(2021, 1, 4), dt.date(2021, 1, 8), out)
-    assert sorted(p.name for p in out.iterdir()) == ["checkpoints", "trace_AAA.csv"]
+    assert sorted(p.name for p in out.iterdir()) == [".cache", "checkpoints", "trace_AAA.csv"]
+    assert sorted(p.name for p in (out / ".cache").iterdir()) == ["AAA.npz"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["EVIL.csv", "run"]
 
 

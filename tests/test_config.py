@@ -212,3 +212,60 @@ def test_dotted_symbol_stays_valid(tmp_path):
     cfg = load_config(write_config(tmp_path / "c.yaml", sectors=sectors))
     assert cfg.all_symbols() == ("RELIANCE.NS",)
     assert cfg.sectors[0].sector_name == "nifty.it"
+
+
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        ("seed: 11\nseed: 12\n", "'seed'", 2),
+        ("lstm:\n  window: 10\n  epochs: 1\n  window: 12\n", "'window'", 4),
+        ("sectors:\n  - name: tech\n    members: [[AAA, 1.0]]\n    name: energy\n", "'name'", 4),
+    ],
+)
+def test_repeated_key_names_file_key_and_line(tmp_path, text, key, line):
+    # PyYAML keeps the last of two equal keys, so `seed: 11` then `seed: 12` loaded as 12
+    path = tmp_path / "c.yaml"
+    path.write_text("data_dir: data\n" + text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line + 1}: duplicate key {key}$"):
+        load_config(path)
+
+
+def test_merge_key_then_override_is_not_a_repeat(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text(
+        "data_dir: data\n"
+        "sectors: [{name: tech, members: [[AAA, 1.0]]}]\n"
+        "lstm:\n  <<: {window: 10, lstm_layers: [8], epochs: 1}\n  window: 12\n",
+        encoding="utf-8",
+    )
+    cfg = load_config(path)
+    assert (cfg.lstm.window, cfg.lstm.lstm_layers, cfg.lstm.epochs) == (12, (8,), 1)
+
+
+def test_sector_named_twice_is_rejected_naming_file_and_sector(tmp_path):
+    # config.sector("tech") returned the first block and ignored the second
+    sectors = [
+        {"name": "tech", "members": [["AAA", 1.0]]},
+        {"name": "energy", "members": [["OIL", 1.0]]},
+        {"name": "tech", "members": [["BBB", 1.0]]},
+    ]
+    path = write_config(tmp_path / "c.yaml", sectors=sectors)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: sector tech: named again in sectors\\[2\\]$"):
+        load_config(path)
+
+
+def test_sector_without_members_is_rejected_naming_file_and_sector(tmp_path):
+    # members: [] used to load and fail in frontier with "need at least one series to align"
+    path = write_config(tmp_path / "c.yaml", sectors=[{"name": "tech", "members": []}])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: sector tech: members is empty$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [([["AAA", -1.0]], "tech: index weight for AAA must be > 0"), (["AAA"], "sector tech: members are")],
+)
+def test_sector_block_errors_name_the_file(tmp_path, members, message):
+    path = write_config(tmp_path / "c.yaml", sectors=[{"name": "tech", "members": members}])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+        load_config(path)

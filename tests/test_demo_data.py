@@ -8,6 +8,7 @@ import shlex
 import sys
 from pathlib import Path
 
+import sectorport.market_data as md
 from sectorport.cli import main
 from sectorport.market_data import serialize_csv
 
@@ -49,3 +50,23 @@ def test_readme_quick_start_runs_on_fresh_demo_data(tmp_path, monkeypatch, capsy
     for argv in commands:
         assert main(argv) == 0, f"sectorport {shlex.join(argv)}: {capsys.readouterr().err}"
     assert (tmp_path / "demo" / "out" / "ledger_tech.json").exists()
+
+
+def test_each_demo_csv_is_parsed_once_across_stats_frontier_and_backtest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--dir", "demo"])
+    load_script().main()
+    symbols = sorted(p.stem for p in (tmp_path / "demo" / "data").glob("*.csv"))
+    (tmp_path / "prices.csv").write_text("symbol,price\n" + "".join(f"{s},100\n" for s in symbols))
+    parsed, real = [], md.parse_csv
+    monkeypatch.setattr(md, "parse_csv", lambda raw, symbol: parsed.append(symbol) or real(raw, symbol))
+    for args in (
+        ["stats"],
+        ["frontier", "tech"],
+        ["frontier", "energy"],
+        ["backtest", "tech", "--predicted-prices", "prices.csv"],
+        ["backtest", "energy", "--predicted-prices", "prices.csv"],
+    ):
+        assert main(["--config", "demo/config.yaml", "--out", "demo/out", *args]) == 0
+    assert sorted(parsed) == symbols
+    assert sorted(p.stem for p in (tmp_path / "demo" / "out" / ".cache").iterdir()) == symbols

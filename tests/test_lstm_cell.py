@@ -196,6 +196,20 @@ def test_default_config_layer_one_emits_50_by_256():
     assert cache.layers[1].h.shape == (1, 50, 256)
 
 
+@pytest.mark.parametrize("steps, batch, width", [(20, 64, 16), (50, 64, 256)])
+def test_one_input_projection_by_broadcast_equals_the_gemm_bitwise(steps, batch, width):
+    # the first layer's input has one feature, so its projection runs as a broadcast multiply
+    config = LstmConfig(window=steps, lstm_layers=(width,), dense_width=8, batch_size=batch)
+    rng = Generator(PCG64(SeedSequence(7)))
+    wx = init_model(config, Scaler(0.0, 1.0), rng).layers[0].wx
+    for x in (rng.random((steps, batch, 1)), rng.standard_normal((steps, batch, 1)) * 1e3):
+        x = x.astype(wx.dtype)
+        gemm = (x.reshape(steps * batch, 1) @ wx).reshape(steps, batch, 4 * width)
+        broadcast = np.multiply(x, wx[0])
+        assert broadcast.dtype == gemm.dtype and broadcast.shape == gemm.shape
+        assert broadcast.tobytes() == gemm.tobytes()
+
+
 def test_predict_batch_matches_per_window_forward():
     # 150 windows in blocks of 64: the last block is partial
     model = float64_copy(small_model(seed=14, lstm_layers=(5, 4), batch_size=64))

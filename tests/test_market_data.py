@@ -502,6 +502,38 @@ def test_align_needs_input():
 
 
 @given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_align_dates_are_the_intersect1d_of_every_series(data):
+    # every series draws its days from one pool, so their sets are disjoint, overlap or are equal
+    pool = np.arange(np.datetime64("2020-01-01"), np.datetime64("2020-03-01"))
+    day_sets = st.sets(st.integers(0, len(pool) - 1), min_size=1)
+    kind = data.draw(st.sampled_from(["disjoint", "partial", "identical"]))
+    n = data.draw(st.integers(1, 5))
+    if kind == "identical":
+        picks = [sorted(data.draw(day_sets))] * n
+    elif kind == "disjoint":
+        slots = data.draw(st.permutations(range(len(pool))))
+        picks = [sorted(slots[i::n][: data.draw(st.integers(1, 12))]) for i in range(n)]
+    else:
+        picks = [sorted(data.draw(day_sets)) for _ in range(n)]
+    series = [series_on(f"S{i}", pool[p], np.arange(1.0, len(p) + 1)) for i, p in enumerate(picks)]
+    expected = series[0].dates
+    for s in series[1:]:
+        expected = np.intersect1d(expected, s.dates)
+    event(f"{kind}, {'some' if expected.size else 'no'} common dates")
+    if not expected.size:
+        symbols = ", ".join(s.symbol for s in series)
+        with pytest.raises(ValueError, match=f"^no common dates across {symbols}$"):
+            align(series)
+        return
+    aligned = align(series)
+    np.testing.assert_array_equal(aligned.dates, expected)
+    assert aligned.dates.dtype == expected.dtype
+    for j, s in enumerate(series):
+        np.testing.assert_array_equal(aligned.closes[:, j], s.closes[np.searchsorted(s.dates, expected)])
+
+
+@given(st.data())
 @settings(max_examples=30)
 def test_align_output_dates_subset_and_sorted(data):
     days = weekdays(dt.date(2020, 1, 1), 20)

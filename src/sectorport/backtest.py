@@ -109,6 +109,9 @@ def run_backtest(
     )
 
 
+SUMMARY_HEADER = "sector,predicted_return_pct,actual_return_pct"
+
+
 @dataclass(frozen=True)
 class SummaryRow:
     sector: str
@@ -168,9 +171,9 @@ def ledger_csv_text(ledger: BacktestLedger) -> str:
 
 
 def summary_csv_text(rows: list[SummaryRow]) -> str:
-    """Summary export: sector,predicted_return_pct,actual_return_pct."""
+    """Summary export: SUMMARY_HEADER, then one row per sector."""
     out = io.StringIO()
-    out.write("sector,predicted_return_pct,actual_return_pct\n")
+    out.write(SUMMARY_HEADER + "\n")
     for r in rows:
         out.write(f"{r.sector},{r.predicted_return_pct:.2f},{r.actual_return_pct:.2f}\n")
     return out.getvalue()

@@ -168,7 +168,10 @@ def cmd_train(config: RunConfig, symbol: str, out_dir: Path) -> tuple[Path, Path
     config.require_symbol(symbol)
     series = _load_series(config, symbol, out_dir).restrict(config.train_start, config.train_end)
     lstm_config = replace(config.lstm, seed=derive_seed(config.seed, f"train:{symbol}"))
-    result = fc.train(lstm_config, series.closes)
+    try:
+        result = fc.train(lstm_config, series.closes)
+    except (ValueError, RuntimeError) as exc:  # too short, constant, or a non-finite loss
+        raise type(exc)(f"{symbol}: {exc}") from None
     ckpt_path = Path(out_dir) / "checkpoints" / f"{symbol}.ckpt"
     trace_path = Path(out_dir) / f"trace_{symbol}.csv"
     _atomic_write(ckpt_path, fc.checkpoint_bytes(result.model))
@@ -197,12 +200,31 @@ def _read_predicted_prices(path: Path) -> dict[str, float]:
     return prices
 
 
+def _read_weights(path: Path, symbols: tuple[str, ...]) -> po.PortfolioWeights:
+    """A --weights-file: a JSON object {symbol: fraction} covering symbols; every error names path."""
+    try:
+        mapping = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(mapping, dict):
+            raise ValueError("expected a JSON object {symbol: fraction}")
+        missing = [s for s in symbols if s not in mapping]
+        if missing:
+            raise ValueError(f"missing weights for {missing}")
+        return po.PortfolioWeights(symbols, np.array([_as_number(mapping[s], s) for s in symbols]))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _forecast(series: md.PriceSeries, out_dir: Path, lo: int, hi: int) -> np.ndarray:
     """Predicted closes for rows [lo, hi) of series, from its symbol's checkpoint under out_dir."""
     ckpt = Path(out_dir) / "checkpoints" / f"{series.symbol}.ckpt"
     if not ckpt.exists():
         raise FileNotFoundError(f"no checkpoint for {series.symbol}: expected {ckpt}")
-    model = fc.load_checkpoint(ckpt)
+    try:
+        model = fc.load_checkpoint(ckpt)
+    except ValueError as exc:
+        raise ValueError(f"{ckpt}: {exc}") from None
     try:
         return fc.forecast(model, series.closes, lo, hi)
     except ValueError as exc:
@@ -212,9 +234,15 @@ def _forecast(series: md.PriceSeries, out_dir: Path, lo: int, hi: int) -> np.nda
 def _upsert_summary(summary_path: Path, row: bt.SummaryRow):
     rows: list[bt.SummaryRow] = []
     if summary_path.exists():
-        for line in summary_path.read_text(encoding="utf-8").strip().split("\n")[1:]:
-            sector, pred, act = line.split(",")
-            rows.append(bt.SummaryRow(sector, float(pred), float(act)))
+        lines = summary_path.read_text(encoding="utf-8").strip().split("\n")
+        for lineno, line in enumerate(lines[1:], start=2):
+            try:
+                sector, pred, act = line.split(",")
+                rows.append(bt.SummaryRow(sector, float(pred), float(act)))
+            except ValueError:
+                raise ValueError(
+                    f"{summary_path}: line {lineno}: expected '{bt.SUMMARY_HEADER}' columns, got {line!r}"
+                ) from None
     rows = [r for r in rows if r.sector != row.sector]
     rows.append(row)
     _atomic_write(summary_path, bt.summary_csv_text(rows))
@@ -238,18 +266,7 @@ def cmd_backtest(
     members = _load_members(config, sector_name, out_dir)
     symbols = tuple(members)
     if weights_file is not None:
-        try:
-            mapping = json.loads(Path(weights_file).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{weights_file}: not valid JSON: {exc}") from None
-        if not isinstance(mapping, dict):
-            raise ValueError(f"{weights_file}: expected a JSON object {{symbol: fraction}}")
-        missing = [s for s in symbols if s not in mapping]
-        if missing:
-            raise ValueError(f"{weights_file}: missing weights for {missing}")
-        weights = po.PortfolioWeights(
-            symbols, np.array([_as_number(mapping[s], f"{weights_file}: {s}") for s in symbols])
-        )
+        weights = _read_weights(weights_file, symbols)
     else:
         weights = po.max_sharpe_portfolio(_sector_frontier(config, sector_name, members)).weights
 

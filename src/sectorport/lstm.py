@@ -80,82 +80,47 @@ def fit_scaler(train_closes) -> Scaler:
     return Scaler(float(x.min()), float(x.max()))
 
 
-@dataclass(frozen=True)
-class WindowedDataset:
-    """Sliding windows (stride 1) and the close `horizon` steps past each window."""
+def input_windows(closes, window: int, horizon: int, lo: int, hi: int) -> np.ndarray:
+    """The input windows of rows [lo, hi) of a close series, as a (hi - lo, window) read-only view.
 
-    inputs: np.ndarray  # (n_samples, window)
-    targets: np.ndarray  # (n_samples,)
-
-
-def make_windows(closes, window: int, horizon: int) -> WindowedDataset:
-    """Slice a close series into (window -> target) samples.
-
-    target[i] = closes[i + window + horizon - 1]; the sample count is
-    len(closes) - window - horizon + 1.
+    Row k's window ends `horizon` rows before it, closes[k - horizon - window
+    + 1 : k - horizon + 1], so it holds only closes known `horizon` rows
+    earlier; rows up to `horizon` past the end of closes have one. train asks
+    for every row with a target, forecast for the rows it predicts. An empty
+    row range is an error.
     """
     closes = np.asarray(closes, dtype=float)
-    if window < 1 or horizon < 1:
-        raise ValueError("window and horizon must be >= 1")
-    n = closes.size - window - horizon + 1
-    if n < 1:
-        raise ValueError(
-            f"series of length {closes.size} too short for window {window} + horizon {horizon}"
-        )
-    inputs = np.lib.stride_tricks.sliding_window_view(closes, window)[:n].copy()
-    targets = closes[window + horizon - 1 :].copy()
-    return WindowedDataset(inputs, targets)
-
-
-@dataclass(eq=False)
-class LayerParams:
-    """One LSTM layer's parameters; gate blocks stacked [i, f, g, o]."""
-
-    wx: np.ndarray  # (input_dim, 4*width)
-    wh: np.ndarray  # (width, 4*width)
-    b: np.ndarray  # (4*width,)
-
-    @property
-    def width(self) -> int:
-        return self.wh.shape[0]
+    first = lo - (window + horizon - 1)
+    if first < 0:
+        raise ValueError(f"row {lo} needs {window + horizon - 1} rows of history before it, has {lo}")
+    if hi > closes.size + horizon:
+        raise ValueError(f"rows [{lo}, {hi}) run more than {horizon} past the {closes.size} closes")
+    if hi <= lo:
+        raise ValueError(f"series of length {closes.size} too short for window {window} + horizon {horizon}")
+    return np.lib.stride_tricks.sliding_window_view(closes, window)[first : first + hi - lo]
 
 
 @dataclass(eq=False)
 class LstmModel:
+    """The config, the scaler and every parameter, keyed and ordered as _param_shapes(config) says."""
+
     config: LstmConfig
     scaler: Scaler
-    layers: tuple[LayerParams, ...]
-    dense_w: np.ndarray
-    dense_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
+    params: dict[str, np.ndarray]
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype of the parameters, which every kernel buffer shares."""
-        return self.out_b.dtype
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        """Parameter tensors in canonical order (views, not copies)."""
-        params: dict[str, np.ndarray] = {}
-        for idx, layer in enumerate(self.layers):
-            params[f"lstm{idx}.wx"] = layer.wx
-            params[f"lstm{idx}.wh"] = layer.wh
-            params[f"lstm{idx}.b"] = layer.b
-        params["dense.w"] = self.dense_w
-        params["dense.b"] = self.dense_b
-        params["out.w"] = self.out_w
-        params["out.b"] = self.out_b
-        return params
+        return self.params["out.b"].dtype
 
     def check_finite(self):
-        for name, arr in self.named_params().items():
+        for name, arr in self.params.items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"non-finite values in parameter {name}")
 
 
 def _param_shapes(config: LstmConfig) -> dict[str, tuple[int, ...]]:
-    """Every parameter's name and shape, in named_params order: the one statement of the layout."""
+    """Every parameter's name and shape, in LstmModel.params order: the one statement of the layout."""
     shapes: dict[str, tuple[int, ...]] = {}
     d = 1
     for idx, width in enumerate(config.lstm_layers):
@@ -176,17 +141,6 @@ def _glorot(rng: Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape).astype(COMPUTE_DTYPE)
 
 
-def _assemble(config: LstmConfig, scaler: Scaler, arrays: dict[str, np.ndarray]) -> LstmModel:
-    """The model holding arrays, keyed by the names of _param_shapes."""
-    layers = tuple(
-        LayerParams(arrays[f"lstm{i}.wx"], arrays[f"lstm{i}.wh"], arrays[f"lstm{i}.b"])
-        for i in range(len(config.lstm_layers))
-    )
-    return LstmModel(
-        config, scaler, layers, arrays["dense.w"], arrays["dense.b"], arrays["out.w"], arrays["out.b"]
-    )
-
-
 def init_model(config: LstmConfig, scaler: Scaler, rng: Generator) -> LstmModel:
     """Glorot-uniform weights drawn in _param_shapes order, zero biases except forget-gate biases at 1.0."""
     arrays = {
@@ -195,7 +149,7 @@ def init_model(config: LstmConfig, scaler: Scaler, rng: Generator) -> LstmModel:
     }
     for i, width in enumerate(config.lstm_layers):
         arrays[f"lstm{i}.b"][width : 2 * width] = 1.0  # forget gate: start remembering
-    return _assemble(config, scaler, arrays)
+    return LstmModel(config, scaler, arrays)
 
 
 def _activate(z: np.ndarray, k, out: np.ndarray | None = None) -> np.ndarray:
@@ -254,7 +208,7 @@ class ForwardCache:
     y: np.ndarray  # (B,) logistic predictions
 
 
-def _layer_forward(x: np.ndarray, params: LayerParams) -> _LayerCache:
+def _layer_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> _LayerCache:
     """One layer over a time-major input x (T, B, D).
 
     The input projection x @ wx + b of every step is one GEMM; each step then
@@ -265,12 +219,12 @@ def _layer_forward(x: np.ndarray, params: LayerParams) -> _LayerCache:
     check of every step would.
     """
     steps, batch, d = x.shape
-    w, dtype = params.width, params.wh.dtype
+    w, dtype = wh.shape[0], wh.dtype
     if d == 1:  # OpenBLAS runs a K=1 GEMM slowly; the broadcast product is the same bits
-        gates = np.multiply(x, params.wx[0])
+        gates = np.multiply(x, wx[0])
     else:
-        gates = (x.reshape(steps * batch, d) @ params.wx).reshape(steps, batch, 4 * w)
-    gates += params.b
+        gates = (x.reshape(steps * batch, d) @ wx).reshape(steps, batch, 4 * w)
+    gates += b
     c = np.empty((steps, batch, w), dtype=dtype)
     tc = np.empty_like(c)
     h = np.empty_like(c)
@@ -283,7 +237,7 @@ def _layer_forward(x: np.ndarray, params: LayerParams) -> _LayerCache:
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values run on to the check
         for t in range(steps):
             a = gates[t]
-            np.matmul(h_prev, params.wh, out=z)
+            np.matmul(h_prev, wh, out=z)
             z += a
             z_sums[t] = z.sum()
             _activate(z, coef, out=a)
@@ -320,9 +274,10 @@ def forward_batch(
     caches: list[_LayerCache] = []
     seq_masks: list[np.ndarray | None] = []
     last_mask = None
-    n_layers = len(model.layers)
-    for idx, params in enumerate(model.layers):
-        cache = _layer_forward(seq, params)
+    p = model.params
+    n_layers = len(model.config.lstm_layers)
+    for idx in range(n_layers):
+        cache = _layer_forward(seq, p[f"lstm{idx}.wx"], p[f"lstm{idx}.wh"], p[f"lstm{idx}.b"])
         caches.append(cache)
         if idx < n_layers - 1:
             mask = None
@@ -339,9 +294,9 @@ def forward_batch(
                 last_mask = dropout_mask(rng, h_last.shape, rate, h_last.dtype)
                 h_last = h_last * last_mask
 
-    a1 = h_last @ model.dense_w + model.dense_b
+    a1 = h_last @ p["dense.w"] + p["dense.b"]
     r1 = np.maximum(a1, 0.0)
-    z2 = r1 @ model.out_w + model.out_b
+    z2 = r1 @ p["out.w"] + p["out.b"]
     y = _activate(z2, 0.5)[:, 0]
     return y, ForwardCache(caches, seq_masks, last_mask, h_last, a1, r1, y)
 
@@ -361,7 +316,7 @@ def predict_batch(model: LstmModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _layer_backward(cache: _LayerCache, params: LayerParams, dh_out: np.ndarray):
+def _layer_backward(cache: _LayerCache, wx: np.ndarray, wh: np.ndarray, dh_out: np.ndarray):
     """BPTT through one layer; returns (d_x, d_wx, d_wh, d_b) with d_x time-major.
 
     dh_out is dL/dh from above: (T, B, H) for a layer whose whole sequence
@@ -392,7 +347,7 @@ def _layer_backward(cache: _LayerCache, params: LayerParams, dh_out: np.ndarray)
     seq = dh_out if dh_out.ndim == 3 else None
     dh = (dh_out[-1] if seq is not None else dh_out).copy()
     dc = np.zeros_like(dh)
-    wh_t = params.wh.T
+    wh_t = wh.T
     for t in range(steps - 1, -1, -1):
         dc += dh * dc_dh[t]
         dz_blocks[t, :, :3] *= dc[:, None, :]
@@ -407,7 +362,7 @@ def _layer_backward(cache: _LayerCache, params: LayerParams, dh_out: np.ndarray)
     d_wx = cache.xt.reshape(steps * batch, -1).T @ dz_rows
     d_wh = cache.ht[:-1].reshape(-1, w).T @ dz_rows[batch:]
     d_b = dz_rows.sum(axis=0)
-    d_x = (dz_rows @ params.wx.T).reshape(steps, batch, -1)
+    d_x = (dz_rows @ wx.T).reshape(steps, batch, -1)
     return d_x, d_wx, d_wh, d_b
 
 
@@ -423,17 +378,19 @@ def backward_batch(model: LstmModel, cache: ForwardCache, d_y: np.ndarray) -> di
         "out.w": cache.r1.T @ dz2,
         "out.b": dz2.sum(axis=0),
     }
-    dr1 = dz2 @ model.out_w.T
+    p = model.params
+    dr1 = dz2 @ p["out.w"].T
     da1 = dr1 * (cache.a1 > 0.0)
     grads["dense.w"] = cache.h_last.T @ da1
     grads["dense.b"] = da1.sum(axis=0)
-    dh = da1 @ model.dense_w.T
+    dh = da1 @ p["dense.w"].T
     if cache.last_mask is not None:
         dh = dh * cache.last_mask
 
     # The final layer receives gradient only at its last timestep.
-    for idx in range(len(model.layers) - 1, -1, -1):
-        d_x, d_wx, d_wh, d_b = _layer_backward(cache.layers[idx], model.layers[idx], dh)
+    for idx in range(len(model.config.lstm_layers) - 1, -1, -1):
+        wx, wh = p[f"lstm{idx}.wx"], p[f"lstm{idx}.wh"]
+        d_x, d_wx, d_wh, d_b = _layer_backward(cache.layers[idx], wx, wh, dh)
         grads[f"lstm{idx}.wx"] = d_wx
         grads[f"lstm{idx}.wh"] = d_wh
         grads[f"lstm{idx}.b"] = d_b
@@ -518,17 +475,16 @@ def train(config: LstmConfig, closes) -> TrainResult:
     the trace stay float64.
     """
     closes = np.asarray(closes, dtype=float)
-    ds = make_windows(closes, config.window, config.horizon)
-    n = ds.targets.size
-    n_train = max(1, int(n * TRAIN_FRACTION))
-    last_train_close = (n_train - 1) + config.window + config.horizon - 1
-    scaler = fit_scaler(closes[: last_train_close + 1])
-    inputs = scaler.transform(ds.inputs).astype(COMPUTE_DTYPE)
-    targets = scaler.transform(ds.targets)
+    first = config.window + config.horizon - 1  # the first row with a full window
+    windows = input_windows(closes, config.window, config.horizon, first, len(closes))
+    n_train = max(1, int(len(windows) * TRAIN_FRACTION))
+    scaler = fit_scaler(closes[: first + n_train])
+    inputs = scaler.transform(windows).astype(COMPUTE_DTYPE)
+    targets = scaler.transform(closes[first:])
 
     rng = Generator(PCG64(SeedSequence(config.seed)))
     model = init_model(config, scaler, rng)
-    adam = _Adam(model.named_params())
+    adam = _Adam(model.params)
 
     x_val, y_val = inputs[n_train:], targets[n_train:]
     trace = []
@@ -551,7 +507,7 @@ def train(config: LstmConfig, closes) -> TrainResult:
             mae_sum += float(np.sum(np.abs(yb - pred)))
             d_y = huber_gradient(yb, pred, config.huber_delta) / sel.size
             grads = backward_batch(model, cache, d_y)
-            adam.step(model.named_params(), grads, config.learning_rate)
+            adam.step(model.params, grads, config.learning_rate)
 
         if y_val.size:
             val_pred = predict_batch(model, x_val)
@@ -566,20 +522,8 @@ def train(config: LstmConfig, closes) -> TrainResult:
 
 
 def forecast(model: LstmModel, closes, lo: int, hi: int) -> np.ndarray:
-    """Predicted closes for rows [lo, hi) of a close series, in float64.
-
-    Row k is predicted from the window that ends `horizon` rows before it,
-    closes[k - horizon - window + 1 : k - horizon + 1], so each prediction
-    sees only closes known `horizon` rows earlier; rows up to `horizon` past
-    the end of closes can be predicted.
-    """
-    window, horizon = model.config.window, model.config.horizon
-    first = lo - (window + horizon - 1)
-    if first < 0:
-        raise ValueError(f"row {lo} needs {window + horizon - 1} rows of history before it, has {lo}")
-    if hi > len(closes) + horizon:
-        raise ValueError(f"rows [{lo}, {hi}) run more than {horizon} past the {len(closes)} closes")
-    windows = np.lib.stride_tricks.sliding_window_view(closes, window)[first : first + hi - lo]
+    """Predicted closes for rows [lo, hi) of a close series, in float64, from their input_windows."""
+    windows = input_windows(closes, model.config.window, model.config.horizon, lo, hi)
     return model.scaler.inverse_transform(predict_batch(model, model.scaler.transform(windows)))
 
 
@@ -598,7 +542,7 @@ def checkpoint_bytes(model: LstmModel) -> bytes:
     """Serialize a model to the checkpoint container format, version 2.
 
     Layout: 8-byte magic, little-endian uint32 header length, UTF-8 JSON
-    header (version, config, scaler bounds), the parameters in named_params
+    header (version, config, scaler bounds), the parameters in _param_shapes
     order as little-endian float32 in C order, and the sha256 of all the
     bytes before it. The config fixes every parameter's shape.
     """
@@ -610,7 +554,7 @@ def checkpoint_bytes(model: LstmModel) -> bytes:
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = b"".join(
         [CHECKPOINT_MAGIC, struct.pack("<I", len(encoded)), encoded]
-        + [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in model.named_params().values()]
+        + [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in model.params.values()]
     )
     return body + hashlib.sha256(body).digest()
 
@@ -659,7 +603,7 @@ def model_from_checkpoint_bytes(blob: bytes) -> LstmModel:
     # One copy: writable, aligned float32 arrays that no longer refer to blob.
     flat = np.frombuffer(blob, dtype="<f4", count=need // 4, offset=pos).astype(COMPUTE_DTYPE)
     chunks = np.split(flat, np.cumsum(sizes)[:-1])
-    model = _assemble(config, scaler, {name: c.reshape(shapes[name]) for name, c in zip(shapes, chunks)})
+    model = LstmModel(config, scaler, {name: c.reshape(shapes[name]) for name, c in zip(shapes, chunks)})
     model.check_finite()
     return model
 

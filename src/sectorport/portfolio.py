@@ -64,7 +64,7 @@ class PortfolioWeights:
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+            raise ValueError(f"weights sum to {float(w.sum())}, not 1")
         object.__setattr__(self, "weights", w)
 
     def as_dict(self) -> dict[str, float]:
@@ -91,8 +91,6 @@ class FrontierCloud:
     returns: np.ndarray = field(repr=False)
     risks: np.ndarray = field(repr=False)
     sharpes: np.ndarray = field(repr=False)
-    seed: int
-    risk_free: float
 
     def __post_init__(self):
         n, k = len(self.weights), len(self.symbols)
@@ -184,7 +182,7 @@ def build_frontier(
         raise ValueError(f"invalid covariance: w'Cw = {variances.min():.3g} < 0")
     risks = np.sqrt(np.maximum(variances, 0.0))
     sharpes = sharpe_ratio(returns, risks, risk_free)
-    return FrontierCloud(symbols, weights, returns, risks, sharpes, seed=seed, risk_free=risk_free)
+    return FrontierCloud(symbols, weights, returns, risks, sharpes)
 
 
 def min_variance_portfolio(cloud: FrontierCloud) -> FrontierPoint:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from sectorport.lstm import LayerParams, LstmModel, backward_batch, forward_batch, huber_gradient, huber_loss
+from sectorport.lstm import LstmModel, backward_batch, forward_batch, huber_gradient, huber_loss
 from sectorport.portfolio import CovarianceMatrix, PortfolioWeights
 
 
@@ -52,18 +52,18 @@ def analytic_min_variance(cov: CovarianceMatrix) -> PortfolioWeights:
     return PortfolioWeights(cov.symbols, w)
 
 
-def lstm_cell_step(x_t, h_prev, c_prev, params) -> tuple[np.ndarray, np.ndarray]:
+def lstm_cell_step(x_t, h_prev, c_prev, wx, wh, b) -> tuple[np.ndarray, np.ndarray]:
     """One textbook LSTM step in float64; returns (h_t, c_t).
 
     Gate blocks are stacked [input, forget, candidate, output] along the last
-    axis of params.wx, params.wh and params.b, the gates are 1 / (1 + exp(-z))
+    axis of wx, wh and b, the gates are 1 / (1 + exp(-z))
     and the candidate and cell output tanh. x_t, h_prev and c_prev may carry
     leading batch axes. Written apart from the library kernel, which computes
     the logistic as 0.5 * (1 + tanh(z / 2)) in place over all gates at once.
     """
-    wx = np.asarray(params.wx, dtype=np.float64)
-    wh = np.asarray(params.wh, dtype=np.float64)
-    b = np.asarray(params.b, dtype=np.float64)
+    wx = np.asarray(wx, dtype=np.float64)
+    wh = np.asarray(wh, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     width = wh.shape[0]
     z = np.asarray(x_t, dtype=np.float64) @ wx + np.asarray(h_prev, dtype=np.float64) @ wh + b
     i = 1.0 / (1.0 + np.exp(-z[..., :width]))
@@ -77,16 +77,7 @@ def lstm_cell_step(x_t, h_prev, c_prev, params) -> tuple[np.ndarray, np.ndarray]
 
 def float64_copy(model: LstmModel) -> LstmModel:
     """A copy of the model with every parameter tensor in float64; the kernel follows that dtype."""
-    f64 = np.float64
-    layers = tuple(LayerParams(p.wx.astype(f64), p.wh.astype(f64), p.b.astype(f64)) for p in model.layers)
-    return replace(
-        model,
-        layers=layers,
-        dense_w=model.dense_w.astype(f64),
-        dense_b=model.dense_b.astype(f64),
-        out_w=model.out_w.astype(f64),
-        out_b=model.out_b.astype(f64),
-    )
+    return replace(model, params={name: arr.astype(np.float64) for name, arr in model.params.items()})
 
 
 def gradient_check(
@@ -127,7 +118,7 @@ def gradient_check(
 
     coord_rng = Generator(PCG64(SeedSequence(coord_seed)))
     worst = 0.0
-    for name, param in model.named_params().items():
+    for name, param in model.params.items():
         flat = param.reshape(-1)
         grad_flat = analytic[name].reshape(-1)
         if flat.size <= coords_per_tensor:

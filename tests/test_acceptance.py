@@ -152,7 +152,7 @@ def test_criterion_06_gradient_check_and_fault_detection():
 
     clean = gradient_check(model, inputs, targets, epsilon=1e-5)
     faults_detected = []
-    for tensor in model.named_params():
+    for tensor in model.params:
         err = gradient_check(model, inputs, targets, fault=tensor)
         faults_detected.append(err > 1e-4 and abs(err - 0.5) < 0.05)
     elapsed = time.perf_counter() - t0

@@ -50,8 +50,8 @@ def test_round_trip_preserves_everything(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.config == model.config
     assert loaded.scaler == model.scaler
-    for name, arr in model.named_params().items():
-        np.testing.assert_array_equal(loaded.named_params()[name], arr)
+    for name, arr in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name], arr)
 
 
 def test_round_trip_preserves_predictions(tmp_path):
@@ -69,7 +69,7 @@ def test_serialization_is_byte_deterministic():
 
 
 def test_header_is_self_describing():
-    # the config fixes every parameter's shape; the payload is float32 in named_params order
+    # the config fixes every parameter's shape; the payload is float32 in the model's params order
     model = make_model()
     blob = checkpoint_bytes(model)
     header, payload = split_blob(blob)
@@ -77,9 +77,19 @@ def test_header_is_self_describing():
     assert header["version"] == 2
     assert header["scaler"] == {"min": 50.0, "max": 150.0}
     assert LstmConfig(**header["config"]) == model.config
-    expected = np.concatenate([a.ravel() for a in model.named_params().values()])
+    expected = np.concatenate([a.ravel() for a in model.params.values()])
     np.testing.assert_array_equal(np.frombuffer(payload, dtype="<f4"), expected)
     assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
+
+
+def test_seeded_checkpoint_bytes_are_pinned():
+    # Pins the payload order and the order of the Glorot draws against a
+    # literal, not against the model's own order. Init draws and
+    # serialisation use no BLAS, so the digest is the same on every machine.
+    blob = checkpoint_bytes(make_model(seed=7))
+    assert len(blob) == 1130
+    digest = "fd1a22a1087cf342003148bf770d3a3f9b43d41e8ec00c57ef39498e6e2d5287"
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_bad_magic_rejected():
@@ -101,7 +111,7 @@ def test_version_1_checkpoint_rejected_saying_retrain():
     header, _ = split_blob(checkpoint_bytes(model))
     header["version"] = 1
     header["tensors"], payload = [], b""
-    for name, arr in model.named_params().items():
+    for name, arr in model.params.items():
         header["tensors"].append({"name": name, "shape": list(arr.shape), "offset": len(payload)})
         payload += arr.astype("<f8").tobytes()
     with pytest.raises(ValueError, match="version 1.*retrain"):
@@ -143,12 +153,12 @@ def test_trailing_bytes_rejected():
 def test_float64_checkpoint_loads_narrowed_to_float32():
     # a float64 model holding values that float32 cannot hold exactly is written narrowed
     wide = float64_copy(make_model(seed=5))
-    for arr in wide.named_params().values():
+    for arr in wide.params.values():
         arr += 1e-10
     loaded = model_from_checkpoint_bytes(checkpoint_bytes(wide))
-    for name, arr in wide.named_params().items():
-        assert loaded.named_params()[name].dtype == np.float32
-        np.testing.assert_array_equal(loaded.named_params()[name], arr.astype(np.float32))
+    for name, arr in wide.params.items():
+        assert loaded.params[name].dtype == np.float32
+        np.testing.assert_array_equal(loaded.params[name], arr.astype(np.float32))
 
 
 def test_every_prefix_raises_value_error():

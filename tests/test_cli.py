@@ -421,6 +421,57 @@ def test_train_reruns_are_byte_identical(config, tmp_path):
     assert t1.read_bytes() == t2.read_bytes()
 
 
+def solo_config(root, closes, **lstm):
+    """A config under root whose one sector holds AAA with the given closes, lstm keys overridden."""
+    (root / "data").mkdir(parents=True)
+    write_series(root / "data", "AAA", closes)
+    doc = base_doc(sectors=[{"name": "solo", "members": [["AAA", 1.0]]}])
+    doc["lstm"].update(lstm)
+    (root / "c.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return load_config(root / "c.yaml")
+
+
+@pytest.mark.parametrize(
+    "closes, lstm, error, message",
+    [
+        pytest.param(
+            gbm_closes(14, seed=1), {"window": 20}, ValueError,
+            "series of length 14 too short for window 20 + horizon 1", id="too-short",
+        ),
+        pytest.param(
+            np.full(300, 42.0), {}, ValueError,
+            "need at least 2 distinct values to fit a scaler", id="constant",
+        ),
+        pytest.param(
+            gbm_closes(300, seed=2), {"learning_rate": 1e38}, RuntimeError,
+            "non-finite loss at epoch 1, batch ", id="non-finite-loss",
+        ),
+    ],
+)
+def test_train_errors_name_the_symbol(tmp_path, closes, lstm, error, message):
+    cfg = solo_config(tmp_path, closes, **lstm)
+    with pytest.raises(error, match=f"^AAA: {re.escape(message)}"):
+        cmd_train(cfg, "AAA", tmp_path / "out")
+    assert not (tmp_path / "out" / "checkpoints").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["backtest", "twin"], ["plotdata", "TW2", "--start", "2021-01-04", "--end", "2021-01-08"]],
+    ids=["backtest", "plotdata"],
+)
+def test_corrupt_checkpoint_error_names_the_file(config, env, tmp_path, capsys, args):
+    for sym in ("TW1", "TW2"):
+        ckpt, _ = cmd_train(config, sym, tmp_path)
+    blob = bytearray(ckpt.read_bytes())
+    blob[len(blob) // 2] ^= 1  # a payload byte, which only the digest catches
+    ckpt.write_bytes(bytes(blob))
+    rc = main(["--config", str(env / "config.yaml"), "--out", str(tmp_path), *args])
+    assert rc == 1
+    message = "checkpoint digest mismatch: the file is corrupt or truncated"
+    assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+
+
 def test_corrupt_checkpoint_is_rejected_on_reload(config, tmp_path):
     ckpt, _ = cmd_train(config, "CCC", tmp_path)
     blob = bytearray(ckpt.read_bytes())
@@ -544,6 +595,39 @@ def test_backtest_weights_file_value_must_be_a_finite_number(config, tmp_path, t
     with pytest.raises(ValueError, match=rf"^{re.escape(str(weights))}: {message}"):
         cmd_backtest(config, "twin", tmp_path / "out", predicted_prices=pred_file, weights_file=weights)
     assert not list((tmp_path / "out").glob("ledger_*"))
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({"TW1": 0.4, "TW2": 0.5}, "weights sum to 0.9, not 1"),
+        ({"TW1": -0.5, "TW2": 1.5}, "weights must be nonnegative"),
+    ],
+    ids=["sum-0.9", "negative"],
+)
+def test_backtest_invalid_weights_file_error_names_the_file(config, env, tmp_path, capsys, weights, message):
+    weights_file = tmp_path / "w.json"
+    weights_file.write_text(json.dumps(weights))
+    pred_file = tmp_path / "pred.csv"
+    pred_file.write_text("symbol,price\nTW1,100.0\nTW2,200.0\n")
+    argv = ["--config", str(env / "config.yaml"), "--out", str(tmp_path / "out"), "backtest", "twin"]
+    rc = main(argv + ["--predicted-prices", str(pred_file), "--weights-file", str(weights_file)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {weights_file}: {message}\n"
+
+
+@pytest.mark.parametrize("line", ["tech,1.0", "tech,abc,1.0", "tech,1.0,2.0,3.0"])
+def test_backtest_malformed_summary_names_file_and_line(config, tmp_path, line):
+    out = tmp_path / "out"
+    out.mkdir()
+    summary = out / "summary.csv"
+    header = "sector,predicted_return_pct,actual_return_pct"
+    summary.write_text(f"{header}\ntwin,1.00,2.00\n{line}\n")
+    pred_file = tmp_path / "pred.csv"
+    pred_file.write_text("symbol,price\nTW1,100.0\nTW2,200.0\n")
+    expected = f"{summary}: line 3: expected '{header}' columns, got {line!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        cmd_backtest(config, "twin", out, predicted_prices=pred_file)
 
 
 def test_backtest_member_without_bars_from_invest_to_eval_date(env, tmp_path):

@@ -12,7 +12,6 @@ from numpy.random import Generator, PCG64, SeedSequence
 from oracles import float64_copy, lstm_cell_step
 from sectorport.config import LstmConfig
 from sectorport.lstm import (
-    LayerParams,
     Scaler,
     backward_batch,
     dropout_mask,
@@ -21,8 +20,8 @@ from sectorport.lstm import (
     huber_gradient,
     huber_loss,
     init_model,
+    input_windows,
     mae,
-    make_windows,
     predict_batch,
     train,
 )
@@ -70,18 +69,15 @@ def reference_cell_step(x, h_prev, c_prev, wx, wh, b, width):
 def test_cell_step_matches_reference_implementation():
     width, d = 3, 2
     rng = Generator(PCG64(SeedSequence(17)))
-    params = LayerParams(
-        wx=rng.normal(size=(d, 4 * width)),
-        wh=rng.normal(size=(width, 4 * width)),
-        b=rng.normal(size=4 * width),
-    )
+    wx = rng.normal(size=(d, 4 * width))
+    wh = rng.normal(size=(width, 4 * width))
+    b = rng.normal(size=4 * width)
     x = rng.normal(size=d)
     h_prev = rng.normal(size=width)
     c_prev = rng.normal(size=width)
-    h, c = lstm_cell_step(x, h_prev, c_prev, params)
+    h, c = lstm_cell_step(x, h_prev, c_prev, wx, wh, b)
     h_ref, c_ref = reference_cell_step(
-        x.tolist(), h_prev.tolist(), c_prev.tolist(), params.wx.tolist(), params.wh.tolist(),
-        params.b.tolist(), width
+        x.tolist(), h_prev.tolist(), c_prev.tolist(), wx.tolist(), wh.tolist(), b.tolist(), width
     )
     np.testing.assert_allclose(h, h_ref, atol=1e-12, rtol=0)
     np.testing.assert_allclose(c, c_ref, atol=1e-12, rtol=0)
@@ -93,16 +89,18 @@ def test_forward_batch_matches_reference_over_window():
     config = LstmConfig(window=4, lstm_layers=(3, 2), dense_width=4, dropout_rate=0.0)
     rng = Generator(PCG64(SeedSequence(21)))
     model = float64_copy(init_model(config, Scaler(0.0, 1.0), rng))
-    for layer in model.layers:
-        layer.b[...] = rng.normal(size=layer.b.shape)
+    p = model.params
+    for idx in range(len(config.lstm_layers)):
+        p[f"lstm{idx}.b"][...] = rng.normal(size=p[f"lstm{idx}.b"].shape)
     X = rng.random((2, config.window))
     _, cache = forward_batch(model, X)
     seq = X[:, :, None]  # (batch, T, D)
-    for params, lc in zip(model.layers, cache.layers):
-        h = c = np.zeros((2, params.width))
+    for idx, (width, lc) in enumerate(zip(config.lstm_layers, cache.layers)):
+        layer = p[f"lstm{idx}.wx"], p[f"lstm{idx}.wh"], p[f"lstm{idx}.b"]
+        h = c = np.zeros((2, width))
         hs = []
         for t in range(config.window):
-            h, c = lstm_cell_step(seq[:, t], h, c, params)
+            h, c = lstm_cell_step(seq[:, t], h, c, *layer)
             np.testing.assert_allclose(lc.h[:, t], h, atol=1e-12, rtol=0)
             np.testing.assert_allclose(lc.c[t], c, atol=1e-12, rtol=0)
             hs.append(h)
@@ -111,8 +109,8 @@ def test_forward_batch_matches_reference_over_window():
 
 def test_cell_step_all_zero_gives_zero_hidden():
     width = 4
-    params = LayerParams(np.zeros((1, 16)), np.zeros((4, 16)), np.zeros(16))
-    h, c = lstm_cell_step(np.zeros(1), np.zeros(4), np.zeros(4), params)
+    wx, wh, b = np.zeros((1, 16)), np.zeros((4, 16)), np.zeros(16)
+    h, c = lstm_cell_step(np.zeros(1), np.zeros(4), np.zeros(4), wx, wh, b)
     np.testing.assert_array_equal(h, np.zeros(width))
     np.testing.assert_array_equal(c, np.zeros(width))
 
@@ -123,16 +121,16 @@ def test_cell_step_saturated_forget_gate_is_pure_memory():
     b = np.zeros(4 * width)
     b[0:width] = -50.0  # input gate closed
     b[width : 2 * width] = 50.0  # forget gate open
-    params = LayerParams(np.zeros((1, 4 * width)), np.zeros((width, 4 * width)), b)
+    wx, wh = np.zeros((1, 4 * width)), np.zeros((width, 4 * width))
     c_prev = np.array([0.5, -1.0, 2.0])
-    _, c = lstm_cell_step(np.zeros(1), np.zeros(width), c_prev, params)
+    _, c = lstm_cell_step(np.zeros(1), np.zeros(width), c_prev, wx, wh, b)
     np.testing.assert_allclose(c, c_prev, atol=1e-10)
 
 
 def test_cell_step_rejects_nonfinite_parameters():
     # a one-step window of one unit is a single cell step of the kernel
     model = small_model(window=1, lstm_layers=(1,))
-    model.layers[0].wx[...] = np.inf
+    model.params["lstm0.wx"][...] = np.inf
     with pytest.raises(FloatingPointError, match="blow-up"):
         forward_batch(model, np.ones((1, 1)))
 
@@ -149,7 +147,7 @@ def test_cell_step_rejects_nonfinite_parameters():
 def test_forward_rejects_nonfinite_parameter_as_blow_up(layers, layer, tensor, index, value):
     # the poisoned layer is the last one, so no later layer's input can catch it
     model = small_model(lstm_layers=layers)
-    getattr(model.layers[layer], tensor)[index] = value
+    model.params[f"lstm{layer}.{tensor}"][index] = value
     X = Generator(PCG64(SeedSequence(12))).random((3, 8))
     with pytest.raises(FloatingPointError, match="blow-up"):
         forward_batch(model, X)
@@ -201,7 +199,7 @@ def test_one_input_projection_by_broadcast_equals_the_gemm_bitwise(steps, batch,
     # the first layer's input has one feature, so its projection runs as a broadcast multiply
     config = LstmConfig(window=steps, lstm_layers=(width,), dense_width=8, batch_size=batch)
     rng = Generator(PCG64(SeedSequence(7)))
-    wx = init_model(config, Scaler(0.0, 1.0), rng).layers[0].wx
+    wx = init_model(config, Scaler(0.0, 1.0), rng).params["lstm0.wx"]
     for x in (rng.random((steps, batch, 1)), rng.standard_normal((steps, batch, 1)) * 1e3):
         x = x.astype(wx.dtype)
         gemm = (x.reshape(steps * batch, 1) @ wx).reshape(steps, batch, 4 * width)
@@ -267,8 +265,8 @@ def _training_step(model, X, targets, seed=16):
     rng = Generator(PCG64(SeedSequence(seed)))
     y, cache = forward_batch(model, X, training=True, rng=rng)
     grads = backward_batch(model, cache, huber_gradient(targets, y) / len(targets))
-    adam = fc._Adam(model.named_params())
-    adam.step(model.named_params(), grads, 1e-3)
+    adam = fc._Adam(model.params)
+    adam.step(model.params, grads, 1e-3)
     return y, cache, grads, adam
 
 
@@ -279,7 +277,7 @@ def test_init_model_stores_float64_draws_as_float32():
     rng = Generator(PCG64(SeedSequence(3)))
     init_model(model.config, model.scaler, rng)
     replay = Generator(PCG64(SeedSequence(3)))
-    for name, arr in model.named_params().items():
+    for name, arr in model.params.items():
         assert arr.dtype == np.float32, name
         if arr.ndim == 2:  # weights are drawn, biases are constants
             limit = math.sqrt(6.0 / sum(arr.shape))
@@ -335,10 +333,7 @@ def test_float32_kernel_never_computes_in_float64():
     # every value derived from the parameters stays a _NoFloat64 array, so an
     # operation that widens anywhere in forward, BPTT, Adam or inference raises
     model = small_model(seed=7, lstm_layers=(5, 4), dropout_rate=0.3)
-    for layer in model.layers:
-        layer.wx, layer.wh, layer.b = (a.view(_NoFloat64) for a in (layer.wx, layer.wh, layer.b))
-    for name in ("dense_w", "dense_b", "out_w", "out_b"):
-        setattr(model, name, getattr(model, name).view(_NoFloat64))
+    model.params = {name: arr.view(_NoFloat64) for name, arr in model.params.items()}
     rng = Generator(PCG64(SeedSequence(8)))
     X, targets = rng.random((5, 8)), rng.random(5)
     _training_step(model, X, targets)
@@ -445,29 +440,37 @@ def test_mae_rejects_mismatch_and_empty():
         mae([], [])
 
 
-# ------------------------------------------------------------- make_windows
+# ------------------------------------------------------------ input_windows
+# The (window -> target) samples train fits: rows [window + horizon - 1,
+# len(closes)), each paired with its own close as the target.
+
+def training_samples(closes, window, horizon):
+    closes = np.asarray(closes, dtype=float)
+    first = window + horizon - 1
+    return input_windows(closes, window, horizon, first, len(closes)), closes[first:]
+
 
 def test_make_windows_sample_count():
-    ds = make_windows(np.arange(52, dtype=float), window=50, horizon=1)
-    assert ds.inputs.shape == (2, 50)
-    assert ds.targets.shape == (2,)
+    inputs, targets = training_samples(np.arange(52, dtype=float), window=50, horizon=1)
+    assert inputs.shape == (2, 50)
+    assert targets.shape == (2,)
 
 
 def test_make_windows_enumeration():
-    ds = make_windows([1.0, 2.0, 3.0, 4.0, 5.0], window=2, horizon=1)
-    np.testing.assert_array_equal(ds.inputs, [[1, 2], [2, 3], [3, 4]])
-    np.testing.assert_array_equal(ds.targets, [3, 4, 5])
+    inputs, targets = training_samples([1.0, 2.0, 3.0, 4.0, 5.0], window=2, horizon=1)
+    np.testing.assert_array_equal(inputs, [[1, 2], [2, 3], [3, 4]])
+    np.testing.assert_array_equal(targets, [3, 4, 5])
 
 
 def test_make_windows_boundary_too_short():
     with pytest.raises(ValueError, match="too short"):
-        make_windows(np.arange(5, dtype=float), window=4, horizon=2)
+        training_samples(np.arange(5, dtype=float), window=4, horizon=2)
 
 
 def test_make_windows_horizon_shifts_targets():
-    ds = make_windows([1.0, 2.0, 3.0, 4.0, 5.0], window=2, horizon=2)
-    np.testing.assert_array_equal(ds.inputs, [[1, 2], [2, 3]])
-    np.testing.assert_array_equal(ds.targets, [4, 5])
+    inputs, targets = training_samples([1.0, 2.0, 3.0, 4.0, 5.0], window=2, horizon=2)
+    np.testing.assert_array_equal(inputs, [[1, 2], [2, 3]])
+    np.testing.assert_array_equal(targets, [4, 5])
 
 
 @given(
@@ -478,9 +481,9 @@ def test_make_windows_horizon_shifts_targets():
 @settings(max_examples=60)
 def test_make_windows_count_formula(window, horizon, extra):
     length = window + horizon + extra
-    ds = make_windows(np.arange(length, dtype=float), window, horizon)
-    assert ds.targets.size == length - window - horizon + 1
-    assert ds.inputs.shape == (ds.targets.size, window)
+    inputs, targets = training_samples(np.arange(length, dtype=float), window, horizon)
+    assert targets.size == length - window - horizon + 1
+    assert inputs.shape == (targets.size, window)
 
 
 # ------------------------------------------------------------------- scaler

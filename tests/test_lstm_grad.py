@@ -41,7 +41,7 @@ def test_zero_model_on_zero_input_agrees_at_machine_scale():
 
     cfg = LstmConfig(**TINY, seed=0)
     model = init_model(cfg, Scaler(0.0, 1.0), Generator(PCG64(SeedSequence(0))))
-    for arr in model.named_params().values():
+    for arr in model.params.values():
         arr[...] = 0.0
     inputs = np.zeros((2, 5))
     targets = np.full(2, 0.5)
@@ -50,8 +50,8 @@ def test_zero_model_on_zero_input_agrees_at_machine_scale():
     grads = backward_batch(model, cache, huber_gradient(targets, pred, 1.0) / 2)
     # x = 0 means lstm0.wx cannot influence the loss: analytic and numeric
     # gradients are both exactly zero
-    assert np.array_equal(grads["lstm0.wx"], np.zeros_like(model.layers[0].wx))
-    wx = model.layers[0].wx.reshape(-1)
+    assert np.array_equal(grads["lstm0.wx"], np.zeros_like(model.params["lstm0.wx"]))
+    wx = model.params["lstm0.wx"].reshape(-1)
     for k in range(wx.size):
         for eps in (1e-5, -1e-5):
             wx[k] = eps
@@ -111,7 +111,7 @@ def test_gradient_check_through_dropout_masks():
 
     eps = 1e-5
     worst = 0.0
-    for name, param in model.named_params().items():
+    for name, param in model.params.items():
         flat = param.reshape(-1)
         for k in range(flat.size):
             orig = flat[k]

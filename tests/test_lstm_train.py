@@ -29,8 +29,8 @@ def test_zero_epochs_returns_initialized_model_and_empty_trace():
     # parameters must equal a fresh initialization from the same seed
     rng = Generator(PCG64(SeedSequence(42)))
     fresh = init_model(cfg, result.model.scaler, rng)
-    for name, arr in result.model.named_params().items():
-        np.testing.assert_array_equal(arr, fresh.named_params()[name])
+    for name, arr in result.model.params.items():
+        np.testing.assert_array_equal(arr, fresh.params[name])
 
 
 def test_training_is_bit_identical_for_fixed_seed():
@@ -149,6 +149,6 @@ def test_forecast_row_k_uses_the_window_ending_horizon_rows_before_it():
 def test_forward_rejects_nonfinite_parameters():
     cfg = LstmConfig(**QUICK, epochs=1, seed=6)
     result = train(cfg, sine_series(100))
-    result.model.layers[0].wx[0, 0] = np.inf
+    result.model.params["lstm0.wx"][0, 0] = np.inf
     with pytest.raises(FloatingPointError, match="blow-up"):
         fc.forward_batch(result.model, np.zeros((1, cfg.window)) + 0.5)

@@ -242,7 +242,7 @@ def test_frontier_point_stats_recompute_from_weights():
         ret, risk = portfolio_stats(p.weights, FIVE_ASSET_MEAN, FIVE_ASSET_COV)
         assert ret == pytest.approx(p.annual_return, abs=1e-10)
         assert risk == pytest.approx(p.annual_risk, abs=1e-10)
-        assert p.sharpe == pytest.approx((ret - cloud.risk_free) / risk, abs=1e-10)
+        assert p.sharpe == pytest.approx((ret - 0.01) / risk, abs=1e-10)
 
 
 def test_frontier_rejects_zero_draws():
@@ -252,9 +252,9 @@ def test_frontier_rejects_zero_draws():
 
 # ----------------------------------------------------------------- selectors
 
-def _cloud(risks, returns, sharpes, risk_free=0.01):
+def _cloud(risks, returns, sharpes):
     columns = (np.asarray(c, dtype=float) for c in (returns, risks, sharpes))
-    return FrontierCloud(("A",), np.ones((len(risks), 1)), *columns, seed=0, risk_free=risk_free)
+    return FrontierCloud(("A",), np.ones((len(risks), 1)), *columns)
 
 
 def test_min_variance_scans_for_argmin():
@@ -277,7 +277,7 @@ def test_max_sharpe_argmax_invariant_under_risk_free_shift_at_equal_risk():
     # shifting rf moves every equal-risk point's Sharpe by the same amount
     def cloud(rf):
         returns = np.array([0.10, 0.30, 0.20])
-        return _cloud([0.25] * 3, returns, (returns - rf) / 0.25, risk_free=rf)
+        return _cloud([0.25] * 3, returns, (returns - rf) / 0.25)
 
     assert max_sharpe_portfolio(cloud(0.01)).draw_index == max_sharpe_portfolio(cloud(0.05)).draw_index == 1
 
@@ -379,7 +379,7 @@ def test_portfolio_weights_validation():
 
 def test_frontier_cloud_validates_shapes():
     def cloud(symbols, weights, risks, sharpes):
-        return FrontierCloud(symbols, weights, np.zeros(2), risks, sharpes, seed=0, risk_free=0.01)
+        return FrontierCloud(symbols, weights, np.zeros(2), risks, sharpes)
 
     cloud(("A",), np.ones((2, 1)), np.ones(2), np.zeros(2))
     with pytest.raises(ValueError, match="do not fit 2 draws of 2 symbols"):
@@ -445,7 +445,6 @@ def _array_records():
         "AlignedCloseMatrix": lambda: align([series, other]),
         "CovarianceMatrix": lambda: mean_and_covariance(align([series, other]))[1],
         "PortfolioWeights": lambda: PortfolioWeights(("A", "B"), np.array([0.25, 0.75])),
-        "LayerParams": lambda: model().layers[0],
         "LstmModel": model,
     }
 

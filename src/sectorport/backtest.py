@@ -12,67 +12,13 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from .portfolio import PortfolioWeights
 
 
 def _round_half_away(x: float) -> float:
     return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
-
-
-@dataclass(frozen=True)
-class Allocation:
-    symbol: str
-    amount_invested: float  # whole currency units
-    buy_price: float
-    shares: float  # amount / buy_price, unrounded
-
-
-@dataclass(frozen=True)
-class BacktestLedger:
-    sector: str
-    capital: float
-    allocations: tuple[Allocation, ...]
-    end_actual_price: dict[str, float]
-    end_predicted_price: dict[str, float]
-    actual_value: dict[str, float]
-    predicted_value: dict[str, float]
-    total_actual: float
-    total_predicted: float
-    roi_actual: float  # percent
-    roi_predicted: float  # percent
-
-
-def allocate(capital: float, weights: PortfolioWeights, start_prices: dict[str, float]) -> list[Allocation]:
-    """Split capital across symbols per weights at the given buy prices.
-
-    Per-symbol amounts are capital*weight rounded half-away-from-zero to whole
-    currency units; any residual from rounding is left unallocated rather than
-    redistributed. Zero-weight symbols stay in the result with zero shares.
-    """
-    if capital <= 0:
-        raise ValueError(f"capital must be positive, got {capital}")
-    allocs = []
-    for symbol, weight in zip(weights.symbols, weights.weights):
-        if symbol not in start_prices:
-            raise ValueError(f"missing start price for {symbol}")
-        price = start_prices[symbol]
-        if price <= 0:
-            raise ValueError(f"nonpositive start price {price} for {symbol}")
-        amount = float(_round_half_away(capital * float(weight)))
-        allocs.append(Allocation(symbol, amount, float(price), amount / price))
-    return allocs
-
-
-def value_portfolio(allocs: list[Allocation], prices: dict[str, float]) -> tuple[dict[str, float], float]:
-    """Value every holding at the given prices; returns (per-symbol, total)."""
-    values = {}
-    for a in allocs:
-        if a.symbol not in prices:
-            raise ValueError(f"missing price for {a.symbol}")
-        values[a.symbol] = a.shares * prices[a.symbol]
-    return values, sum(values.values())
 
 
 def roi(capital: float, end_value: float) -> float:
@@ -85,95 +31,86 @@ def roi(capital: float, end_value: float) -> float:
 def run_backtest(
     capital: float,
     weights: PortfolioWeights,
-    start_prices: dict[str, float],
-    end_actual_prices: dict[str, float],
-    end_predicted_prices: dict[str, float],
-    sector: str = "",
-) -> BacktestLedger:
-    """Full ledger: allocation, end-of-period valuations, and the ROI pair."""
-    allocs = allocate(capital, weights, start_prices)
-    actual_values, total_actual = value_portfolio(allocs, end_actual_prices)
-    predicted_values, total_predicted = value_portfolio(allocs, end_predicted_prices)
-    return BacktestLedger(
-        sector=sector,
-        capital=capital,
-        allocations=tuple(allocs),
-        end_actual_price={a.symbol: float(end_actual_prices[a.symbol]) for a in allocs},
-        end_predicted_price={a.symbol: float(end_predicted_prices[a.symbol]) for a in allocs},
-        actual_value=actual_values,
-        predicted_value=predicted_values,
-        total_actual=total_actual,
-        total_predicted=total_predicted,
-        roi_actual=roi(capital, total_actual),
-        roi_predicted=roi(capital, total_predicted),
-    )
+    buy: Sequence[float],
+    actual: Sequence[float],
+    predicted: Sequence[float],
+    sector: str,
+) -> dict:
+    """JSON-ready ledger: capital split per weights at the buy prices, the holding valued
+    at the actual and at the predicted end prices, and the ROI pair.
+
+    The three price sequences follow weights.symbols, one price per symbol. Per-symbol
+    amounts are capital*weight rounded half-away-from-zero to whole currency units; any
+    residual from rounding is left unallocated rather than redistributed. Zero-weight
+    symbols stay in the ledger with zero shares. Each total is the left-to-right sum of
+    its row values in symbol order.
+    """
+    for name, prices in (("start", buy), ("actual", actual), ("predicted", predicted)):
+        if len(prices) < len(weights.symbols):
+            raise ValueError(f"missing {name} price for {weights.symbols[len(prices)]}")
+    rows = []
+    for symbol, weight, *prices in zip(weights.symbols, weights.weights, buy, actual, predicted, strict=True):
+        buy_price, actual_price, predicted_price = map(float, prices)
+        if buy_price <= 0:
+            raise ValueError(f"nonpositive start price {buy_price} for {symbol}")
+        amount = float(_round_half_away(capital * float(weight)))
+        shares = amount / buy_price
+        rows.append(
+            {
+                "symbol": symbol,
+                "amount_invested": amount,
+                "buy_price": buy_price,
+                "shares": shares,
+                "actual_price": actual_price,
+                "actual_value": shares * actual_price,
+                "predicted_price": predicted_price,
+                "predicted_value": shares * predicted_price,
+            }
+        )
+    total_actual = sum(r["actual_value"] for r in rows)
+    total_predicted = sum(r["predicted_value"] for r in rows)
+    return {
+        "sector": sector,
+        "capital": capital,
+        "rows": rows,
+        "total_actual": total_actual,
+        "total_predicted": total_predicted,
+        "roi_actual_pct": roi(capital, total_actual),
+        "roi_predicted_pct": roi(capital, total_predicted),
+    }
 
 
 SUMMARY_HEADER = "sector,predicted_return_pct,actual_return_pct"
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    sector: str
-    predicted_return_pct: float
-    actual_return_pct: float
-
-
-def ledger_to_dict(ledger: BacktestLedger) -> dict:
-    """JSON-ready ledger with full-precision per-symbol rows and totals."""
-    rows = []
-    for a in ledger.allocations:
-        rows.append(
-            {
-                "symbol": a.symbol,
-                "amount_invested": a.amount_invested,
-                "buy_price": a.buy_price,
-                "shares": a.shares,
-                "actual_price": ledger.end_actual_price[a.symbol],
-                "actual_value": ledger.actual_value[a.symbol],
-                "predicted_price": ledger.end_predicted_price[a.symbol],
-                "predicted_value": ledger.predicted_value[a.symbol],
-            }
-        )
-    return {
-        "sector": ledger.sector,
-        "capital": ledger.capital,
-        "rows": rows,
-        "total_actual": ledger.total_actual,
-        "total_predicted": ledger.total_predicted,
-        "roi_actual_pct": ledger.roi_actual,
-        "roi_predicted_pct": ledger.roi_predicted,
-    }
-
-
-def ledger_csv_text(ledger: BacktestLedger) -> str:
-    """CSV mirror of the ledger table: display rounding, whole-unit values, 2 d.p. shares."""
+def ledger_csv_text(ledger: dict) -> str:
+    """CSV mirror of a run_backtest ledger: display rounding, whole-unit values, 2 d.p. shares."""
     out = io.StringIO()
     out.write(
         "symbol,amount_invested,buy_price,shares,actual_price,actual_value,"
         "predicted_price,predicted_value\n"
     )
-    for a in ledger.allocations:
+    for r in ledger["rows"]:
         out.write(
-            f"{a.symbol},{a.amount_invested:.0f},{a.buy_price:.12g},{a.shares:.2f},"
-            f"{ledger.end_actual_price[a.symbol]:.12g},"
-            f"{_round_half_away(ledger.actual_value[a.symbol]):.0f},"
-            f"{ledger.end_predicted_price[a.symbol]:.12g},"
-            f"{_round_half_away(ledger.predicted_value[a.symbol]):.0f}\n"
+            f"{r['symbol']},{r['amount_invested']:.0f},{r['buy_price']:.12g},{r['shares']:.2f},"
+            f"{r['actual_price']:.12g},"
+            f"{_round_half_away(r['actual_value']):.0f},"
+            f"{r['predicted_price']:.12g},"
+            f"{_round_half_away(r['predicted_value']):.0f}\n"
         )
     out.write(
-        f"TOTAL,{sum(a.amount_invested for a in ledger.allocations):.0f},,,,"
-        f"{_round_half_away(ledger.total_actual):.0f},,"
-        f"{_round_half_away(ledger.total_predicted):.0f}\n"
+        f"TOTAL,{sum(r['amount_invested'] for r in ledger['rows']):.0f},,,,"
+        f"{_round_half_away(ledger['total_actual']):.0f},,"
+        f"{_round_half_away(ledger['total_predicted']):.0f}\n"
     )
-    out.write(f"ROI,,,,,{ledger.roi_actual:.2f}%,,{ledger.roi_predicted:.2f}%\n")
+    out.write(f"ROI,,,,,{ledger['roi_actual_pct']:.2f}%,,{ledger['roi_predicted_pct']:.2f}%\n")
     return out.getvalue()
 
 
-def summary_csv_text(rows: list[SummaryRow]) -> str:
-    """Summary export: SUMMARY_HEADER, then one row per sector."""
+def summary_csv_text(rows: list[tuple[str, float, float]]) -> str:
+    """Summary export: SUMMARY_HEADER, then one row per (sector, predicted %, actual %)."""
     out = io.StringIO()
     out.write(SUMMARY_HEADER + "\n")
-    for r in rows:
-        out.write(f"{r.sector},{r.predicted_return_pct:.2f},{r.actual_return_pct:.2f}\n")
+    for sector, predicted, actual in rows:
+        out.write(f"{sector},{predicted:.2f},{actual:.2f}\n")
     return out.getvalue()

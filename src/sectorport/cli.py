@@ -79,11 +79,11 @@ def cmd_stats(config: RunConfig, out_dir: Path) -> Path:
     lines = ["symbol,mean_daily_return,daily_volatility,annual_volatility"]
     for symbol in config.all_symbols():
         series = _load_series(config, symbol, out_dir).restrict(config.train_start, config.train_end)
-        stats = md.asset_stats(md.daily_returns(series))
-        lines.append(
-            f"{symbol},{stats.mean_daily_return:.12g},"
-            f"{stats.daily_volatility:.12g},{stats.annual_volatility:.12g}"
-        )
+        try:
+            mean, daily, annual = md.asset_stats(md.daily_returns(series.closes))
+        except ValueError as exc:  # too few bars in the training window
+            raise ValueError(f"{symbol}: {exc}") from None
+        lines.append(f"{symbol},{mean:.12g},{daily:.12g},{annual:.12g}")
     path = Path(out_dir) / "stats.csv"
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
@@ -98,7 +98,7 @@ def _sector_frontier(
 ) -> po.FrontierCloud:
     """Frontier over the training window of the sector's loaded member series."""
     series = [s.restrict(config.train_start, config.train_end) for s in members.values()]
-    mean, cov = po.mean_and_covariance(md.align(series))
+    mean, cov = po.mean_and_covariance(tuple(members), md.align(series))
     seed = derive_seed(config.seed, f"frontier:{sector_name}")
     return po.build_frontier(mean, cov, n_draws=config.n_draws, risk_free=config.risk_free, seed=seed)
 
@@ -153,7 +153,7 @@ def cmd_frontier(config: RunConfig, sector_name: str, out_dir: Path) -> tuple[Pa
     """
     cloud = _sector_frontier(config, sector_name, _load_members(config, sector_name, out_dir))
     report = po.portfolio_report(
-        sector_name, po.min_variance_portfolio(cloud), po.max_sharpe_portfolio(cloud)
+        sector_name, cloud, po.min_variance_portfolio(cloud), po.max_sharpe_portfolio(cloud)
     )
     csv_path = Path(out_dir) / f"frontier_{sector_name}.csv"
     json_path = Path(out_dir) / f"report_{sector_name}.json"
@@ -231,21 +231,23 @@ def _forecast(series: md.PriceSeries, out_dir: Path, lo: int, hi: int) -> np.nda
         raise ValueError(f"{series.symbol} on {series.dates[lo]}: {exc}") from None
 
 
-def _upsert_summary(summary_path: Path, row: bt.SummaryRow):
-    rows: list[bt.SummaryRow] = []
-    if summary_path.exists():
-        lines = summary_path.read_text(encoding="utf-8").strip().split("\n")
-        for lineno, line in enumerate(lines[1:], start=2):
-            try:
-                sector, pred, act = line.split(",")
-                rows.append(bt.SummaryRow(sector, float(pred), float(act)))
-            except ValueError:
-                raise ValueError(
-                    f"{summary_path}: line {lineno}: expected '{bt.SUMMARY_HEADER}' columns, got {line!r}"
-                ) from None
-    rows = [r for r in rows if r.sector != row.sector]
-    rows.append(row)
-    _atomic_write(summary_path, bt.summary_csv_text(rows))
+def _read_summary(path: Path) -> list[tuple[str, float, float]]:
+    """The (sector, predicted %, actual %) rows of summary.csv at path, [] when it does not exist."""
+    if not path.exists():
+        return []
+    rows = []
+    lines = path.read_text(encoding="utf-8").strip().split("\n")
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            sector, pred, act = line.split(",")
+            rows.append((sector, float(pred), float(act)))
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: expected '{bt.SUMMARY_HEADER}' columns, got {line!r}"
+            ) from None
+        if not np.isfinite(rows[-1][1:]).all():
+            raise ValueError(f"{path}: line {lineno}: {sector}: expected finite returns, got {line!r}")
+    return rows
 
 
 def cmd_backtest(
@@ -263,41 +265,43 @@ def cmd_backtest(
     --weights-file JSON (symbol -> fraction) overrides the frontier-recommended
     weights.
     """
+    summary_path = Path(out_dir) / "summary.csv"
+    summary = _read_summary(summary_path)  # checked before anything, the price cache too, is written
     members = _load_members(config, sector_name, out_dir)
     symbols = tuple(members)
     if weights_file is not None:
         weights = _read_weights(weights_file, symbols)
     else:
-        weights = po.max_sharpe_portfolio(_sector_frontier(config, sector_name, members)).weights
+        cloud = _sector_frontier(config, sector_name, members)
+        weights = po.PortfolioWeights(symbols, cloud.weights[po.max_sharpe_portfolio(cloud)])
 
-    start_prices, end_actual, eval_rows = {}, {}, {}
-    for sym, series in members.items():
-        lo, hi = series.span(config.invest_date, config.eval_date)
-        if lo >= hi:
-            raise ValueError(f"{sym}: no bars in [{config.invest_date}, {config.eval_date}]")
-        start_prices[sym] = float(series.closes[lo])
-        end_actual[sym] = float(series.closes[hi - 1])
-        eval_rows[sym] = hi - 1
-
+    end_predicted = None
     if predicted_prices is not None:
         end_predicted = _read_predicted_prices(predicted_prices)
         missing = [s for s in symbols if s not in end_predicted]
         if missing:
             raise ValueError(f"{predicted_prices}: missing predicted prices for {missing}")
-    else:
-        end_predicted = {
-            sym: float(_forecast(members[sym], out_dir, k, k + 1)[0]) for sym, k in eval_rows.items()
-        }
 
-    ledger = bt.run_backtest(
-        config.capital, weights, start_prices, end_actual, end_predicted, sector=sector_name
-    )
+    buy, actual, predicted = [], [], []
+    for sym, series in members.items():
+        lo, hi = series.span(config.invest_date, config.eval_date)
+        if lo >= hi:
+            raise ValueError(f"{sym}: no bars in [{config.invest_date}, {config.eval_date}]")
+        buy.append(float(series.closes[lo]))
+        actual.append(float(series.closes[hi - 1]))
+        if end_predicted is None:
+            predicted.append(float(_forecast(series, out_dir, hi - 1, hi)[0]))
+        else:
+            predicted.append(end_predicted[sym])
+
+    ledger = bt.run_backtest(config.capital, weights, buy, actual, predicted, sector_name)
     json_path = Path(out_dir) / f"ledger_{sector_name}.json"
     csv_path = Path(out_dir) / f"ledger_{sector_name}.csv"
-    summary_path = Path(out_dir) / "summary.csv"
-    _atomic_write(json_path, _json_text(bt.ledger_to_dict(ledger)))
+    _atomic_write(json_path, _json_text(ledger))
     _atomic_write(csv_path, bt.ledger_csv_text(ledger))
-    _upsert_summary(summary_path, bt.SummaryRow(sector_name, ledger.roi_predicted, ledger.roi_actual))
+    summary = [r for r in summary if r[0] != sector_name]
+    summary.append((sector_name, ledger["roi_predicted_pct"], ledger["roi_actual_pct"]))
+    _atomic_write(summary_path, bt.summary_csv_text(summary))
     return json_path, csv_path, summary_path
 
 

@@ -176,8 +176,25 @@ def _as_int(value, key: str) -> int:
 
 def _as_number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{key}: expected a finite number, got {value!r}")
+        raise ValueError(f"{key}: expected a finite number, got {value!r}{_exponent_hint(value)}")
     return float(value)
+
+
+def _exponent_hint(value) -> str:
+    """Why a number such as 1e5 arrives as a string, and a form that YAML reads as a number:
+    YAML 1.1 needs a dot in the mantissa and a sign on the exponent. '' for other values."""
+    if not isinstance(value, str) or "e" not in value.lower():
+        return ""
+    try:
+        number = float(value)
+    except ValueError:
+        return ""
+    if not math.isfinite(number):
+        return ""
+    mantissa, e, exponent = repr(number).partition("e")
+    if e and "." not in mantissa:
+        mantissa += ".0"
+    return f" (YAML 1.1 reads {value} as a string; write {mantissa}{e}{exponent})"
 
 
 def _as_str(value, key: str) -> str:

@@ -85,35 +85,6 @@ _COLUMN_DTYPES = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class ReturnSeries:
-    """Daily simple returns; dates (``datetime64[D]``) align to the second through last bar."""
-
-    symbol: str
-    returns: np.ndarray
-    dates: np.ndarray
-
-
-@dataclass(frozen=True)
-class AssetStats:
-    mean_daily_return: float
-    daily_volatility: float
-    annual_volatility: float
-
-
-@dataclass(frozen=True, eq=False)
-class AlignedCloseMatrix:
-    """Close prices over the common trading dates of several symbols.
-
-    closes has shape (n_dates, n_symbols); column order follows the input
-    series order. dates is ``datetime64[D]``.
-    """
-
-    symbols: tuple[str, ...]
-    dates: np.ndarray
-    closes: np.ndarray = field(repr=False)
-
-
 def parse_date(text: str) -> dt.date:
     """A YYYY-MM-DD date, the one form every supported Python reads alike.
 
@@ -326,34 +297,29 @@ def fetch_history(symbol: str, start: dt.date, end: dt.date, endpoint: str) -> P
     raise FetchError(f"{symbol}: {last_error} after {FETCH_ATTEMPTS} attempts")
 
 
-def daily_returns(series: PriceSeries) -> ReturnSeries:
-    """Simple daily returns: r[i] = close[i+1] / close[i] - 1."""
-    if len(series.dates) < 2:
-        raise ValueError(f"{series.symbol}: need at least 2 bars for returns")
-    closes = series.closes
-    rets = closes[1:] / closes[:-1] - 1.0
-    return ReturnSeries(series.symbol, rets, series.dates[1:])
+def daily_returns(closes: np.ndarray) -> np.ndarray:
+    """Simple daily returns down the rows of a 1-D close array or a (dates, symbols)
+    close matrix: r[i] = close[i+1] / close[i] - 1, so row i belongs to bar i+1."""
+    if len(closes) < 2:
+        raise ValueError("need at least 2 bars for returns")
+    return closes[1:] / closes[:-1] - 1.0
 
 
-def asset_stats(returns: ReturnSeries) -> AssetStats:
-    """Mean daily return and daily/annualized volatility.
+def asset_stats(returns: np.ndarray) -> tuple[float, float, float]:
+    """Mean daily return, daily volatility and annualized volatility of daily returns.
 
     Daily volatility is the n-1 sample standard deviation; annualization
     multiplies by sqrt(250) trading days.
     """
-    r = np.asarray(returns.returns, dtype=float)
-    if r.size < 2:
-        raise ValueError(f"{returns.symbol}: need at least 2 returns")
-    daily = float(np.std(r, ddof=1))
-    return AssetStats(
-        mean_daily_return=float(np.mean(r)),
-        daily_volatility=daily,
-        annual_volatility=daily * math.sqrt(TRADING_DAYS),
-    )
+    if returns.size < 2:
+        raise ValueError("need at least 2 returns")
+    daily = float(np.std(returns, ddof=1))
+    return float(np.mean(returns)), daily, daily * math.sqrt(TRADING_DAYS)
 
 
-def align(series_list: list[PriceSeries]) -> AlignedCloseMatrix:
-    """Close-price matrix over the intersection of all series' dates."""
+def align(series_list: list[PriceSeries]) -> np.ndarray:
+    """Close matrix (n_dates, n_series) over the intersection of all series' dates,
+    one column per series in series_list order."""
     if not series_list:
         raise ValueError("need at least one series to align")
     # Dates are sorted and unique, and filtering keeps them so; intersect1d would sort them again.
@@ -361,5 +327,4 @@ def align(series_list: list[PriceSeries]) -> AlignedCloseMatrix:
     if not dates.size:
         symbols = ", ".join(s.symbol for s in series_list)
         raise ValueError(f"no common dates across {symbols}")
-    closes = np.column_stack([s.closes[np.searchsorted(s.dates, dates)] for s in series_list])
-    return AlignedCloseMatrix(tuple(s.symbol for s in series_list), dates, closes)
+    return np.column_stack([s.closes[np.searchsorted(s.dates, dates)] for s in series_list])

@@ -3,16 +3,15 @@
 The frontier is the full cloud of randomly weighted portfolios (the config's
 n_draws of them), held as columns: a (draws, symbols) weight matrix and one array
 each of returns, risks and Sharpe ratios. The minimum-variance and
-maximum-Sharpe portfolios are its argmin and argmax; only those two draws
-become PortfolioWeights objects. Weight vectors are independent uniform(0,1)
+maximum-Sharpe portfolios are its argmin and argmax, and the selectors return
+those draw indices. Weight vectors are independent uniform(0,1)
 draws normalized to sum to one, so short selling is excluded by construction.
 The CSV export is a stream of text blocks of 8192 rows, so writing a cloud to
 a file holds one block of text at a time, never the whole export.
 
 Draw ``i`` always consumes doubles ``[i*n, (i+1)*n)`` of a single PCG64
-stream keyed by the seed, so a cloud can be generated in chunks (or by
-parallel workers holding disjoint draw ranges) and still be bit-identical to
-a serial run.
+stream keyed by the seed, so the clouds of one seed are nested prefixes of
+each other across n_draws.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .market_data import AlignedCloseMatrix, TRADING_DAYS
+from .market_data import TRADING_DAYS, daily_returns
 
 _CSV_BLOCK_ROWS = 8192
 
@@ -67,20 +66,6 @@ class PortfolioWeights:
             raise ValueError(f"weights sum to {float(w.sum())}, not 1")
         object.__setattr__(self, "weights", w)
 
-    def as_dict(self) -> dict[str, float]:
-        return {s: float(w) for s, w in zip(self.symbols, self.weights)}
-
-
-@dataclass(frozen=True)
-class FrontierPoint:
-    """One selected draw of a cloud, with its weights validated."""
-
-    weights: PortfolioWeights
-    annual_return: float
-    annual_risk: float
-    sharpe: float
-    draw_index: int
-
 
 @dataclass(frozen=True, eq=False)
 class FrontierCloud:
@@ -104,27 +89,21 @@ class FrontierCloud:
     def n_draws(self) -> int:
         return len(self.weights)
 
-    def point(self, i: int) -> FrontierPoint:
-        """Draw i as a FrontierPoint holding a copy of its weights."""
-        weights = PortfolioWeights(self.symbols, self.weights[i].copy())
-        stats = (float(self.returns[i]), float(self.risks[i]), float(self.sharpes[i]))
-        return FrontierPoint(weights, *stats, draw_index=int(i))
 
-
-def mean_and_covariance(aligned: AlignedCloseMatrix) -> tuple[np.ndarray, CovarianceMatrix]:
-    """Annualized mean vector and sample covariance of columnwise daily returns.
+def mean_and_covariance(symbols: tuple[str, ...], closes: np.ndarray) -> tuple[np.ndarray, CovarianceMatrix]:
+    """Annualized mean vector and sample covariance of the daily returns of an aligned
+    close matrix, whose columns are the symbols'.
 
     Daily means and the n-1 sample covariance are both scaled by 250 trading
     days, matching the volatility annualization convention.
     """
-    closes = aligned.closes
     if closes.shape[0] < 3:
         raise ValueError(f"need >= 3 aligned dates, got {closes.shape[0]}")
-    rets = closes[1:] / closes[:-1] - 1.0
+    rets = daily_returns(closes)
     mean = rets.mean(axis=0) * TRADING_DAYS
     cov = np.atleast_2d(np.cov(rets, rowvar=False, ddof=1)) * TRADING_DAYS
     cov = (cov + cov.T) / 2.0
-    return mean, CovarianceMatrix(aligned.symbols, cov)
+    return mean, CovarianceMatrix(symbols, cov)
 
 
 def sharpe_ratio(
@@ -138,16 +117,12 @@ def sharpe_ratio(
     return (annual_return - risk_free) / annual_risk
 
 
-def _weight_block(seed: int, start: int, count: int, n_assets: int) -> np.ndarray:
-    """Weight rows for draws [start, start+count) of the seed's stream.
+def _weight_block(seed: int, count: int, n_assets: int) -> np.ndarray:
+    """Weight rows for the first count draws of the seed's stream.
 
-    Row i is the normalization of doubles [(start+i)*n, (start+i+1)*n) of
-    PCG64(seed)'s output, independent of how draws are chunked.
+    Row i is the normalization of doubles [i*n, (i+1)*n) of PCG64(seed)'s output.
     """
-    bitgen = PCG64(SeedSequence(seed))
-    if start:
-        bitgen = bitgen.advance(start * n_assets)
-    raw = Generator(bitgen).random((count, n_assets))
+    raw = Generator(PCG64(SeedSequence(seed))).random((count, n_assets))
     sums = raw.sum(axis=1, keepdims=True)
     if (sums == 0.0).any():  # pragma: no cover - probability ~0
         raise RuntimeError("degenerate all-zero uniform draw")
@@ -175,7 +150,7 @@ def build_frontier(
     if mean.shape != (n,):
         raise ValueError(f"mean shape {mean.shape} does not match {n} symbols")
 
-    weights = _weight_block(seed, 0, n_draws, n)
+    weights = _weight_block(seed, n_draws, n)
     returns = weights @ mean
     variances = np.einsum("ij,ij->i", weights @ cov.entries, weights)
     if variances.min() < -1e-9:
@@ -185,16 +160,16 @@ def build_frontier(
     return FrontierCloud(symbols, weights, returns, risks, sharpes)
 
 
-def min_variance_portfolio(cloud: FrontierCloud) -> FrontierPoint:
-    """Cloud point with minimum risk; ties resolve to the lowest draw_index."""
-    return cloud.point(np.argmin(cloud.risks))
+def min_variance_portfolio(cloud: FrontierCloud) -> int:
+    """Draw index of the cloud's minimum risk; ties resolve to the lowest index."""
+    return int(np.argmin(cloud.risks))
 
 
-def max_sharpe_portfolio(cloud: FrontierCloud) -> FrontierPoint:
-    """Cloud point with maximum Sharpe ratio; ties resolve to the lowest draw_index."""
+def max_sharpe_portfolio(cloud: FrontierCloud) -> int:
+    """Draw index of the cloud's maximum Sharpe ratio; ties resolve to the lowest index."""
     if (cloud.risks <= 0).any():
         raise ValueError("all points must have positive risk")
-    return cloud.point(np.argmax(cloud.sharpes))
+    return int(np.argmax(cloud.sharpes))
 
 
 def frontier_csv_blocks(cloud: FrontierCloud, start: int = 0, stop: int | None = None) -> Iterator[str]:
@@ -219,14 +194,14 @@ def frontier_csv_blocks(cloud: FrontierCloud, start: int = 0, stop: int | None =
         yield (row * (hi - lo)) % tuple(block.ravel().tolist())
 
 
-def portfolio_report(sector_name: str, min_risk: FrontierPoint, opt_risk: FrontierPoint) -> dict:
-    """Report dict with min-risk and opt-risk blocks, one weight per symbol."""
+def portfolio_report(sector_name: str, cloud: FrontierCloud, min_risk: int, opt_risk: int) -> dict:
+    """Report dict with the blocks of cloud's draws min_risk and opt_risk, one weight per symbol."""
 
-    def block(p: FrontierPoint) -> dict:
+    def block(i: int) -> dict:
         return {
-            "weights": p.weights.as_dict(),
-            "annual_return": p.annual_return,
-            "annual_risk": p.annual_risk,
+            "weights": {s: float(w) for s, w in zip(cloud.symbols, cloud.weights[i])},
+            "annual_return": float(cloud.returns[i]),
+            "annual_risk": float(cloud.risks[i]),
         }
 
     return {"sector": sector_name, "min_risk": block(min_risk), "opt_risk": block(opt_risk)}

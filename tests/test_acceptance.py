@@ -47,22 +47,20 @@ def test_criterion_01_it_ledger_reproduces_published_table():
     ledger = run_backtest(
         100_000.0,
         weights,
-        {r[0]: float(r[2]) for r in IT_ROWS},
-        {r[0]: float(r[3]) for r in IT_ROWS},
-        {r[0]: float(r[4]) for r in IT_ROWS},
-        sector="it",
+        [float(r[2]) for r in IT_ROWS],
+        [float(r[3]) for r in IT_ROWS],
+        [float(r[4]) for r in IT_ROWS],
+        "it",
     )
     elapsed = time.perf_counter() - t0
-    shares_ok = all(
-        abs(alloc.shares - row[5]) <= 0.01 for alloc, row in zip(ledger.allocations, IT_ROWS)
-    )
-    total_ok = abs(ledger.total_actual - 115_593) <= 10
-    roi_ok = abs(ledger.roi_actual - 15.59) <= 0.05
+    shares_ok = all(abs(got["shares"] - row[5]) <= 0.01 for got, row in zip(ledger["rows"], IT_ROWS))
+    total_ok = abs(ledger["total_actual"] - 115_593) <= 10
+    roi_ok = abs(ledger["roi_actual_pct"] - 15.59) <= 0.05
     report(
         1,
         shares_ok and total_ok and roi_ok and elapsed < 1.0,
-        f"shares ±0.01: {shares_ok}, total {ledger.total_actual:.1f} (115593±10), "
-        f"ROI {ledger.roi_actual:.3f}% (15.59±0.05), {elapsed:.3f}s",
+        f"shares ±0.01: {shares_ok}, total {ledger['total_actual']:.1f} (115593±10), "
+        f"ROI {ledger['roi_actual_pct']:.3f}% (15.59±0.05), {elapsed:.3f}s",
     )
 
 
@@ -112,9 +110,9 @@ def test_criterion_04_monte_carlo_vs_analytic_min_variance():
     _, risk_star = portfolio_stats(w_star, mean, cov)
 
     cloud_10k = po.build_frontier(mean, cov, n_draws=10_000, risk_free=0.01, seed=42)
-    rel_10k = (po.min_variance_portfolio(cloud_10k).annual_risk - risk_star) / risk_star
+    rel_10k = (cloud_10k.risks[po.min_variance_portfolio(cloud_10k)] - risk_star) / risk_star
     cloud_100k = po.build_frontier(mean, cov, n_draws=100_000, risk_free=0.01, seed=42)
-    rel_100k = (po.min_variance_portfolio(cloud_100k).annual_risk - risk_star) / risk_star
+    rel_100k = (cloud_100k.risks[po.min_variance_portfolio(cloud_100k)] - risk_star) / risk_star
     elapsed = time.perf_counter() - t0
     ok = 0 <= rel_10k <= 0.05 and 0 <= rel_100k <= 0.02 and elapsed < 10.0
     report(
@@ -135,7 +133,7 @@ def test_criterion_05_max_sharpe_grid_oracle():
         for w1 in np.linspace(0.0, 1.0, 10_000)
     )
     cloud = po.build_frontier(mean, cov, n_draws=100_000, risk_free=0.01, seed=42)
-    mc_best = po.max_sharpe_portfolio(cloud).sharpe
+    mc_best = cloud.sharpes[po.max_sharpe_portfolio(cloud)]
     rel = abs(mc_best - grid_best) / grid_best
     elapsed = time.perf_counter() - t0
     ok = rel <= 0.01 and elapsed < 10.0

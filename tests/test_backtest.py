@@ -1,21 +1,13 @@
 """Ledger arithmetic against the published sector tables and general properties."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorport.backtest import (
-    Allocation,
-    SummaryRow,
-    allocate,
-    ledger_csv_text,
-    ledger_to_dict,
-    roi,
-    run_backtest,
-    summary_csv_text,
-    value_portfolio,
-)
+from sectorport.backtest import ledger_csv_text, roi, run_backtest, summary_csv_text
 from sectorport.portfolio import PortfolioWeights
 
 CAPITAL = 100_000.0
@@ -75,49 +67,56 @@ def it_weights() -> PortfolioWeights:
     return PortfolioWeights(symbols, np.array([r[1] for r in IT_LEDGER]) / CAPITAL)
 
 
-def it_prices(idx: int) -> dict[str, float]:
-    return {r[0]: float(r[idx]) for r in IT_LEDGER}
+def it_prices(idx: int) -> list[float]:
+    return [float(r[idx]) for r in IT_LEDGER]
+
+
+def it_ledger() -> dict:
+    return run_backtest(CAPITAL, it_weights(), it_prices(2), it_prices(3), it_prices(4), "it")
+
+
+def rows_at(capital: float, weights: PortfolioWeights, prices: list[float]) -> list[dict]:
+    """Ledger rows of a holding bought and valued at the same prices."""
+    return run_backtest(capital, weights, prices, prices, prices, "s")["rows"]
 
 
 # ----------------------------------------------------------------- allocate
 
 def test_allocate_single_asset_share_count():
     w = PortfolioWeights(("IFY",), np.array([1.0]))
-    allocs = allocate(27192.0, w, {"IFY": 1260.0})
-    assert allocs[0].amount_invested == 27192.0
-    assert round(allocs[0].shares, 2) == 21.58
+    [row] = rows_at(27192.0, w, [1260.0])
+    assert row["amount_invested"] == 27192.0
+    assert round(row["shares"], 2) == 21.58
 
 
 def test_allocate_zero_weight_symbol_retained():
     w = PortfolioWeights(("A", "B"), np.array([1.0, 0.0]))
-    allocs = allocate(1000.0, w, {"A": 10.0, "B": 20.0})
-    assert [a.symbol for a in allocs] == ["A", "B"]
-    assert allocs[1].shares == 0.0
-    assert allocs[1].amount_invested == 0.0
+    rows = rows_at(1000.0, w, [10.0, 20.0])
+    assert [r["symbol"] for r in rows] == ["A", "B"]
+    assert rows[1]["shares"] == 0.0
+    assert rows[1]["amount_invested"] == 0.0
 
 
 def test_allocate_even_split():
     w = PortfolioWeights(("A", "B"), np.array([0.5, 0.5]))
-    allocs = allocate(CAPITAL, w, {"A": 100.0, "B": 200.0})
-    assert [a.shares for a in allocs] == [500.0, 250.0]
+    assert [r["shares"] for r in rows_at(CAPITAL, w, [100.0, 200.0])] == [500.0, 250.0]
 
 
 def test_allocate_rounds_amounts_to_whole_units():
     w = PortfolioWeights(("A", "B"), np.array([1 / 3, 2 / 3]))
-    allocs = allocate(100.0, w, {"A": 1.0, "B": 1.0})
-    assert [a.amount_invested for a in allocs] == [33.0, 67.0]
+    assert [r["amount_invested"] for r in rows_at(100.0, w, [1.0, 1.0])] == [33.0, 67.0]
 
 
 def test_allocate_missing_price_names_symbol():
     w = PortfolioWeights(("A", "B"), np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="missing start price for B"):
-        allocate(CAPITAL, w, {"A": 100.0})
+        run_backtest(CAPITAL, w, [100.0], [100.0, 200.0], [100.0, 200.0], "s")
 
 
 def test_allocate_rejects_nonpositive_price():
     w = PortfolioWeights(("A",), np.array([1.0]))
-    with pytest.raises(ValueError, match="nonpositive"):
-        allocate(CAPITAL, w, {"A": 0.0})
+    with pytest.raises(ValueError, match="nonpositive start price 0.0 for A"):
+        rows_at(CAPITAL, w, [0.0])
 
 
 def test_published_tables_share_counts_within_a_cent():
@@ -125,31 +124,54 @@ def test_published_tables_share_counts_within_a_cent():
         assert abs(amount / price - printed) <= 0.01, symbol
 
 
-# ----------------------------------------------------------- value_portfolio
+# --------------------------------------------------------------- valuation
 
 def test_value_at_published_share_count():
-    alloc = Allocation("IFY", 27192.0, 1260.0, 21.58)
-    values, total = value_portfolio([alloc], {"IFY": 1387.0})
-    assert round(total) == 29931
+    # bought at the price that gives the printed 21.58 shares, valued at 1387
+    w = PortfolioWeights(("IFY",), np.array([1.0]))
+    ledger = run_backtest(27192.0, w, [27192.0 / 21.58], [1387.0], [1387.0], "it")
+    assert round(ledger["total_actual"]) == 29931
 
 
 def test_value_zero_shares():
-    allocs = [Allocation("A", 0.0, 10.0, 0.0), Allocation("B", 0.0, 5.0, 0.0)]
-    _, total = value_portfolio(allocs, {"A": 99.0, "B": 1.0})
-    assert total == 0.0
+    # capital too small for a whole unit in either symbol: nothing is bought
+    w = PortfolioWeights(("A", "B"), np.array([0.5, 0.5]))
+    ledger = run_backtest(0.8, w, [10.0, 5.0], [99.0, 1.0], [99.0, 1.0], "s")
+    assert ledger["total_actual"] == 0.0
 
 
 def test_value_at_buy_prices_recovers_invested_amounts():
     w = PortfolioWeights(("A", "B", "C"), np.array([0.2, 0.3, 0.5]))
-    prices = {"A": 17.0, "B": 523.0, "C": 3.3}
-    allocs = allocate(CAPITAL, w, prices)
-    _, total = value_portfolio(allocs, prices)
-    assert total == pytest.approx(sum(a.amount_invested for a in allocs), abs=1e-9)
+    ledger = run_backtest(CAPITAL, w, [17.0, 523.0, 3.3], [17.0, 523.0, 3.3], [17.0, 523.0, 3.3], "s")
+    invested = sum(r["amount_invested"] for r in ledger["rows"])
+    assert ledger["total_actual"] == pytest.approx(invested, abs=1e-9)
 
 
 def test_value_missing_price():
-    with pytest.raises(ValueError, match="missing price for A"):
-        value_portfolio([Allocation("A", 10.0, 1.0, 10.0)], {})
+    # a price list one short or one long is an error, never a silently shorter ledger
+    w = PortfolioWeights(("A", "B"), np.array([0.5, 0.5]))
+    full, short, long = [100.0, 200.0], [100.0], [100.0, 200.0, 300.0]
+    for name, prices in (("start", (short, full, full)), ("actual", (full, short, full)), ("predicted", (full, full, short))):
+        with pytest.raises(ValueError, match=f"missing {name} price for B"):
+            run_backtest(CAPITAL, w, *prices, "s")
+    with pytest.raises(ValueError, match="zip"):
+        run_backtest(CAPITAL, w, full, full, long, "s")
+
+
+def test_totals_are_left_to_right_sums_in_symbol_order():
+    # np.sum adds 12 values in another order, and for one of these totals it gives
+    # another float, which would change the totals in ledger_<sector>.json
+    rng = np.random.default_rng(5)
+    raw = rng.random(12)
+    w = PortfolioWeights(tuple(f"S{i}" for i in range(12)), raw / raw.sum())
+    buy, actual, predicted = (rng.uniform(10.0, 5000.0, 12).tolist() for _ in range(3))
+    ledger = run_backtest(CAPITAL, w, buy, actual, predicted, "wide")
+    vectorised_differs = []
+    for kind in ("actual", "predicted"):
+        values = [r[f"{kind}_value"] for r in ledger["rows"]]
+        assert ledger[f"total_{kind}"] == sum(values)
+        vectorised_differs.append(float(np.sum(values)) != sum(values))
+    assert any(vectorised_differs)
 
 
 # ----------------------------------------------------------------------- roi
@@ -177,35 +199,32 @@ def test_roi_monotone_in_end_value(capital, a, b):
 # --------------------------------------------------------------- run_backtest
 
 def test_it_sector_ledger_reproduces_published_totals():
-    ledger = run_backtest(
-        CAPITAL, it_weights(), it_prices(2), it_prices(3), it_prices(4), sector="it"
-    )
-    assert ledger.total_actual == pytest.approx(115_593, abs=10)
-    assert ledger.total_predicted == pytest.approx(116_766, abs=10)
-    assert ledger.roi_actual == pytest.approx(15.59, abs=0.05)
-    assert ledger.roi_predicted == pytest.approx(16.77, abs=0.05)
-    for alloc, row in zip(ledger.allocations, IT_LEDGER):
-        assert alloc.amount_invested == row[1]
+    ledger = it_ledger()
+    assert ledger["total_actual"] == pytest.approx(115_593, abs=10)
+    assert ledger["total_predicted"] == pytest.approx(116_766, abs=10)
+    assert ledger["roi_actual_pct"] == pytest.approx(15.59, abs=0.05)
+    assert ledger["roi_predicted_pct"] == pytest.approx(16.77, abs=0.05)
+    assert [r["amount_invested"] for r in ledger["rows"]] == [r[1] for r in IT_LEDGER]
 
 
 def test_predicted_equal_actual_gives_equal_roi():
-    ledger = run_backtest(CAPITAL, it_weights(), it_prices(2), it_prices(3), it_prices(3))
-    assert ledger.roi_predicted == ledger.roi_actual
+    ledger = run_backtest(CAPITAL, it_weights(), it_prices(2), it_prices(3), it_prices(3), "it")
+    assert ledger["roi_predicted_pct"] == ledger["roi_actual_pct"]
 
 
 def test_flat_prices_give_near_zero_roi():
-    ledger = run_backtest(CAPITAL, it_weights(), it_prices(2), it_prices(2), it_prices(2))
-    assert ledger.roi_actual == pytest.approx(0.0, abs=0.01)
-    assert ledger.roi_predicted == pytest.approx(0.0, abs=0.01)
+    ledger = run_backtest(CAPITAL, it_weights(), it_prices(2), it_prices(2), it_prices(2), "it")
+    assert ledger["roi_actual_pct"] == pytest.approx(0.0, abs=0.01)
+    assert ledger["roi_predicted_pct"] == pytest.approx(0.0, abs=0.01)
 
 
 def test_symbol_order_permutation_preserves_totals():
     w = it_weights()
     perm = PortfolioWeights(tuple(reversed(w.symbols)), w.weights[::-1].copy())
-    a = run_backtest(CAPITAL, w, it_prices(2), it_prices(3), it_prices(4))
-    b = run_backtest(CAPITAL, perm, it_prices(2), it_prices(3), it_prices(4))
-    assert b.total_actual == pytest.approx(a.total_actual, rel=1e-9)
-    assert b.total_predicted == pytest.approx(a.total_predicted, rel=1e-9)
+    a = it_ledger()
+    b = run_backtest(CAPITAL, perm, it_prices(2)[::-1], it_prices(3)[::-1], it_prices(4)[::-1], "it")
+    assert b["total_actual"] == pytest.approx(a["total_actual"], rel=1e-9)
+    assert b["total_predicted"] == pytest.approx(a["total_predicted"], rel=1e-9)
 
 
 @given(st.integers(0, 2**32), st.integers(1, 8))
@@ -214,9 +233,8 @@ def test_allocation_round_trip_within_rounding_bound(seed, n):
     rng = np.random.default_rng(seed)
     raw = rng.random(n) + 1e-9
     w = PortfolioWeights(tuple(f"S{i}" for i in range(n)), raw / raw.sum())
-    prices = {f"S{i}": float(p) for i, p in enumerate(rng.uniform(1.0, 5000.0, n))}
-    allocs = allocate(CAPITAL, w, prices)
-    _, total = value_portfolio(allocs, prices)
+    prices = rng.uniform(1.0, 5000.0, n).tolist()
+    total = run_backtest(CAPITAL, w, prices, prices, prices, "s")["total_actual"]
     # valuation at buy prices returns capital within total rounding: n/2 units
     assert abs(total - CAPITAL) <= n / 2 + 1e-9
 
@@ -224,10 +242,8 @@ def test_allocation_round_trip_within_rounding_bound(seed, n):
 # ------------------------------------------------------------------- exports
 
 def test_ledger_json_round_numbers():
-    ledger = run_backtest(
-        CAPITAL, it_weights(), it_prices(2), it_prices(3), it_prices(4), sector="it"
-    )
-    doc = ledger_to_dict(ledger)
+    doc = it_ledger()
+    assert json.loads(json.dumps(doc)) == doc
     assert doc["sector"] == "it"
     assert [r["symbol"] for r in doc["rows"]] == [r[0] for r in IT_LEDGER]
     row = doc["rows"][0]
@@ -241,14 +257,11 @@ def test_ledger_json_round_numbers():
         "predicted_price",
         "predicted_value",
     }
-    assert doc["roi_actual_pct"] == ledger.roi_actual
+    assert doc["roi_actual_pct"] == roi(CAPITAL, doc["total_actual"])
 
 
 def test_ledger_csv_mirrors_table_columns():
-    ledger = run_backtest(
-        CAPITAL, it_weights(), it_prices(2), it_prices(3), it_prices(4), sector="it"
-    )
-    lines = ledger_csv_text(ledger).strip().split("\n")
+    lines = ledger_csv_text(it_ledger()).strip().split("\n")
     assert lines[0] == (
         "symbol,amount_invested,buy_price,shares,actual_price,actual_value,"
         "predicted_price,predicted_value"
@@ -262,5 +275,5 @@ def test_ledger_csv_mirrors_table_columns():
 
 
 def test_summary_csv_layout():
-    text = summary_csv_text([SummaryRow("auto", -0.37, -0.51)])
+    text = summary_csv_text([("auto", -0.37, -0.51)])
     assert text == "sector,predicted_return_pct,actual_return_pct\nauto,-0.37,-0.51\n"

@@ -112,6 +112,17 @@ def test_stats_constant_series_has_zero_volatility(env, tmp_path):
     assert float(row[2]) == 0.0 and float(row[3]) == 0.0
 
 
+@pytest.mark.parametrize("bars, message", [(1, "need at least 2 bars for returns"), (2, "need at least 2 returns")])
+def test_stats_too_few_training_bars_names_the_symbol(env, tmp_path, capsys, bars, message):
+    # FEW starts on a weekday `bars` weekdays before the training window ends on 2020-12-31
+    (tmp_path / "data").mkdir()
+    write_series(tmp_path / "data", "FEW", gbm_closes(5, seed=1), start=dt.date(2020, 12, 32 - bars))
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump(base_doc(sectors=[{"name": "few", "members": [["FEW", 1.0]]}])))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"), "stats"]) == 1
+    assert capsys.readouterr().err == f"error: FEW: {message}\n"
+
+
 def test_stats_missing_file_names_symbol_and_path(env, tmp_path):
     doc = base_doc(sectors=[{"name": "ghost", "members": [["ZZZ", 1.0]]}])
     cfg_path = tmp_path / "c.yaml"
@@ -616,18 +627,39 @@ def test_backtest_invalid_weights_file_error_names_the_file(config, env, tmp_pat
     assert capsys.readouterr().err == f"error: {weights_file}: {message}\n"
 
 
-@pytest.mark.parametrize("line", ["tech,1.0", "tech,abc,1.0", "tech,1.0,2.0,3.0"])
-def test_backtest_malformed_summary_names_file_and_line(config, tmp_path, line):
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under root, with a file's bytes and None for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def assert_summary_rejected_before_any_write(config, tmp_path, line, expected):
+    """cmd_backtest twin on an out/ whose summary.csv has line as its line 3 raises expected,
+    writes no ledger_twin.* and leaves out/ as it was, every file byte-unchanged."""
     out = tmp_path / "out"
     out.mkdir()
-    summary = out / "summary.csv"
     header = "sector,predicted_return_pct,actual_return_pct"
-    summary.write_text(f"{header}\ntwin,1.00,2.00\n{line}\n")
+    (out / "summary.csv").write_text(f"{header}\ntwin,1.00,2.00\n{line}\n")
+    (out / "ledger_tech.json").write_text('{"sector": "tech"}\n')
+    before = tree(out)
     pred_file = tmp_path / "pred.csv"
     pred_file.write_text("symbol,price\nTW1,100.0\nTW2,200.0\n")
-    expected = f"{summary}: line 3: expected '{header}' columns, got {line!r}"
+    expected = f"{out / 'summary.csv'}: line 3: {expected}"
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         cmd_backtest(config, "twin", out, predicted_prices=pred_file)
+    assert not list(out.glob("ledger_twin.*"))
+    assert tree(out) == before
+
+
+@pytest.mark.parametrize("line", ["tech,1.0", "tech,abc,1.0", "tech,1.0,2.0,3.0"])
+def test_backtest_malformed_summary_names_file_and_line(config, tmp_path, line):
+    expected = f"expected 'sector,predicted_return_pct,actual_return_pct' columns, got {line!r}"
+    assert_summary_rejected_before_any_write(config, tmp_path, line, expected)
+
+
+@pytest.mark.parametrize("line", ["tech,nan,1.0", "tech,1.0,inf", "tech,-inf,1.0", "tech,NaN,-Infinity"])
+def test_backtest_nonfinite_summary_return_names_file_and_line(config, tmp_path, line):
+    # float() reads these, so they used to pass the column check and be written back
+    assert_summary_rejected_before_any_write(config, tmp_path, line, f"tech: expected finite returns, got {line!r}")
 
 
 def test_backtest_member_without_bars_from_invest_to_eval_date(env, tmp_path):

@@ -137,6 +137,32 @@ def test_top_level_number_keys_are_typed_strictly(tmp_path, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("text", ["1e5", "2.5E3", "1e+20", "-3e-05"])
+@pytest.mark.parametrize("key", ["capital", "risk_free", "lstm.learning_rate"])
+def test_exponent_without_dot_is_rejected_saying_why(tmp_path, key, text):
+    # YAML 1.1 reads a float only with a dot and a signed exponent, so 1e5 loads as a string
+    doc = yaml.safe_load(write_config(tmp_path / "c.yaml").read_text())
+    block, _, name = key.rpartition(".")
+    (doc[block] if block else doc)[name] = text
+    path = tmp_path / "e.yaml"
+    path.write_text(yaml.safe_dump(doc).replace(f"'{text}'", text), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_config(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: {key.replace('.', ': ')}: expected a finite number, got '{text}'")
+    hint = re.fullmatch(r".* \(YAML 1\.1 reads (.+) as a string; write (.+)\)", message)
+    assert hint and hint[1] == text
+    assert yaml.safe_load(f"x: {hint[2]}")["x"] == float(text)
+
+
+@pytest.mark.parametrize("value", ["0.01", "1e", "e5", "1e999", 1e999])
+def test_exponent_hint_only_for_strings_that_yaml_could_read_as_numbers(tmp_path, value):
+    path = write_config(tmp_path / "c.yaml", risk_free=value)
+    with pytest.raises(ValueError, match="expected a finite number") as exc:
+        load_config(path)
+    assert "YAML 1.1" not in str(exc.value)
+
+
 @pytest.mark.parametrize(
     "key,value",
     [

@@ -378,20 +378,28 @@ def test_serialize_uses_exact_schema():
     ],
 )
 def test_daily_returns_hand_cases(closes, expected):
-    rets = daily_returns(series_from_closes("X", closes))
-    assert rets.returns == pytest.approx(expected)
+    assert daily_returns(np.array(closes, dtype=float)) == pytest.approx(expected)
 
 
 def test_daily_returns_needs_two_bars():
     with pytest.raises(ValueError, match="at least 2"):
-        daily_returns(series_from_closes("X", [5]))
+        daily_returns(np.array([5.0]))
 
 
 def test_daily_returns_dates_align_to_second_bar():
-    series = series_from_closes("X", [1, 2, 3])
-    rets = daily_returns(series)
-    np.testing.assert_array_equal(rets.dates, series.dates[1:])
-    assert len(rets.returns) == len(series.dates) - 1
+    # return i carries bar i to bar i+1, so there is one for each bar from the second on
+    closes = np.array([1.0, 2.0, 3.0])
+    rets = daily_returns(closes)
+    assert len(rets) == len(closes) - 1
+    np.testing.assert_allclose(closes[:-1] * (1.0 + rets), closes[1:], rtol=1e-15)
+
+
+def test_daily_returns_of_a_matrix_are_the_returns_of_its_columns():
+    closes = np.column_stack([[100.0, 103.0, 99.0, 104.0], [7.0, 7.5, 7.25, 8.0]])
+    rets = daily_returns(closes)
+    assert rets.shape == (3, 2)
+    for j in range(2):
+        np.testing.assert_array_equal(rets[:, j], daily_returns(closes[:, j]))
 
 
 @given(
@@ -402,8 +410,7 @@ def test_cumulative_product_recovers_price_ratio(initial, factors):
     # successive-day ratios bounded to [0.1, 10]: the identity degrades only
     # under astronomical one-day moves where 1+r cancels catastrophically
     closes = initial * np.cumprod([1.0] + factors)
-    rets = daily_returns(series_from_closes("X", closes))
-    recovered = np.prod(1.0 + rets.returns)
+    recovered = np.prod(1.0 + daily_returns(closes))
     assert recovered == pytest.approx(closes[-1] / closes[0], rel=1e-10)
 
 
@@ -416,27 +423,27 @@ def test_cumulative_product_recovers_price_ratio(initial, factors):
     st.floats(min_value=1e-3, max_value=1e3),
 )
 def test_returns_are_scale_free(closes, k):
-    base = daily_returns(series_from_closes("X", closes)).returns
-    scaled = daily_returns(series_from_closes("X", [c * k for c in closes])).returns
+    base = daily_returns(np.array(closes))
+    scaled = daily_returns(np.array([c * k for c in closes]))
     assert scaled == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
 # -------------------------------------------------------------- asset_stats
 
 def test_asset_stats_zero_returns():
-    stats = asset_stats(daily_returns(series_from_closes("X", [5, 5, 5, 5])))
-    assert stats.daily_volatility == 0.0
-    assert stats.annual_volatility == 0.0
+    _, daily, annual = asset_stats(daily_returns(np.array([5.0, 5.0, 5.0, 5.0])))
+    assert daily == 0.0
+    assert annual == 0.0
 
 
 def test_asset_stats_two_point_sample_std():
     # returns +1% then -1%: sample std = sqrt(2)*0.01, annual = sqrt(0.05)
-    series = series_from_closes("X", [100.0, 101.0, 99.99])
-    rets = daily_returns(series)
-    assert rets.returns == pytest.approx([0.01, -0.01], abs=1e-12)
-    stats = asset_stats(rets)
-    assert stats.daily_volatility == pytest.approx(0.014142135623730951, rel=1e-9)
-    assert stats.annual_volatility == pytest.approx(0.22360679774997896, rel=1e-9)
+    rets = daily_returns(np.array([100.0, 101.0, 99.99]))
+    assert rets == pytest.approx([0.01, -0.01], abs=1e-12)
+    mean, daily, annual = asset_stats(rets)
+    assert mean == pytest.approx(0.0, abs=1e-12)
+    assert daily == pytest.approx(0.014142135623730951, rel=1e-9)
+    assert annual == pytest.approx(0.22360679774997896, rel=1e-9)
 
 
 @given(
@@ -448,23 +455,22 @@ def test_asset_stats_two_point_sample_std():
 )
 def test_annualization_ratio_is_sqrt_250(returns):
     closes = 100.0 * np.cumprod([1.0] + [1.0 + r for r in returns])
-    stats = asset_stats(daily_returns(series_from_closes("X", closes)))
-    if stats.daily_volatility > 0:
-        assert stats.annual_volatility / stats.daily_volatility == pytest.approx(
+    _, daily, annual = asset_stats(daily_returns(closes))
+    if daily > 0:
+        assert annual / daily == pytest.approx(
             math.sqrt(TRADING_DAYS), rel=1e-12
         )
 
 
 def test_asset_stats_needs_two_returns():
-    series = series_from_closes("X", [1.0, 2.0])
     with pytest.raises(ValueError, match="at least 2"):
-        asset_stats(daily_returns(series))
+        asset_stats(daily_returns(np.array([1.0, 2.0])))
 
 
 def test_asset_stats_invariant_under_date_shift():
     closes = [100, 103, 99, 104, 101]
-    a = asset_stats(daily_returns(series_from_closes("X", closes, start=dt.date(2019, 1, 1))))
-    b = asset_stats(daily_returns(series_from_closes("X", closes, start=dt.date(2020, 6, 1))))
+    a = asset_stats(daily_returns(series_from_closes("X", closes, start=dt.date(2019, 1, 1)).closes))
+    b = asset_stats(daily_returns(series_from_closes("X", closes, start=dt.date(2020, 6, 1)).closes))
     assert a == b
 
 
@@ -474,19 +480,16 @@ def test_align_identical_dates():
     a = series_from_closes("A", [1, 2, 3])
     b = series_from_closes("B", [4, 5, 6])
     aligned = align([a, b])
-    np.testing.assert_array_equal(aligned.dates, a.dates)
-    assert aligned.symbols == ("A", "B")
-    assert aligned.closes.shape == (3, 2)
-    np.testing.assert_array_equal(aligned.closes[:, 1], [4, 5, 6])
+    assert aligned.shape == (3, 2)
+    np.testing.assert_array_equal(aligned, [[1, 4], [2, 5], [3, 6]])
 
 
 def test_align_intersects_dates():
     days = weekdays(dt.date(2020, 1, 1), 4)
     a = series_on("A", days[:3], [1.0, 2.0, 3.0])
     b = series_on("B", days[1:], [2.0, 3.0, 4.0])
-    aligned = align([a, b])
-    assert aligned.dates.tolist() == days[1:3]
-    np.testing.assert_allclose(aligned.closes, [[2.0, 2.0], [3.0, 3.0]])
+    # days[1] and days[2], where a closes at 2 and 3 and so does b
+    np.testing.assert_array_equal(align([a, b]), [[2.0, 2.0], [3.0, 3.0]])
 
 
 def test_align_disjoint_dates_error():
@@ -516,7 +519,8 @@ def test_align_dates_are_the_intersect1d_of_every_series(data):
         picks = [sorted(slots[i::n][: data.draw(st.integers(1, 12))]) for i in range(n)]
     else:
         picks = [sorted(data.draw(day_sets)) for _ in range(n)]
-    series = [series_on(f"S{i}", pool[p], np.arange(1.0, len(p) + 1)) for i, p in enumerate(picks)]
+    # each close is its own day number, so every column of the matrix spells the dates it kept
+    series = [series_on(f"S{i}", pool[p], pool[p].astype(np.int64)) for i, p in enumerate(picks)]
     expected = series[0].dates
     for s in series[1:]:
         expected = np.intersect1d(expected, s.dates)
@@ -527,10 +531,9 @@ def test_align_dates_are_the_intersect1d_of_every_series(data):
             align(series)
         return
     aligned = align(series)
-    np.testing.assert_array_equal(aligned.dates, expected)
-    assert aligned.dates.dtype == expected.dtype
-    for j, s in enumerate(series):
-        np.testing.assert_array_equal(aligned.closes[:, j], s.closes[np.searchsorted(s.dates, expected)])
+    assert aligned.shape == (expected.size, n)
+    for j in range(n):
+        np.testing.assert_array_equal(aligned[:, j], expected.astype(np.int64))
 
 
 @given(st.data())
@@ -543,11 +546,13 @@ def test_align_output_dates_subset_and_sorted(data):
     ]
     if not set(picks[0]) & set(picks[1]) & set(picks[2]):
         return
-    series = [series_on(f"S{i}", p, 1.0 + np.arange(len(p))) for i, p in enumerate(picks)]
-    aligned = align(series)
-    assert list(aligned.dates) == sorted(aligned.dates)
-    for s in series:
-        assert set(aligned.dates.tolist()) <= set(s.dates.tolist())
+    # closes are day numbers, so a column of the matrix lists its dates
+    days_of = [np.array(p, dtype="datetime64[D]").astype(np.int64) for p in picks]
+    series = [series_on(f"S{i}", p, d) for i, (p, d) in enumerate(zip(picks, days_of))]
+    kept = align(series)[:, 0]
+    assert list(kept) == sorted(kept)
+    for d in days_of:
+        assert set(kept.tolist()) <= set(d.tolist())
 
 
 # ---------------------------------------------------------------- types

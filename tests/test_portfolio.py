@@ -44,8 +44,7 @@ FIVE_ASSET_MEAN = np.array([0.08, 0.10, 0.12, 0.14, 0.16])
 
 def test_single_symbol_covariance_is_annualized_variance():
     closes = [100, 103, 99, 104, 101, 105]
-    aligned = align([series_from_closes("A", closes)])
-    mean, cov = mean_and_covariance(aligned)
+    mean, cov = mean_and_covariance(("A",), align([series_from_closes("A", closes)]))
     rets = np.diff(closes) / np.array(closes[:-1], dtype=float)
     assert cov.entries.shape == (1, 1)
     assert cov.entries[0, 0] == pytest.approx(np.var(rets, ddof=1) * 250, rel=1e-12)
@@ -57,7 +56,7 @@ def test_scaled_price_columns_are_perfectly_correlated():
     aligned = align(
         [series_from_closes("A", closes), series_from_closes("B", [2 * c for c in closes])]
     )
-    _, cov = mean_and_covariance(aligned)
+    _, cov = mean_and_covariance(("A", "B"), aligned)
     v = cov.entries
     corr = v[0, 1] / math.sqrt(v[0, 0] * v[1, 1])
     assert corr == pytest.approx(1.0, rel=1e-12)
@@ -70,7 +69,7 @@ def test_independent_streams_have_near_zero_covariance():
     n = 10_000
     closes = [100.0 * np.cumprod(1.0 + rng.normal(0, 0.01, n)) for _ in range(2)]
     aligned = align([series_from_closes("A", closes[0]), series_from_closes("B", closes[1])])
-    _, cov = mean_and_covariance(aligned)
+    _, cov = mean_and_covariance(("A", "B"), aligned)
     daily = cov.entries / 250.0
     stderr = math.sqrt(daily[0, 0] * daily[1, 1] / (n - 1))
     assert abs(daily[0, 1]) < 3 * stderr
@@ -79,7 +78,7 @@ def test_independent_streams_have_near_zero_covariance():
 def test_mean_and_covariance_needs_three_dates():
     aligned = align([series_from_closes("A", [1, 2])])
     with pytest.raises(ValueError, match=">= 3"):
-        mean_and_covariance(aligned)
+        mean_and_covariance(("A",), aligned)
 
 
 # ---------------------------------------------------------- portfolio_stats
@@ -125,19 +124,19 @@ def test_portfolio_stats_rejects_negative_quadratic_form():
 # ------------------------------------------------------------- weight rows
 
 def test_single_asset_weight_is_one():
-    assert _weight_block(5, 0, 1, 1)[0] == pytest.approx([1.0])
+    assert _weight_block(5, 1, 1)[0] == pytest.approx([1.0])
 
 
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=2**32))
 def test_random_weights_on_simplex(n, seed):
-    w = _weight_block(seed, 0, 3, n)
+    w = _weight_block(seed, 3, n)
     assert (w >= 0).all()
     assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_random_weights_deterministic_per_seed():
-    a = _weight_block(7, 0, 3, 5)
-    b = _weight_block(7, 0, 3, 5)
+    a = _weight_block(7, 3, 5)
+    b = _weight_block(7, 3, 5)
     np.testing.assert_array_equal(a, b)
 
 
@@ -189,7 +188,7 @@ def test_sharpe_antisymmetric_around_risk_free(r, sigma, rf):
 def test_frontier_single_draw():
     cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=1, risk_free=0.01, seed=0)
     assert cloud.n_draws == 1
-    assert min_variance_portfolio(cloud).draw_index == 0
+    assert min_variance_portfolio(cloud) == 0
 
 
 def test_identical_assets_collapse_the_cloud():
@@ -217,20 +216,9 @@ def test_frontier_draws_are_nested_prefixes():
     assert big.risks.min() <= small.risks.min()
 
 
-def test_weight_blocks_merge_to_serial_run():
-    # any chunking of draws reproduces the serial stream exactly
-    full = _weight_block(seed=9, start=0, count=1000, n_assets=5)
-    parts = [
-        _weight_block(9, 0, 137, 5),
-        _weight_block(9, 137, 263, 5),
-        _weight_block(9, 400, 600, 5),
-    ]
-    np.testing.assert_array_equal(np.vstack(parts), full)
-
-
 def test_weight_block_rows_match_sequential_random_weights():
     rng = Generator(PCG64(SeedSequence(9)))
-    rows = _weight_block(seed=9, start=0, count=4, n_assets=3)
+    rows = _weight_block(seed=9, count=4, n_assets=3)
     for i in range(4):
         x = rng.random(3)
         np.testing.assert_array_equal(x / x.sum(), rows[i])
@@ -238,11 +226,12 @@ def test_weight_block_rows_match_sequential_random_weights():
 
 def test_frontier_point_stats_recompute_from_weights():
     cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=300, risk_free=0.01, seed=2)
-    for p in map(cloud.point, range(0, cloud.n_draws, 23)):
-        ret, risk = portfolio_stats(p.weights, FIVE_ASSET_MEAN, FIVE_ASSET_COV)
-        assert ret == pytest.approx(p.annual_return, abs=1e-10)
-        assert risk == pytest.approx(p.annual_risk, abs=1e-10)
-        assert p.sharpe == pytest.approx((ret - 0.01) / risk, abs=1e-10)
+    for i in range(0, cloud.n_draws, 23):
+        weights = PortfolioWeights(cloud.symbols, cloud.weights[i])
+        ret, risk = portfolio_stats(weights, FIVE_ASSET_MEAN, FIVE_ASSET_COV)
+        assert ret == pytest.approx(cloud.returns[i], abs=1e-10)
+        assert risk == pytest.approx(cloud.risks[i], abs=1e-10)
+        assert cloud.sharpes[i] == pytest.approx((ret - 0.01) / risk, abs=1e-10)
 
 
 def test_frontier_rejects_zero_draws():
@@ -259,18 +248,18 @@ def _cloud(risks, returns, sharpes):
 
 def test_min_variance_scans_for_argmin():
     cloud = _cloud(risks=[0.3, 0.1, 0.2], returns=[0.1, 0.05, 0.2], sharpes=[0.3, 0.4, 0.9])
-    assert min_variance_portfolio(cloud).draw_index == 1
+    assert min_variance_portfolio(cloud) == 1
 
 
 def test_selector_ties_break_by_draw_index():
     cloud = _cloud(risks=[0.2, 0.2], returns=[0.1, 0.1], sharpes=[0.5, 0.5])
-    assert min_variance_portfolio(cloud).draw_index == 0
-    assert max_sharpe_portfolio(cloud).draw_index == 0
+    assert min_variance_portfolio(cloud) == 0
+    assert max_sharpe_portfolio(cloud) == 0
 
 
 def test_max_sharpe_scans_for_argmax():
     cloud = _cloud(risks=[0.3, 0.1, 0.2], returns=[0.1, 0.05, 0.2], sharpes=[0.2, 0.9, 0.5])
-    assert max_sharpe_portfolio(cloud).draw_index == 1
+    assert max_sharpe_portfolio(cloud) == 1
 
 
 def test_max_sharpe_argmax_invariant_under_risk_free_shift_at_equal_risk():
@@ -279,7 +268,7 @@ def test_max_sharpe_argmax_invariant_under_risk_free_shift_at_equal_risk():
         returns = np.array([0.10, 0.30, 0.20])
         return _cloud([0.25] * 3, returns, (returns - rf) / 0.25)
 
-    assert max_sharpe_portfolio(cloud(0.01)).draw_index == max_sharpe_portfolio(cloud(0.05)).draw_index == 1
+    assert max_sharpe_portfolio(cloud(0.01)) == max_sharpe_portfolio(cloud(0.05)) == 1
 
 
 def test_selectors_reject_empty_cloud():
@@ -290,18 +279,19 @@ def test_selectors_reject_empty_cloud():
 
 def test_selected_point_is_its_row():
     cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=300, risk_free=0.01, seed=2)
-    p = max_sharpe_portfolio(cloud)
-    i = p.draw_index
-    np.testing.assert_array_equal(p.weights.weights, cloud.weights[i])
-    assert p.weights.symbols == cloud.symbols
-    assert (p.annual_return, p.annual_risk, p.sharpe) == (cloud.returns[i], cloud.risks[i], cloud.sharpes[i])
-    assert not np.shares_memory(p.weights.weights, cloud.weights)
+    i = max_sharpe_portfolio(cloud)
+    assert type(i) is int and cloud.sharpes[i] == cloud.sharpes.max()
+    block = portfolio_report("demo", cloud, min_variance_portfolio(cloud), i)["opt_risk"]
+    assert block["weights"] == dict(zip(cloud.symbols, cloud.weights[i].tolist()))
+    assert (block["annual_return"], block["annual_risk"]) == (cloud.returns[i], cloud.risks[i])
+    values = [*block["weights"].values(), block["annual_return"], block["annual_risk"]]
+    assert all(type(v) is float for v in values)
 
 
 def test_two_asset_min_variance_approaches_inverse_variance_weights():
     cov = CovarianceMatrix(("A", "B"), np.diag([1.0, 4.0]))
     cloud = build_frontier(np.array([0.1, 0.2]), cov, n_draws=100_000, risk_free=0.01, seed=1)
-    w = min_variance_portfolio(cloud).weights.weights
+    w = cloud.weights[min_variance_portfolio(cloud)]
     assert np.abs(w - np.array([0.8, 0.2])).max() <= 0.03
 
 
@@ -313,7 +303,7 @@ def test_two_asset_max_sharpe_matches_grid_oracle():
         for w1 in np.linspace(0.0, 1.0, 10_000)
     )
     cloud = build_frontier(mean, cov, n_draws=100_000, risk_free=0.01, seed=4)
-    mc_best = max_sharpe_portfolio(cloud).sharpe
+    mc_best = cloud.sharpes[max_sharpe_portfolio(cloud)]
     assert abs(mc_best - grid_best) / grid_best <= 0.01
 
 
@@ -349,7 +339,7 @@ def test_analytic_rejects_negative_components():
 def test_monte_carlo_minimum_never_beats_analytic():
     for seed in range(3):
         cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=2000, risk_free=0.01, seed=seed)
-        mc_risk = min_variance_portfolio(cloud).annual_risk
+        mc_risk = cloud.risks[min_variance_portfolio(cloud)]
         w_star = analytic_min_variance(FIVE_ASSET_COV)
         _, risk_star = portfolio_stats(w_star, FIVE_ASSET_MEAN, FIVE_ASSET_COV)
         assert mc_risk >= risk_star - 1e-12
@@ -419,7 +409,7 @@ def test_frontier_csv_bytes_are_pinned_across_block_boundaries():
 
 def test_portfolio_report_shape():
     cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=50, risk_free=0.01, seed=0)
-    report = portfolio_report("demo", min_variance_portfolio(cloud), max_sharpe_portfolio(cloud))
+    report = portfolio_report("demo", cloud, min_variance_portfolio(cloud), max_sharpe_portfolio(cloud))
     assert report["sector"] == "demo"
     for block in (report["min_risk"], report["opt_risk"]):
         assert set(block) == {"weights", "annual_return", "annual_risk"}
@@ -431,7 +421,6 @@ def _array_records():
     """Two distinct, equal instances of each record type that holds arrays."""
     from sectorport.config import LstmConfig
     from sectorport.lstm import Scaler, init_model
-    from sectorport.market_data import daily_returns
 
     series = series_from_closes("A", [10.0, 11.0, 12.0, 11.5])
     other = series_from_closes("B", [20.0, 21.0, 19.0, 22.0])
@@ -441,9 +430,7 @@ def _array_records():
         return init_model(config, Scaler(0.0, 1.0), Generator(PCG64(SeedSequence(0))))
 
     return {
-        "ReturnSeries": lambda: daily_returns(series),
-        "AlignedCloseMatrix": lambda: align([series, other]),
-        "CovarianceMatrix": lambda: mean_and_covariance(align([series, other]))[1],
+        "CovarianceMatrix": lambda: mean_and_covariance(("A", "B"), align([series, other]))[1],
         "PortfolioWeights": lambda: PortfolioWeights(("A", "B"), np.array([0.25, 0.75])),
         "LstmModel": model,
     }

@@ -179,24 +179,34 @@ def cmd_train(config: RunConfig, symbol: str, out_dir: Path) -> tuple[Path, Path
     return ckpt_path, trace_path
 
 
-def _read_predicted_prices(path: Path) -> dict[str, float]:
-    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
-    if not lines or lines[0].strip() != "symbol,price":
-        raise ValueError(f"{path}: expected header 'symbol,price'")
-    prices = {}
+def _read_rows(path: Path, header: str):
+    """(line number, name, *numbers) for each row of a small CSV whose line 1 is header and whose
+    rows are a name and one finite number per further header field; every error names path and line."""
+    lines = path.read_text(encoding="utf-8").strip().split("\n")
+    if lines[0].strip() != header:
+        raise ValueError(f"{path}: line 1: expected header {header!r}, got {lines[0]!r}")
     for lineno, line in enumerate(lines[1:], start=2):
-        sym, comma, price = line.partition(",")
-        sym = sym.strip()
+        name, *fields = [field.strip() for field in line.split(",")]
         try:
-            if not comma:
-                raise ValueError(f"expected 'symbol,price', got {line!r}")
-            if sym in prices:
-                raise ValueError(f"{sym} is listed twice")
-            prices[sym] = float(price)
-            if not 0.0 < prices[sym] < np.inf:
-                raise ValueError(f"{sym}: price {price.strip()!r} is not a positive finite number")
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            numbers = [float(f) for f in fields]
+        except ValueError:
+            numbers = []
+        if len(numbers) != header.count(","):
+            raise ValueError(f"{path}: line {lineno}: expected '{header}' columns, got {line!r}")
+        if not np.isfinite(numbers).all():
+            raise ValueError(f"{path}: line {lineno}: {name}: expected finite numbers, got {line!r}")
+        yield lineno, name, *numbers
+
+
+def _read_predicted_prices(path: Path) -> dict[str, float]:
+    """A --predicted-prices CSV: a positive price per symbol, each symbol listed once."""
+    prices = {}
+    for lineno, sym, price in _read_rows(path, "symbol,price"):
+        if sym in prices:
+            raise ValueError(f"{path}: line {lineno}: {sym} is listed twice")
+        if price <= 0:
+            raise ValueError(f"{path}: line {lineno}: {sym}: price {price:g} is not positive")
+        prices[sym] = price
     return prices
 
 
@@ -235,19 +245,7 @@ def _read_summary(path: Path) -> list[tuple[str, float, float]]:
     """The (sector, predicted %, actual %) rows of summary.csv at path, [] when it does not exist."""
     if not path.exists():
         return []
-    rows = []
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            sector, pred, act = line.split(",")
-            rows.append((sector, float(pred), float(act)))
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: expected '{bt.SUMMARY_HEADER}' columns, got {line!r}"
-            ) from None
-        if not np.isfinite(rows[-1][1:]).all():
-            raise ValueError(f"{path}: line {lineno}: {sector}: expected finite returns, got {line!r}")
-    return rows
+    return [(sector, pred, act) for _, sector, pred, act in _read_rows(path, bt.SUMMARY_HEADER)]
 
 
 def cmd_backtest(
@@ -285,8 +283,6 @@ def cmd_backtest(
     buy, actual, predicted = [], [], []
     for sym, series in members.items():
         lo, hi = series.span(config.invest_date, config.eval_date)
-        if lo >= hi:
-            raise ValueError(f"{sym}: no bars in [{config.invest_date}, {config.eval_date}]")
         buy.append(float(series.closes[lo]))
         actual.append(float(series.closes[hi - 1]))
         if end_predicted is None:
@@ -316,8 +312,6 @@ def cmd_plotdata(
     config.require_symbol(symbol)
     series = _load_series(config, symbol, out_dir)
     lo, hi = series.span(start, end)
-    if lo >= hi:
-        raise ValueError(f"{symbol}: no trading dates in [{start}, {end}]")
     predicted = _forecast(series, out_dir, lo, hi)
 
     lines = ["date,actual_close,predicted_close"]
@@ -343,61 +337,47 @@ def cmd_fetch(config: RunConfig) -> list[Path]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The sectorport parser. Each subcommand's run(args, config) calls its cmd_*, looked up when called."""
     parser = argparse.ArgumentParser(prog="sectorport", description=__doc__)
     parser.add_argument("--config", required=True, help="YAML run configuration")
-    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument("--out", default="out", type=Path, help="output directory (default: out)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("stats", help="per-symbol return/volatility table")
+    p = sub.add_parser("stats", help="per-symbol return/volatility table")
+    p.set_defaults(run=lambda args, config: [cmd_stats(config, args.out)])
 
     p = sub.add_parser("frontier", help="Monte-Carlo frontier and portfolio report")
     p.add_argument("sector")
+    p.set_defaults(run=lambda args, config: cmd_frontier(config, args.sector, args.out))
 
     p = sub.add_parser("train", help="train the forecaster for one symbol")
     p.add_argument("symbol")
+    p.set_defaults(run=lambda args, config: cmd_train(config, args.symbol, args.out))
 
     p = sub.add_parser("backtest", help="allocate at invest_date, value at eval_date")
     p.add_argument("sector")
-    p.add_argument("--predicted-prices", default=None, help="CSV 'symbol,price' overriding model predictions")
-    p.add_argument("--weights-file", default=None, help="JSON {symbol: fraction} overriding frontier weights")
+    p.add_argument("--predicted-prices", type=Path, help="CSV 'symbol,price' overriding model predictions")
+    p.add_argument("--weights-file", type=Path, help="JSON {symbol: fraction} overriding frontier weights")
+    p.set_defaults(run=lambda args, config: cmd_backtest(
+        config, args.sector, args.out, args.predicted_prices, args.weights_file
+    ))
 
     p = sub.add_parser("plotdata", help="actual vs predicted close series")
     p.add_argument("symbol")
     p.add_argument("--start", required=True, type=md.parse_date, help="YYYY-MM-DD")
     p.add_argument("--end", required=True, type=md.parse_date, help="YYYY-MM-DD")
+    p.set_defaults(run=lambda args, config: [cmd_plotdata(config, args.symbol, args.start, args.end, args.out)])
 
-    sub.add_parser("fetch", help="download price history from the config endpoint into data_dir")
+    p = sub.add_parser("fetch", help="download price history from the config endpoint into data_dir")
+    p.set_defaults(run=lambda args, config: cmd_fetch(config))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        out_dir = Path(args.out)
-        if args.command == "stats":
-            print(cmd_stats(config, out_dir))
-        elif args.command == "frontier":
-            for p in cmd_frontier(config, args.sector, out_dir):
-                print(p)
-        elif args.command == "train":
-            for p in cmd_train(config, args.symbol, out_dir):
-                print(p)
-        elif args.command == "backtest":
-            paths = cmd_backtest(
-                config,
-                args.sector,
-                out_dir,
-                predicted_prices=Path(args.predicted_prices) if args.predicted_prices else None,
-                weights_file=Path(args.weights_file) if args.weights_file else None,
-            )
-            for p in paths:
-                print(p)
-        elif args.command == "plotdata":
-            print(cmd_plotdata(config, args.symbol, args.start, args.end, out_dir))
-        elif args.command == "fetch":
-            for p in cmd_fetch(config):
-                print(p)
+        for path in args.run(args, load_config(args.config)):
+            print(path)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         print(f"error: {exc}", file=sys.stderr)
         return 1

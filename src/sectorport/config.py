@@ -218,7 +218,7 @@ def _as_name(value, key: str) -> str:
 def _check_keys(mapping: dict, allowed: set[str], context: str):
     unknown = set(mapping) - allowed
     if unknown:
-        raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"{context}: unknown keys {sorted(unknown, key=str)}")
 
 
 def _parse_sector(block: dict, index: int) -> SectorUniverse:
@@ -240,7 +240,8 @@ def _parse_sector(block: dict, index: int) -> SectorUniverse:
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that rejects a key repeated in one mapping, where PyYAML keeps the last value."""
+    """SafeLoader that rejects a key repeated in one mapping, where PyYAML keeps the last value,
+    and names the file and line of an impossible date such as 2016-02-30."""
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -251,6 +252,17 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                     raise ValueError(f"{self.name}: line {key_node.start_mark.line + 1}: duplicate key {key!r}")
                 seen.add(key)
         return super().construct_mapping(node, deep)
+
+    def construct_yaml_timestamp(self, node):
+        try:
+            return super().construct_yaml_timestamp(node)
+        except ValueError as exc:
+            raise ValueError(
+                f"{self.name}: line {node.start_mark.line + 1}: expected a date, got {node.value!r}: {exc}"
+            ) from None
+
+
+_UniqueKeyLoader.add_constructor("tag:yaml.org,2002:timestamp", _UniqueKeyLoader.construct_yaml_timestamp)
 
 
 def load_config(path) -> RunConfig:

@@ -65,16 +65,16 @@ class PriceSeries:
             raise ValueError(f"{self.symbol}: dates are not strictly increasing")
 
     def span(self, start: dt.date, end: dt.date) -> tuple[int, int]:
-        """Row range [lo, hi) of the dates with start <= date <= end."""
+        """Row range [lo, hi) of the dates with start <= date <= end; raises when it is empty."""
         lo = int(np.searchsorted(self.dates, np.datetime64(start, "D"), side="left"))
         hi = int(np.searchsorted(self.dates, np.datetime64(end, "D"), side="right"))
+        if lo >= hi:
+            raise ValueError(f"{self.symbol}: no bars in [{start}, {end}]")
         return lo, hi
 
     def restrict(self, start: dt.date, end: dt.date) -> "PriceSeries":
         """Sub-series with start <= date <= end."""
         lo, hi = self.span(start, end)
-        if lo >= hi:
-            raise ValueError(f"{self.symbol}: no bars in [{start}, {end}]")
         return PriceSeries(self.symbol, *(getattr(self, name)[lo:hi] for name in _COLUMN_DTYPES))
 
 

@@ -632,18 +632,21 @@ def tree(root: Path) -> dict[str, bytes | None]:
     return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
-def assert_summary_rejected_before_any_write(config, tmp_path, line, expected):
-    """cmd_backtest twin on an out/ whose summary.csv has line as its line 3 raises expected,
-    writes no ledger_twin.* and leaves out/ as it was, every file byte-unchanged."""
+SUMMARY_HEADER = "sector,predicted_return_pct,actual_return_pct"
+
+
+def assert_summary_rejected_before_any_write(config, tmp_path, line, expected, summary=None):
+    """cmd_backtest twin on an out/ whose summary.csv has line as its line 3 raises expected on
+    line 3, or, given the whole summary text, raises expected on line 1; either way it writes
+    no ledger_twin.* and leaves out/ as it was, every file byte-unchanged."""
     out = tmp_path / "out"
     out.mkdir()
-    header = "sector,predicted_return_pct,actual_return_pct"
-    (out / "summary.csv").write_text(f"{header}\ntwin,1.00,2.00\n{line}\n")
+    (out / "summary.csv").write_text(summary or f"{SUMMARY_HEADER}\ntwin,1.00,2.00\n{line}\n")
     (out / "ledger_tech.json").write_text('{"sector": "tech"}\n')
     before = tree(out)
     pred_file = tmp_path / "pred.csv"
     pred_file.write_text("symbol,price\nTW1,100.0\nTW2,200.0\n")
-    expected = f"{out / 'summary.csv'}: line 3: {expected}"
+    expected = f"{out / 'summary.csv'}: line {3 if summary is None else 1}: {expected}"
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         cmd_backtest(config, "twin", out, predicted_prices=pred_file)
     assert not list(out.glob("ledger_twin.*"))
@@ -659,7 +662,23 @@ def test_backtest_malformed_summary_names_file_and_line(config, tmp_path, line):
 @pytest.mark.parametrize("line", ["tech,nan,1.0", "tech,1.0,inf", "tech,-inf,1.0", "tech,NaN,-Infinity"])
 def test_backtest_nonfinite_summary_return_names_file_and_line(config, tmp_path, line):
     # float() reads these, so they used to pass the column check and be written back
-    assert_summary_rejected_before_any_write(config, tmp_path, line, f"tech: expected finite returns, got {line!r}")
+    assert_summary_rejected_before_any_write(config, tmp_path, line, f"tech: expected finite numbers, got {line!r}")
+
+
+def test_backtest_summary_without_header_names_file_and_line(config, tmp_path):
+    # line 1 used to be skipped unread, so the energy row was lost on the next backtest
+    summary = "energy,1.00,2.00\ntech,3.00,4.00\n"
+    expected = f"expected header {SUMMARY_HEADER!r}, got 'energy,1.00,2.00'"
+    assert_summary_rejected_before_any_write(config, tmp_path, None, expected, summary=summary)
+
+
+def test_backtest_predicted_prices_without_header_names_file_and_line(config, tmp_path):
+    pred_file = tmp_path / "pred.csv"
+    pred_file.write_text("TW1,100.0\nTW2,200.0\n")
+    expected = f"{pred_file}: line 1: expected header 'symbol,price', got 'TW1,100.0'"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        cmd_backtest(config, "twin", tmp_path / "out", predicted_prices=pred_file)
+    assert not list((tmp_path / "out").glob("ledger_*"))
 
 
 def test_backtest_member_without_bars_from_invest_to_eval_date(env, tmp_path):
@@ -779,7 +798,7 @@ def test_plotdata_accepts_only_yyyy_mm_dd_dates(env, tmp_path, capsys, option, d
 
 def test_plotdata_range_outside_data(config, tmp_path):
     cmd_train(config, "DDD", tmp_path)
-    with pytest.raises(ValueError, match="no trading dates"):
+    with pytest.raises(ValueError, match=r"^DDD: no bars in \[2030-01-01, 2030-02-01\]$"):
         cmd_plotdata(config, "DDD", dt.date(2030, 1, 1), dt.date(2030, 2, 1), tmp_path)
     with pytest.raises(ValueError, match="history"):
         cmd_plotdata(config, "DDD", dt.date(2016, 1, 4), dt.date(2016, 1, 8), tmp_path)
@@ -943,6 +962,20 @@ def test_main_success_exit_zero(env, tmp_path, capsys):
     rc = main(["--config", str(env / "config.yaml"), "--out", str(tmp_path), "stats"])
     assert rc == 0
     assert "stats.csv" in capsys.readouterr().out
+
+
+def test_main_calls_the_cmd_function_the_module_holds_when_it_runs(env, tmp_path, capsys, monkeypatch):
+    # bench/tracing.py times each stage by replacing cli.cmd_<stage> after the module is imported
+    calls = []
+
+    def spy(config, out_dir):
+        calls.append((config, out_dir))
+        return out_dir / "spied.csv"
+
+    monkeypatch.setattr("sectorport.cli.cmd_stats", spy)
+    assert main(["--config", str(env / "config.yaml"), "--out", str(tmp_path), "stats"]) == 0
+    assert [(type(config), out_dir) for config, out_dir in calls] == [(RunConfig, tmp_path)]
+    assert capsys.readouterr().out == f"{tmp_path / 'spied.csv'}\n"
 
 
 def test_main_error_exit_nonzero_names_entity(env, tmp_path, capsys):

@@ -1,10 +1,18 @@
 import datetime as dt
+import importlib.util
 import re
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorport.config import RunConfig, SectorUniverse, derive_seed, load_config
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(path, **overrides):
@@ -295,3 +303,99 @@ def test_sector_block_errors_name_the_file(tmp_path, members, message):
     path = write_config(tmp_path / "c.yaml", sectors=[{"name": "tech", "members": members}])
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
         load_config(path)
+
+
+SECTORS = "sectors: [{name: tech, members: [[AAA, 1.0]]}]\n"
+
+
+@pytest.mark.parametrize(
+    "text, context",
+    [
+        (SECTORS + "1: a\nfoo: b\n", ""),
+        (SECTORS + "lstm: {1: a, foo: b}\n", "lstm: "),
+        ("sectors: [{name: tech, members: [[AAA, 1.0]], 1: a, foo: b}]\n", "sectors[0]: "),
+    ],
+    ids=["top-level", "lstm", "sector"],
+)
+def test_unknown_keys_of_mixed_types_are_listed_naming_the_file(tmp_path, text, context):
+    # sorting 1 with 'foo' raised "'<' not supported between instances of 'str' and 'int'"
+    path = tmp_path / "c.yaml"
+    path.write_text("data_dir: data\n" + text, encoding="utf-8")
+    expected = f"{path}: {context}unknown keys [1, 'foo']"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("date", ["2016-02-30", "2021-13-01"])
+def test_impossible_yaml_date_names_file_and_line(tmp_path, date):
+    # PyYAML's timestamp constructor raised "day is out of range for month", naming neither
+    path = tmp_path / "c.yaml"
+    path.write_text(f"data_dir: data\n{SECTORS}train_start: {date}\n", encoding="utf-8")
+    expected = f"{path}: line 3: expected a date, got {date!r}: "
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}"):
+        load_config(path)
+
+
+# One line of a config in PyYAML's block layout: an optional "- " list-item marker, an optional key, the value.
+CONFIG_LINE = re.compile(r"^(?P<head>\s*(?:- )?)(?:(?P<key>\w+):)?(?P<value>.*)$")
+MUTANT_VALUES = ["0", "-1", "1e5", "[]", "null", "abc", "{1: a, foo: b}", "2016-02-30", "2021-13-01"]
+
+
+def block_end(lines: list[str], i: int) -> int:
+    """Index just past line i and the lines nested under it: those indented deeper than its
+    key, and the list items at its key's indent, which PyYAML writes for a list under a key."""
+    column = len(CONFIG_LINE.match(lines[i])["head"])
+    end = i + 1
+    while end < len(lines):
+        indent = len(lines[end]) - len(lines[end].lstrip(" "))
+        if indent < column or (indent == column and not lines[end].lstrip(" ").startswith("- ")):
+            break
+        end += 1
+    return end
+
+
+def mutants(lines: list[str], i: int) -> list[str]:
+    """Every config text made by one change to line i of lines: drop it (with what it nests),
+    repeat it, retype its value (a scalar becomes a one-item list, a block an empty list),
+    turn its key into an integer, or replace its value with one of MUTANT_VALUES."""
+    head, key, value = CONFIG_LINE.match(lines[i]).group("head", "key", "value")
+    end = block_end(lines, i)
+    prefix = head + (f"{key}:" if key else "")
+    repeat = [head.replace("-", " ") + lines[i][len(head):] if key else lines[i], *lines[i + 1:end]]
+    changes = [
+        [],
+        lines[i:end] + repeat,
+        [f"{prefix} [{value.strip()}]" if value.strip() else f"{prefix} []"],
+        *([[f"{head}1:{value}", *lines[i + 1:end]]] if key else []),
+        *[[f"{prefix} {v}"] for v in MUTANT_VALUES],
+    ]
+    return ["\n".join(lines[:i] + change + lines[end:]) + "\n" for change in changes]
+
+
+@pytest.fixture(scope="module")
+def demo_config(tmp_path_factory) -> tuple[Path, list[str]]:
+    """A path to write configs to, and the lines of the config scripts/make_demo_data.py
+    writes, with the four dates it leaves at their defaults spelled out and each member on one line."""
+    root = tmp_path_factory.mktemp("demo")
+    spec = importlib.util.spec_from_file_location("make_demo_data", ROOT / "scripts" / "make_demo_data.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "argv", ["make_demo_data.py", "--dir", str(root)])
+        script.main()
+    doc = yaml.safe_load((root / "config.yaml").read_text(encoding="utf-8"))
+    doc.update({f.name: f.default for f in fields(RunConfig) if isinstance(f.default, dt.date)})
+    return root / "config.yaml", yaml.safe_dump(doc, sort_keys=False, default_flow_style=None).splitlines()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_one_change_to_the_demo_config_loads_or_raises_naming_the_file(demo_config, data):
+    # each example is a new mutant, so the search ends once every one has been tried
+    path, lines = demo_config
+    i = data.draw(st.integers(0, len(lines) - 1))
+    path.write_text(data.draw(st.sampled_from(mutants(lines, i))), encoding="utf-8")
+    try:
+        assert isinstance(load_config(path), RunConfig)
+    except (ValueError, yaml.YAMLError) as exc:
+        assert str(path) in str(exc)

@@ -467,13 +467,6 @@ def test_asset_stats_needs_two_returns():
         asset_stats(daily_returns(np.array([1.0, 2.0])))
 
 
-def test_asset_stats_invariant_under_date_shift():
-    closes = [100, 103, 99, 104, 101]
-    a = asset_stats(daily_returns(series_from_closes("X", closes, start=dt.date(2019, 1, 1)).closes))
-    b = asset_stats(daily_returns(series_from_closes("X", closes, start=dt.date(2020, 6, 1)).closes))
-    assert a == b
-
-
 # -------------------------------------------------------------------- align
 
 def test_align_identical_dates():

@@ -276,7 +276,7 @@ def load_config(path) -> RunConfig:
     if "data_dir" not in doc or "sectors" not in doc:
         raise ValueError(f"{path}: needs 'data_dir' and 'sectors'")
 
-    lstm_block = doc.get("lstm", {}) or {}
+    lstm_block = {} if doc.get("lstm") is None else doc["lstm"]
     if not isinstance(lstm_block, dict):
         raise ValueError(f"{path}: lstm must be a mapping")
     _check_keys(lstm_block, _LSTM_KEYS, f"{path}: lstm")

@@ -181,6 +181,28 @@ def dropout_mask(rng: Generator, shape, rate: float, dtype=COMPUTE_DTYPE) -> np.
 _BLOW_UP = "non-finite gate pre-activation (parameter blow-up)"
 
 
+class _BufferPool:
+    """Named flat arrays that the batches of one train or predict_batch call reuse.
+
+    take hands out a C-contiguous view of the first prod(shape) elements of the
+    array called name, so a ragged last batch is carved from a full batch's
+    array, and replaces the array only when a request outgrows it. A view
+    aliases every earlier view of its name: the kernels write a buffer before
+    they read it, and a batch's activations are dead before the next batch
+    takes the same names.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
 @dataclass
 class _LayerCache:
     """One layer's forward activations, time-major: every array is (T, B, .)."""
@@ -208,8 +230,10 @@ class ForwardCache:
     y: np.ndarray  # (B,) logistic predictions
 
 
-def _layer_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> _LayerCache:
-    """One layer over a time-major input x (T, B, D).
+def _layer_forward(
+    x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray, pool: _BufferPool, key: str
+) -> _LayerCache:
+    """One layer over a time-major input x (T, B, D), caching into pool under names that start with key.
 
     The input projection x @ wx + b of every step is one GEMM; each step then
     adds h_prev @ wh and activates the gates in place. The sum of a step's
@@ -220,14 +244,13 @@ def _layer_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray)
     """
     steps, batch, d = x.shape
     w, dtype = wh.shape[0], wh.dtype
+    gates = pool.take(key + "gates", (steps, batch, 4 * w), dtype)
     if d == 1:  # OpenBLAS runs a K=1 GEMM slowly; the broadcast product is the same bits
-        gates = np.multiply(x, wx[0])
+        np.multiply(x, wx[0], out=gates)
     else:
-        gates = (x.reshape(steps * batch, d) @ wx).reshape(steps, batch, 4 * w)
+        np.matmul(x.reshape(steps * batch, d), wx, out=gates.reshape(steps * batch, 4 * w))
     gates += b
-    c = np.empty((steps, batch, w), dtype=dtype)
-    tc = np.empty_like(c)
-    h = np.empty_like(c)
+    c, tc, h = (pool.take(key + name, (steps, batch, w), dtype) for name in ("c", "tc", "h"))
     z = np.empty((batch, 4 * w), dtype=dtype)
     ig = np.empty((batch, w), dtype=dtype)
     z_sums = np.empty(steps, dtype=dtype)
@@ -253,14 +276,20 @@ def _layer_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray)
 
 
 def forward_batch(
-    model: LstmModel, X: np.ndarray, training: bool = False, rng: Generator | None = None
+    model: LstmModel,
+    X: np.ndarray,
+    training: bool = False,
+    rng: Generator | None = None,
+    pool: _BufferPool | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch of scaled windows through the stack.
 
     X has shape (batch, window) and is cast to the model's dtype; returns
     predictions in (0, 1) and the cache needed for backpropagation, all in
     that dtype. Dropout is applied only when training; rate 0 applies no masks
-    at all, so it matches inference exactly.
+    at all, so it matches inference exactly. The cached activations live in
+    pool, a fresh one when none is given, so the cache holds only until the
+    next call that takes the same pool.
     """
     X = np.asarray(X, dtype=model.dtype)
     if X.ndim != 2 or X.shape[1] != model.config.window:
@@ -270,6 +299,8 @@ def forward_batch(
     if use_dropout and rng is None:
         raise ValueError("training forward with dropout needs an rng")
 
+    if pool is None:
+        pool = _BufferPool()
     seq = np.ascontiguousarray(X.T)[:, :, None]
     caches: list[_LayerCache] = []
     seq_masks: list[np.ndarray | None] = []
@@ -277,7 +308,8 @@ def forward_batch(
     p = model.params
     n_layers = len(model.config.lstm_layers)
     for idx in range(n_layers):
-        cache = _layer_forward(seq, p[f"lstm{idx}.wx"], p[f"lstm{idx}.wh"], p[f"lstm{idx}.b"])
+        key = f"lstm{idx}."
+        cache = _layer_forward(seq, p[key + "wx"], p[key + "wh"], p[key + "b"], pool, key)
         caches.append(cache)
         if idx < n_layers - 1:
             mask = None
@@ -286,7 +318,7 @@ def forward_batch(
                 # Drawn batch-major and viewed time-major, so the rng stream,
                 # and with it every seeded run, does not depend on the cache layout.
                 mask = dropout_mask(rng, cache.h.shape, rate, seq.dtype).swapaxes(0, 1)
-                seq = np.multiply(seq, mask, out=np.empty_like(seq))
+                seq = np.multiply(seq, mask, out=pool.take(key + "dropped", seq.shape, seq.dtype))
             seq_masks.append(mask)
         else:
             h_last = cache.ht[-1]
@@ -301,22 +333,27 @@ def forward_batch(
     return y, ForwardCache(caches, seq_masks, last_mask, h_last, a1, r1, y)
 
 
-def predict_batch(model: LstmModel, X: np.ndarray) -> np.ndarray:
+def predict_batch(model: LstmModel, X: np.ndarray, pool: _BufferPool | None = None) -> np.ndarray:
     """Inference predictions in (0, 1) for scaled windows X (n, window), in the model's dtype.
 
-    Runs forward_batch on consecutive blocks of config.batch_size rows and
-    keeps only the predictions, so memory stays at one block's activations
-    however many windows there are.
+    Runs forward_batch on consecutive blocks of config.batch_size rows, every
+    block in the same pool (given, or one for this call), and keeps only the
+    predictions. So one block's activations are held at a time, in arrays
+    the first block allocates, however many windows there are.
     """
     X = np.asarray(X, dtype=model.dtype)
+    if pool is None:
+        pool = _BufferPool()
     step = model.config.batch_size
     out = np.empty(len(X), dtype=X.dtype)
     for lo in range(0, len(X), step):
-        out[lo : lo + step], _ = forward_batch(model, X[lo : lo + step], training=False)
+        out[lo : lo + step] = forward_batch(model, X[lo : lo + step], training=False, pool=pool)[0]
     return out
 
 
-def _layer_backward(cache: _LayerCache, wx: np.ndarray, wh: np.ndarray, dh_out: np.ndarray):
+def _layer_backward(
+    cache: _LayerCache, wx: np.ndarray, wh: np.ndarray, dh_out: np.ndarray, pool: _BufferPool, d_x_name: str | None
+):
     """BPTT through one layer; returns (d_x, d_wx, d_wh, d_b) with d_x time-major.
 
     dh_out is dL/dh from above: (T, B, H) for a layer whose whole sequence
@@ -326,12 +363,18 @@ def _layer_backward(cache: _LayerCache, wx: np.ndarray, wh: np.ndarray, dh_out: 
     loop scales step t by dL/dc_t and dL/dh_t (only dz_t @ wh.T is
     sequential), and the weight and input gradients are single GEMMs over
     all T * B rows after it.
+
+    dz and dc/dh are workspace, dead when the layer returns, so every layer
+    takes them from pool under one name. d_x, the gradient wrt the input,
+    goes to pool under d_x_name; with d_x_name None it is not computed (the
+    first layer's input is the data) and comes back None.
     """
     steps, batch, w = cache.c.shape
-    coef = _gate_coefficients(w, cache.c.dtype)
+    dtype = cache.c.dtype
+    coef = _gate_coefficients(w, dtype)
     a = cache.gates.reshape(steps, batch, 4, w)
     # a = (1 - k) + k * tanh(k * z) (see _activate), so da/dz = k^2 - (a - (1 - k))^2.
-    dz = np.subtract(cache.gates, 1.0 - coef)
+    dz = np.subtract(cache.gates, 1.0 - coef, out=pool.take("dz", cache.gates.shape, dtype))
     dz *= dz
     np.subtract(coef * coef, dz, out=dz)
     dz_blocks = dz.reshape(steps, batch, 4, w)
@@ -340,7 +383,8 @@ def _layer_backward(cache: _LayerCache, wx: np.ndarray, wh: np.ndarray, dh_out: 
     dz_blocks[1:, :, 1] *= cache.c[:-1]
     dz_blocks[:, :, 2] *= a[:, :, 0]  # g: dc_t/dg = i
     dz_blocks[:, :, 3] *= cache.tc  # o: dh_t/do = tanh(c_t)
-    dc_dh = np.multiply(cache.tc, cache.tc)  # dc_t/dh_t through tanh(c_t)
+    # dc_t/dh_t through tanh(c_t)
+    dc_dh = np.multiply(cache.tc, cache.tc, out=pool.take("dc_dh", cache.tc.shape, dtype))
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= a[:, :, 3]
 
@@ -362,15 +406,24 @@ def _layer_backward(cache: _LayerCache, wx: np.ndarray, wh: np.ndarray, dh_out: 
     d_wx = cache.xt.reshape(steps * batch, -1).T @ dz_rows
     d_wh = cache.ht[:-1].reshape(-1, w).T @ dz_rows[batch:]
     d_b = dz_rows.sum(axis=0)
-    d_x = (dz_rows @ wx.T).reshape(steps, batch, -1)
+    d_x = None
+    if d_x_name is not None:
+        d_x = pool.take(d_x_name, (steps, batch, wx.shape[0]), dtype)
+        np.matmul(dz_rows, wx.T, out=d_x.reshape(steps * batch, -1))
     return d_x, d_wx, d_wh, d_b
 
 
-def backward_batch(model: LstmModel, cache: ForwardCache, d_y: np.ndarray) -> dict[str, np.ndarray]:
+def backward_batch(
+    model: LstmModel, cache: ForwardCache, d_y: np.ndarray, pool: _BufferPool | None = None
+) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss wrt every parameter, given dL/dy per sample.
 
-    d_y is cast to the dtype of the predictions, so the gradients have the parameters' dtype.
+    d_y is cast to the dtype of the predictions, so the gradients have the
+    parameters' dtype. The BPTT workspace lives in pool, a fresh one when
+    none is given; cache's own arrays are only read.
     """
+    if pool is None:
+        pool = _BufferPool()
     y = cache.y
     d_y = np.asarray(d_y, dtype=y.dtype)
     dz2 = (d_y * y * (1.0 - y))[:, None]
@@ -390,7 +443,8 @@ def backward_batch(model: LstmModel, cache: ForwardCache, d_y: np.ndarray) -> di
     # The final layer receives gradient only at its last timestep.
     for idx in range(len(model.config.lstm_layers) - 1, -1, -1):
         wx, wh = p[f"lstm{idx}.wx"], p[f"lstm{idx}.wh"]
-        d_x, d_wx, d_wh, d_b = _layer_backward(cache.layers[idx], wx, wh, dh)
+        d_x_name = f"lstm{idx}.d_x" if idx > 0 else None
+        d_x, d_wx, d_wh, d_b = _layer_backward(cache.layers[idx], wx, wh, dh, pool, d_x_name)
         grads[f"lstm{idx}.wx"] = d_wx
         grads[f"lstm{idx}.wh"] = d_wh
         grads[f"lstm{idx}.b"] = d_b
@@ -472,7 +526,9 @@ def train(config: LstmConfig, closes) -> TrainResult:
     touched by the training split. Mini-batch order, dropout masks, and
     initialization all derive from config.seed, so a rerun is bit-identical.
     The scaled windows are cast to COMPUTE_DTYPE once; targets, losses and
-    the trace stay float64.
+    the trace stay float64. Every batch, and the validation after each
+    epoch, runs in one _BufferPool, so one batch's forward cache and BPTT
+    workspace are held at a time, in arrays the first batch allocates.
     """
     closes = np.asarray(closes, dtype=float)
     first = config.window + config.horizon - 1  # the first row with a full window
@@ -485,6 +541,7 @@ def train(config: LstmConfig, closes) -> TrainResult:
     rng = Generator(PCG64(SeedSequence(config.seed)))
     model = init_model(config, scaler, rng)
     adam = _Adam(model.params)
+    pool = _BufferPool()
 
     x_val, y_val = inputs[n_train:], targets[n_train:]
     trace = []
@@ -496,7 +553,7 @@ def train(config: LstmConfig, closes) -> TrainResult:
             sel = order[lo : lo + config.batch_size]
             xb, yb = inputs[sel], targets[sel]
             try:
-                pred, cache = forward_batch(model, xb, training=True, rng=rng)
+                pred, cache = forward_batch(model, xb, training=True, rng=rng, pool=pool)
             except FloatingPointError as exc:
                 raise RuntimeError(f"non-finite loss at epoch {epoch}, batch {batch_idx}: {exc}") from exc
             losses = huber_loss(yb, pred, config.huber_delta)
@@ -506,11 +563,10 @@ def train(config: LstmConfig, closes) -> TrainResult:
             loss_sum += loss * sel.size
             mae_sum += float(np.sum(np.abs(yb - pred)))
             d_y = huber_gradient(yb, pred, config.huber_delta) / sel.size
-            grads = backward_batch(model, cache, d_y)
-            adam.step(model.params, grads, config.learning_rate)
+            adam.step(model.params, backward_batch(model, cache, d_y, pool), config.learning_rate)
 
         if y_val.size:
-            val_pred = predict_batch(model, x_val)
+            val_pred = predict_batch(model, x_val, pool)
             val_loss = float(np.mean(huber_loss(y_val, val_pred, config.huber_delta)))
             val_mae = mae(y_val, val_pred)
         else:

@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorport.config import RunConfig, SectorUniverse, derive_seed, load_config
+from sectorport.config import LstmConfig, RunConfig, SectorUniverse, derive_seed, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,6 +62,22 @@ def test_unknown_lstm_key_rejected(tmp_path):
     path = write_config(tmp_path / "c.yaml", lstm={"window": 10, "wndow": 5})
     with pytest.raises(ValueError, match="wndow"):
         load_config(path)
+
+
+@pytest.mark.parametrize("value", [0, [], False, ""], ids=["zero", "empty-list", "false", "empty-string"])
+def test_lstm_block_that_is_not_a_mapping_is_rejected_naming_the_file(tmp_path, value):
+    path = write_config(tmp_path / "c.yaml", lstm=value)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: lstm must be a mapping$"):
+        load_config(path)
+
+
+def test_null_or_missing_lstm_block_loads_the_defaults(tmp_path):
+    doc = yaml.safe_load(write_config(tmp_path / "c.yaml").read_text(encoding="utf-8"))
+    del doc["lstm"]
+    missing = tmp_path / "missing.yaml"
+    missing.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    for path in (write_config(tmp_path / "null.yaml", lstm=None), missing):
+        assert load_config(path).lstm == LstmConfig(seed=11)
 
 
 def test_unknown_sector_key_rejected(tmp_path):
@@ -338,7 +354,7 @@ def test_impossible_yaml_date_names_file_and_line(tmp_path, date):
 
 # One line of a config in PyYAML's block layout: an optional "- " list-item marker, an optional key, the value.
 CONFIG_LINE = re.compile(r"^(?P<head>\s*(?:- )?)(?:(?P<key>\w+):)?(?P<value>.*)$")
-MUTANT_VALUES = ["0", "-1", "1e5", "[]", "null", "abc", "{1: a, foo: b}", "2016-02-30", "2021-13-01"]
+MUTANT_VALUES = ["0", "-1", "1e5", "[]", "null", "false", "''", "abc", "{1: a, foo: b}", "2016-02-30", "2021-13-01"]
 
 
 def block_end(lines: list[str], i: int) -> int:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, PCG64, SeedSequence
 
 from oracles import float64_copy, lstm_cell_step
+from sectorport import lstm
 from sectorport.config import LstmConfig
 from sectorport.lstm import (
     Scaler,
@@ -225,9 +227,9 @@ def test_predict_batch_runs_blocks_of_batch_size(monkeypatch):
     sizes = []
     real = fc.forward_batch
 
-    def spy(model, X, training=False, rng=None):
+    def spy(model, X, training=False, rng=None, pool=None):
         sizes.append((len(X), training))
-        return real(model, X, training=training, rng=rng)
+        return real(model, X, training=training, rng=rng, pool=pool)
 
     monkeypatch.setattr(fc, "forward_batch", spy)
     assert predict_batch(model, np.full((150, 8), 0.5)).shape == (150,)
@@ -239,6 +241,83 @@ def test_training_forward_needs_rng_when_dropout_active():
     model = small_model(dropout_rate=0.5)
     with pytest.raises(ValueError, match="rng"):
         forward_batch(model, np.ones((1, 8)), training=True)
+
+
+# -------------------------------------------------------------- buffer pool
+# train and predict_batch run every batch in one _BufferPool. A reused buffer
+# holds the last batch's values where a fresh page reads as zero, so the
+# pooled runs below start from buffers filled with NaN: a read before a write
+# shows in the bits.
+
+def nan_filled(pool):
+    for flat in pool._flat.values():
+        flat.fill(np.nan)
+    return pool
+
+
+def test_pooled_forward_and_backward_equal_fresh_arrays_bitwise():
+    model = small_model(seed=21, lstm_layers=(5, 4), dropout_rate=0.3, batch_size=16)
+    data = Generator(PCG64(SeedSequence(22)))
+    batches = [data.random((16, 8)), data.random((7, 8)), data.random((16, 8))]  # full, ragged, full
+    pool = lstm._BufferPool()
+    _, cache = forward_batch(model, batches[0], training=True, rng=Generator(PCG64(SeedSequence(0))), pool=pool)
+    backward_batch(model, cache, np.ones(16), pool)  # allocates every buffer at the full batch size
+    fresh_rng, pooled_rng = (Generator(PCG64(SeedSequence(23))) for _ in range(2))
+    for X in batches:
+        d_y = data.standard_normal(len(X))
+        y, cache = forward_batch(model, X, training=True, rng=fresh_rng)
+        grads = backward_batch(model, cache, d_y)
+        y_pool, cache = forward_batch(model, X, training=True, rng=pooled_rng, pool=nan_filled(pool))
+        grads_pool = backward_batch(model, cache, d_y, pool)
+        assert y_pool.tobytes() == y.tobytes()
+        assert list(grads_pool) == list(grads)
+        for name, g in grads.items():
+            assert grads_pool[name].tobytes() == g.tobytes(), name
+
+
+def test_pooled_predict_batch_equals_fresh_forward_per_block_bitwise():
+    model = small_model(seed=24, lstm_layers=(5, 4), batch_size=16)
+    X = Generator(PCG64(SeedSequence(25))).random((40, 8)).astype(model.dtype)  # blocks of 16, 16, 8
+    pool = lstm._BufferPool()
+    predict_batch(model, X, pool)
+    per_block = np.concatenate([forward_batch(model, X[lo : lo + 16])[0] for lo in range(0, 40, 16)])
+    assert predict_batch(model, X, nan_filled(pool)).tobytes() == per_block.tobytes()
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that fn allocates, by tracemalloc, which NumPy reports its arrays to."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+POOL_MODEL = dict(window=20, lstm_layers=(32, 32), dense_width=32, dropout_rate=0.3, batch_size=32, epochs=1)
+
+
+def test_predict_batch_memory_is_one_block():
+    model = small_model(seed=26, **POOL_MODEL)
+    X = Generator(PCG64(SeedSequence(27))).random((320, 20)).astype(model.dtype)  # 10 blocks
+    one_block = traced_peak(lambda: forward_batch(model, X[:32]))
+    ten_blocks = traced_peak(lambda: predict_batch(model, X))
+    assert ten_blocks <= 1.1 * one_block, f"{ten_blocks / 1e6:.2f} MB against {one_block / 1e6:.2f} MB for one block"
+
+
+def test_train_memory_is_one_training_step():
+    config = LstmConfig(**POOL_MODEL, seed=28)
+    closes = 100.0 + np.cumsum(Generator(PCG64(SeedSequence(29))).standard_normal(420))  # 12 training batches
+    model = small_model(seed=28, **POOL_MODEL)
+    X = Generator(PCG64(SeedSequence(30))).random((32, 20))
+
+    def step():
+        _, cache = forward_batch(model, X, training=True, rng=Generator(PCG64(SeedSequence(31))))
+        backward_batch(model, cache, np.ones(32))
+
+    one_step = traced_peak(step)
+    training = traced_peak(lambda: train(config, closes))
+    assert training <= 1.25 * one_step, f"{training / 1e6:.2f} MB against {one_step / 1e6:.2f} MB for one step"
 
 
 # ----------------------------------------------------------- float32 kernel

@@ -77,7 +77,7 @@ def test_train_insufficient_data():
 def test_nonfinite_loss_aborts_with_coordinates(monkeypatch):
     cfg = LstmConfig(**QUICK, epochs=1, seed=0)
 
-    def poisoned(model, X, training=False, rng=None):
+    def poisoned(model, X, training=False, rng=None, pool=None):
         return np.full(X.shape[0], np.nan), None
 
     monkeypatch.setattr(fc, "forward_batch", poisoned)
@@ -88,7 +88,7 @@ def test_nonfinite_loss_aborts_with_coordinates(monkeypatch):
 def test_parameter_blowup_aborts_with_coordinates(monkeypatch):
     cfg = LstmConfig(**QUICK, epochs=1, seed=0)
 
-    def exploding(model, X, training=False, rng=None):
+    def exploding(model, X, training=False, rng=None, pool=None):
         raise FloatingPointError("non-finite gate pre-activation")
 
     monkeypatch.setattr(fc, "forward_batch", exploding)

@@ -55,22 +55,28 @@ def _json_text(obj) -> str:
 
 
 def _load_series(config: RunConfig, symbol: str, out_dir: Path) -> md.PriceSeries:
-    """symbol's prices, parsed once per out_dir: <out_dir>/.cache/<symbol>.npz holds the
-    CSV's sha256 and columns. An entry with the CSV's digest whose columns pass the checks
-    of a parse is a hit; any other is a miss, which parses the CSV and rewrites the entry."""
+    """symbol's prices, parsed once per out_dir. <out_dir>/.cache/<symbol>.cols holds the CSV's sha256,
+    the seven columns in CSV field order as little-endian 8-byte values, column after column, and the
+    sha256 of all the bytes before it. An entry sealed by that trailer, with the CSV's digest, 64 + 56 *
+    rows bytes and columns that pass the checks of a parse, is a hit; any other entry is a miss, which
+    parses the CSV and rewrites the entry."""
     path = Path(config.data_dir) / f"{symbol}.csv"
     if not path.exists():
         raise FileNotFoundError(f"no data file for {symbol}: expected {path}")
     raw = path.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    cache = Path(out_dir) / ".cache" / f"{symbol}.npz"
-    # An entry that cannot be read is a miss too. np.load(path) would leak the file of a corrupt zip.
-    with suppress(Exception), open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as entry:
-        if entry["sha256"].item() == digest:
-            return md.series_from_columns(symbol, {k: entry[k] for k in entry.files if k != "sha256"})
+    digest = hashlib.sha256(raw).digest()
+    cache = Path(out_dir) / ".cache" / f"{symbol}.cols"
+    dtypes = [np.dtype(t).newbyteorder("<") for t in md._COLUMN_DTYPES.values()]
+    with suppress(OSError, ValueError):
+        entry = cache.read_bytes()
+        body, rows = memoryview(entry)[:-32], max(len(entry) - 64, 0) // 56
+        sealed = entry[-32:] == hashlib.sha256(body).digest()
+        if sealed and entry[:32] == digest and len(entry) == 64 + 56 * rows:
+            columns = [np.frombuffer(body, t, rows, 32 + 8 * rows * k) for k, t in enumerate(dtypes)]
+            return md.series_from_columns(symbol, dict(zip(md._CSV_FIELDS, columns)))
     series = md.parse_csv(raw, symbol)
-    with _atomic_file(cache, "wb") as fh:
-        np.savez(fh, sha256=digest, **md.csv_columns(series))
+    body = digest + b"".join(c.astype(t).tobytes() for c, t in zip(md.csv_columns(series).values(), dtypes))
+    _atomic_write(cache, body + hashlib.sha256(body).digest())
     return series
 
 

@@ -239,30 +239,35 @@ def _parse_sector(block: dict, index: int) -> SectorUniverse:
     return SectorUniverse(name, tuple(members))
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that rejects a key repeated in one mapping, where PyYAML keeps the last value,
-    and names the file and line of an impossible date such as 2016-02-30."""
+def _unique_key_loader(base: type) -> type:
+    """base (SafeLoader, or CSafeLoader where PyYAML has libyaml) rejecting a key repeated in one mapping,
+    where PyYAML keeps the last value, and naming the file and line of an impossible date such as
+    2016-02-30. The file is the node mark's: both parsers set it, and CSafeLoader has no self.name."""
 
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
-                key = self.construct_object(key_node)
-                if key in seen:
-                    raise ValueError(f"{self.name}: line {key_node.start_mark.line + 1}: duplicate key {key!r}")
-                seen.add(key)
-        return super().construct_mapping(node, deep)
+    class Loader(base):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        mark = key_node.start_mark
+                        raise ValueError(f"{mark.name}: line {mark.line + 1}: duplicate key {key!r}")
+                    seen.add(key)
+            return super().construct_mapping(node, deep)
 
-    def construct_yaml_timestamp(self, node):
-        try:
-            return super().construct_yaml_timestamp(node)
-        except ValueError as exc:
-            raise ValueError(
-                f"{self.name}: line {node.start_mark.line + 1}: expected a date, got {node.value!r}: {exc}"
-            ) from None
+        def construct_yaml_timestamp(self, node):
+            try:
+                return super().construct_yaml_timestamp(node)
+            except ValueError as exc:
+                mark, value = node.start_mark, node.value
+                raise ValueError(f"{mark.name}: line {mark.line + 1}: expected a date, got {value!r}: {exc}") from None
+
+    Loader.add_constructor("tag:yaml.org,2002:timestamp", Loader.construct_yaml_timestamp)
+    return Loader
 
 
-_UniqueKeyLoader.add_constructor("tag:yaml.org,2002:timestamp", _UniqueKeyLoader.construct_yaml_timestamp)
+_UniqueKeyLoader = _unique_key_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def load_config(path) -> RunConfig:
@@ -286,9 +291,9 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ValueError(f"{path}: lstm: {exc}") from exc
 
-    data_dir = Path(_as_str(doc["data_dir"], f"{path}: data_dir"))
-    if not data_dir.is_absolute():
-        data_dir = path.parent / data_dir
+    data_dir = _as_str(doc["data_dir"], f"{path}: data_dir")
+    if not data_dir:  # Path('') is '.', which would read the CSVs beside the config
+        raise ValueError(f"{path}: data_dir: expected a directory, got ''")
 
     kwargs = {}
     for key in ("train_start", "train_end", "invest_date", "eval_date"):
@@ -306,6 +311,6 @@ def load_config(path) -> RunConfig:
         raise ValueError(f"{path}: sectors must be a list")
     try:
         sectors = tuple(_parse_sector(b, i) for i, b in enumerate(doc["sectors"]))
-        return RunConfig(data_dir=data_dir, sectors=sectors, lstm=lstm_config, seed=seed, **kwargs)
+        return RunConfig(data_dir=path.parent / data_dir, sectors=sectors, lstm=lstm_config, seed=seed, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -120,13 +120,12 @@ def sharpe_ratio(
 def _weight_block(seed: int, count: int, n_assets: int) -> np.ndarray:
     """Weight rows for the first count draws of the seed's stream.
 
-    Row i is the normalization of doubles [i*n, (i+1)*n) of PCG64(seed)'s output.
+    Row i is doubles [i*n, (i+1)*n) of PCG64(seed)'s output divided by their sum, in place: the
+    bits of an out-of-place division, without allocating a second (count, n_assets) block.
     """
     raw = Generator(PCG64(SeedSequence(seed))).random((count, n_assets))
-    sums = raw.sum(axis=1, keepdims=True)
-    if (sums == 0.0).any():  # pragma: no cover - probability ~0
-        raise RuntimeError("degenerate all-zero uniform draw")
-    return raw / sums
+    raw /= raw.sum(axis=1, keepdims=True)
+    return raw
 
 
 def build_frontier(

@@ -1,6 +1,7 @@
 """End-to-end subcommand behavior on synthetic data environments."""
 
 import datetime as dt
+import hashlib
 import io
 import itertools
 import json
@@ -172,11 +173,44 @@ def cached(solo, tmp_path):
     cfg, csv = solo
     out = tmp_path / "out"
     _load_series(cfg, "AAA", out)
-    return cfg, csv, out, out / ".cache" / "AAA.npz"
+    return cfg, csv, out, out / ".cache" / "AAA.cols"
 
 
 def parsed(csv):
     return parse_csv(csv.read_bytes(), "AAA")
+
+
+# A cache entry: the CSV's sha256, these columns one after another, then the sha256 of all of that.
+ENTRY_COLUMNS = {
+    "date": "<M8[D]", "open": "<f8", "high": "<f8", "low": "<f8", "close": "<f8", "volume": "<i8", "adj_close": "<f8",
+}
+
+
+def sealed(digest: bytes, columns: dict) -> bytes:
+    """The entry holding digest and columns, whatever their dtypes and lengths, and its trailer."""
+    body = digest + b"".join(np.asarray(c).tobytes() for c in columns.values())
+    return body + hashlib.sha256(body).digest()
+
+
+def unsealed(entry: bytes) -> tuple[bytes, dict]:
+    """The CSV digest and the columns of a well-formed entry."""
+    rows = (len(entry) - 64) // 56
+    columns = {
+        name: np.frombuffer(entry, dtype, rows, 32 + 8 * rows * k).copy()
+        for k, (name, dtype) in enumerate(ENTRY_COLUMNS.items())
+    }
+    return entry[:32], columns
+
+
+def test_entry_is_the_csv_digest_the_columns_and_a_sha256_trailer(cached):
+    cfg, csv, out, entry = cached
+    good = entry.read_bytes()
+    assert len(good) == 64 + 56 * 60
+    assert good[-32:] == hashlib.sha256(good[:-32]).digest()
+    digest, columns = unsealed(good)
+    assert digest == hashlib.sha256(csv.read_bytes()).digest()
+    assert_same_series(md.series_from_columns("AAA", columns), parsed(csv))
+    assert sealed(digest, columns) == good
 
 
 def test_cache_hit_returns_the_parsed_columns_without_parsing(cached, parses):
@@ -207,39 +241,46 @@ def with_nan(column):
     return column
 
 
+def npz_entry(good: bytes) -> bytes:
+    """The .npz entry that older versions wrote for the same CSV."""
+    digest, columns = unsealed(good)
+    buf = io.BytesIO()
+    np.savez(buf, sha256=digest.hex(), **columns)
+    return buf.getvalue()
+
+
 BYTE_DAMAGE = {
     "empty": lambda good: b"",
     "truncated": lambda good: good[: len(good) // 2],
     "one byte short": lambda good: good[:-1],
-    "a .npy, not a .npz": lambda good: good[good.index(b"\x93NUMPY") :],
+    "one byte extra": lambda good: good + b"\0",
+    "an .npz entry": npz_entry,
 }
-COLUMN_DAMAGE = {  # arrays -> the arrays to replace; None drops one
-    "another digest": lambda a: {"sha256": np.array("0" * 64)},
-    "digest as bytes": lambda a: {"sha256": a["sha256"].astype("S64")},
-    "no digest": lambda a: {"sha256": None},
-    "missing column": lambda a: {"volume": None},
-    "extra column": lambda a: {"extra": np.zeros(60)},
-    "pickled column": lambda a: {"close": a["close"].astype(object)},
-    "float volume": lambda a: {"volume": a["volume"].astype(float)},
-    "big-endian close": lambda a: {"close": a["close"].astype(">f8")},
-    "dates in seconds": lambda a: {"date": a["date"].astype("datetime64[s]")},
-    "short close": lambda a: {"close": a["close"][:-1]},
-    "NaN close": lambda a: {"close": with_nan(a["close"])},
-    "NaN open": lambda a: {"open": with_nan(a["open"])},
-    "low above high": lambda a: {"low": a["high"] * 2},
-    "reversed dates": lambda a: {"date": a["date"][::-1]},
+# Each re-sealed with a valid trailer, so that it reaches the checks after it: (digest, columns) -> the
+# digest or columns to replace; None drops one.
+COLUMN_DAMAGE = {
+    "another digest": lambda d, c: {"digest": bytes(32)},
+    "hex digest": lambda d, c: {"digest": d.hex().encode()},
+    "no digest": lambda d, c: {"digest": b""},
+    "missing column": lambda d, c: {"volume": None},
+    "extra column": lambda d, c: {"extra": np.zeros(60)},
+    "one value extra": lambda d, c: {"extra": np.zeros(1)},  # the columns are where a hit reads them
+    "short close": lambda d, c: {"close": c["close"][:-1]},
+    "NaN close": lambda d, c: {"close": with_nan(c["close"])},
+    "NaN open": lambda d, c: {"open": with_nan(c["open"])},
+    "low above high": lambda d, c: {"low": c["high"] * 2},
+    "reversed dates": lambda d, c: {"date": c["date"][::-1]},
 }
 
 
 def damaged(good: bytes, damage: str) -> bytes:
     if damage in BYTE_DAMAGE:
         return BYTE_DAMAGE[damage](good)
-    with np.load(io.BytesIO(good)) as npz:
-        arrays = {k: npz[k] for k in npz.files}
-    arrays.update(COLUMN_DAMAGE[damage](arrays))
-    buf = io.BytesIO()
-    np.savez(buf, **{k: v for k, v in arrays.items() if v is not None})
-    return buf.getvalue()
+    digest, columns = unsealed(good)
+    parts = {"digest": digest, **columns}
+    parts.update(COLUMN_DAMAGE[damage](digest, columns))
+    digest = parts.pop("digest")
+    return sealed(digest, {k: v for k, v in parts.items() if v is not None})
 
 
 @pytest.mark.parametrize("damage", [*BYTE_DAMAGE, *COLUMN_DAMAGE])
@@ -254,17 +295,15 @@ def test_damaged_entry_is_a_miss_that_parses_and_rewrites_it(cached, parses, dam
 
 
 def test_no_single_byte_flip_yields_other_columns(cached, parses):
+    # the trailer covers every byte before it, and a flip in the trailer breaks it; every third byte,
+    # 3 being prime to 8, flips each byte place of an 8-byte value in some row
     cfg, csv, out, entry = cached
     good, want = entry.read_bytes(), parsed(csv)
-    # the 8 bytes that end the close column's member, which a hit would return as the last close
-    last_close = good.index(b"PK\x03\x04", good.index(b"close.npy")) - 8
-    payload = range(last_close, last_close + 8)
-    for i in [*range(0, len(good), 17), *payload]:
+    for i in range(0, len(good), 3):
         entry.write_bytes(good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1 :])
         parses.clear()
         assert_same_series(_load_series(cfg, "AAA", out), want)
-        if parses or i in payload:  # a flip a hit ignores (a timestamp, say) may stay
-            assert parses == ["AAA"] and entry.read_bytes() == good, i
+        assert parses == ["AAA"] and entry.read_bytes() == good, i
 
 
 def test_csv_that_fails_to_parse_raises_as_before_and_writes_no_entry(solo, tmp_path):
@@ -286,7 +325,7 @@ def test_artifacts_and_entries_take_their_mode_from_the_umask(config, tmp_path, 
     finally:
         os.umask(old)
     files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
-    assert files == [".cache/TW1.npz", ".cache/TW2.npz", "frontier_twin.csv", "report_twin.json"]
+    assert files == [".cache/TW1.cols", ".cache/TW2.cols", "frontier_twin.csv", "report_twin.json"]
     assert {oct((tmp_path / f).stat().st_mode & 0o777) for f in files} == {oct(mode)}
 
 
@@ -931,7 +970,7 @@ def test_plotdata_rejects_symbol_the_config_does_not_list(outside, tmp_path, sym
     with pytest.raises(ValueError, match=re.escape(f"unknown symbol {symbol!r}")):
         cmd_plotdata(cfg, symbol, dt.date(2021, 1, 4), dt.date(2021, 1, 8), out)
     assert sorted(p.name for p in out.iterdir()) == [".cache", "checkpoints", "trace_AAA.csv"]
-    assert sorted(p.name for p in (out / ".cache").iterdir()) == ["AAA.npz"]
+    assert sorted(p.name for p in (out / ".cache").iterdir()) == ["AAA.cols"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["EVIL.csv", "run"]
 
 

@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sectorport import config as config_module
 from sectorport.config import LstmConfig, RunConfig, SectorUniverse, derive_seed, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +70,19 @@ def test_lstm_block_that_is_not_a_mapping_is_rejected_naming_the_file(tmp_path, 
     path = write_config(tmp_path / "c.yaml", lstm=value)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: lstm must be a mapping$"):
         load_config(path)
+
+
+def test_empty_data_dir_is_rejected_naming_the_file(tmp_path):
+    # Path('') joined to the config's directory read the price CSVs from beside the config
+    path = write_config(tmp_path / "c.yaml", data_dir="")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: data_dir: expected a directory, got ''$"):
+        load_config(path)
+
+
+def test_data_dir_is_relative_to_the_config_unless_absolute(tmp_path):
+    assert load_config(write_config(tmp_path / "c.yaml", data_dir=".")).data_dir == tmp_path
+    elsewhere = tmp_path.parent / "elsewhere"
+    assert load_config(write_config(tmp_path / "c.yaml", data_dir=str(elsewhere))).data_dir == elsewhere
 
 
 def test_null_or_missing_lstm_block_loads_the_defaults(tmp_path):
@@ -349,6 +363,45 @@ def test_impossible_yaml_date_names_file_and_line(tmp_path, date):
     path.write_text(f"data_dir: data\n{SECTORS}train_start: {date}\n", encoding="utf-8")
     expected = f"{path}: line 3: expected a date, got {date!r}: "
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}"):
+        load_config(path)
+
+
+BASES = [
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="CSafeLoader",
+                 marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")),
+    pytest.param(yaml.SafeLoader, id="SafeLoader"),
+]
+
+
+def test_the_loader_uses_libyaml_where_pyyaml_has_it():
+    base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert issubclass(config_module._UniqueKeyLoader, base)
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_each_parser_loads_the_demo_config_alike(demo_config, monkeypatch, base):
+    path, lines = demo_config
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = load_config(path)
+    monkeypatch.setattr(config_module, "_UniqueKeyLoader", config_module._unique_key_loader(base))
+    assert load_config(path) == want
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("seed: 11\nseed: 12\n", "line 3: duplicate key 'seed'"),
+        ("train_start: 2016-02-30\n", "line 2: expected a date, got '2016-02-30': "),
+    ],
+    ids=["duplicate-key", "impossible-date"],
+)
+def test_each_parser_names_the_file_and_line(tmp_path, monkeypatch, base, text, expected):
+    # libyaml's parser has no self.name, so the file comes from the node's mark
+    monkeypatch.setattr(config_module, "_UniqueKeyLoader", config_module._unique_key_loader(base))
+    path = tmp_path / "c.yaml"
+    path.write_text("data_dir: data\n" + text + SECTORS, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {expected}')}"):
         load_config(path)
 
 

@@ -224,6 +224,12 @@ def test_weight_block_rows_match_sequential_random_weights():
         np.testing.assert_array_equal(x / x.sum(), rows[i])
 
 
+def test_weight_block_divides_in_place_to_the_bits_of_the_out_of_place_division():
+    raw = Generator(PCG64(SeedSequence(21))).random((20000, 12))
+    want = raw / raw.sum(axis=1, keepdims=True)
+    assert _weight_block(21, 20000, 12).tobytes() == want.tobytes()
+
+
 def test_frontier_point_stats_recompute_from_weights():
     cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=300, risk_free=0.01, seed=2)
     for i in range(0, cloud.n_draws, 23):

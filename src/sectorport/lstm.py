@@ -34,7 +34,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
@@ -100,18 +100,22 @@ def input_windows(closes, window: int, horizon: int, lo: int, hi: int) -> np.nda
     return np.lib.stride_tricks.sliding_window_view(closes, window)[first : first + hi - lo]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LstmModel:
-    """The config, the scaler and every parameter, keyed and ordered as _param_shapes(config) says."""
+    """The config, the scaler and every parameter, in one flat array laid out as _carve says."""
 
     config: LstmConfig
     scaler: Scaler
-    params: dict[str, np.ndarray]
+    flat: np.ndarray
+    params: dict[str, np.ndarray] = field(init=False, repr=False)  # views of flat, so writing one writes the model
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", _carve(self.flat, self.config))
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype of the parameters, which every kernel buffer shares."""
-        return self.params["out.b"].dtype
+        return self.flat.dtype
 
     def check_finite(self):
         for name, arr in self.params.items():
@@ -135,6 +139,19 @@ def _param_shapes(config: LstmConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _param_count(config: LstmConfig) -> int:
+    return sum(math.prod(shape) for shape in _param_shapes(config).values())
+
+
+def _carve(flat: np.ndarray, config: LstmConfig) -> dict[str, np.ndarray]:
+    """Views of flat, back to back, named and shaped as _param_shapes(config) lists them."""
+    views, end = {}, 0
+    for name, shape in _param_shapes(config).items():
+        start, end = end, end + math.prod(shape)
+        views[name] = flat[start:end].reshape(shape)
+    return views
+
+
 def _glorot(rng: Generator, shape: tuple[int, int]) -> np.ndarray:
     # Drawn in float64 and then narrowed, so the rng stream does not depend on the dtype.
     limit = math.sqrt(6.0 / (shape[0] + shape[1]))
@@ -143,31 +160,33 @@ def _glorot(rng: Generator, shape: tuple[int, int]) -> np.ndarray:
 
 def init_model(config: LstmConfig, scaler: Scaler, rng: Generator) -> LstmModel:
     """Glorot-uniform weights drawn in _param_shapes order, zero biases except forget-gate biases at 1.0."""
-    arrays = {
-        name: _glorot(rng, shape) if len(shape) == 2 else np.zeros(shape, dtype=COMPUTE_DTYPE)
-        for name, shape in _param_shapes(config).items()
-    }
+    model = LstmModel(config, scaler, np.zeros(_param_count(config), dtype=COMPUTE_DTYPE))
+    for arr in model.params.values():
+        if arr.ndim == 2:
+            arr[...] = _glorot(rng, arr.shape)
     for i, width in enumerate(config.lstm_layers):
-        arrays[f"lstm{i}.b"][width : 2 * width] = 1.0  # forget gate: start remembering
-    return LstmModel(config, scaler, arrays)
+        model.params[f"lstm{i}.b"][width : 2 * width] = 1.0  # forget gate: start remembering
+    return model
 
 
-def _activate(z: np.ndarray, k, out: np.ndarray | None = None) -> np.ndarray:
-    """(1 - k) + k * tanh(k * z): the logistic function where k = 0.5, tanh where k = 1.
+def _activate(z: np.ndarray, k, k_rest, out: np.ndarray | None = None) -> np.ndarray:
+    """k_rest + k * tanh(k * z) with k_rest = 1 - k: the logistic function where k = 0.5, tanh where k = 1.
 
     0.5 * (1 + tanh(z / 2)) is the logistic function in one tanh pass, with
-    no masking, so one call activates a whole row of gate blocks.
+    no masking, so one call activates a whole block of gates.
     """
     out = np.multiply(z, k, out=out)
     np.tanh(out, out=out)
     out *= k
-    out += 1.0 - k
+    out += k_rest
     return out
 
 
-def _gate_coefficients(width: int, dtype) -> np.ndarray:
-    """k of _activate per gate column: 0.5 on the logistic gates i, f, o; 1 on the candidate g."""
-    return np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), width)
+def _gate_coefficients(pool: _BufferPool, shape: tuple[int, int, int], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """k of _activate and 1 - k as (4, B, H) gate blocks: 0.5 on the logistic gates i, f, o; 1 on the candidate g."""
+    k = pool.take("k", shape, dtype)
+    k[...] = np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype)[:, None, None]
+    return k, np.subtract(1.0, k, out=pool.take("1-k", shape, dtype))
 
 
 def dropout_mask(rng: Generator, shape, rate: float, dtype=COMPUTE_DTYPE) -> np.ndarray:
@@ -205,18 +224,13 @@ class _BufferPool:
 
 @dataclass
 class _LayerCache:
-    """One layer's forward activations, time-major: every array is (T, B, .)."""
+    """One layer's forward activations, time-major; the gates are gate-major within each step."""
 
     xt: np.ndarray  # (T, B, D) layer input (post-dropout of the previous layer)
-    gates: np.ndarray  # (T, B, 4H) activations [i, f, g, o]
+    gates: np.ndarray  # (T, 4, B, H) activations [i, f, g, o]: gates[t, k] is one contiguous block
     c: np.ndarray  # (T, B, H) cell state
     tc: np.ndarray  # (T, B, H) tanh(c)
     ht: np.ndarray  # (T, B, H) hidden sequence
-
-    @property
-    def h(self) -> np.ndarray:
-        """Hidden sequence, batch-major (B, T, H) view."""
-        return self.ht.swapaxes(0, 1)
 
 
 @dataclass
@@ -235,42 +249,43 @@ def _layer_forward(
 ) -> _LayerCache:
     """One layer over a time-major input x (T, B, D), caching into pool under names that start with key.
 
-    The input projection x @ wx + b of every step is one GEMM; each step then
-    adds h_prev @ wh and activates the gates in place. The sum of a step's
-    pre-activations is non-finite whenever one of them is (finite values sum
-    to inf only near the float range, which is blow-up as well), so keeping
-    the per-step sums lets one check at the end of the layer reject what a
-    check of every step would.
+    The input projection x @ wx + b of every step is one GEMM, stored
+    gate-major, so every elementwise pass of a step runs on contiguous (B, H)
+    blocks; each step adds h_prev @ wh and activates its gates in place. A
+    running sum of the pre-activations is non-finite whenever one of them is
+    (finite values sum to inf only near the float range, which is blow-up as
+    well), so one check at the end of the layer rejects what a per-step one would.
     """
     steps, batch, d = x.shape
     w, dtype = wh.shape[0], wh.dtype
-    gates = pool.take(key + "gates", (steps, batch, 4 * w), dtype)
+    gates = pool.take(key + "gates", (steps, 4, batch, w), dtype)
     if d == 1:  # OpenBLAS runs a K=1 GEMM slowly; the broadcast product is the same bits
-        np.multiply(x, wx[0], out=gates)
-    else:
-        np.matmul(x.reshape(steps * batch, d), wx, out=gates.reshape(steps * batch, 4 * w))
-    gates += b
+        np.multiply(x[:, None], wx.reshape(4, 1, w), out=gates)
+    else:  # the GEMM writes rows into dz, BPTT's workspace, which is dead during the forward
+        rows = pool.take("dz", (steps, batch, 4, w), dtype)
+        np.matmul(x.reshape(steps * batch, d), wx, out=rows.reshape(steps * batch, 4 * w))
+        gates[...] = rows.swapaxes(1, 2)
+    gates += b.reshape(4, 1, w)
     c, tc, h = (pool.take(key + name, (steps, batch, w), dtype) for name in ("c", "tc", "h"))
-    z = np.empty((batch, 4 * w), dtype=dtype)
-    ig = np.empty((batch, w), dtype=dtype)
-    z_sums = np.empty(steps, dtype=dtype)
-    coef = _gate_coefficients(w, dtype)
-    h_prev = np.zeros((batch, w), dtype=dtype)
-    c_prev = np.zeros((batch, w), dtype=dtype)
+    z = pool.take("z", (batch, 4 * w), dtype)
+    z_gates = z.reshape(batch, 4, w).swapaxes(0, 1)
+    ig = pool.take("ig", (batch, w), dtype)
+    z_sum = np.zeros((4, batch, w), dtype=dtype)
+    k, k_rest = _gate_coefficients(pool, z_sum.shape, dtype)
+    h_prev = c_prev = np.zeros((batch, w), dtype=dtype)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values run on to the check
-        for t in range(steps):
-            a = gates[t]
+        for a, c_t, tc_t, h_t in zip(gates, c, tc, h):
             np.matmul(h_prev, wh, out=z)
-            z += a
-            z_sums[t] = z.sum()
-            _activate(z, coef, out=a)
-            np.multiply(a[:, w : 2 * w], c_prev, out=c[t])
-            np.multiply(a[:, :w], a[:, 2 * w : 3 * w], out=ig)
-            c[t] += ig
-            np.tanh(c[t], out=tc[t])
-            np.multiply(a[:, 3 * w :], tc[t], out=h[t])
-            h_prev, c_prev = h[t], c[t]
-    if not np.isfinite(z_sums).all():
+            a += z_gates
+            z_sum += a
+            i, f, g, o = _activate(a, k, k_rest, out=a)
+            np.multiply(f, c_prev, out=c_t)
+            np.multiply(i, g, out=ig)
+            c_t += ig
+            np.tanh(c_t, out=tc_t)
+            np.multiply(o, tc_t, out=h_t)
+            h_prev, c_prev = h_t, c_t
+    if not np.isfinite(z_sum).all():
         raise FloatingPointError(_BLOW_UP)
     return _LayerCache(x, gates, c, tc, h)
 
@@ -315,9 +330,10 @@ def forward_batch(
             mask = None
             seq = cache.ht
             if use_dropout:
-                # Drawn batch-major and viewed time-major, so the rng stream,
-                # and with it every seeded run, does not depend on the cache layout.
-                mask = dropout_mask(rng, cache.h.shape, rate, seq.dtype).swapaxes(0, 1)
+                # Drawn batch-major, so the rng stream, and with it every seeded run, does not
+                # depend on the cache layout; stored time-major, so its products are contiguous.
+                mask = pool.take(key + "mask", seq.shape, seq.dtype)
+                mask[...] = dropout_mask(rng, seq.swapaxes(0, 1).shape, rate, seq.dtype).swapaxes(0, 1)
                 seq = np.multiply(seq, mask, out=pool.take(key + "dropped", seq.shape, seq.dtype))
             seq_masks.append(mask)
         else:
@@ -329,7 +345,7 @@ def forward_batch(
     a1 = h_last @ p["dense.w"] + p["dense.b"]
     r1 = np.maximum(a1, 0.0)
     z2 = r1 @ p["out.w"] + p["out.b"]
-    y = _activate(z2, 0.5)[:, 0]
+    y = _activate(z2, 0.5, 0.5)[:, 0]
     return y, ForwardCache(caches, seq_masks, last_mask, h_last, a1, r1, y)
 
 
@@ -352,65 +368,72 @@ def predict_batch(model: LstmModel, X: np.ndarray, pool: _BufferPool | None = No
 
 
 def _layer_backward(
-    cache: _LayerCache, wx: np.ndarray, wh: np.ndarray, dh_out: np.ndarray, pool: _BufferPool, d_x_name: str | None
-):
-    """BPTT through one layer; returns (d_x, d_wx, d_wh, d_b) with d_x time-major.
+    cache: _LayerCache, wx: np.ndarray, wh: np.ndarray, dh_out: np.ndarray, pool: _BufferPool, d_x_name, out
+) -> np.ndarray | None:
+    """BPTT through one layer; writes (d_wx, d_wh, d_b) into out and returns d_x, time-major.
 
     dh_out is dL/dh from above: (T, B, H) for a layer whose whole sequence
     feeds the next layer, or (B, H) for the final layer, whose last hidden
-    state alone feeds the head. Every step's dz_t lives in one (T, B, 4H)
-    buffer: the local gate derivatives fill it for all steps at once, the
-    loop scales step t by dL/dc_t and dL/dh_t (only dz_t @ wh.T is
-    sequential), and the weight and input gradients are single GEMMs over
-    all T * B rows after it.
+    state alone feeds the head. Step t forms dz_t, the gradient wrt its gate
+    pre-activations, on its contiguous gate blocks (the local derivatives
+    scaled by dL/dc_t and dL/dh_t) and copies it into row t of a (T, B, 4H)
+    buffer. Only dz_t @ wh.T is sequential; the weight and input gradients
+    are single GEMMs over all T * B rows after the loop.
 
-    dz and dc/dh are workspace, dead when the layer returns, so every layer
-    takes them from pool under one name. d_x, the gradient wrt the input,
-    goes to pool under d_x_name; with d_x_name None it is not computed (the
-    first layer's input is the data) and comes back None.
+    All workspace is dead when the layer returns, so every layer takes it from
+    pool under one name. d_x goes to pool under d_x_name; with d_x_name None it
+    is not computed (the first layer's input is the data) and comes back None.
     """
     steps, batch, w = cache.c.shape
     dtype = cache.c.dtype
-    coef = _gate_coefficients(w, dtype)
-    a = cache.gates.reshape(steps, batch, 4, w)
-    # a = (1 - k) + k * tanh(k * z) (see _activate), so da/dz = k^2 - (a - (1 - k))^2.
-    dz = np.subtract(cache.gates, 1.0 - coef, out=pool.take("dz", cache.gates.shape, dtype))
-    dz *= dz
-    np.subtract(coef * coef, dz, out=dz)
-    dz_blocks = dz.reshape(steps, batch, 4, w)
-    dz_blocks[:, :, 0] *= a[:, :, 2]  # i: dc_t/di = g
-    dz_blocks[0, :, 1] = 0.0  # f: dc_t/df = c_{t-1}, and c_{-1} = 0
-    dz_blocks[1:, :, 1] *= cache.c[:-1]
-    dz_blocks[:, :, 2] *= a[:, :, 0]  # g: dc_t/dg = i
-    dz_blocks[:, :, 3] *= cache.tc  # o: dh_t/do = tanh(c_t)
-    # dc_t/dh_t through tanh(c_t)
-    dc_dh = np.multiply(cache.tc, cache.tc, out=pool.take("dc_dh", cache.tc.shape, dtype))
-    np.subtract(1.0, dc_dh, out=dc_dh)
-    dc_dh *= a[:, :, 3]
-
+    a, c, tc = cache.gates, cache.c, cache.tc
+    dz = pool.take("dz", (steps, batch, 4 * w), dtype)
+    dz_gates = dz.reshape(steps, batch, 4, w)
+    s = pool.take("s", (4, batch, w), dtype)  # step t's dz, gate-major
+    s_i, s_f, s_g, s_o = s
+    q = pool.take("q", (batch, w), dtype)  # step t's dL/dh_t * dc_t/dh_t
+    k, k_rest = _gate_coefficients(pool, s.shape, dtype)
+    k2 = np.multiply(k, k, out=pool.take("k2", s.shape, dtype))
     seq = dh_out if dh_out.ndim == 3 else None
-    dh = (dh_out[-1] if seq is not None else dh_out).copy()
-    dc = np.zeros_like(dh)
+    dh = pool.take("dh", (batch, w), dtype)
+    dh[...] = dh_out[-1] if seq is not None else dh_out
+    dc = pool.take("dc", (batch, w), dtype)
+    dc.fill(0.0)
     wh_t = wh.T
     for t in range(steps - 1, -1, -1):
-        dc += dh * dc_dh[t]
-        dz_blocks[t, :, :3] *= dc[:, None, :]
-        dz_blocks[t, :, 3] *= dh
+        i, f, g, o = a[t]
+        # a = (1 - k) + k * tanh(k * z) (see _activate), so da/dz = k^2 - (a - (1 - k))^2.
+        np.subtract(a[t], k_rest, out=s)
+        s *= s
+        np.subtract(k2, s, out=s)
+        s_i *= g  # dc_t/di = g
+        s_f *= c[t - 1] if t else 0.0  # dc_t/df = c_{t-1}, and c_{-1} = 0
+        s_g *= i  # dc_t/dg = i
+        s_o *= tc[t]  # dh_t/do = tanh(c_t)
+        np.subtract(1.0, np.multiply(tc[t], tc[t], out=q), out=q)
+        q *= o  # dc_t/dh_t through tanh(c_t)
+        q *= dh
+        dc += q
+        for block in (s_i, s_f, s_g):  # one contiguous pass each: a broadcast pass takes an iterator buffer
+            block *= dc
+        s_o *= dh
+        dz_gates[t] = s.swapaxes(0, 1)
         if t:
-            dc *= a[t, :, 1]
+            dc *= f
             np.matmul(dz[t], wh_t, out=dh)
             if seq is not None:
                 dh += seq[t - 1]
 
     dz_rows = dz.reshape(steps * batch, 4 * w)
-    d_wx = cache.xt.reshape(steps * batch, -1).T @ dz_rows
-    d_wh = cache.ht[:-1].reshape(-1, w).T @ dz_rows[batch:]
-    d_b = dz_rows.sum(axis=0)
+    d_wx, d_wh, d_b = out
+    np.matmul(cache.xt.reshape(steps * batch, -1).T, dz_rows, out=d_wx)
+    np.matmul(cache.ht[:-1].reshape(-1, w).T, dz_rows[batch:], out=d_wh)
+    np.sum(dz_rows, axis=0, out=d_b)
     d_x = None
     if d_x_name is not None:
         d_x = pool.take(d_x_name, (steps, batch, wx.shape[0]), dtype)
         np.matmul(dz_rows, wx.T, out=d_x.reshape(steps * batch, -1))
-    return d_x, d_wx, d_wh, d_b
+    return d_x
 
 
 def backward_batch(
@@ -419,35 +442,33 @@ def backward_batch(
     """Gradients of a scalar loss wrt every parameter, given dL/dy per sample.
 
     d_y is cast to the dtype of the predictions, so the gradients have the
-    parameters' dtype. The BPTT workspace lives in pool, a fresh one when
-    none is given; cache's own arrays are only read.
+    parameters' dtype. They are _carve's views of pool's flat "grads" array,
+    beside the BPTT workspace (a fresh pool when none is given), so they hold
+    until the next call that takes the same pool. cache is only read.
     """
     if pool is None:
         pool = _BufferPool()
+    grads = _carve(pool.take("grads", model.flat.shape, model.dtype), model.config)
     y = cache.y
     d_y = np.asarray(d_y, dtype=y.dtype)
     dz2 = (d_y * y * (1.0 - y))[:, None]
-    grads: dict[str, np.ndarray] = {
-        "out.w": cache.r1.T @ dz2,
-        "out.b": dz2.sum(axis=0),
-    }
+    np.matmul(cache.r1.T, dz2, out=grads["out.w"])
+    np.sum(dz2, axis=0, out=grads["out.b"])
     p = model.params
-    dr1 = dz2 @ p["out.w"].T
-    da1 = dr1 * (cache.a1 > 0.0)
-    grads["dense.w"] = cache.h_last.T @ da1
-    grads["dense.b"] = da1.sum(axis=0)
+    da1 = dz2 @ p["out.w"].T
+    da1 *= cache.a1 > 0.0
+    np.matmul(cache.h_last.T, da1, out=grads["dense.w"])
+    np.sum(da1, axis=0, out=grads["dense.b"])
     dh = da1 @ p["dense.w"].T
     if cache.last_mask is not None:
-        dh = dh * cache.last_mask
+        dh *= cache.last_mask
 
     # The final layer receives gradient only at its last timestep.
     for idx in range(len(model.config.lstm_layers) - 1, -1, -1):
-        wx, wh = p[f"lstm{idx}.wx"], p[f"lstm{idx}.wh"]
-        d_x_name = f"lstm{idx}.d_x" if idx > 0 else None
-        d_x, d_wx, d_wh, d_b = _layer_backward(cache.layers[idx], wx, wh, dh, pool, d_x_name)
-        grads[f"lstm{idx}.wx"] = d_wx
-        grads[f"lstm{idx}.wh"] = d_wh
-        grads[f"lstm{idx}.b"] = d_b
+        key = f"lstm{idx}."
+        out = grads[key + "wx"], grads[key + "wh"], grads[key + "b"]
+        d_x_name = key + "d_x" if idx else None
+        d_x = _layer_backward(cache.layers[idx], p[key + "wx"], p[key + "wh"], dh, pool, d_x_name, out)
         if idx > 0:
             mask = cache.seq_masks[idx - 1]
             if mask is not None:
@@ -499,24 +520,25 @@ class TrainResult:
 
 
 class _Adam:
-    def __init__(self, params: dict[str, np.ndarray]):
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+    """Adam over one flat parameter array, its moments flat alike: a step is a few whole-array passes."""
+
+    def __init__(self, params: np.ndarray):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float, pool: _BufferPool):
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for name, p in params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        u, r = pool.take("dz", (2, params.size), params.dtype)  # BPTT's workspace, dead until the next forward
+        self.m *= ADAM_BETA1
+        self.m += np.multiply(grads, 1.0 - ADAM_BETA1, out=u)
+        self.v *= ADAM_BETA2
+        self.v += np.multiply(np.multiply(grads, 1.0 - ADAM_BETA2, out=u), grads, out=u)
+        np.multiply(np.divide(self.m, bc1, out=u), lr, out=u)  # lr * m_hat
+        np.add(np.sqrt(np.divide(self.v, bc2, out=r), out=r), ADAM_EPS, out=r)  # sqrt(v_hat) + eps
+        params -= np.divide(u, r, out=u)
 
 
 def train(config: LstmConfig, closes) -> TrainResult:
@@ -540,7 +562,7 @@ def train(config: LstmConfig, closes) -> TrainResult:
 
     rng = Generator(PCG64(SeedSequence(config.seed)))
     model = init_model(config, scaler, rng)
-    adam = _Adam(model.params)
+    adam = _Adam(model.flat)
     pool = _BufferPool()
 
     x_val, y_val = inputs[n_train:], targets[n_train:]
@@ -563,7 +585,8 @@ def train(config: LstmConfig, closes) -> TrainResult:
             loss_sum += loss * sel.size
             mae_sum += float(np.sum(np.abs(yb - pred)))
             d_y = huber_gradient(yb, pred, config.huber_delta) / sel.size
-            adam.step(model.params, backward_batch(model, cache, d_y, pool), config.learning_rate)
+            backward_batch(model, cache, d_y, pool)  # into pool's flat "grads" array, which Adam reads
+            adam.step(model.flat, pool.take("grads", model.flat.shape, model.dtype), config.learning_rate, pool)
 
         if y_val.size:
             val_pred = predict_batch(model, x_val, pool)
@@ -610,7 +633,7 @@ def checkpoint_bytes(model: LstmModel) -> bytes:
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = b"".join(
         [CHECKPOINT_MAGIC, struct.pack("<I", len(encoded)), encoded]
-        + [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in model.params.values()]
+        + [np.ascontiguousarray(model.flat, dtype="<f4").tobytes()]
     )
     return body + hashlib.sha256(body).digest()
 
@@ -651,15 +674,12 @@ def model_from_checkpoint_bytes(blob: bytes) -> LstmModel:
         raise ValueError(f"corrupt checkpoint header: {exc!r}") from exc
     scaler = Scaler(*bounds)
 
-    shapes = _param_shapes(config)
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    have, need = len(blob) - pos - _DIGEST_SIZE, 4 * sum(sizes)
+    have, need = len(blob) - pos - _DIGEST_SIZE, 4 * _param_count(config)
     if have != need:
         raise ValueError(f"checkpoint payload is {have} bytes, its config needs {need}")
-    # One copy: writable, aligned float32 arrays that no longer refer to blob.
+    # One copy: a writable, aligned float32 array that no longer refers to blob.
     flat = np.frombuffer(blob, dtype="<f4", count=need // 4, offset=pos).astype(COMPUTE_DTYPE)
-    chunks = np.split(flat, np.cumsum(sizes)[:-1])
-    model = LstmModel(config, scaler, {name: c.reshape(shapes[name]) for name, c in zip(shapes, chunks)})
+    model = LstmModel(config, scaler, flat)
     model.check_finite()
     return model
 

@@ -3,7 +3,8 @@
 The portfolio tests compare the Monte-Carlo frontier against the first two;
 the LSTM kernel test compares every step of the time-major kernel against
 lstm_cell_step; gradient_check compares BPTT against central finite
-differences on a float64_copy of a model.
+differences on a float64_copy of a model. The row-layout kernel at the end
+is the reference the gate-major kernel must equal byte for byte.
 """
 
 from dataclasses import replace
@@ -11,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
+from sectorport import lstm
 from sectorport.lstm import LstmModel, backward_batch, forward_batch, huber_gradient, huber_loss
 from sectorport.portfolio import CovarianceMatrix, PortfolioWeights
 
@@ -77,7 +79,7 @@ def lstm_cell_step(x_t, h_prev, c_prev, wx, wh, b) -> tuple[np.ndarray, np.ndarr
 
 def float64_copy(model: LstmModel) -> LstmModel:
     """A copy of the model with every parameter tensor in float64; the kernel follows that dtype."""
-    return replace(model, params={name: arr.astype(np.float64) for name, arr in model.params.items()})
+    return replace(model, flat=model.flat.astype(np.float64))
 
 
 def gradient_check(
@@ -137,3 +139,135 @@ def gradient_check(
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, err)
     return worst
+
+
+# --------------------------------------------------- row-layout LSTM kernel
+# The kernel as it was before its gates went gate-major: every step's gates
+# are one (B, 4H) row, BPTT forms the local gate derivatives for all steps
+# before its time loop, and Adam steps one parameter at a time. The
+# functions take the library's current arguments, so that patching them over
+# lstm._layer_forward, lstm._layer_backward and lstm._Adam turns
+# forward_batch, backward_batch and train into the reference. Both kernels
+# make the same BLAS calls on the same operands, so on any machine and at
+# any thread count their results must be equal byte for byte.
+
+
+def _row_activate(z, k, out=None):
+    out = np.multiply(z, k, out=out)
+    np.tanh(out, out=out)
+    out *= k
+    out += 1.0 - k
+    return out
+
+
+def _row_coefficients(width, dtype):
+    return np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), width)
+
+
+def row_layer_forward(x, wx, wh, b, pool, key):
+    """lstm._layer_forward with (T, B, 4H) gates in fresh arrays; pool and key are unused."""
+    steps, batch, d = x.shape
+    w, dtype = wh.shape[0], wh.dtype
+    gates = np.empty((steps, batch, 4 * w), dtype=dtype)
+    if d == 1:
+        np.multiply(x, wx[0], out=gates)
+    else:
+        np.matmul(x.reshape(steps * batch, d), wx, out=gates.reshape(steps * batch, 4 * w))
+    gates += b
+    c, tc, h = (np.empty((steps, batch, w), dtype=dtype) for _ in range(3))
+    z = np.empty((batch, 4 * w), dtype=dtype)
+    ig = np.empty((batch, w), dtype=dtype)
+    z_sums = np.empty(steps, dtype=dtype)
+    coef = _row_coefficients(w, dtype)
+    h_prev = np.zeros((batch, w), dtype=dtype)
+    c_prev = np.zeros((batch, w), dtype=dtype)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t in range(steps):
+            a = gates[t]
+            np.matmul(h_prev, wh, out=z)
+            z += a
+            z_sums[t] = z.sum()
+            _row_activate(z, coef, out=a)
+            np.multiply(a[:, w : 2 * w], c_prev, out=c[t])
+            np.multiply(a[:, :w], a[:, 2 * w : 3 * w], out=ig)
+            c[t] += ig
+            np.tanh(c[t], out=tc[t])
+            np.multiply(a[:, 3 * w :], tc[t], out=h[t])
+            h_prev, c_prev = h[t], c[t]
+    if not np.isfinite(z_sums).all():
+        raise FloatingPointError(lstm._BLOW_UP)
+    return lstm._LayerCache(x, gates, c, tc, h)
+
+
+def row_layer_backward(cache, wx, wh, dh_out, pool, d_x_name, out):
+    """lstm._layer_backward over row_layer_forward's cache, in fresh arrays; copies the weight gradients into out."""
+    steps, batch, w = cache.c.shape
+    dtype = cache.c.dtype
+    coef = _row_coefficients(w, dtype)
+    a = cache.gates.reshape(steps, batch, 4, w)
+    dz = cache.gates - (1.0 - coef)
+    dz *= dz
+    np.subtract(coef * coef, dz, out=dz)
+    dz_blocks = dz.reshape(steps, batch, 4, w)
+    dz_blocks[:, :, 0] *= a[:, :, 2]
+    dz_blocks[0, :, 1] = 0.0
+    dz_blocks[1:, :, 1] *= cache.c[:-1]
+    dz_blocks[:, :, 2] *= a[:, :, 0]
+    dz_blocks[:, :, 3] *= cache.tc
+    dc_dh = cache.tc * cache.tc
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= a[:, :, 3]
+
+    seq = dh_out if dh_out.ndim == 3 else None
+    dh = (dh_out[-1] if seq is not None else dh_out).copy()
+    dc = np.zeros_like(dh)
+    wh_t = wh.T
+    for t in range(steps - 1, -1, -1):
+        dc += dh * dc_dh[t]
+        dz_blocks[t, :, :3] *= dc[:, None, :]
+        dz_blocks[t, :, 3] *= dh
+        if t:
+            dc *= a[t, :, 1]
+            np.matmul(dz[t], wh_t, out=dh)
+            if seq is not None:
+                dh += seq[t - 1]
+
+    dz_rows = dz.reshape(steps * batch, 4 * w)
+    d_wx, d_wh, d_b = out
+    d_wx[...] = cache.xt.reshape(steps * batch, -1).T @ dz_rows
+    d_wh[...] = cache.ht[:-1].reshape(-1, w).T @ dz_rows[batch:]
+    d_b[...] = dz_rows.sum(axis=0)
+    if d_x_name is None:
+        return None
+    return (dz_rows @ wx.T).reshape(steps, batch, -1)
+
+
+class RowAdam:
+    """lstm._Adam as the out-of-place expressions it stepped each parameter with.
+
+    Every operation is elementwise, so stepping the flat arrays whole gives
+    the bits that stepping them one parameter at a time did.
+    """
+
+    def __init__(self, params):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self.t = 0
+
+    def step(self, params, grads, lr, pool):
+        self.t += 1
+        bc1 = 1.0 - lstm.ADAM_BETA1**self.t
+        bc2 = 1.0 - lstm.ADAM_BETA2**self.t
+        m, v = self.m, self.v
+        m *= lstm.ADAM_BETA1
+        m += (1.0 - lstm.ADAM_BETA1) * grads
+        v *= lstm.ADAM_BETA2
+        v += (1.0 - lstm.ADAM_BETA2) * grads * grads
+        params -= lr * (m / bc1) / (np.sqrt(v / bc2) + lstm.ADAM_EPS)
+
+
+def patch_row_kernel(monkeypatch):
+    """Make forward_batch, backward_batch and train run the row-layout reference until monkeypatch undoes it."""
+    monkeypatch.setattr(lstm, "_layer_forward", row_layer_forward)
+    monkeypatch.setattr(lstm, "_layer_backward", row_layer_backward)
+    monkeypatch.setattr(lstm, "_Adam", RowAdam)

@@ -103,7 +103,7 @@ def test_forward_batch_matches_reference_over_window():
         hs = []
         for t in range(config.window):
             h, c = lstm_cell_step(seq[:, t], h, c, *layer)
-            np.testing.assert_allclose(lc.h[:, t], h, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(lc.ht[t], h, atol=1e-12, rtol=0)
             np.testing.assert_allclose(lc.c[t], c, atol=1e-12, rtol=0)
             hs.append(h)
         seq = np.stack(hs, axis=1)
@@ -163,6 +163,21 @@ def test_forward_rejects_nan_input_window_as_blow_up():
         forward_batch(model, X)
 
 
+@pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("layers", [(5,), (5, 4)])
+def test_forward_rejects_nonfinite_input_at_a_middle_step_as_blow_up(layers, value, training):
+    # An infinite input saturates the gates it reaches to finite activations,
+    # so only a check of the pre-activations sees it; the other windows of
+    # the batch are finite.
+    model = small_model(lstm_layers=layers, dropout_rate=0.3)
+    X = Generator(PCG64(SeedSequence(14))).random((4, 8))
+    X[2, 4] = value
+    rng = Generator(PCG64(SeedSequence(15))) if training else None
+    with pytest.raises(FloatingPointError, match="blow-up"):
+        forward_batch(model, X, training=training, rng=rng)
+
+
 # ------------------------------------------------------------------ forward
 
 def test_forward_output_strictly_inside_unit_interval():
@@ -191,9 +206,9 @@ def test_default_config_layer_one_emits_50_by_256():
     model = init_model(config, Scaler(0.0, 1.0), rng)
     x = rng.random((1, 50))
     _, cache = forward_batch(model, x)
-    assert cache.layers[0].h.shape == (1, 50, 256)
+    assert cache.layers[0].ht.shape == (50, 1, 256)
     assert cache.layers[1].xt.shape == (50, 1, 256)  # the layer input, time-major
-    assert cache.layers[1].h.shape == (1, 50, 256)
+    assert cache.layers[1].ht.shape == (50, 1, 256)
 
 
 @pytest.mark.parametrize("steps, batch, width", [(20, 64, 16), (50, 64, 256)])
@@ -320,6 +335,23 @@ def test_train_memory_is_one_training_step():
     assert training <= 1.25 * one_step, f"{training / 1e6:.2f} MB against {one_step / 1e6:.2f} MB for one step"
 
 
+def test_pooled_backward_allocates_under_a_quarter_of_one_sequence_block():
+    # BPTT's workspace, its per-step buffers and the gradients all live in the
+    # pool, so once two steps have sized it, a backward pass allocates only
+    # the head's few (B, dense) temporaries
+    model = small_model(seed=32, **POOL_MODEL)
+    data = Generator(PCG64(SeedSequence(33)))
+    X, d_y = data.random((32, 20)), data.standard_normal(32)
+    pool = lstm._BufferPool()
+    for seed in (34, 35, 36):  # two warm-up steps, then the forward whose cache is measured
+        _, cache = forward_batch(model, X, training=True, rng=Generator(PCG64(SeedSequence(seed))), pool=pool)
+        if seed != 36:
+            backward_batch(model, cache, d_y, pool)
+    block = 20 * 32 * 32 * model.dtype.itemsize  # one (T, B, H) array
+    peak = traced_peak(lambda: backward_batch(model, cache, d_y, pool))
+    assert peak < block / 4, f"{peak / 1e3:.1f} KB against {block / 1e3:.1f} KB for one (T, B, H) block"
+
+
 # ----------------------------------------------------------- float32 kernel
 
 def _arrays(obj):
@@ -337,15 +369,14 @@ def _arrays(obj):
             yield from _arrays(getattr(obj, f.name))
 
 
-def _training_step(model, X, targets, seed=16):
-    """One dropout forward, BPTT and Adam step; returns (predictions, cache, grads, adam)."""
-    import sectorport.lstm as fc
-
+def _training_step(model, X, targets, seed=16, pool=None):
+    """One dropout forward, BPTT and Adam step in one pool; returns (predictions, cache, grads, adam)."""
+    pool = pool or lstm._BufferPool()
     rng = Generator(PCG64(SeedSequence(seed)))
-    y, cache = forward_batch(model, X, training=True, rng=rng)
-    grads = backward_batch(model, cache, huber_gradient(targets, y) / len(targets))
-    adam = fc._Adam(model.params)
-    adam.step(model.params, grads, 1e-3)
+    y, cache = forward_batch(model, X, training=True, rng=rng, pool=pool)
+    grads = backward_batch(model, cache, huber_gradient(targets, y) / len(targets), pool)
+    adam = lstm._Adam(model.flat)
+    adam.step(model.flat, pool.take("grads", model.flat.shape, model.dtype), 1e-3, pool)
     return y, cache, grads, adam
 
 
@@ -408,15 +439,21 @@ class _NoFloat64(np.ndarray):
         return result
 
 
+class _NoFloat64Pool(lstm._BufferPool):
+    def take(self, name, shape, dtype):
+        return super().take(name, shape, dtype).view(_NoFloat64)
+
+
 def test_float32_kernel_never_computes_in_float64():
-    # every value derived from the parameters stays a _NoFloat64 array, so an
-    # operation that widens anywhere in forward, BPTT, Adam or inference raises
+    # every value derived from the parameters, and every buffer the kernel
+    # writes into, is a _NoFloat64 array, so an operation that widens
+    # anywhere in forward, BPTT, Adam or inference raises
     model = small_model(seed=7, lstm_layers=(5, 4), dropout_rate=0.3)
-    model.params = {name: arr.view(_NoFloat64) for name, arr in model.params.items()}
+    model = dataclasses.replace(model, flat=model.flat.view(_NoFloat64))
     rng = Generator(PCG64(SeedSequence(8)))
     X, targets = rng.random((5, 8)), rng.random(5)
-    _training_step(model, X, targets)
-    predict_batch(model, X)
+    _training_step(model, X, targets, pool=_NoFloat64Pool())
+    predict_batch(model, X, _NoFloat64Pool())
 
 
 def test_float32_matches_float64_copy():

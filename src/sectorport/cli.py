@@ -1,4 +1,4 @@
-"""Command-line pipeline: stats, frontier, train, backtest, plotdata, fetch.
+"""Command-line pipeline: stats, frontier, train, backtest, plotdata.
 
 Every subcommand reads one YAML config, derives any randomness it needs from
 the config seed and a purpose tag, and writes its artifacts atomically under
@@ -243,8 +243,8 @@ def _forecast(series: md.PriceSeries, out_dir: Path, lo: int, hi: int) -> np.nda
         raise ValueError(f"{ckpt}: {exc}") from None
     try:
         return fc.forecast(model, series.closes, lo, hi)
-    except ValueError as exc:
-        raise ValueError(f"{series.symbol} on {series.dates[lo]}: {exc}") from None
+    except (ValueError, FloatingPointError) as exc:  # too little history, or closes beyond float32 range
+        raise type(exc)(f"{series.symbol} on {series.dates[lo]}: {exc}") from None
 
 
 def _read_summary(path: Path) -> list[tuple[str, float, float]]:
@@ -329,19 +329,6 @@ def cmd_plotdata(
     return path
 
 
-def cmd_fetch(config: RunConfig) -> list[Path]:
-    """Download every configured symbol's history into data_dir as CSV."""
-    if not config.endpoint:
-        raise ValueError("no fetch endpoint: set 'endpoint' in the config")
-    written = []
-    for symbol in config.all_symbols():
-        series = md.fetch_history(symbol, config.train_start, config.eval_date, config.endpoint)
-        path = Path(config.data_dir) / f"{symbol}.csv"
-        _atomic_write(path, md.serialize_csv(series))
-        written.append(path)
-    return written
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The sectorport parser. Each subcommand's run(args, config) calls its cmd_*, looked up when called."""
     parser = argparse.ArgumentParser(prog="sectorport", description=__doc__)
@@ -373,9 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, type=md.parse_date, help="YYYY-MM-DD")
     p.add_argument("--end", required=True, type=md.parse_date, help="YYYY-MM-DD")
     p.set_defaults(run=lambda args, config: [cmd_plotdata(config, args.symbol, args.start, args.end, args.out)])
-
-    p = sub.add_parser("fetch", help="download price history from the config endpoint into data_dir")
-    p.set_defaults(run=lambda args, config: cmd_fetch(config))
     return parser
 
 

@@ -105,7 +105,6 @@ class RunConfig:
     risk_free: float = 0.01
     lstm: LstmConfig = field(default_factory=LstmConfig)
     seed: int = 0
-    endpoint: str | None = None
 
     def __post_init__(self):
         if not (self.train_start < self.train_end <= self.invest_date < self.eval_date):
@@ -304,8 +303,6 @@ def load_config(path) -> RunConfig:
             kwargs[key] = _as_number(doc[key], f"{path}: {key}")
     if "n_draws" in doc:
         kwargs["n_draws"] = _as_int(doc["n_draws"], f"{path}: n_draws")
-    if "endpoint" in doc:
-        kwargs["endpoint"] = _as_str(doc["endpoint"], f"{path}: endpoint")
 
     if not isinstance(doc["sectors"], list):
         raise ValueError(f"{path}: sectors must be a list")

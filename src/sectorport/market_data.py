@@ -14,7 +14,6 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,18 +23,9 @@ CSV_HEADER = "date,open,high,low,close,volume,adj_close"
 _CSV_FIELDS = CSV_HEADER.split(",")
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
-# fetch_history: attempts per symbol, seconds per request, seconds between attempts.
-FETCH_ATTEMPTS = 3
-FETCH_TIMEOUT = 10.0
-FETCH_RETRY_WAIT = 0.1
-
 
 class CsvFormatError(ValueError):
     """Raised when CSV input violates the price-file schema."""
-
-
-class FetchError(RuntimeError):
-    """Raised when a history download fails after exhausting retries."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,63 +228,6 @@ def serialize_csv(series: PriceSeries) -> str:
     """
     columns = zip(*(getattr(series, name).tolist() for name in _COLUMN_DTYPES))
     return "".join([CSV_HEADER + "\n", *("%s,%r,%r,%r,%r,%d,%r\n" % row for row in columns)])
-
-
-def fetch_history(symbol: str, start: dt.date, end: dt.date, endpoint: str) -> PriceSeries:
-    """Download price history over HTTP and parse it.
-
-    Issues GET <endpoint>?symbol=...&start=...&end=... (joined with & when the
-    endpoint already has a query) expecting the CSV schema of parse_csv in the
-    body. The endpoint must be an http or https URL with a host, and so must
-    any redirect target. Connection failures, timeouts (reading the body
-    included) and 5xx responses are retried up to FETCH_ATTEMPTS attempts in
-    all; any other status but 200, a redirect elsewhere, and an empty body
-    fail immediately.
-    """
-    # The HTTP stack is imported here, so only the fetch subcommand pays for it.
-    import http.client
-    import urllib.error
-    import urllib.parse
-    import urllib.request
-
-    if start >= end:
-        raise ValueError(f"start {start} must precede end {end}")
-    parts = urllib.parse.urlsplit(endpoint)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
-        raise ValueError(f"fetch endpoint {endpoint!r} is not an http or https URL with a host")
-
-    class HttpOnlyRedirects(urllib.request.HTTPRedirectHandler):
-        # The default handler also follows a redirect to ftp://.
-        def redirect_request(self, req, fp, code, msg, headers, newurl):
-            if urllib.parse.urlsplit(newurl).scheme not in ("http", "https"):
-                fp.close()
-                raise FetchError(f"{symbol}: HTTP {code} from {endpoint} redirects to {newurl!r}")
-            return super().redirect_request(req, fp, code, msg, headers, newurl)
-
-    opener = urllib.request.build_opener(HttpOnlyRedirects)
-    params = {"symbol": symbol, "start": start.isoformat(), "end": end.isoformat()}
-    url = endpoint + ("&" if "?" in endpoint else "?") + urllib.parse.urlencode(params)
-    last_error = None
-    for attempt in range(1, FETCH_ATTEMPTS + 1):
-        try:
-            with opener.open(url, timeout=FETCH_TIMEOUT) as resp:
-                status, body = resp.status, resp.read()
-        except urllib.error.HTTPError as exc:  # the opener raises on a status outside 2xx
-            exc.close()
-            if exc.code < 500:
-                raise FetchError(f"{symbol}: HTTP {exc.code} from {endpoint}") from None
-            last_error = f"server returned {exc.code}"
-        except (OSError, http.client.HTTPException) as exc:
-            last_error = f"connection failed: {exc}"
-        else:
-            if status != 200:
-                raise FetchError(f"{symbol}: HTTP {status} from {endpoint}")
-            if not body:
-                raise FetchError(f"{symbol}: empty response body from {endpoint}")
-            return parse_csv(body, symbol)
-        if attempt < FETCH_ATTEMPTS:
-            time.sleep(FETCH_RETRY_WAIT)
-    raise FetchError(f"{symbol}: {last_error} after {FETCH_ATTEMPTS} attempts")
 
 
 def daily_returns(closes: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """End-to-end subcommand behavior on synthetic data environments."""
 
+import argparse
+import ast
 import datetime as dt
 import hashlib
 import io
@@ -19,9 +21,9 @@ import pytest
 import yaml
 
 from sectorport.cli import (
+    _build_parser,
     _load_series,
     cmd_backtest,
-    cmd_fetch,
     cmd_frontier,
     cmd_plotdata,
     cmd_stats,
@@ -843,48 +845,27 @@ def test_plotdata_range_outside_data(config, tmp_path):
         cmd_plotdata(config, "DDD", dt.date(2016, 1, 4), dt.date(2016, 1, 8), tmp_path)
 
 
-# --------------------------------------------------------------------- fetch
-
-def test_fetch_writes_data_dir(tmp_path):
-    import threading
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    body = serialize_csv(series_from_closes("ANY", gbm_closes(40, seed=9)))
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_GET(self):
-            self.send_response(200)
-            self.end_headers()
-            self.wfile.write(body.encode())
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        doc = base_doc(
-            sectors=[{"name": "t", "members": [["AAA", 1.0], ["BBB", 1.0]]}],
-            data_dir=str(tmp_path / "fetched"),
-            endpoint=f"http://127.0.0.1:{server.server_port}/history",
-        )
-        cfg_path = tmp_path / "c.yaml"
-        cfg_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
-        written = cmd_fetch(load_config(cfg_path))
-        assert [p.name for p in written] == ["AAA.csv", "BBB.csv"]
-        assert len(parse_csv(written[0].read_bytes(), "AAA").dates)
-    finally:
-        server.shutdown()
-        server.server_close()
+def test_plotdata_input_out_of_float32_range_names_symbol_and_date(tmp_path):
+    # 1e300 is finite, so the CSV parses; in float32 its scaled window is inf, which the
+    # kernel reports as a blow-up. The error names the symbol and the range's first date.
+    closes = gbm_closes(N_DAYS, seed=100)
+    dates = series_from_closes("AAA", closes, start=dt.date(2016, 1, 1)).dates
+    closes[np.searchsorted(dates, np.datetime64("2021-02-01"))] = 1e300
+    (tmp_path / "data").mkdir()
+    write_series(tmp_path / "data", "AAA", closes)
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump(base_doc(sectors=[{"name": "solo", "members": [["AAA", 1.0]]}])))
+    config, out = load_config(cfg_path), tmp_path / "out"
+    cmd_train(config, "AAA", out)
+    with pytest.raises(FloatingPointError, match=r"^AAA on 2021-01-04: non-finite gate pre-activation"):
+        cmd_plotdata(config, "AAA", dt.date(2021, 1, 4), dt.date(2021, 3, 1), out)
+    assert not (out / "plotdata_AAA.csv").exists()
 
 
-def test_fetch_requires_endpoint(config):
-    with pytest.raises(ValueError, match="endpoint"):
-        cmd_fetch(config)
-
+# ------------------------------------------------------------------ start-up
 
 def test_startup_loads_no_http_stack(env):
-    # Only fetch needs HTTP; every other subcommand must start without paying for it.
+    # No subcommand needs the HTTP stack; this guards against one pulling it in at start-up.
     code = (
         "import sys\n"
         "import sectorport.cli\n"
@@ -1044,12 +1025,11 @@ def test_main_seed_override_changes_frontier(env, tmp_path, capsys):
         ["frontier", "tech", "--risk-free=0.02"],
         ["backtest", "tech", "--draws=50"],
         ["backtest", "tech", "--risk-free=0.02"],
-        ["fetch", "--endpoint=http://127.0.0.1:9/history"],
     ],
     ids=" ".join,
 )
 def test_main_rejects_flags_that_would_shadow_config_keys(env, tmp_path, capsys, argv):
-    # seed, n_draws, risk_free and endpoint are set in the config file only, so the
+    # seed, n_draws and risk_free are set in the config file only, so the
     # portfolio that frontier reports is the one that backtest invests in
     flag = next(arg for arg in argv if arg.startswith("--"))
     with pytest.raises(SystemExit) as info:
@@ -1057,3 +1037,95 @@ def test_main_rejects_flags_that_would_shadow_config_keys(env, tmp_path, capsys,
     assert info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_main_has_no_fetch_subcommand(env, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["--config", str(env / "config.yaml"), "--out", str(out), "fetch"])
+    assert info.value.code == 2
+    assert "invalid choice: 'fetch'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_subcommands_are_the_benchmark_stages():
+    # bench/tracing.py spans cli.cmd_<stage> for each of its STAGES and reports cli.<stage>.s;
+    # a subcommand added or deleted without its stage would go untimed or read 0
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    stages = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["STAGES"]
+    )
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == stages
+
+
+# The commands that make each subcommand's inputs, then the subcommand, on the env's twin sector.
+SUBCOMMAND_RUNS = {
+    "stats": [["stats"]],
+    "frontier": [["frontier", "twin"]],
+    "train": [["train", "TW1"]],
+    "backtest": [["train", "TW1"], ["train", "TW2"], ["backtest", "twin"]],
+    "plotdata": [["train", "TW1"], ["plotdata", "TW1", "--start", "2021-01-04", "--end", "2021-03-01"]],
+}
+
+
+@pytest.mark.parametrize("runs", SUBCOMMAND_RUNS.values(), ids=SUBCOMMAND_RUNS.keys())
+def test_no_subcommand_loads_the_http_stack_while_it_runs(env, tmp_path, runs):
+    # test_startup_loads_no_http_stack sees only the imports; this sees what each command loads later
+    code = (
+        "import json, sys\n"
+        "from sectorport.cli import main\n"
+        "for argv in json.loads(sys.argv[3]):\n"
+        "    assert main(['--config', sys.argv[1], '--out', sys.argv[2], *argv]) == 0, argv\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    src = str(Path(sectorport.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(env / "config.yaml"), str(tmp_path / "out"), json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "sectorport.cli" in loaded
+    assert {"requests", "urllib3", "urllib.request", "http.client", "ssl"} & loaded == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stats"], ["frontier", "ghost"], ["train", "ZZZ"], ["backtest", "ghost"],
+     ["plotdata", "ZZZ", "--start", "2021-01-04", "--end", "2021-03-01"]],
+    ids=lambda argv: argv[0],
+)
+def test_every_subcommand_names_a_missing_price_file(tmp_path, capsys, argv):
+    # data_dir is filled by hand, so a symbol without its <SYMBOL>.csv is the first error a user meets
+    (tmp_path / "data").mkdir()
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump(base_doc(sectors=[{"name": "ghost", "members": [["ZZZ", 1.0]]}])))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), *argv]) == 1
+    assert capsys.readouterr().err == f"error: no data file for ZZZ: expected {tmp_path / 'data' / 'ZZZ.csv'}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("close", [1e45, 1e300], ids=["1e45", "1e300"])
+def test_backtest_input_out_of_float32_range_names_symbol_and_date(tmp_path, close):
+    # both closes are finite, so the CSV parses, but in float32 the scaled window holding one is inf
+    closes = gbm_closes(N_DAYS, seed=200)
+    dates = series_from_closes("TW1", closes, start=dt.date(2016, 1, 1)).dates
+    (tmp_path / "data").mkdir()
+    write_series(tmp_path / "data", "TW2", closes)
+    closes[np.searchsorted(dates, np.datetime64("2021-05-27"))] = close
+    write_series(tmp_path / "data", "TW1", closes)
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump(base_doc(sectors=[{"name": "twin", "members": [["TW1", 5.0], ["TW2", 5.0]]}])))
+    config, out = load_config(cfg_path), tmp_path / "out"
+    cmd_train(config, "TW1", out)
+    cmd_train(config, "TW2", out)
+    # eval_date 2021-06-01 is a bar, so TW1's forecast is for that row, from a window holding 2021-05-27
+    with pytest.raises(FloatingPointError, match=r"^TW1 on 2021-06-01: non-finite gate pre-activation"):
+        cmd_backtest(config, "twin", out)
+    assert not list(out.glob("ledger_*")) and not (out / "summary.csv").exists()

@@ -59,6 +59,13 @@ def test_unknown_top_level_key_rejected(tmp_path):
         load_config(path)
 
 
+def test_endpoint_is_an_unknown_key_naming_the_file(tmp_path):
+    # the fetch subcommand, its only reader, is gone; a config that still sets it fails at load
+    path = write_config(tmp_path / "c.yaml", endpoint="http://x")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unknown keys \\['endpoint'\\]$"):
+        load_config(path)
+
+
 def test_unknown_lstm_key_rejected(tmp_path):
     path = write_config(tmp_path / "c.yaml", lstm={"window": 10, "wndow": 5})
     with pytest.raises(ValueError, match="wndow"):

@@ -1,6 +1,8 @@
-"""The demo market script writes the same bytes for the same seed, and the
-README's quick start runs on what it writes."""
+"""The demo market script writes the same bytes for the same seed, the
+README's quick start runs on what it writes, and the README's subcommand
+table, config example and CSV schema are the program's."""
 
+import argparse
 import datetime as dt
 import hashlib
 import importlib.util
@@ -9,7 +11,8 @@ import sys
 from pathlib import Path
 
 import sectorport.market_data as md
-from sectorport.cli import main
+from sectorport.cli import _build_parser, main
+from sectorport.config import load_config
 from sectorport.market_data import serialize_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,10 +29,14 @@ def load_script():
     return script
 
 
+def readme_section(title: str) -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def quick_start_commands() -> list[list[str]]:
     """The arguments of each `sectorport ...` line in the README's Quick start section."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    section = readme_section("Quick start")
     return [shlex.split(line)[1:] for line in section.splitlines() if line.startswith("sectorport ")]
 
 
@@ -70,3 +77,24 @@ def test_each_demo_csv_is_parsed_once_across_stats_frontier_and_backtest(tmp_pat
         assert main(["--config", "demo/config.yaml", "--out", "demo/out", *args]) == 0
     assert sorted(parsed) == symbols
     assert sorted(p.stem for p in (tmp_path / "demo" / "out" / ".cache").iterdir()) == symbols
+
+
+def test_readme_subcommand_table_lists_exactly_the_subcommands():
+    rows = [line for line in readme_section("CLI").splitlines() if line.startswith("| `")]
+    documented = [row.split("`")[1].split()[0] for row in rows]
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == list(sub.choices)
+
+
+def test_readme_config_example_loads(tmp_path):
+    # the example is the one a user copies; a key the loader no longer knows would fail here first
+    block = readme_section("Configuration").split("```yaml\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "c.yaml").write_text(block, encoding="utf-8")
+    config = load_config(tmp_path / "c.yaml")
+    assert config.data_dir == tmp_path / "data"
+    assert (config.seed, config.n_draws, config.lstm.lstm_layers) == (11, 10000, (256, 256))
+    assert config.sector("tech").symbols == ("AAA", "BBB")
+
+
+def test_readme_csv_schema_is_the_parsed_header():
+    assert f"header `{md.CSV_HEADER}`" in readme_section("Configuration")

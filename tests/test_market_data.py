@@ -571,6 +571,20 @@ def test_sector_universe_rejects_nonpositive_weight():
         SectorUniverse("tech", (("AAA", 0.0),))
 
 
+def test_span_includes_both_end_dates():
+    # 2020-01-01 is a Wednesday: the bars fall on Jan 1, 2, 3, 6 and 7
+    series = series_from_closes("X", [1, 2, 3, 4, 5], start=dt.date(2020, 1, 1))
+    assert series.span(dt.date(2020, 1, 2), dt.date(2020, 1, 6)) == (1, 4)
+    assert series.span(dt.date(2020, 1, 4), dt.date(2020, 1, 6)) == (3, 4)
+    assert series.span(dt.date(2019, 1, 1), dt.date(2030, 1, 1)) == (0, 5)
+
+
+def test_span_between_two_bars_names_the_symbol_and_range():
+    series = series_from_closes("X", [1, 2, 3, 4, 5], start=dt.date(2020, 1, 1))
+    with pytest.raises(ValueError, match=r"^X: no bars in \[2020-01-04, 2020-01-05\]$"):
+        series.span(dt.date(2020, 1, 4), dt.date(2020, 1, 5))
+
+
 def test_restrict_filters_by_date():
     series = series_from_closes("X", [1, 2, 3, 4, 5], start=dt.date(2020, 1, 1))
     sub = series.restrict(series.dates[1], series.dates[3])

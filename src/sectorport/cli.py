@@ -243,7 +243,9 @@ def _forecast(series: md.PriceSeries, out_dir: Path, lo: int, hi: int) -> np.nda
         raise ValueError(f"{ckpt}: {exc}") from None
     try:
         return fc.forecast(model, series.closes, lo, hi)
-    except (ValueError, FloatingPointError) as exc:  # too little history, or closes beyond float32 range
+    except fc.InputRangeError as exc:  # named at the bar that holds the close
+        raise ValueError(f"{series.symbol} on {series.dates[exc.row]}: {exc}") from None
+    except (ValueError, FloatingPointError) as exc:  # too little history, or a parameter blow-up
         raise type(exc)(f"{series.symbol} on {series.dates[lo]}: {exc}") from None
 
 

@@ -192,9 +192,33 @@ def _gate_coefficients(pool: _BufferPool, shape: tuple[int, int, int], dtype) ->
 def dropout_mask(rng: Generator, shape, rate: float, dtype=COMPUTE_DTYPE) -> np.ndarray:
     """Inverted-dropout mask in `dtype`: survivors scaled by 1/(1-rate), expectation 1.
 
-    The uniforms are drawn in float64 whatever the dtype, so the rng stream is the same.
+    The uniforms are drawn in float64 whatever the dtype, so the rng stream is
+    the same. _sequence_mask draws the masks between layers in blocks to the same bits.
     """
     return (rng.random(shape) >= rate) * np.array(1.0 / (1.0 - rate), dtype=dtype)
+
+
+_MASK_DRAW = 1 << 16  # cap on the float64 uniforms a sequence mask's draw holds at once (512 KB)
+
+
+def _sequence_mask(rng: Generator, mask: np.ndarray, rate: float) -> np.ndarray:
+    """Fill the time-major (T, B, H) mask with dropout_mask(rng, (B, T, H), rate).swapaxes(0, 1)'s bits.
+
+    The draw is batch-major, so seeded runs do not depend on the cache
+    layout; the mask is time-major, so its products are contiguous. The
+    uniforms come a few whole batch rows at a time, at most _MASK_DRAW of
+    them unless one row is larger; consecutive draws continue one stream.
+    """
+    steps, batch, width = mask.shape
+    rows = min(batch, max(1, _MASK_DRAW // (steps * width)))
+    uniforms = np.empty((rows, steps, width))
+    scale = np.array(1.0 / (1.0 - rate), dtype=mask.dtype)
+    for lo in range(0, batch, rows):
+        u = rng.random(out=uniforms[: min(rows, batch - lo)])
+        block = mask[:, lo : lo + len(u)].swapaxes(0, 1)
+        block[...] = u >= rate  # 1 or 0, then times scale: dropout_mask's bits
+        block *= scale
+    return mask
 
 
 _BLOW_UP = "non-finite gate pre-activation (parameter blow-up)"
@@ -208,7 +232,8 @@ class _BufferPool:
     array, and replaces the array only when a request outgrows it. A view
     aliases every earlier view of its name: the kernels write a buffer before
     they read it, and a batch's activations are dead before the next batch
-    takes the same names.
+    takes the same names. A dead cache buffer is scratch space under another
+    shape too: BPTT's d_x takes a layer's cell states, Adam a gate cache.
     """
 
     def __init__(self):
@@ -249,9 +274,13 @@ def _layer_forward(
 ) -> _LayerCache:
     """One layer over a time-major input x (T, B, D), caching into pool under names that start with key.
 
-    The input projection x @ wx + b of every step is one GEMM, stored
-    gate-major, so every elementwise pass of a step runs on contiguous (B, H)
-    blocks; each step adds h_prev @ wh and activates its gates in place. A
+    The gates are gate-major within each step, so every elementwise pass of a
+    step runs on contiguous (B, H) blocks; each step adds h_prev @ wh to its
+    input projection x_t @ wx + b and activates its gates in place. The
+    projection of all steps is one broadcast product for D = 1, stored
+    gate-major. For D > 1 it is one GEMM that writes rows into the gates
+    buffer, where step t's rows fill the bytes of gates[t]; the step copies
+    them out gate-major, adding the bias, before it overwrites them. A
     running sum of the pre-activations is non-finite whenever one of them is
     (finite values sum to inf only near the float range, which is blow-up as
     well), so one check at the end of the layer rejects what a per-step one would.
@@ -259,13 +288,15 @@ def _layer_forward(
     steps, batch, d = x.shape
     w, dtype = wh.shape[0], wh.dtype
     gates = pool.take(key + "gates", (steps, 4, batch, w), dtype)
+    b_gates = b.reshape(4, 1, w)
+    rows = None
     if d == 1:  # OpenBLAS runs a K=1 GEMM slowly; the broadcast product is the same bits
         np.multiply(x[:, None], wx.reshape(4, 1, w), out=gates)
-    else:  # the GEMM writes rows into dz, BPTT's workspace, which is dead during the forward
-        rows = pool.take("dz", (steps, batch, 4, w), dtype)
+        gates += b_gates
+    else:
+        rows = gates.reshape(steps, batch, 4, w)
         np.matmul(x.reshape(steps * batch, d), wx, out=rows.reshape(steps * batch, 4 * w))
-        gates[...] = rows.swapaxes(1, 2)
-    gates += b.reshape(4, 1, w)
+        x_gates = pool.take("x_gates", (4, batch, w), dtype)  # step t's x_t @ wx + b, gate-major
     c, tc, h = (pool.take(key + name, (steps, batch, w), dtype) for name in ("c", "tc", "h"))
     z = pool.take("z", (batch, 4 * w), dtype)
     z_gates = z.reshape(batch, 4, w).swapaxes(0, 1)
@@ -274,9 +305,13 @@ def _layer_forward(
     k, k_rest = _gate_coefficients(pool, z_sum.shape, dtype)
     h_prev = c_prev = np.zeros((batch, w), dtype=dtype)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values run on to the check
-        for a, c_t, tc_t, h_t in zip(gates, c, tc, h):
+        for t, (a, c_t, tc_t, h_t) in enumerate(zip(gates, c, tc, h)):
             np.matmul(h_prev, wh, out=z)
-            a += z_gates
+            if rows is None:
+                a += z_gates
+            else:
+                np.add(rows[t].swapaxes(0, 1), b_gates, out=x_gates)
+                np.add(x_gates, z_gates, out=a)
             z_sum += a
             i, f, g, o = _activate(a, k, k_rest, out=a)
             np.multiply(f, c_prev, out=c_t)
@@ -302,9 +337,10 @@ def forward_batch(
     X has shape (batch, window) and is cast to the model's dtype; returns
     predictions in (0, 1) and the cache needed for backpropagation, all in
     that dtype. Dropout is applied only when training; rate 0 applies no masks
-    at all, so it matches inference exactly. The cached activations live in
-    pool, a fresh one when none is given, so the cache holds only until the
-    next call that takes the same pool.
+    at all, so it matches inference exactly. The masks between layers are
+    drawn by _sequence_mask. The cached activations live in pool, a fresh one
+    when none is given, so the cache holds only until the next call that
+    takes the same pool, or until backward_batch consumes it.
     """
     X = np.asarray(X, dtype=model.dtype)
     if X.ndim != 2 or X.shape[1] != model.config.window:
@@ -330,10 +366,7 @@ def forward_batch(
             mask = None
             seq = cache.ht
             if use_dropout:
-                # Drawn batch-major, so the rng stream, and with it every seeded run, does not
-                # depend on the cache layout; stored time-major, so its products are contiguous.
-                mask = pool.take(key + "mask", seq.shape, seq.dtype)
-                mask[...] = dropout_mask(rng, seq.swapaxes(0, 1).shape, rate, seq.dtype).swapaxes(0, 1)
+                mask = _sequence_mask(rng, pool.take(key + "mask", seq.shape, seq.dtype), rate)
                 seq = np.multiply(seq, mask, out=pool.take(key + "dropped", seq.shape, seq.dtype))
             seq_masks.append(mask)
         else:
@@ -376,19 +409,21 @@ def _layer_backward(
     feeds the next layer, or (B, H) for the final layer, whose last hidden
     state alone feeds the head. Step t forms dz_t, the gradient wrt its gate
     pre-activations, on its contiguous gate blocks (the local derivatives
-    scaled by dL/dc_t and dL/dh_t) and copies it into row t of a (T, B, 4H)
-    buffer. Only dz_t @ wh.T is sequential; the weight and input gradients
-    are single GEMMs over all T * B rows after the loop.
+    scaled by dL/dc_t and dL/dh_t), and writes it over the step's gates, once
+    read, as row t of a (T, B, 4H) array. Only dz_t @ wh.T is sequential; the
+    weight and input gradients are single GEMMs over all T * B rows after the loop.
 
-    All workspace is dead when the layer returns, so every layer takes it from
-    pool under one name. d_x goes to pool under d_x_name; with d_x_name None it
-    is not computed (the first layer's input is the data) and comes back None.
+    The per-step workspace is dead when the layer returns, so every layer
+    takes it from pool under one name. d_x goes to pool under d_x_name, which
+    may name the cache's cell states: nothing reads them after the time loop.
+    With d_x_name None it is not computed (the first layer's input is the
+    data) and comes back None.
     """
     steps, batch, w = cache.c.shape
     dtype = cache.c.dtype
     a, c, tc = cache.gates, cache.c, cache.tc
-    dz = pool.take("dz", (steps, batch, 4 * w), dtype)
-    dz_gates = dz.reshape(steps, batch, 4, w)
+    dz = a.reshape(steps, batch, 4 * w)
+    dz_gates = a.reshape(steps, batch, 4, w)
     s = pool.take("s", (4, batch, w), dtype)  # step t's dz, gate-major
     s_i, s_f, s_g, s_o = s
     q = pool.take("q", (batch, w), dtype)  # step t's dL/dh_t * dc_t/dh_t
@@ -417,9 +452,10 @@ def _layer_backward(
         for block in (s_i, s_f, s_g):  # one contiguous pass each: a broadcast pass takes an iterator buffer
             block *= dc
         s_o *= dh
+        if t:
+            dc *= f  # before dz_t overwrites f
         dz_gates[t] = s.swapaxes(0, 1)
         if t:
-            dc *= f
             np.matmul(dz[t], wh_t, out=dh)
             if seq is not None:
                 dh += seq[t - 1]
@@ -444,7 +480,11 @@ def backward_batch(
     d_y is cast to the dtype of the predictions, so the gradients have the
     parameters' dtype. They are _carve's views of pool's flat "grads" array,
     beside the BPTT workspace (a fresh pool when none is given), so they hold
-    until the next call that takes the same pool. cache is only read.
+    until the next call that takes the same pool.
+
+    The cache is consumed: BPTT writes each layer's gate gradients over its
+    gates, and each deeper layer's d_x over its cell states when pool is the
+    one forward_batch filled.
     """
     if pool is None:
         pool = _BufferPool()
@@ -467,7 +507,7 @@ def backward_batch(
     for idx in range(len(model.config.lstm_layers) - 1, -1, -1):
         key = f"lstm{idx}."
         out = grads[key + "wx"], grads[key + "wh"], grads[key + "b"]
-        d_x_name = key + "d_x" if idx else None
+        d_x_name = key + "c" if idx else None  # the layer's cell states, dead once its time loop ends
         d_x = _layer_backward(cache.layers[idx], p[key + "wx"], p[key + "wh"], dh, pool, d_x_name, out)
         if idx > 0:
             mask = cache.seq_masks[idx - 1]
@@ -528,10 +568,11 @@ class _Adam:
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray, lr: float, pool: _BufferPool):
+        """Update params in place; the two work rows are pool's first gate cache, dead after backward_batch."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        u, r = pool.take("dz", (2, params.size), params.dtype)  # BPTT's workspace, dead until the next forward
+        u, r = pool.take("lstm0.gates", (2, params.size), params.dtype)
         self.m *= ADAM_BETA1
         self.m += np.multiply(grads, 1.0 - ADAM_BETA1, out=u)
         self.v *= ADAM_BETA2
@@ -600,10 +641,31 @@ def train(config: LstmConfig, closes) -> TrainResult:
     return TrainResult(model, tuple(trace))
 
 
+class InputRangeError(ValueError):
+    """A finite close that the model's dtype cannot hold once scaled; row is its index in the closes."""
+
+    def __init__(self, row: int, close: float, dtype: np.dtype):
+        super().__init__(f"close {close!r} is beyond {dtype.name} range once scaled")
+        self.row = row
+
+
 def forecast(model: LstmModel, closes, lo: int, hi: int) -> np.ndarray:
-    """Predicted closes for rows [lo, hi) of a close series, in float64, from their input_windows."""
-    windows = input_windows(closes, model.config.window, model.config.horizon, lo, hi)
-    return model.scaler.inverse_transform(predict_batch(model, model.scaler.transform(windows)))
+    """Predicted closes for rows [lo, hi) of a close series, in float64, from their input_windows.
+
+    A close the windows read that overflows the model's dtype once scaled
+    raises InputRangeError at the earliest such row, before the kernel would
+    take its inf for a parameter blow-up.
+    """
+    config = model.config
+    windows = input_windows(closes, config.window, config.horizon, lo, hi)
+    with np.errstate(over="ignore"):
+        inputs = model.scaler.transform(windows).astype(model.dtype)
+    overflow = ~np.isfinite(inputs)
+    if overflow.any():
+        window_row, offset = np.argwhere(overflow)[0]  # the first window that holds one, at its earliest
+        row = int(lo - config.window - config.horizon + 1 + window_row + offset)
+        raise InputRangeError(row, float(windows[window_row, offset]), model.dtype)
+    return model.scaler.inverse_transform(predict_batch(model, inputs))
 
 
 def trace_csv_text(trace) -> str:

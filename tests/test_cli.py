@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -846,8 +847,8 @@ def test_plotdata_range_outside_data(config, tmp_path):
 
 
 def test_plotdata_input_out_of_float32_range_names_symbol_and_date(tmp_path):
-    # 1e300 is finite, so the CSV parses; in float32 its scaled window is inf, which the
-    # kernel reports as a blow-up. The error names the symbol and the range's first date.
+    # 1e300 is finite, so the CSV parses, but scaled it is beyond float32 range. The error
+    # names the symbol, the bar's date and its close, not the range's first date.
     closes = gbm_closes(N_DAYS, seed=100)
     dates = series_from_closes("AAA", closes, start=dt.date(2016, 1, 1)).dates
     closes[np.searchsorted(dates, np.datetime64("2021-02-01"))] = 1e300
@@ -857,8 +858,10 @@ def test_plotdata_input_out_of_float32_range_names_symbol_and_date(tmp_path):
     cfg_path.write_text(yaml.safe_dump(base_doc(sectors=[{"name": "solo", "members": [["AAA", 1.0]]}])))
     config, out = load_config(cfg_path), tmp_path / "out"
     cmd_train(config, "AAA", out)
-    with pytest.raises(FloatingPointError, match=r"^AAA on 2021-01-04: non-finite gate pre-activation"):
-        cmd_plotdata(config, "AAA", dt.date(2021, 1, 4), dt.date(2021, 3, 1), out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from a float32 cast on the way
+        with pytest.raises(ValueError, match=r"^AAA on 2021-02-01: close 1e\+300 is beyond float32 range once scaled"):
+            cmd_plotdata(config, "AAA", dt.date(2021, 1, 4), dt.date(2021, 3, 1), out)
     assert not (out / "plotdata_AAA.csv").exists()
 
 
@@ -1126,6 +1129,9 @@ def test_backtest_input_out_of_float32_range_names_symbol_and_date(tmp_path, clo
     cmd_train(config, "TW1", out)
     cmd_train(config, "TW2", out)
     # eval_date 2021-06-01 is a bar, so TW1's forecast is for that row, from a window holding 2021-05-27
-    with pytest.raises(FloatingPointError, match=r"^TW1 on 2021-06-01: non-finite gate pre-activation"):
-        cmd_backtest(config, "twin", out)
+    expected = rf"^TW1 on 2021-05-27: close {re.escape(repr(close))} is beyond float32 range once scaled"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=expected):
+            cmd_backtest(config, "twin", out)
     assert not list(out.glob("ledger_*")) and not (out / "summary.csv").exists()

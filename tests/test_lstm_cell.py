@@ -271,23 +271,24 @@ def nan_filled(pool):
 
 
 def test_pooled_forward_and_backward_equal_fresh_arrays_bitwise():
-    model = small_model(seed=21, lstm_layers=(5, 4), dropout_rate=0.3, batch_size=16)
-    data = Generator(PCG64(SeedSequence(22)))
-    batches = [data.random((16, 8)), data.random((7, 8)), data.random((16, 8))]  # full, ragged, full
-    pool = lstm._BufferPool()
-    _, cache = forward_batch(model, batches[0], training=True, rng=Generator(PCG64(SeedSequence(0))), pool=pool)
-    backward_batch(model, cache, np.ones(16), pool)  # allocates every buffer at the full batch size
-    fresh_rng, pooled_rng = (Generator(PCG64(SeedSequence(23))) for _ in range(2))
-    for X in batches:
-        d_y = data.standard_normal(len(X))
-        y, cache = forward_batch(model, X, training=True, rng=fresh_rng)
-        grads = backward_batch(model, cache, d_y)
-        y_pool, cache = forward_batch(model, X, training=True, rng=pooled_rng, pool=nan_filled(pool))
-        grads_pool = backward_batch(model, cache, d_y, pool)
-        assert y_pool.tobytes() == y.tobytes()
-        assert list(grads_pool) == list(grads)
-        for name, g in grads.items():
-            assert grads_pool[name].tobytes() == g.tobytes(), name
+    for layers in ((5, 4), (4, 5)):  # the deeper layer's d_x outgrows, or fits in, its cell states
+        model = small_model(seed=21, lstm_layers=layers, dropout_rate=0.3, batch_size=16)
+        data = Generator(PCG64(SeedSequence(22)))
+        batches = [data.random((16, 8)), data.random((7, 8)), data.random((16, 8))]  # full, ragged, full
+        pool = lstm._BufferPool()
+        _, cache = forward_batch(model, batches[0], training=True, rng=Generator(PCG64(SeedSequence(0))), pool=pool)
+        backward_batch(model, cache, np.ones(16), pool)  # allocates every buffer at the full batch size
+        fresh_rng, pooled_rng = (Generator(PCG64(SeedSequence(23))) for _ in range(2))
+        for X in batches:
+            d_y = data.standard_normal(len(X))
+            y, cache = forward_batch(model, X, training=True, rng=fresh_rng)
+            grads = backward_batch(model, cache, d_y)
+            y_pool, cache = forward_batch(model, X, training=True, rng=pooled_rng, pool=nan_filled(pool))
+            grads_pool = backward_batch(model, cache, d_y, pool)
+            assert y_pool.tobytes() == y.tobytes(), layers
+            assert list(grads_pool) == list(grads)
+            for name, g in grads.items():
+                assert grads_pool[name].tobytes() == g.tobytes(), (layers, name)
 
 
 def test_pooled_predict_batch_equals_fresh_forward_per_block_bitwise():
@@ -350,6 +351,53 @@ def test_pooled_backward_allocates_under_a_quarter_of_one_sequence_block():
     block = 20 * 32 * 32 * model.dtype.itemsize  # one (T, B, H) array
     peak = traced_peak(lambda: backward_batch(model, cache, d_y, pool))
     assert peak < block / 4, f"{peak / 1e3:.1f} KB against {block / 1e3:.1f} KB for one (T, B, H) block"
+
+
+def test_pooled_training_step_allocates_under_one_sequence_block():
+    # The deeper layer's input projection and BPTT's gate gradients live in the
+    # gate caches, d_x in the cell states and Adam's work rows in a consumed
+    # gate cache; the masks between layers are drawn a few batch rows at a
+    # time. At this width a mask is several _MASK_DRAW blocks, as at paper
+    # width, so a whole warm training step allocates less than one (T, B, H)
+    # array; one batch-major draw of the mask alone would take more than two.
+    steps, batch, width = 50, 64, 128
+    model = small_model(seed=37, window=steps, lstm_layers=(width, width), dense_width=32, batch_size=batch)
+    assert steps * batch * width > 2 * lstm._MASK_DRAW
+    data = Generator(PCG64(SeedSequence(38)))
+    X, d_y = data.random((batch, steps)), data.standard_normal(batch)
+    pool = lstm._BufferPool()
+    adam = lstm._Adam(model.flat)
+
+    def step(seed):
+        _, cache = forward_batch(model, X, training=True, rng=Generator(PCG64(SeedSequence(seed))), pool=pool)
+        backward_batch(model, cache, d_y, pool)
+        adam.step(model.flat, pool.take("grads", model.flat.shape, model.dtype), 1e-3, pool)
+
+    step(39)  # sizes the pool
+    block = steps * batch * width * model.dtype.itemsize
+    peak = traced_peak(lambda: step(40))
+    assert peak < block, f"{peak / 1e3:.1f} KB against {block / 1e3:.1f} KB for one (T, B, H) block"
+
+
+def test_train_pool_holds_no_sequence_sized_workspace(monkeypatch):
+    # every (T, B, 4H) buffer in train's pool is a layer's gate cache: BPTT and
+    # the deeper layers' projection have no workspace of their own
+    pools = []
+
+    class RecordedPool(lstm._BufferPool):
+        def __init__(self):
+            super().__init__()
+            pools.append(self)
+
+    monkeypatch.setattr(lstm, "_BufferPool", RecordedPool)
+    config = LstmConfig(**POOL_MODEL, seed=41)
+    train(config, 100.0 + np.cumsum(Generator(PCG64(SeedSequence(42))).standard_normal(420)))
+    (pool,) = pools
+    steps, batch = config.window, config.batch_size
+    gate_caches = {f"lstm{i}.gates" for i in range(len(config.lstm_layers))}
+    for name, flat in pool._flat.items():
+        sequence_sized = any(flat.size >= steps * batch * 4 * w for w in config.lstm_layers)
+        assert name in gate_caches or not sequence_sized, f"{name}: {flat.size} elements"
 
 
 # ----------------------------------------------------------- float32 kernel
@@ -495,6 +543,26 @@ def test_dropout_mask_expectation_is_one():
     observed = masks.mean(axis=0)
     stderr = math.sqrt(rate / (1.0 - rate) / n)
     assert np.abs(observed - 1.0).max() < 3 * stderr
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize(
+    "steps,batch,width,cap",
+    [(5, 3, 4, None), (5, 9, 4, 60), (5, 10, 4, 60), (3, 2, 7, 5), (50, 64, 256, None)],
+    ids=["one-block", "three-blocks", "ragged", "row-over-cap", "paper-width"],
+)
+def test_sequence_mask_equals_one_batch_major_draw(monkeypatch, steps, batch, width, cap, dtype):
+    # forward_batch's masks between layers are drawn a few batch rows at a time,
+    # straight into the time-major mask; the bits and the rng state afterwards
+    # are those of one batch-major dropout_mask draw
+    if cap is not None:
+        monkeypatch.setattr(lstm, "_MASK_DRAW", cap)
+    drawn, replay = (Generator(PCG64(SeedSequence(43))) for _ in range(2))
+    mask = lstm._sequence_mask(drawn, np.full((steps, batch, width), np.nan, dtype), 0.3)
+    expected = dropout_mask(replay, (batch, steps, width), 0.3, dtype).swapaxes(0, 1)
+    assert mask.dtype == expected.dtype
+    assert mask.tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert drawn.bit_generator.state == replay.bit_generator.state
 
 
 def test_dropout_masks_resampled_per_call():

@@ -1,5 +1,7 @@
 """Training loop: determinism, splits, learnability, and failure modes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.random import Generator, PCG64, SeedSequence
@@ -144,6 +146,24 @@ def test_forecast_row_k_uses_the_window_ending_horizon_rows_before_it():
         forecast(model, closes, first - 1, first)
     with pytest.raises(ValueError, match="past the 60 closes"):
         forecast(model, closes, first, len(closes) + cfg.horizon + 1)
+
+
+def test_forecast_names_the_earliest_close_beyond_float32_range():
+    # two finite closes overflow float32 once scaled; the error is a ValueError at
+    # the earlier one's row, raised before the kernel sees an inf, and warns of no cast
+    cfg = LstmConfig(**QUICK, horizon=2, epochs=1, seed=9)
+    closes = sine_series(80)
+    model = train(cfg, closes).model
+    closes[[50, 47]] = [1e300, -1e45]
+    first = cfg.window + cfg.horizon - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fc.InputRangeError, match=r"^close -1e\+45 is beyond float32 range once scaled$") as info:
+            forecast(model, closes, first, len(closes))
+    assert info.value.row == 47 and isinstance(info.value, ValueError)
+    # rows whose windows end before row 47 are forecast as before
+    last = 47 + cfg.horizon
+    np.testing.assert_array_equal(forecast(model, closes, first, last), forecast(model, closes[:47], first, last))
 
 
 def test_forward_rejects_nonfinite_parameters():

@@ -175,13 +175,15 @@ def cmd_train(config: RunConfig, symbol: str, out_dir: Path) -> tuple[Path, Path
     series = _load_series(config, symbol, out_dir).restrict(config.train_start, config.train_end)
     lstm_config = replace(config.lstm, seed=derive_seed(config.seed, f"train:{symbol}"))
     try:
-        result = fc.train(lstm_config, series.closes)
+        model, trace = fc.train(lstm_config, series.closes)
+    except fc.InputRangeError as exc:  # named at the bar that holds the close
+        raise ValueError(f"{symbol} on {series.dates[exc.row]}: {exc}") from None
     except (ValueError, RuntimeError) as exc:  # too short, constant, or a non-finite loss
         raise type(exc)(f"{symbol}: {exc}") from None
     ckpt_path = Path(out_dir) / "checkpoints" / f"{symbol}.ckpt"
     trace_path = Path(out_dir) / f"trace_{symbol}.csv"
-    _atomic_write(ckpt_path, fc.checkpoint_bytes(result.model))
-    _atomic_write(trace_path, fc.trace_csv_text(result.trace))
+    _atomic_write(ckpt_path, fc.checkpoint_bytes(model))
+    _atomic_write(trace_path, fc.trace_csv_text(trace))
     return ckpt_path, trace_path
 
 

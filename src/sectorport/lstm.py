@@ -26,6 +26,8 @@ parameters as float32 too.
 
 forecast is the one inference entry point: the predicted closes for a row
 range of a series, each from the window that ends `horizon` rows earlier.
+train and forecast scale the closes and cast them to the model's dtype in
+one checked pass, scale_closes, and take input_windows views of the result.
 """
 
 from __future__ import annotations
@@ -87,9 +89,9 @@ def input_windows(closes, window: int, horizon: int, lo: int, hi: int) -> np.nda
     + 1 : k - horizon + 1], so it holds only closes known `horizon` rows
     earlier; rows up to `horizon` past the end of closes have one. train asks
     for every row with a target, forecast for the rows it predicts. An empty
-    row range is an error.
+    row range is an error. The windows have the dtype of closes.
     """
-    closes = np.asarray(closes, dtype=float)
+    closes = np.asarray(closes)
     first = lo - (window + horizon - 1)
     if first < 0:
         raise ValueError(f"row {lo} needs {window + horizon - 1} rows of history before it, has {lo}")
@@ -182,6 +184,30 @@ def _activate(z: np.ndarray, k, k_rest, out: np.ndarray | None = None) -> np.nda
     return out
 
 
+class InputRangeError(ValueError):
+    """A finite close that the model's dtype cannot hold once scaled; row is its index in the closes."""
+
+    def __init__(self, row: int, close: float, dtype: np.dtype):
+        super().__init__(f"close {close!r} is beyond {dtype.name} range once scaled")
+        self.row = row
+
+
+def scale_closes(scaler: Scaler, closes, lo: int, hi: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """closes[lo:hi] min-max scaled, in float64 and cast to dtype: train's and forecast's one scale and cast.
+
+    The earliest close whose cast overflows raises InputRangeError with its
+    row in closes, before the kernel would take its inf for a parameter blow-up.
+    """
+    closes = np.asarray(closes[lo:hi], dtype=float)
+    with np.errstate(over="ignore"):
+        scaled = scaler.transform(closes)
+        cast = scaled.astype(dtype)
+    overflow = np.flatnonzero(~np.isfinite(cast))
+    if overflow.size:
+        raise InputRangeError(lo + int(overflow[0]), float(closes[overflow[0]]), cast.dtype)
+    return scaled, cast
+
+
 def _gate_coefficients(pool: _BufferPool, shape: tuple[int, int, int], dtype) -> tuple[np.ndarray, np.ndarray]:
     """k of _activate and 1 - k as (4, B, H) gate blocks: 0.5 on the logistic gates i, f, o; 1 on the candidate g."""
     k = pool.take("k", shape, dtype)
@@ -189,25 +215,17 @@ def _gate_coefficients(pool: _BufferPool, shape: tuple[int, int, int], dtype) ->
     return k, np.subtract(1.0, k, out=pool.take("1-k", shape, dtype))
 
 
-def dropout_mask(rng: Generator, shape, rate: float, dtype=COMPUTE_DTYPE) -> np.ndarray:
-    """Inverted-dropout mask in `dtype`: survivors scaled by 1/(1-rate), expectation 1.
-
-    The uniforms are drawn in float64 whatever the dtype, so the rng stream is
-    the same. _sequence_mask draws the masks between layers in blocks to the same bits.
-    """
-    return (rng.random(shape) >= rate) * np.array(1.0 / (1.0 - rate), dtype=dtype)
-
-
 _MASK_DRAW = 1 << 16  # cap on the float64 uniforms a sequence mask's draw holds at once (512 KB)
 
 
 def _sequence_mask(rng: Generator, mask: np.ndarray, rate: float) -> np.ndarray:
-    """Fill the time-major (T, B, H) mask with dropout_mask(rng, (B, T, H), rate).swapaxes(0, 1)'s bits.
+    """Fill the time-major (T, B, H) mask with an inverted-dropout mask: survivors 1/(1-rate), expectation 1.
 
-    The draw is batch-major, so seeded runs do not depend on the cache
-    layout; the mask is time-major, so its products are contiguous. The
-    uniforms come a few whole batch rows at a time, at most _MASK_DRAW of
-    them unless one row is larger; consecutive draws continue one stream.
+    The float64 uniforms are drawn batch-major, whatever the dtype, so seeded
+    runs do not depend on the cache layout or the dtype; the mask is
+    time-major, so its products are contiguous. The uniforms come a few
+    whole batch rows at a time, at most _MASK_DRAW of them unless one row is
+    larger; consecutive draws continue one stream.
     """
     steps, batch, width = mask.shape
     rows = min(batch, max(1, _MASK_DRAW // (steps * width)))
@@ -326,21 +344,17 @@ def _layer_forward(
 
 
 def forward_batch(
-    model: LstmModel,
-    X: np.ndarray,
-    training: bool = False,
-    rng: Generator | None = None,
-    pool: _BufferPool | None = None,
+    model: LstmModel, X: np.ndarray, training: bool, pool: _BufferPool, rng: Generator | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch of scaled windows through the stack.
 
     X has shape (batch, window) and is cast to the model's dtype; returns
     predictions in (0, 1) and the cache needed for backpropagation, all in
     that dtype. Dropout is applied only when training; rate 0 applies no masks
-    at all, so it matches inference exactly. The masks between layers are
-    drawn by _sequence_mask. The cached activations live in pool, a fresh one
-    when none is given, so the cache holds only until the next call that
-    takes the same pool, or until backward_batch consumes it.
+    at all, so it matches inference exactly. Every mask, the final hidden
+    state's as a (1, B, H) sequence, is drawn by _sequence_mask. The cached
+    activations and masks live in pool, so the cache holds only until the
+    next call that takes the same pool, or until backward_batch consumes it.
     """
     X = np.asarray(X, dtype=model.dtype)
     if X.ndim != 2 or X.shape[1] != model.config.window:
@@ -350,8 +364,6 @@ def forward_batch(
     if use_dropout and rng is None:
         raise ValueError("training forward with dropout needs an rng")
 
-    if pool is None:
-        pool = _BufferPool()
     seq = np.ascontiguousarray(X.T)[:, :, None]
     caches: list[_LayerCache] = []
     seq_masks: list[np.ndarray | None] = []
@@ -372,7 +384,7 @@ def forward_batch(
         else:
             h_last = cache.ht[-1]
             if use_dropout:
-                last_mask = dropout_mask(rng, h_last.shape, rate, h_last.dtype)
+                last_mask = _sequence_mask(rng, pool.take(key + "mask", (1, *h_last.shape), h_last.dtype), rate)[0]
                 h_last = h_last * last_mask
 
     a1 = h_last @ p["dense.w"] + p["dense.b"]
@@ -473,21 +485,19 @@ def _layer_backward(
 
 
 def backward_batch(
-    model: LstmModel, cache: ForwardCache, d_y: np.ndarray, pool: _BufferPool | None = None
+    model: LstmModel, cache: ForwardCache, d_y: np.ndarray, pool: _BufferPool
 ) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss wrt every parameter, given dL/dy per sample.
 
     d_y is cast to the dtype of the predictions, so the gradients have the
     parameters' dtype. They are _carve's views of pool's flat "grads" array,
-    beside the BPTT workspace (a fresh pool when none is given), so they hold
-    until the next call that takes the same pool.
+    beside the BPTT workspace, so they hold until the next call that takes
+    the same pool.
 
     The cache is consumed: BPTT writes each layer's gate gradients over its
     gates, and each deeper layer's d_x over its cell states when pool is the
     one forward_batch filled.
     """
-    if pool is None:
-        pool = _BufferPool()
     grads = _carve(pool.take("grads", model.flat.shape, model.dtype), model.config)
     y = cache.y
     d_y = np.asarray(d_y, dtype=y.dtype)
@@ -517,46 +527,19 @@ def backward_batch(
     return grads
 
 
-def huber_loss(y, y_hat, delta: float = 1.0):
-    """Huber loss on the residual y - y_hat: quadratic within delta, linear beyond."""
+def huber_loss(y, y_hat, delta: float) -> np.ndarray:
+    """Huber loss on the residual y - y_hat, elementwise: quadratic within delta, linear beyond."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     r = np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
     a = np.abs(r)
-    out = np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
-    return float(out) if out.ndim == 0 else out
+    return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
 
 
-def huber_gradient(y, y_hat, delta: float = 1.0) -> np.ndarray:
+def huber_gradient(y, y_hat, delta: float) -> np.ndarray:
     """dL/dy_hat of the Huber loss, elementwise."""
     r = np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
     return np.where(np.abs(r) <= delta, -r, -delta * np.sign(r))
-
-
-def mae(y, y_hat) -> float:
-    """Mean absolute error."""
-    y = np.asarray(y, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    if y.shape != y_hat.shape:
-        raise ValueError(f"length mismatch: {y.shape} vs {y_hat.shape}")
-    if y.size == 0:
-        raise ValueError("mae of empty input")
-    return float(np.mean(np.abs(y - y_hat)))
-
-
-@dataclass(frozen=True)
-class EpochStats:
-    epoch: int
-    train_loss: float
-    train_mae: float
-    val_loss: float
-    val_mae: float
-
-
-@dataclass
-class TrainResult:
-    model: LstmModel
-    trace: tuple[EpochStats, ...]
 
 
 class _Adam:
@@ -582,24 +565,27 @@ class _Adam:
         params -= np.divide(u, r, out=u)
 
 
-def train(config: LstmConfig, closes) -> TrainResult:
-    """Fit the model on a close series; returns the model and per-epoch trace.
+def train(config: LstmConfig, closes) -> tuple[LstmModel, tuple[tuple, ...]]:
+    """Fit the model on a close series; returns the model and its trace.
 
-    Windows are split 90/10 chronologically; the scaler is fit only on closes
-    touched by the training split. Mini-batch order, dropout masks, and
-    initialization all derive from config.seed, so a rerun is bit-identical.
-    The scaled windows are cast to COMPUTE_DTYPE once; targets, losses and
-    the trace stay float64. Every batch, and the validation after each
+    The trace holds one (epoch, train_loss, train_mae, val_loss, val_mae)
+    row per epoch, the columns of trace_csv_text. Windows are split 90/10
+    chronologically; the scaler is fit only on closes touched by the
+    training split. Mini-batch order, dropout masks, and initialization all
+    derive from config.seed, so a rerun is bit-identical. The closes are
+    scaled and cast to COMPUTE_DTYPE once, by scale_closes; targets, losses
+    and the trace stay float64. Every batch, and the validation after each
     epoch, runs in one _BufferPool, so one batch's forward cache and BPTT
     workspace are held at a time, in arrays the first batch allocates.
     """
     closes = np.asarray(closes, dtype=float)
     first = config.window + config.horizon - 1  # the first row with a full window
-    windows = input_windows(closes, config.window, config.horizon, first, len(closes))
-    n_train = max(1, int(len(windows) * TRAIN_FRACTION))
+    n_rows = len(input_windows(closes, config.window, config.horizon, first, len(closes)))  # rejects a short series
+    n_train = max(1, int(n_rows * TRAIN_FRACTION))
     scaler = fit_scaler(closes[: first + n_train])
-    inputs = scaler.transform(windows).astype(COMPUTE_DTYPE)
-    targets = scaler.transform(closes[first:])
+    scaled, cast = scale_closes(scaler, closes, 0, len(closes), COMPUTE_DTYPE)
+    inputs = input_windows(cast, config.window, config.horizon, first, len(closes))
+    targets = scaled[first:]
 
     rng = Generator(PCG64(SeedSequence(config.seed)))
     model = init_model(config, scaler, rng)
@@ -616,7 +602,7 @@ def train(config: LstmConfig, closes) -> TrainResult:
             sel = order[lo : lo + config.batch_size]
             xb, yb = inputs[sel], targets[sel]
             try:
-                pred, cache = forward_batch(model, xb, training=True, rng=rng, pool=pool)
+                pred, cache = forward_batch(model, xb, training=True, pool=pool, rng=rng)
             except FloatingPointError as exc:
                 raise RuntimeError(f"non-finite loss at epoch {epoch}, batch {batch_idx}: {exc}") from exc
             losses = huber_loss(yb, pred, config.huber_delta)
@@ -632,50 +618,33 @@ def train(config: LstmConfig, closes) -> TrainResult:
         if y_val.size:
             val_pred = predict_batch(model, x_val, pool)
             val_loss = float(np.mean(huber_loss(y_val, val_pred, config.huber_delta)))
-            val_mae = mae(y_val, val_pred)
+            val_mae = float(np.mean(np.abs(y_val - val_pred)))
         else:
             val_loss = val_mae = float("nan")
-        trace.append(
-            EpochStats(epoch, loss_sum / n_train, mae_sum / n_train, val_loss, val_mae)
-        )
-    return TrainResult(model, tuple(trace))
-
-
-class InputRangeError(ValueError):
-    """A finite close that the model's dtype cannot hold once scaled; row is its index in the closes."""
-
-    def __init__(self, row: int, close: float, dtype: np.dtype):
-        super().__init__(f"close {close!r} is beyond {dtype.name} range once scaled")
-        self.row = row
+        trace.append((epoch, loss_sum / n_train, mae_sum / n_train, val_loss, val_mae))
+    return model, tuple(trace)
 
 
 def forecast(model: LstmModel, closes, lo: int, hi: int) -> np.ndarray:
     """Predicted closes for rows [lo, hi) of a close series, in float64, from their input_windows.
 
-    A close the windows read that overflows the model's dtype once scaled
-    raises InputRangeError at the earliest such row, before the kernel would
-    take its inf for a parameter blow-up.
+    Only the closes the windows read are scaled, so a close that overflows
+    the model's dtype once scaled raises InputRangeError only when a window
+    reads it.
     """
     config = model.config
-    windows = input_windows(closes, config.window, config.horizon, lo, hi)
-    with np.errstate(over="ignore"):
-        inputs = model.scaler.transform(windows).astype(model.dtype)
-    overflow = ~np.isfinite(inputs)
-    if overflow.any():
-        window_row, offset = np.argwhere(overflow)[0]  # the first window that holds one, at its earliest
-        row = int(lo - config.window - config.horizon + 1 + window_row + offset)
-        raise InputRangeError(row, float(windows[window_row, offset]), model.dtype)
+    input_windows(closes, config.window, config.horizon, lo, hi)  # rejects rows the closes cannot serve
+    reach = config.window + config.horizon - 1  # from a window's first close to its row
+    _, cast = scale_closes(model.scaler, closes, lo - reach, hi - config.horizon, model.dtype)
+    inputs = input_windows(cast, config.window, config.horizon, reach, reach + hi - lo)
     return model.scaler.inverse_transform(predict_batch(model, inputs))
 
 
 def trace_csv_text(trace) -> str:
-    """Training trace export: epoch,train_loss,train_mae,val_loss,val_mae."""
+    """Training trace export: epoch,train_loss,train_mae,val_loss,val_mae, one line per trace row."""
     lines = ["epoch,train_loss,train_mae,val_loss,val_mae"]
-    for row in trace:
-        lines.append(
-            f"{row.epoch},{row.train_loss:.12g},{row.train_mae:.12g},"
-            f"{row.val_loss:.12g},{row.val_mae:.12g}"
-        )
+    for epoch, train_loss, train_mae, val_loss, val_mae in trace:
+        lines.append(f"{epoch},{train_loss:.12g},{train_mae:.12g},{val_loss:.12g},{val_mae:.12g}")
     return "\n".join(lines) + "\n"
 
 

@@ -133,7 +133,7 @@ def build_frontier(
     cov: CovarianceMatrix,
     n_draws: int,
     risk_free: float,
-    seed: int = 0,
+    seed: int,
 ) -> FrontierCloud:
     """Monte-Carlo cloud of randomly weighted portfolios.
 

@@ -2,7 +2,8 @@
 
 The portfolio tests compare the Monte-Carlo frontier against the first two;
 the LSTM kernel test compares every step of the time-major kernel against
-lstm_cell_step; gradient_check compares BPTT against central finite
+lstm_cell_step, and the mask tests the blocked dropout draw against
+dropout_mask; gradient_check compares BPTT against central finite
 differences on a float64_copy of a model. The row-layout kernel at the end
 is the reference the gate-major kernel must equal byte for byte.
 """
@@ -77,6 +78,16 @@ def lstm_cell_step(x_t, h_prev, c_prev, wx, wh, b) -> tuple[np.ndarray, np.ndarr
     return h_t, c_t
 
 
+def dropout_mask(rng: Generator, shape, rate: float, dtype=lstm.COMPUTE_DTYPE) -> np.ndarray:
+    """Inverted-dropout mask in one draw: survivors scaled by 1/(1-rate), expectation 1.
+
+    The uniforms are drawn in float64 whatever the dtype, so the rng stream
+    is the same. lstm._sequence_mask, which draws every mask of forward_batch
+    a few batch rows at a time, must give a batch-major draw's bits.
+    """
+    return (rng.random(shape) >= rate) * np.array(1.0 / (1.0 - rate), dtype=dtype)
+
+
 def float64_copy(model: LstmModel) -> LstmModel:
     """A copy of the model with every parameter tensor in float64; the kernel follows that dtype."""
     return replace(model, flat=model.flat.astype(np.float64))
@@ -107,12 +118,12 @@ def gradient_check(
     delta = model.config.huber_delta
 
     def loss() -> float:
-        pred, _ = forward_batch(model, inputs, training=False)
+        pred, _ = forward_batch(model, inputs, training=False, pool=lstm._BufferPool())
         return float(np.mean(huber_loss(targets, pred, delta)))
 
-    pred, cache = forward_batch(model, inputs, training=False)
+    pred, cache = forward_batch(model, inputs, training=False, pool=lstm._BufferPool())
     d_y = huber_gradient(targets, pred, delta) / targets.size
-    analytic = backward_batch(model, cache, d_y)
+    analytic = backward_batch(model, cache, d_y, lstm._BufferPool())
     if fault is not None:
         if fault not in analytic:
             raise KeyError(f"unknown tensor {fault!r}")

@@ -176,16 +176,16 @@ def test_criterion_07_sine_learnability():
         learning_rate=1e-3,
         seed=0,
     )
-    result = fc.train(cfg, closes)
+    _, trace = fc.train(cfg, closes)
     elapsed = time.perf_counter() - t0
-    final_mae = result.trace[-1].train_mae
-    decreasing = result.trace[-1].train_loss < result.trace[0].train_loss
+    final_mae = trace[-1][2]
+    decreasing = trace[-1][1] < trace[0][1]
     ok = final_mae < 0.05 and decreasing and elapsed < 120.0
     report(
         7,
         ok,
-        f"epoch-200 scaled MAE {final_mae:.4f} (<0.05), loss {result.trace[0].train_loss:.5f} "
-        f"-> {result.trace[-1].train_loss:.6f}, {elapsed:.1f}s",
+        f"epoch-200 scaled MAE {final_mae:.4f} (<0.05), loss {trace[0][1]:.5f} "
+        f"-> {trace[-1][1]:.6f}, {elapsed:.1f}s",
     )
 
 
@@ -196,9 +196,9 @@ def test_criterion_08_full_scale_smoke():
     X = rng.random((64, 50))
     Y = rng.random(64)
     t0 = time.perf_counter()
-    pred, cache = fc.forward_batch(model, X, training=True, rng=rng)
+    pred, cache = fc.forward_batch(model, X, training=True, pool=fc._BufferPool(), rng=rng)
     d_y = fc.huber_gradient(Y, pred, cfg.huber_delta) / 64
-    grads = fc.backward_batch(model, cache, d_y)
+    grads = fc.backward_batch(model, cache, d_y, fc._BufferPool())
     elapsed = time.perf_counter() - t0
     finite = all(np.isfinite(g).all() for g in grads.values())
     ok = finite and elapsed < 10.0

@@ -1135,3 +1135,19 @@ def test_backtest_input_out_of_float32_range_names_symbol_and_date(tmp_path, clo
         with pytest.raises(ValueError, match=expected):
             cmd_backtest(config, "twin", out)
     assert not list(out.glob("ledger_*")) and not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("close", [1e45, 1e300], ids=["1e45", "1e300"])
+def test_train_input_out_of_float32_range_names_symbol_and_date(tmp_path, close):
+    # the scaler is fit on the training split, so a close on a validation bar
+    # (2020-12-15, among the last tenth of 2016-2020's windows) can overflow float32 once scaled
+    closes = gbm_closes(N_DAYS, seed=200)
+    dates = series_from_closes("AAA", closes, start=dt.date(2016, 1, 1)).dates
+    closes[np.searchsorted(dates, np.datetime64("2020-12-15"))] = close
+    cfg, out = solo_config(tmp_path, closes), tmp_path / "out"
+    expected = rf"^AAA on 2020-12-15: close {re.escape(repr(close))} is beyond float32 range once scaled$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=expected):
+            cmd_train(cfg, "AAA", out)
+    assert not (out / "checkpoints").exists() and not (out / "trace_AAA.csv").exists()

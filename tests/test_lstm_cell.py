@@ -10,20 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, PCG64, SeedSequence
 
-from oracles import float64_copy, lstm_cell_step
+from oracles import dropout_mask, float64_copy, lstm_cell_step
 from sectorport import lstm
 from sectorport.config import LstmConfig
 from sectorport.lstm import (
     Scaler,
     backward_batch,
-    dropout_mask,
     fit_scaler,
     forward_batch,
     huber_gradient,
     huber_loss,
     init_model,
     input_windows,
-    mae,
     predict_batch,
     train,
 )
@@ -95,7 +93,7 @@ def test_forward_batch_matches_reference_over_window():
     for idx in range(len(config.lstm_layers)):
         p[f"lstm{idx}.b"][...] = rng.normal(size=p[f"lstm{idx}.b"].shape)
     X = rng.random((2, config.window))
-    _, cache = forward_batch(model, X)
+    _, cache = forward_batch(model, X, False, lstm._BufferPool())
     seq = X[:, :, None]  # (batch, T, D)
     for idx, (width, lc) in enumerate(zip(config.lstm_layers, cache.layers)):
         layer = p[f"lstm{idx}.wx"], p[f"lstm{idx}.wh"], p[f"lstm{idx}.b"]
@@ -134,7 +132,7 @@ def test_cell_step_rejects_nonfinite_parameters():
     model = small_model(window=1, lstm_layers=(1,))
     model.params["lstm0.wx"][...] = np.inf
     with pytest.raises(FloatingPointError, match="blow-up"):
-        forward_batch(model, np.ones((1, 1)))
+        forward_batch(model, np.ones((1, 1)), False, lstm._BufferPool())
 
 
 @pytest.mark.parametrize(
@@ -152,7 +150,7 @@ def test_forward_rejects_nonfinite_parameter_as_blow_up(layers, layer, tensor, i
     model.params[f"lstm{layer}.{tensor}"][index] = value
     X = Generator(PCG64(SeedSequence(12))).random((3, 8))
     with pytest.raises(FloatingPointError, match="blow-up"):
-        forward_batch(model, X)
+        forward_batch(model, X, False, lstm._BufferPool())
 
 
 def test_forward_rejects_nan_input_window_as_blow_up():
@@ -160,7 +158,7 @@ def test_forward_rejects_nan_input_window_as_blow_up():
     X = Generator(PCG64(SeedSequence(13))).random((3, 8))
     X[1, 6] = np.nan
     with pytest.raises(FloatingPointError, match="blow-up"):
-        forward_batch(model, X)
+        forward_batch(model, X, False, lstm._BufferPool())
 
 
 @pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
@@ -175,7 +173,7 @@ def test_forward_rejects_nonfinite_input_at_a_middle_step_as_blow_up(layers, val
     X[2, 4] = value
     rng = Generator(PCG64(SeedSequence(15))) if training else None
     with pytest.raises(FloatingPointError, match="blow-up"):
-        forward_batch(model, X, training=training, rng=rng)
+        forward_batch(model, X, training=training, pool=lstm._BufferPool(), rng=rng)
 
 
 # ------------------------------------------------------------------ forward
@@ -184,20 +182,20 @@ def test_forward_output_strictly_inside_unit_interval():
     model = small_model()
     rng = Generator(PCG64(SeedSequence(2)))
     for _ in range(10):
-        y, _ = forward_batch(model, rng.random((1, 8)))
+        y, _ = forward_batch(model, rng.random((1, 8)), False, lstm._BufferPool())
         assert 0.0 < y[0] < 1.0
 
 
 def test_forward_inference_is_deterministic():
     model = small_model()
     window = Generator(PCG64(SeedSequence(3))).random(8)
-    assert forward_batch(model, window[None])[0] == forward_batch(model, window[None])[0]
+    assert forward_batch(model, window[None], False, lstm._BufferPool())[0] == forward_batch(model, window[None], False, lstm._BufferPool())[0]
 
 
 def test_forward_rejects_wrong_window_length():
     model = small_model()
     with pytest.raises(ValueError, match=r"expected \(batch, 8\) input, got \(1, 9\)"):
-        forward_batch(model, np.ones(9)[None])
+        forward_batch(model, np.ones(9)[None], False, lstm._BufferPool())
 
 
 def test_default_config_layer_one_emits_50_by_256():
@@ -205,7 +203,7 @@ def test_default_config_layer_one_emits_50_by_256():
     rng = Generator(PCG64(SeedSequence(0)))
     model = init_model(config, Scaler(0.0, 1.0), rng)
     x = rng.random((1, 50))
-    _, cache = forward_batch(model, x)
+    _, cache = forward_batch(model, x, False, lstm._BufferPool())
     assert cache.layers[0].ht.shape == (50, 1, 256)
     assert cache.layers[1].xt.shape == (50, 1, 256)  # the layer input, time-major
     assert cache.layers[1].ht.shape == (50, 1, 256)
@@ -231,7 +229,7 @@ def test_predict_batch_matches_per_window_forward():
     X = Generator(PCG64(SeedSequence(15))).random((150, 8))
     blocked = predict_batch(model, X)
     assert blocked.shape == (150,)
-    per_window = [forward_batch(model, x[None])[0][0] for x in X]
+    per_window = [forward_batch(model, x[None], False, lstm._BufferPool())[0][0] for x in X]
     np.testing.assert_allclose(blocked, per_window, rtol=1e-12, atol=0)
 
 
@@ -255,7 +253,7 @@ def test_predict_batch_runs_blocks_of_batch_size(monkeypatch):
 def test_training_forward_needs_rng_when_dropout_active():
     model = small_model(dropout_rate=0.5)
     with pytest.raises(ValueError, match="rng"):
-        forward_batch(model, np.ones((1, 8)), training=True)
+        forward_batch(model, np.ones((1, 8)), training=True, pool=lstm._BufferPool())
 
 
 # -------------------------------------------------------------- buffer pool
@@ -281,8 +279,8 @@ def test_pooled_forward_and_backward_equal_fresh_arrays_bitwise():
         fresh_rng, pooled_rng = (Generator(PCG64(SeedSequence(23))) for _ in range(2))
         for X in batches:
             d_y = data.standard_normal(len(X))
-            y, cache = forward_batch(model, X, training=True, rng=fresh_rng)
-            grads = backward_batch(model, cache, d_y)
+            y, cache = forward_batch(model, X, training=True, rng=fresh_rng, pool=lstm._BufferPool())
+            grads = backward_batch(model, cache, d_y, lstm._BufferPool())
             y_pool, cache = forward_batch(model, X, training=True, rng=pooled_rng, pool=nan_filled(pool))
             grads_pool = backward_batch(model, cache, d_y, pool)
             assert y_pool.tobytes() == y.tobytes(), layers
@@ -296,7 +294,7 @@ def test_pooled_predict_batch_equals_fresh_forward_per_block_bitwise():
     X = Generator(PCG64(SeedSequence(25))).random((40, 8)).astype(model.dtype)  # blocks of 16, 16, 8
     pool = lstm._BufferPool()
     predict_batch(model, X, pool)
-    per_block = np.concatenate([forward_batch(model, X[lo : lo + 16])[0] for lo in range(0, 40, 16)])
+    per_block = np.concatenate([forward_batch(model, X[lo : lo + 16], False, lstm._BufferPool())[0] for lo in range(0, 40, 16)])
     assert predict_batch(model, X, nan_filled(pool)).tobytes() == per_block.tobytes()
 
 
@@ -316,7 +314,7 @@ POOL_MODEL = dict(window=20, lstm_layers=(32, 32), dense_width=32, dropout_rate=
 def test_predict_batch_memory_is_one_block():
     model = small_model(seed=26, **POOL_MODEL)
     X = Generator(PCG64(SeedSequence(27))).random((320, 20)).astype(model.dtype)  # 10 blocks
-    one_block = traced_peak(lambda: forward_batch(model, X[:32]))
+    one_block = traced_peak(lambda: forward_batch(model, X[:32], False, lstm._BufferPool()))
     ten_blocks = traced_peak(lambda: predict_batch(model, X))
     assert ten_blocks <= 1.1 * one_block, f"{ten_blocks / 1e6:.2f} MB against {one_block / 1e6:.2f} MB for one block"
 
@@ -328,8 +326,8 @@ def test_train_memory_is_one_training_step():
     X = Generator(PCG64(SeedSequence(30))).random((32, 20))
 
     def step():
-        _, cache = forward_batch(model, X, training=True, rng=Generator(PCG64(SeedSequence(31))))
-        backward_batch(model, cache, np.ones(32))
+        _, cache = forward_batch(model, X, training=True, rng=Generator(PCG64(SeedSequence(31))), pool=lstm._BufferPool())
+        backward_batch(model, cache, np.ones(32), lstm._BufferPool())
 
     one_step = traced_peak(step)
     training = traced_peak(lambda: train(config, closes))
@@ -422,7 +420,7 @@ def _training_step(model, X, targets, seed=16, pool=None):
     pool = pool or lstm._BufferPool()
     rng = Generator(PCG64(SeedSequence(seed)))
     y, cache = forward_batch(model, X, training=True, rng=rng, pool=pool)
-    grads = backward_batch(model, cache, huber_gradient(targets, y) / len(targets), pool)
+    grads = backward_batch(model, cache, huber_gradient(targets, y, 1.0) / len(targets), pool)
     adam = lstm._Adam(model.flat)
     adam.step(model.flat, pool.take("grads", model.flat.shape, model.dtype), 1e-3, pool)
     return y, cache, grads, adam
@@ -463,7 +461,7 @@ def test_float32_model_keeps_every_array_float32():
     for where, arrays in held.items():
         assert arrays and {a.dtype for a in arrays} == {np.dtype(np.float32)}, where
     cfg = LstmConfig(window=8, lstm_layers=(4,), dense_width=4, batch_size=16, epochs=1)
-    trained = train(cfg, 100.0 + np.sin(np.arange(60) / 3.0)).model
+    trained, _ = train(cfg, 100.0 + np.sin(np.arange(60) / 3.0))
     assert {a.dtype for a in _arrays(trained)} == {np.dtype(np.float32)}
 
 
@@ -531,8 +529,8 @@ def test_dropout_rate_zero_equals_inference_exactly():
     model = small_model(dropout_rate=0.0)
     window = Generator(PCG64(SeedSequence(5))).random(8)
     rng = Generator(PCG64(SeedSequence(6)))
-    trained, _ = forward_batch(model, window[None], training=True, rng=rng)
-    assert trained == forward_batch(model, window[None])[0]
+    trained, _ = forward_batch(model, window[None], training=True, pool=lstm._BufferPool(), rng=rng)
+    assert trained == forward_batch(model, window[None], False, lstm._BufferPool())[0]
 
 
 def test_dropout_mask_expectation_is_one():
@@ -576,11 +574,11 @@ def test_training_forward_with_dropout_differs_from_inference():
     model = small_model(dropout_rate=0.5)
     window = Generator(PCG64(SeedSequence(10))).random(8)
     rng = Generator(PCG64(SeedSequence(11)))
-    trained, _ = forward_batch(model, window[None], training=True, rng=rng)
-    assert trained != forward_batch(model, window[None])[0]
+    trained, _ = forward_batch(model, window[None], training=True, pool=lstm._BufferPool(), rng=rng)
+    assert trained != forward_batch(model, window[None], False, lstm._BufferPool())[0]
 
 
-# --------------------------------------------------------------- huber / mae
+# -------------------------------------------------------------------- huber
 
 @pytest.mark.parametrize(
     "y,y_hat,delta,expected",
@@ -604,24 +602,6 @@ def test_huber_vectorizes():
     out = huber_loss(np.array([1.0, 3.0]), np.array([0.5, 0.0]), 1.0)
     np.testing.assert_allclose(out, [0.125, 2.5])
 
-
-@pytest.mark.parametrize(
-    "y,y_hat,expected",
-    [
-        ([1.0, 2.0], [1.0, 2.0], 0.0),
-        ([0.0, 1.0], [1.0, 1.0], 0.5),
-        ([2.0], [-1.0], 3.0),
-    ],
-)
-def test_mae_values(y, y_hat, expected):
-    assert mae(y, y_hat) == pytest.approx(expected)
-
-
-def test_mae_rejects_mismatch_and_empty():
-    with pytest.raises(ValueError, match="mismatch"):
-        mae([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError, match="empty"):
-        mae([], [])
 
 
 # ------------------------------------------------------------ input_windows

@@ -37,7 +37,7 @@ def test_gradient_check_single_sample():
 
 
 def test_zero_model_on_zero_input_agrees_at_machine_scale():
-    from sectorport.lstm import backward_batch, forward_batch, huber_gradient, huber_loss
+    from sectorport.lstm import _BufferPool, backward_batch, forward_batch, huber_gradient, huber_loss
 
     cfg = LstmConfig(**TINY, seed=0)
     model = init_model(cfg, Scaler(0.0, 1.0), Generator(PCG64(SeedSequence(0))))
@@ -46,8 +46,8 @@ def test_zero_model_on_zero_input_agrees_at_machine_scale():
     inputs = np.zeros((2, 5))
     targets = np.full(2, 0.5)
 
-    pred, cache = forward_batch(model, inputs)
-    grads = backward_batch(model, cache, huber_gradient(targets, pred, 1.0) / 2)
+    pred, cache = forward_batch(model, inputs, False, _BufferPool())
+    grads = backward_batch(model, cache, huber_gradient(targets, pred, 1.0) / 2, _BufferPool())
     # x = 0 means lstm0.wx cannot influence the loss: analytic and numeric
     # gradients are both exactly zero
     assert np.array_equal(grads["lstm0.wx"], np.zeros_like(model.params["lstm0.wx"]))
@@ -55,7 +55,7 @@ def test_zero_model_on_zero_input_agrees_at_machine_scale():
     for k in range(wx.size):
         for eps in (1e-5, -1e-5):
             wx[k] = eps
-            moved, _ = forward_batch(model, inputs)
+            moved, _ = forward_batch(model, inputs, False, _BufferPool())
             wx[k] = 0.0
             assert float(np.mean(huber_loss(targets, moved, 1.0))) == float(
                 np.mean(huber_loss(targets, pred, 1.0))
@@ -90,7 +90,7 @@ def test_gradient_check_subsamples_large_tensors():
 def test_gradient_check_through_dropout_masks():
     # Two layers with dropout on the hidden sequence and on the final state.
     # Every loss evaluation re-seeds the rng, so all evaluations share masks.
-    from sectorport.lstm import backward_batch, forward_batch, huber_gradient, huber_loss
+    from sectorport.lstm import _BufferPool, backward_batch, forward_batch, huber_gradient, huber_loss
 
     model, inputs, targets = build(
         seed=4, window=6, lstm_layers=(4, 3), dense_width=5, dropout_rate=0.4
@@ -98,7 +98,7 @@ def test_gradient_check_through_dropout_masks():
     model = float64_copy(model)  # central differences at eps = 1e-5 need float64
 
     def run():
-        return forward_batch(model, inputs, training=True, rng=Generator(PCG64(SeedSequence(99))))
+        return forward_batch(model, inputs, training=True, pool=_BufferPool(), rng=Generator(PCG64(SeedSequence(99))))
 
     def loss():
         pred, _ = run()
@@ -107,7 +107,7 @@ def test_gradient_check_through_dropout_masks():
     pred, cache = run()
     assert (cache.seq_masks[0] == 0).any() and (cache.seq_masks[0] != 0).any()
     assert (cache.last_mask == 0).any() and (cache.last_mask != 0).any()
-    analytic = backward_batch(model, cache, huber_gradient(targets, pred, 1.0) / targets.size)
+    analytic = backward_batch(model, cache, huber_gradient(targets, pred, 1.0) / targets.size, _BufferPool())
 
     eps = 1e-5
     worst = 0.0

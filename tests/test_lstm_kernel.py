@@ -27,14 +27,14 @@ def model_for(layers, window, dropout, dtype):
 
 def step_bytes(model, X, d_y, pool=None) -> dict[str, bytes]:
     """The bytes of one inference forward, one training forward and its BPTT: predictions, activations, gradients."""
-    out = {"inference": forward_batch(model, X, pool=pool)[0].tobytes()}
-    y, cache = forward_batch(model, X, training=True, rng=Generator(PCG64(SeedSequence(7))), pool=pool)
+    out = {"inference": forward_batch(model, X, False, pool or lstm._BufferPool())[0].tobytes()}
+    y, cache = forward_batch(model, X, training=True, rng=Generator(PCG64(SeedSequence(7))), pool=pool or lstm._BufferPool())
     out["y"] = y.tobytes()
     for idx, layer in enumerate(cache.layers):
         gates = layer.gates if layer.gates.ndim == 3 else layer.gates.swapaxes(1, 2)  # (T, B, 4H) in C order
         for name, arr in (("gates", gates), ("c", layer.c), ("tc", layer.tc), ("h", layer.ht)):
             out[f"lstm{idx}.{name}"] = np.ascontiguousarray(arr).tobytes()
-    for name, g in backward_batch(model, cache, d_y, pool).items():
+    for name, g in backward_batch(model, cache, d_y, pool or lstm._BufferPool()).items():
         out[f"d {name}"] = g.tobytes()
     return out
 
@@ -63,8 +63,8 @@ def test_the_reference_is_the_row_layout_kernel(monkeypatch):
     model = model_for((5,), 7, 0.0, np.float32)
     with monkeypatch.context() as patched:
         patch_row_kernel(patched)
-        assert forward_batch(model, np.ones((3, 7)))[1].layers[0].gates.shape == (7, 3, 20)
-    assert forward_batch(model, np.ones((3, 7)))[1].layers[0].gates.shape == (7, 4, 3, 5)
+        assert forward_batch(model, np.ones((3, 7)), False, lstm._BufferPool())[1].layers[0].gates.shape == (7, 3, 20)
+    assert forward_batch(model, np.ones((3, 7)), False, lstm._BufferPool())[1].layers[0].gates.shape == (7, 4, 3, 5)
 
 
 @pytest.mark.parametrize(
@@ -79,9 +79,9 @@ def test_two_epoch_training_equals_the_row_layout_reference_bitwise(monkeypatch,
     )
     closes = 100.0 + np.cumsum(Generator(PCG64(SeedSequence(window))).standard_normal(260))
     assert int((260 - window) * lstm.TRAIN_FRACTION) % batch_size
-    kernel = train(config, closes)
+    kernel, kernel_trace = train(config, closes)
     with monkeypatch.context() as patched:
         patch_row_kernel(patched)
-        reference = train(config, closes)
-    assert checkpoint_bytes(kernel.model) == checkpoint_bytes(reference.model)
-    assert trace_csv_text(kernel.trace) == trace_csv_text(reference.trace)
+        reference, reference_trace = train(config, closes)
+    assert checkpoint_bytes(kernel) == checkpoint_bytes(reference)
+    assert trace_csv_text(kernel_trace) == trace_csv_text(reference_trace)

@@ -26,35 +26,35 @@ def sine_series(n=300, period=25.0):
 
 def test_zero_epochs_returns_initialized_model_and_empty_trace():
     cfg = LstmConfig(**QUICK, epochs=0, seed=42)
-    result = train(cfg, sine_series())
-    assert result.trace == ()
+    model, trace = train(cfg, sine_series())
+    assert trace == ()
     # parameters must equal a fresh initialization from the same seed
     rng = Generator(PCG64(SeedSequence(42)))
-    fresh = init_model(cfg, result.model.scaler, rng)
-    for name, arr in result.model.params.items():
+    fresh = init_model(cfg, model.scaler, rng)
+    for name, arr in model.params.items():
         np.testing.assert_array_equal(arr, fresh.params[name])
 
 
 def test_training_is_bit_identical_for_fixed_seed():
     cfg = LstmConfig(**{**QUICK, "dropout_rate": 0.2}, epochs=3, seed=7)
-    a = train(cfg, sine_series(150))
-    b = train(cfg, sine_series(150))
-    assert checkpoint_bytes(a.model) == checkpoint_bytes(b.model)
-    assert a.trace == b.trace
+    a, a_trace = train(cfg, sine_series(150))
+    b, b_trace = train(cfg, sine_series(150))
+    assert checkpoint_bytes(a) == checkpoint_bytes(b)
+    assert a_trace == b_trace
 
 
 def test_loss_decreases_on_learnable_fixture():
     cfg = LstmConfig(**QUICK, epochs=30, seed=0)
-    result = train(cfg, sine_series())
-    assert result.trace[-1].train_loss < result.trace[0].train_loss
+    _, trace = train(cfg, sine_series())
+    assert trace[-1][1] < trace[0][1]  # train_loss
 
 
 def test_trace_has_one_row_per_epoch_with_validation_metrics():
     cfg = LstmConfig(**QUICK, epochs=2, seed=1)
-    result = train(cfg, sine_series(200))
-    assert [row.epoch for row in result.trace] == [1, 2]
-    for row in result.trace:
-        assert np.isfinite([row.train_loss, row.train_mae, row.val_loss, row.val_mae]).all()
+    _, trace = train(cfg, sine_series(200))
+    assert [row[0] for row in trace] == [1, 2]
+    for row in trace:
+        assert np.isfinite(row[1:]).all()  # train_loss, train_mae, val_loss, val_mae
 
 
 def test_scaler_fit_on_training_split_only():
@@ -62,12 +62,12 @@ def test_scaler_fit_on_training_split_only():
     closes = np.concatenate([np.linspace(10.0, 20.0, 90), np.linspace(30.0, 40.0, 10)])
     cfg = LstmConfig(window=5, lstm_layers=(4,), dense_width=4, dropout_rate=0.0,
                      batch_size=16, epochs=1, seed=0)
-    result = train(cfg, closes)
+    model, _ = train(cfg, closes)
     n = closes.size - cfg.window - cfg.horizon + 1
     n_train = int(n * fc.TRAIN_FRACTION)
     train_closes = closes[: (n_train - 1) + cfg.window + cfg.horizon]
-    assert result.model.scaler.max == train_closes.max() < closes.max()
-    assert result.model.scaler.min == train_closes.min()
+    assert model.scaler.max == train_closes.max() < closes.max()
+    assert model.scaler.min == train_closes.min()
 
 
 def test_train_insufficient_data():
@@ -103,39 +103,39 @@ def test_predict_next_constant_series_value():
     v = 100.0
     closes = np.concatenate([np.linspace(0.8 * v, 1.2 * v, 40), np.full(120, v)])
     cfg = LstmConfig(**QUICK, epochs=150, seed=1)
-    result = train(cfg, closes)
+    model, _ = train(cfg, closes)
     row = cfg.window + cfg.horizon - 1  # the first row past the window
-    (pred,) = forecast(result.model, np.full(cfg.window, v), row, row + 1)
+    (pred,) = forecast(model, np.full(cfg.window, v), row, row + 1)
     assert pred == pytest.approx(v, rel=0.02)
 
 
 def test_predict_next_deterministic_and_validates_window():
     cfg = LstmConfig(**QUICK, epochs=1, seed=3)
-    result = train(cfg, sine_series(100))
+    model, _ = train(cfg, sine_series(100))
     closes = sine_series(100)
     first = cfg.window + cfg.horizon - 1
-    again = forecast(result.model, closes, first, 100)
-    np.testing.assert_array_equal(forecast(result.model, closes, first, 100), again)
+    again = forecast(model, closes, first, 100)
+    np.testing.assert_array_equal(forecast(model, closes, first, 100), again)
     with pytest.raises(ValueError, match="history"):
-        forecast(result.model, closes, first - 1, 100)
+        forecast(model, closes, first - 1, 100)
 
 
 def test_prediction_bounded_by_affine_image_of_unit_interval():
     # logistic outputs in (0,1) map inside [min, max] after inverse scaling
     cfg = LstmConfig(**QUICK, epochs=2, seed=5)
-    result = train(cfg, sine_series(150))
-    scaler = result.model.scaler
+    model, _ = train(cfg, sine_series(150))
+    scaler = model.scaler
     rng = Generator(PCG64(SeedSequence(0)))
     for _ in range(5):
         window = scaler.min + (scaler.max - scaler.min) * rng.random(cfg.window)
-        (pred,) = forecast(result.model, window, cfg.window, cfg.window + 1)
+        (pred,) = forecast(model, window, cfg.window, cfg.window + 1)
         assert scaler.min <= pred <= scaler.max
 
 
 def test_forecast_row_k_uses_the_window_ending_horizon_rows_before_it():
     cfg = LstmConfig(**QUICK, horizon=3, epochs=1, seed=8)
     closes = sine_series(60)
-    model = train(cfg, closes).model
+    model, _ = train(cfg, closes)
     first = cfg.window + cfg.horizon - 1
     predicted = forecast(model, closes, first, len(closes) + cfg.horizon)
     windows = np.array([closes[k - cfg.horizon - cfg.window + 1 : k - cfg.horizon + 1]
@@ -153,7 +153,7 @@ def test_forecast_names_the_earliest_close_beyond_float32_range():
     # the earlier one's row, raised before the kernel sees an inf, and warns of no cast
     cfg = LstmConfig(**QUICK, horizon=2, epochs=1, seed=9)
     closes = sine_series(80)
-    model = train(cfg, closes).model
+    model, _ = train(cfg, closes)
     closes[[50, 47]] = [1e300, -1e45]
     first = cfg.window + cfg.horizon - 1
     with warnings.catch_warnings():
@@ -168,7 +168,7 @@ def test_forecast_names_the_earliest_close_beyond_float32_range():
 
 def test_forward_rejects_nonfinite_parameters():
     cfg = LstmConfig(**QUICK, epochs=1, seed=6)
-    result = train(cfg, sine_series(100))
-    result.model.params["lstm0.wx"][0, 0] = np.inf
+    model, _ = train(cfg, sine_series(100))
+    model.params["lstm0.wx"][0, 0] = np.inf
     with pytest.raises(FloatingPointError, match="blow-up"):
-        fc.forward_batch(result.model, np.zeros((1, cfg.window)) + 0.5)
+        fc.forward_batch(model, np.zeros((1, cfg.window)) + 0.5, False, fc._BufferPool())

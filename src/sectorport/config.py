@@ -88,8 +88,10 @@ class LstmConfig:
             raise ValueError("dense_width and batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0 or self.huber_delta <= 0:
-            raise ValueError("learning_rate and huber_delta must be positive")
+        for name in ("learning_rate", "huber_delta"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name}: must be positive, got {value}")
 
 
 @dataclass(frozen=True)

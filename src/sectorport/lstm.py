@@ -251,7 +251,9 @@ class _BufferPool:
     aliases every earlier view of its name: the kernels write a buffer before
     they read it, and a batch's activations are dead before the next batch
     takes the same names. A dead cache buffer is scratch space under another
-    shape too: BPTT's d_x takes a layer's cell states, Adam a gate cache.
+    shape too: a deeper layer's dropped-out input, and BPTT's rebuild of it,
+    take that layer's h; BPTT's d_x takes its cell states, Adam a gate cache.
+    Per-step blocks such as tanh(c_t) are shared by every layer.
     """
 
     def __init__(self):
@@ -267,17 +269,21 @@ class _BufferPool:
 
 @dataclass
 class _LayerCache:
-    """One layer's forward activations, time-major; the gates are gate-major within each step."""
+    """One layer's forward activations, time-major; the gates are gate-major within each step.
 
-    xt: np.ndarray  # (T, B, D) layer input (post-dropout of the previous layer)
+    It holds only what BPTT cannot rebuild bit for bit in one elementwise
+    pass: tanh(c) is recomputed from c, and a deeper layer's input from the
+    layer below's h and mask.
+    """
+
     gates: np.ndarray  # (T, 4, B, H) activations [i, f, g, o]: gates[t, k] is one contiguous block
     c: np.ndarray  # (T, B, H) cell state
-    tc: np.ndarray  # (T, B, H) tanh(c)
     ht: np.ndarray  # (T, B, H) hidden sequence
 
 
 @dataclass
 class ForwardCache:
+    x: np.ndarray  # (T, B, 1) the windows, time-major: the first layer's input
     layers: list[_LayerCache]
     seq_masks: list[np.ndarray | None]  # (T, B, H) dropout masks on non-final layer sequences
     last_mask: np.ndarray | None  # dropout mask on the final hidden state
@@ -292,16 +298,19 @@ def _layer_forward(
 ) -> _LayerCache:
     """One layer over a time-major input x (T, B, D), caching into pool under names that start with key.
 
-    The gates are gate-major within each step, so every elementwise pass of a
-    step runs on contiguous (B, H) blocks; each step adds h_prev @ wh to its
-    input projection x_t @ wx + b and activates its gates in place. The
+    The gates are gate-major within each step, so every elementwise pass of
+    a step runs on contiguous (B, H) blocks; each step adds h_prev @ wh to
+    its input projection x_t @ wx + b and activates its gates in place. The
     projection of all steps is one broadcast product for D = 1, stored
     gate-major. For D > 1 it is one GEMM that writes rows into the gates
     buffer, where step t's rows fill the bytes of gates[t]; the step copies
-    them out gate-major, adding the bias, before it overwrites them. A
-    running sum of the pre-activations is non-finite whenever one of them is
-    (finite values sum to inf only near the float range, which is blow-up as
-    well), so one check at the end of the layer rejects what a per-step one would.
+    them out gate-major, adding the bias, before it overwrites them. Either
+    way the projection reads all of x before the first step writes h, so x
+    may be a view of the layer's own h buffer. tanh(c_t) lives in one (B, H)
+    block, and the cache keeps only the gates, c and h. A running sum of the
+    pre-activations is non-finite whenever one of them is (finite values sum
+    to inf only near the float range, which is blow-up as well), so one
+    check at the end of the layer rejects what a per-step one would.
     """
     steps, batch, d = x.shape
     w, dtype = wh.shape[0], wh.dtype
@@ -315,15 +324,16 @@ def _layer_forward(
         rows = gates.reshape(steps, batch, 4, w)
         np.matmul(x.reshape(steps * batch, d), wx, out=rows.reshape(steps * batch, 4 * w))
         x_gates = pool.take("x_gates", (4, batch, w), dtype)  # step t's x_t @ wx + b, gate-major
-    c, tc, h = (pool.take(key + name, (steps, batch, w), dtype) for name in ("c", "tc", "h"))
+    c, h = (pool.take(key + name, (steps, batch, w), dtype) for name in ("c", "h"))
     z = pool.take("z", (batch, 4 * w), dtype)
     z_gates = z.reshape(batch, 4, w).swapaxes(0, 1)
     ig = pool.take("ig", (batch, w), dtype)
+    tc = pool.take("tc", (batch, w), dtype)  # step t's tanh(c_t); BPTT recomputes it
     z_sum = np.zeros((4, batch, w), dtype=dtype)
     k, k_rest = _gate_coefficients(pool, z_sum.shape, dtype)
     h_prev = c_prev = np.zeros((batch, w), dtype=dtype)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite values run on to the check
-        for t, (a, c_t, tc_t, h_t) in enumerate(zip(gates, c, tc, h)):
+        for t, (a, c_t, h_t) in enumerate(zip(gates, c, h)):
             np.matmul(h_prev, wh, out=z)
             if rows is None:
                 a += z_gates
@@ -335,12 +345,12 @@ def _layer_forward(
             np.multiply(f, c_prev, out=c_t)
             np.multiply(i, g, out=ig)
             c_t += ig
-            np.tanh(c_t, out=tc_t)
-            np.multiply(o, tc_t, out=h_t)
+            np.tanh(c_t, out=tc)
+            np.multiply(o, tc, out=h_t)
             h_prev, c_prev = h_t, c_t
     if not np.isfinite(z_sum).all():
         raise FloatingPointError(_BLOW_UP)
-    return _LayerCache(x, gates, c, tc, h)
+    return _LayerCache(gates, c, h)
 
 
 def forward_batch(
@@ -352,7 +362,9 @@ def forward_batch(
     predictions in (0, 1) and the cache needed for backpropagation, all in
     that dtype. Dropout is applied only when training; rate 0 applies no masks
     at all, so it matches inference exactly. Every mask, the final hidden
-    state's as a (1, B, H) sequence, is drawn by _sequence_mask. The cached
+    state's as a (1, B, H) sequence, is drawn by _sequence_mask. A layer's
+    dropped-out sequence feeds the next layer from that layer's h buffer,
+    which it overwrites; BPTT rebuilds it from the h and the mask. The cached
     activations and masks live in pool, so the cache holds only until the
     next call that takes the same pool, or until backward_batch consumes it.
     """
@@ -364,7 +376,7 @@ def forward_batch(
     if use_dropout and rng is None:
         raise ValueError("training forward with dropout needs an rng")
 
-    seq = np.ascontiguousarray(X.T)[:, :, None]
+    x = seq = np.ascontiguousarray(X.T)[:, :, None]
     caches: list[_LayerCache] = []
     seq_masks: list[np.ndarray | None] = []
     last_mask = None
@@ -379,7 +391,7 @@ def forward_batch(
             seq = cache.ht
             if use_dropout:
                 mask = _sequence_mask(rng, pool.take(key + "mask", seq.shape, seq.dtype), rate)
-                seq = np.multiply(seq, mask, out=pool.take(key + "dropped", seq.shape, seq.dtype))
+                seq = np.multiply(seq, mask, out=pool.take(f"lstm{idx + 1}.h", seq.shape, seq.dtype))
             seq_masks.append(mask)
         else:
             h_last = cache.ht[-1]
@@ -391,7 +403,7 @@ def forward_batch(
     r1 = np.maximum(a1, 0.0)
     z2 = r1 @ p["out.w"] + p["out.b"]
     y = _activate(z2, 0.5, 0.5)[:, 0]
-    return y, ForwardCache(caches, seq_masks, last_mask, h_last, a1, r1, y)
+    return y, ForwardCache(x, caches, seq_masks, last_mask, h_last, a1, r1, y)
 
 
 def predict_batch(model: LstmModel, X: np.ndarray, pool: _BufferPool | None = None) -> np.ndarray:
@@ -413,32 +425,46 @@ def predict_batch(model: LstmModel, X: np.ndarray, pool: _BufferPool | None = No
 
 
 def _layer_backward(
-    cache: _LayerCache, wx: np.ndarray, wh: np.ndarray, dh_out: np.ndarray, pool: _BufferPool, d_x_name, out
+    cache: _LayerCache,
+    x: np.ndarray,
+    mask: np.ndarray | None,
+    wx: np.ndarray,
+    wh: np.ndarray,
+    dh_out: np.ndarray,
+    pool: _BufferPool,
+    key: str | None,
+    out,
 ) -> np.ndarray | None:
     """BPTT through one layer; writes (d_wx, d_wh, d_b) into out and returns d_x, time-major.
 
-    dh_out is dL/dh from above: (T, B, H) for a layer whose whole sequence
-    feeds the next layer, or (B, H) for the final layer, whose last hidden
-    state alone feeds the head. Step t forms dz_t, the gradient wrt its gate
-    pre-activations, on its contiguous gate blocks (the local derivatives
-    scaled by dL/dc_t and dL/dh_t), and writes it over the step's gates, once
-    read, as row t of a (T, B, 4H) array. Only dz_t @ wh.T is sequential; the
-    weight and input gradients are single GEMMs over all T * B rows after the loop.
+    x is the layer's input before dropout, (T, B, D), and mask its dropout
+    mask or None: the windows for the first layer, the layer below's h and
+    mask for a deeper one. dh_out is dL/dh from above: (T, B, H) for a layer
+    whose whole sequence feeds the next layer, or (B, H) for the final
+    layer, whose last hidden state alone feeds the head. Step t recomputes
+    tanh(c_t) into a (B, H) block, with the forward's bits, and forms dz_t,
+    the gradient wrt its gate pre-activations, on its contiguous gate blocks
+    (the local derivatives scaled by dL/dc_t and dL/dh_t). It writes dz_t
+    over the step's gates, once read, as row t of a (T, B, 4H) array. Only
+    dz_t @ wh.T is sequential; the weight and input gradients are single
+    GEMMs over all T * B rows after the loop.
 
     The per-step workspace is dead when the layer returns, so every layer
-    takes it from pool under one name. d_x goes to pool under d_x_name, which
-    may name the cache's cell states: nothing reads them after the time loop.
-    With d_x_name None it is not computed (the first layer's input is the
-    data) and comes back None.
+    takes it from pool under one name. key names a deeper layer's cache
+    buffers, which are dead once read: x * mask is rebuilt into its h after
+    d_wh is formed, and d_x goes to its c, which nothing reads after the
+    time loop. With key None (the first layer, whose input is the data)
+    d_x is not computed and comes back None.
     """
     steps, batch, w = cache.c.shape
     dtype = cache.c.dtype
-    a, c, tc = cache.gates, cache.c, cache.tc
+    a, c = cache.gates, cache.c
     dz = a.reshape(steps, batch, 4 * w)
     dz_gates = a.reshape(steps, batch, 4, w)
     s = pool.take("s", (4, batch, w), dtype)  # step t's dz, gate-major
     s_i, s_f, s_g, s_o = s
     q = pool.take("q", (batch, w), dtype)  # step t's dL/dh_t * dc_t/dh_t
+    tc = pool.take("tc", (batch, w), dtype)  # step t's tanh(c_t)
     k, k_rest = _gate_coefficients(pool, s.shape, dtype)
     k2 = np.multiply(k, k, out=pool.take("k2", s.shape, dtype))
     seq = dh_out if dh_out.ndim == 3 else None
@@ -449,6 +475,7 @@ def _layer_backward(
     wh_t = wh.T
     for t in range(steps - 1, -1, -1):
         i, f, g, o = a[t]
+        np.tanh(c[t], out=tc)
         # a = (1 - k) + k * tanh(k * z) (see _activate), so da/dz = k^2 - (a - (1 - k))^2.
         np.subtract(a[t], k_rest, out=s)
         s *= s
@@ -456,8 +483,8 @@ def _layer_backward(
         s_i *= g  # dc_t/di = g
         s_f *= c[t - 1] if t else 0.0  # dc_t/df = c_{t-1}, and c_{-1} = 0
         s_g *= i  # dc_t/dg = i
-        s_o *= tc[t]  # dh_t/do = tanh(c_t)
-        np.subtract(1.0, np.multiply(tc[t], tc[t], out=q), out=q)
+        s_o *= tc  # dh_t/do = tanh(c_t)
+        np.subtract(1.0, np.multiply(tc, tc, out=q), out=q)
         q *= o  # dc_t/dh_t through tanh(c_t)
         q *= dh
         dc += q
@@ -474,13 +501,15 @@ def _layer_backward(
 
     dz_rows = dz.reshape(steps * batch, 4 * w)
     d_wx, d_wh, d_b = out
-    np.matmul(cache.xt.reshape(steps * batch, -1).T, dz_rows, out=d_wx)
     np.matmul(cache.ht[:-1].reshape(-1, w).T, dz_rows[batch:], out=d_wh)
+    if mask is not None:  # the layer's input as forward_batch fed it, in its h, dead now
+        x = np.multiply(x, mask, out=pool.take(key + "h", x.shape, dtype))
+    np.matmul(x.reshape(steps * batch, -1).T, dz_rows, out=d_wx)
     np.sum(dz_rows, axis=0, out=d_b)
-    d_x = None
-    if d_x_name is not None:
-        d_x = pool.take(d_x_name, (steps, batch, wx.shape[0]), dtype)
-        np.matmul(dz_rows, wx.T, out=d_x.reshape(steps * batch, -1))
+    if key is None:
+        return None
+    d_x = pool.take(key + "c", x.shape, dtype)
+    np.matmul(dz_rows, wx.T, out=d_x.reshape(steps * batch, -1))
     return d_x
 
 
@@ -495,8 +524,9 @@ def backward_batch(
     the same pool.
 
     The cache is consumed: BPTT writes each layer's gate gradients over its
-    gates, and each deeper layer's d_x over its cell states when pool is the
-    one forward_batch filled.
+    gates, and, when pool is the one forward_batch filled, each deeper
+    layer's rebuilt input over its hidden sequence and its d_x over its cell
+    states.
     """
     grads = _carve(pool.take("grads", model.flat.shape, model.dtype), model.config)
     y = cache.y
@@ -517,20 +547,22 @@ def backward_batch(
     for idx in range(len(model.config.lstm_layers) - 1, -1, -1):
         key = f"lstm{idx}."
         out = grads[key + "wx"], grads[key + "wh"], grads[key + "b"]
-        d_x_name = key + "c" if idx else None  # the layer's cell states, dead once its time loop ends
-        d_x = _layer_backward(cache.layers[idx], p[key + "wx"], p[key + "wh"], dh, pool, d_x_name, out)
-        if idx > 0:
-            mask = cache.seq_masks[idx - 1]
-            if mask is not None:
-                d_x *= mask
-            dh = d_x
+        x = cache.layers[idx - 1].ht if idx else cache.x
+        mask = cache.seq_masks[idx - 1] if idx else None
+        d_x = _layer_backward(
+            cache.layers[idx], x, mask, p[key + "wx"], p[key + "wh"], dh, pool, key if idx else None, out
+        )
+        if mask is not None:
+            d_x *= mask
+        dh = d_x
     return grads
 
 
 def huber_loss(y, y_hat, delta: float) -> np.ndarray:
-    """Huber loss on the residual y - y_hat, elementwise: quadratic within delta, linear beyond."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    """Huber loss on the residual y - y_hat, elementwise: quadratic within delta, linear beyond.
+
+    delta is positive: LstmConfig rejects any other huber_delta.
+    """
     r = np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
     a = np.abs(r)
     return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))

@@ -185,7 +185,7 @@ def row_layer_forward(x, wx, wh, b, pool, key):
     else:
         np.matmul(x.reshape(steps * batch, d), wx, out=gates.reshape(steps * batch, 4 * w))
     gates += b
-    c, tc, h = (np.empty((steps, batch, w), dtype=dtype) for _ in range(3))
+    c, h = (np.empty((steps, batch, w), dtype=dtype) for _ in range(2))
     z = np.empty((batch, 4 * w), dtype=dtype)
     ig = np.empty((batch, w), dtype=dtype)
     z_sums = np.empty(steps, dtype=dtype)
@@ -202,19 +202,19 @@ def row_layer_forward(x, wx, wh, b, pool, key):
             np.multiply(a[:, w : 2 * w], c_prev, out=c[t])
             np.multiply(a[:, :w], a[:, 2 * w : 3 * w], out=ig)
             c[t] += ig
-            np.tanh(c[t], out=tc[t])
-            np.multiply(a[:, 3 * w :], tc[t], out=h[t])
+            np.multiply(a[:, 3 * w :], np.tanh(c[t]), out=h[t])
             h_prev, c_prev = h[t], c[t]
     if not np.isfinite(z_sums).all():
         raise FloatingPointError(lstm._BLOW_UP)
-    return lstm._LayerCache(x, gates, c, tc, h)
+    return lstm._LayerCache(gates, c, h)
 
 
-def row_layer_backward(cache, wx, wh, dh_out, pool, d_x_name, out):
+def row_layer_backward(cache, x, mask, wx, wh, dh_out, pool, key, out):
     """lstm._layer_backward over row_layer_forward's cache, in fresh arrays; copies the weight gradients into out."""
     steps, batch, w = cache.c.shape
     dtype = cache.c.dtype
     coef = _row_coefficients(w, dtype)
+    tc = np.tanh(cache.c)  # all steps in one pass
     a = cache.gates.reshape(steps, batch, 4, w)
     dz = cache.gates - (1.0 - coef)
     dz *= dz
@@ -224,8 +224,8 @@ def row_layer_backward(cache, wx, wh, dh_out, pool, d_x_name, out):
     dz_blocks[0, :, 1] = 0.0
     dz_blocks[1:, :, 1] *= cache.c[:-1]
     dz_blocks[:, :, 2] *= a[:, :, 0]
-    dz_blocks[:, :, 3] *= cache.tc
-    dc_dh = cache.tc * cache.tc
+    dz_blocks[:, :, 3] *= tc
+    dc_dh = tc * tc
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= a[:, :, 3]
 
@@ -245,10 +245,11 @@ def row_layer_backward(cache, wx, wh, dh_out, pool, d_x_name, out):
 
     dz_rows = dz.reshape(steps * batch, 4 * w)
     d_wx, d_wh, d_b = out
-    d_wx[...] = cache.xt.reshape(steps * batch, -1).T @ dz_rows
+    xt = x if mask is None else x * mask
+    d_wx[...] = xt.reshape(steps * batch, -1).T @ dz_rows
     d_wh[...] = cache.ht[:-1].reshape(-1, w).T @ dz_rows[batch:]
     d_b[...] = dz_rows.sum(axis=0)
-    if d_x_name is None:
+    if key is None:
         return None
     return (dz_rows @ wx.T).reshape(steps, batch, -1)
 

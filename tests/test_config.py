@@ -159,6 +159,16 @@ def test_n_draws_must_be_positive(tmp_path, n_draws):
         RunConfig(data_dir=".", sectors=(SectorUniverse("s", (("A", 1.0),)),), n_draws=n_draws)
 
 
+@pytest.mark.parametrize("key", ["huber_delta", "learning_rate"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_nonpositive_lstm_rate_names_its_key_alone(tmp_path, key, value):
+    # both keys used to share one message, so a bad huber_delta also named learning_rate
+    path = write_config(tmp_path / "c.yaml", lstm={"window": 10, "lstm_layers": [8], key: value})
+    expected = f"{path}: lstm: {key}: must be positive, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        load_config(path)
+
+
 def test_derive_seed_is_stable_and_tag_sensitive():
     a = derive_seed(11, "frontier:tech")
     assert a == derive_seed(11, "frontier:tech")

@@ -32,7 +32,7 @@ def step_bytes(model, X, d_y, pool=None) -> dict[str, bytes]:
     out["y"] = y.tobytes()
     for idx, layer in enumerate(cache.layers):
         gates = layer.gates if layer.gates.ndim == 3 else layer.gates.swapaxes(1, 2)  # (T, B, 4H) in C order
-        for name, arr in (("gates", gates), ("c", layer.c), ("tc", layer.tc), ("h", layer.ht)):
+        for name, arr in (("gates", gates), ("c", layer.c), ("h", layer.ht)):
             out[f"lstm{idx}.{name}"] = np.ascontiguousarray(arr).tobytes()
     for name, g in backward_batch(model, cache, d_y, pool or lstm._BufferPool()).items():
         out[f"d {name}"] = g.tobytes()

@@ -87,7 +87,7 @@ def cmd_stats(config: RunConfig, out_dir: Path) -> Path:
         series = _load_series(config, symbol, out_dir).restrict(config.train_start, config.train_end)
         try:
             mean, daily, annual = md.asset_stats(md.daily_returns(series.closes))
-        except ValueError as exc:  # too few bars in the training window
+        except ValueError as exc:  # too few bars in the training window, or an overflow
             raise ValueError(f"{symbol}: {exc}") from None
         lines.append(f"{symbol},{mean:.12g},{daily:.12g},{annual:.12g}")
     path = Path(out_dir) / "stats.csv"
@@ -99,14 +99,14 @@ def _load_members(config: RunConfig, sector_name: str, out_dir: Path) -> dict[st
     return {sym: _load_series(config, sym, out_dir) for sym in config.sector(sector_name).symbols}
 
 
-def _sector_frontier(
-    config: RunConfig, sector_name: str, members: dict[str, md.PriceSeries]
-) -> po.FrontierCloud:
-    """Frontier over the training window of the sector's loaded member series."""
+def _sector_moments(config: RunConfig, sector_name: str, members: dict[str, md.PriceSeries]):
+    """(mean, covariance, frontier seed) of the sector's loaded member series over the training window."""
     series = [s.restrict(config.train_start, config.train_end) for s in members.values()]
-    mean, cov = po.mean_and_covariance(tuple(members), md.align(series))
-    seed = derive_seed(config.seed, f"frontier:{sector_name}")
-    return po.build_frontier(mean, cov, n_draws=config.n_draws, risk_free=config.risk_free, seed=seed)
+    try:
+        mean, cov = po.mean_and_covariance(tuple(members), md.align(series))
+    except ValueError as exc:
+        raise ValueError(f"{sector_name}: {exc}") from None
+    return mean, cov, derive_seed(config.seed, f"frontier:{sector_name}")
 
 
 def _write_frontier_csv(fh, cloud: po.FrontierCloud, path: Path):
@@ -157,7 +157,8 @@ def cmd_frontier(config: RunConfig, sector_name: str, out_dir: Path) -> tuple[Pa
     blocks, and otherwise by two processes (see _write_frontier_csv), during
     which a .frontier_<sector>.csv.* tail file exists beside the output.
     """
-    cloud = _sector_frontier(config, sector_name, _load_members(config, sector_name, out_dir))
+    mean, cov, seed = _sector_moments(config, sector_name, _load_members(config, sector_name, out_dir))
+    cloud = po.build_frontier(mean, cov, n_draws=config.n_draws, risk_free=config.risk_free, seed=seed)
     report = po.portfolio_report(
         sector_name, cloud, po.min_variance_portfolio(cloud), po.max_sharpe_portfolio(cloud)
     )
@@ -190,7 +191,7 @@ def cmd_train(config: RunConfig, symbol: str, out_dir: Path) -> tuple[Path, Path
 def _read_rows(path: Path, header: str):
     """(line number, name, *numbers) for each row of a small CSV whose line 1 is header and whose
     rows are a name and one finite number per further header field; every error names path and line."""
-    lines = path.read_text(encoding="utf-8").strip().split("\n")
+    lines = md.decode_utf8(path.read_bytes(), str(path)).strip().split("\n")
     if lines[0].strip() != header:
         raise ValueError(f"{path}: line 1: expected header {header!r}, got {lines[0]!r}")
     for lineno, line in enumerate(lines[1:], start=2):
@@ -280,8 +281,8 @@ def cmd_backtest(
     if weights_file is not None:
         weights = _read_weights(weights_file, symbols)
     else:
-        cloud = _sector_frontier(config, sector_name, members)
-        weights = po.PortfolioWeights(symbols, cloud.weights[po.max_sharpe_portfolio(cloud)])
+        mean, cov, seed = _sector_moments(config, sector_name, members)
+        weights = po.PortfolioWeights(symbols, po.max_sharpe_weights(mean, cov, config.n_draws, config.risk_free, seed))
 
     end_predicted = None
     if predicted_prices is not None:

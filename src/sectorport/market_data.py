@@ -99,13 +99,7 @@ def parse_csv(raw_text: bytes | str, symbol: str) -> PriceSeries:
     Errors start with the symbol and name the line, and the column of a
     non-finite price; bytes that are not UTF-8 fail on their line.
     """
-    if isinstance(raw_text, bytes):
-        try:
-            raw_text = raw_text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = raw_text.count(b"\n", 0, exc.start) + 1
-            raise CsvFormatError(f"{symbol}: line {line}: not UTF-8: {exc}") from None
-    lines = raw_text.split("\n")
+    lines = (decode_utf8(raw_text, symbol) if isinstance(raw_text, bytes) else raw_text).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0].strip() != CSV_HEADER:
@@ -127,6 +121,15 @@ def parse_csv(raw_text: bytes | str, symbol: str) -> PriceSeries:
     if not order.size:
         raise CsvFormatError(f"{symbol}: no data rows")
     return PriceSeries(symbol, *(column[order] for column in columns.values()))
+
+
+def decode_utf8(raw: bytes, name: str) -> str:
+    """raw as UTF-8 text; CsvFormatError '<name>: line N: not UTF-8: ...' at the line of the first bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(f"{name}: line {line}: not UTF-8: {exc}") from None
 
 
 def invalid_bar(columns: dict[str, np.ndarray]) -> tuple[int, str] | None:
@@ -246,8 +249,11 @@ def asset_stats(returns: np.ndarray) -> tuple[float, float, float]:
     """
     if returns.size < 2:
         raise ValueError("need at least 2 returns")
-    daily = float(np.std(returns, ddof=1))
-    return float(np.mean(returns)), daily, daily * math.sqrt(TRADING_DAYS)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        mean, daily = float(np.mean(returns)), float(np.std(returns, ddof=1))
+    if not np.isfinite([mean, daily]).all():
+        raise ValueError("daily return mean or variance is not finite")
+    return mean, daily, daily * math.sqrt(TRADING_DAYS)
 
 
 def align(series_list: list[PriceSeries]) -> np.ndarray:

@@ -6,8 +6,8 @@ each of returns, risks and Sharpe ratios. The minimum-variance and
 maximum-Sharpe portfolios are its argmin and argmax, and the selectors return
 those draw indices. Weight vectors are independent uniform(0,1)
 draws normalized to sum to one, so short selling is excluded by construction.
-The CSV export is a stream of text blocks of 8192 rows, so writing a cloud to
-a file holds one block of text at a time, never the whole export.
+The cloud is computed, and exported as CSV text, 8192 rows at a time: an export
+holds one block of text, and max_sharpe_weights one block of the cloud.
 
 Draw ``i`` always consumes doubles ``[i*n, (i+1)*n)`` of a single PCG64
 stream keyed by the seed, so the clouds of one seed are nested prefixes of
@@ -99,10 +99,14 @@ def mean_and_covariance(symbols: tuple[str, ...], closes: np.ndarray) -> tuple[n
     """
     if closes.shape[0] < 3:
         raise ValueError(f"need >= 3 aligned dates, got {closes.shape[0]}")
-    rets = daily_returns(closes)
-    mean = rets.mean(axis=0) * TRADING_DAYS
-    cov = np.atleast_2d(np.cov(rets, rowvar=False, ddof=1)) * TRADING_DAYS
-    cov = (cov + cov.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        rets = daily_returns(closes)
+        mean = rets.mean(axis=0) * TRADING_DAYS
+        cov = np.atleast_2d(np.cov(rets, rowvar=False, ddof=1)) * TRADING_DAYS
+        cov = (cov + cov.T) / 2.0
+    finite = np.isfinite(mean) & np.isfinite(np.diagonal(cov))
+    if not finite.all():
+        raise ValueError(f"{symbols[np.argmin(finite)]}: annualized return mean or variance is not finite")
     return mean, CovarianceMatrix(symbols, cov)
 
 
@@ -117,46 +121,59 @@ def sharpe_ratio(
     return (annual_return - risk_free) / annual_risk
 
 
-def _weight_block(seed: int, count: int, n_assets: int) -> np.ndarray:
-    """Weight rows for the first count draws of the seed's stream.
+def _blocks(n_draws: int) -> Iterator[tuple[int, int]]:
+    """Row ranges [lo, hi) of the cloud's blocks of _CSV_BLOCK_ROWS rows, a lone last row joined to the one before.
 
-    Row i is doubles [i*n, (i+1)*n) of PCG64(seed)'s output divided by their sum, in place: the
-    bits of an out-of-place division, without allocating a second (count, n_assets) block.
+    BLAS takes a GEMV's rows in small groups, the last few of a call by another kernel, and NumPy takes a one-row
+    product as a dot, so these edges give each draw the bits of one whole-array product at one BLAS thread.
     """
-    raw = Generator(PCG64(SeedSequence(seed))).random((count, n_assets))
-    raw /= raw.sum(axis=1, keepdims=True)
-    return raw
+    edges = [*range(0, max(n_draws - 1, 1), _CSV_BLOCK_ROWS), n_draws]
+    return zip(edges, edges[1:])
 
 
-def build_frontier(
-    mean: np.ndarray,
-    cov: CovarianceMatrix,
-    n_draws: int,
-    risk_free: float,
-    seed: int,
-) -> FrontierCloud:
-    """Monte-Carlo cloud of randomly weighted portfolios.
+def _draw_block(rng: Generator, mean: np.ndarray, cov: CovarianceMatrix, weights, returns, risks):
+    """Fill weights with rng's next rows, each k doubles divided by their sum in place (the bits of an
+    out-of-place division), returns with their w'mean, and risks with their sqrt(max(w'Cw, 0))."""
+    rng.random(out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    np.matmul(weights, mean, out=returns)
+    np.einsum("ij,ij->i", weights @ cov.entries, weights, out=risks)
+    if risks.min() < -1e-9:
+        raise ValueError(f"invalid covariance: w'Cw = {risks.min():.3g} < 0")
+    np.sqrt(np.maximum(risks, 0.0, out=risks), out=risks)
 
-    Deterministic for a fixed (seed, n_draws): every draw's weights are a
-    fixed function of (seed, draw_index), so prefixes are nested across
-    different n_draws values.
-    """
+
+def _cloud_buffers(mean, cov: CovarianceMatrix, n_draws: int, seed: int, rows: int):
+    """The seed's PCG64 stream, mean as a checked float vector, and weight, return and risk buffers of rows draws."""
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    mean = np.asarray(mean, dtype=float)
-    symbols = cov.symbols
-    n = len(symbols)
+    mean, n = np.asarray(mean, dtype=float), len(cov.symbols)
     if mean.shape != (n,):
         raise ValueError(f"mean shape {mean.shape} does not match {n} symbols")
+    return Generator(PCG64(SeedSequence(seed))), mean, np.empty((rows, n)), np.empty(rows), np.empty(rows)
 
-    weights = _weight_block(seed, n_draws, n)
-    returns = weights @ mean
-    variances = np.einsum("ij,ij->i", weights @ cov.entries, weights)
-    if variances.min() < -1e-9:
-        raise ValueError(f"invalid covariance: w'Cw = {variances.min():.3g} < 0")
-    risks = np.sqrt(np.maximum(variances, 0.0))
-    sharpes = sharpe_ratio(returns, risks, risk_free)
-    return FrontierCloud(symbols, weights, returns, risks, sharpes)
+
+def build_frontier(mean: np.ndarray, cov: CovarianceMatrix, n_draws: int, risk_free: float, seed: int) -> FrontierCloud:
+    """Monte-Carlo cloud of the seed's first n_draws draws, computed block by block."""
+    rng, mean, weights, returns, risks = _cloud_buffers(mean, cov, n_draws, seed, n_draws)
+    for lo, hi in _blocks(n_draws):
+        _draw_block(rng, mean, cov, weights[lo:hi], returns[lo:hi], risks[lo:hi])
+    return FrontierCloud(cov.symbols, weights, returns, risks, sharpe_ratio(returns, risks, risk_free))
+
+
+def max_sharpe_weights(mean: np.ndarray, cov: CovarianceMatrix, n_draws: int, risk_free: float, seed: int):
+    """build_frontier's weights at max_sharpe_portfolio's draw, from one reused block. A block's best draw
+    replaces the best so far only on a higher Sharpe, so the first of equals wins, as in np.argmax."""
+    rng, mean, weights, returns, risks = _cloud_buffers(mean, cov, n_draws, seed, min(n_draws, _CSV_BLOCK_ROWS + 1))
+    best, best_sharpe = None, None
+    for lo, hi in _blocks(n_draws):
+        w, r, s = weights[: hi - lo], returns[: hi - lo], risks[: hi - lo]
+        _draw_block(rng, mean, cov, w, r, s)
+        sharpes = sharpe_ratio(r, s, risk_free)
+        i = int(np.argmax(sharpes))
+        if best is None or sharpes[i] > best_sharpe:
+            best, best_sharpe = w[i].copy(), sharpes[i]
+    return best
 
 
 def min_variance_portfolio(cloud: FrontierCloud) -> int:

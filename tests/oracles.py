@@ -1,6 +1,7 @@
 """Reference computations the tests compare the library against.
 
-The portfolio tests compare the Monte-Carlo frontier against the first two;
+The portfolio tests compare the Monte-Carlo frontier against the first two,
+and the blocked cloud against whole_array_frontier, byte for byte;
 the LSTM kernel test compares every step of the time-major kernel against
 lstm_cell_step, and the mask tests the blocked dropout draw against
 dropout_mask; gradient_check compares BPTT against central finite
@@ -53,6 +54,19 @@ def analytic_min_variance(cov: CovarianceMatrix) -> PortfolioWeights:
             "fixture invalid for nonnegative comparison"
         )
     return PortfolioWeights(cov.symbols, w)
+
+
+def whole_array_frontier(mean, cov: CovarianceMatrix, n_draws: int, risk_free: float, seed: int):
+    """(weights, returns, risks, sharpes) of the seed's cloud, each formula over the whole (n_draws, k) array.
+
+    At one BLAS thread these are the bits build_frontier computes block by block.
+    """
+    raw = Generator(PCG64(SeedSequence(seed))).random((n_draws, len(cov.symbols)))
+    weights = raw / raw.sum(axis=1, keepdims=True)
+    returns = weights @ mean
+    variances = np.einsum("ij,ij->i", weights @ cov.entries, weights)
+    risks = np.sqrt(np.maximum(variances, 0.0))
+    return weights, returns, risks, (returns - risk_free) / risks
 
 
 def lstm_cell_step(x_t, h_prev, c_prev, wx, wh, b) -> tuple[np.ndarray, np.ndarray]:

@@ -136,6 +136,42 @@ def test_stats_missing_file_names_symbol_and_path(env, tmp_path):
     assert "ZZZ.csv" in str(exc.value)
 
 
+@pytest.fixture
+def overflowing(env, tmp_path):
+    """Config of a copy of env's market whose AAA bar of 2019-06-03, in the training window,
+    has every price at 1e300 but the low, at 1e299."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for csv in (env / "data").glob("*.csv"):
+        text = csv.read_text()
+        if csv.name == "AAA.csv":
+            bar = r"^2019-06-03,[^,]*,[^,]*,[^,]*,[^,]*,(\d+),[^,\n]*$"
+            text, n = re.subn(bar, r"2019-06-03,1e300,1e300,1e299,1e300,\1,1e300", text, flags=re.M)
+            assert n == 1
+        (data / csv.name).write_text(text)
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump(base_doc(data_dir=str(data))))
+    return cfg_path
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stats"], "AAA: daily return mean or variance is not finite"),
+        (["frontier", "tech"], "tech: AAA: annualized return mean or variance is not finite"),
+        (["backtest", "tech"], "tech: AAA: annualized return mean or variance is not finite"),
+    ],
+    ids=["stats", "frontier", "backtest"],
+)
+def test_overflowing_return_moments_name_the_symbol(overflowing, tmp_path, capsys, argv, message):
+    # the CSV parses, since 1e300 is finite; stats used to write AAA's volatility as inf, and
+    # frontier and backtest to fail as "covariance matrix is not symmetric", each after a RuntimeWarning
+    out = tmp_path / "out"
+    assert main(["--config", str(overflowing), "--out", str(out), *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in out.iterdir()] == [".cache"]
+
+
 # --------------------------------------------------------------- price cache
 
 COLUMNS = ("dates", "open", "high", "low", "closes", "volume", "adj_close")
@@ -721,6 +757,23 @@ def test_backtest_predicted_prices_without_header_names_file_and_line(config, tm
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         cmd_backtest(config, "twin", tmp_path / "out", predicted_prices=pred_file)
     assert not list((tmp_path / "out").glob("ledger_*"))
+
+
+@pytest.mark.parametrize("rows_file", ["predicted-prices", "summary"])
+def test_rows_file_that_is_not_utf8_names_file_and_line(config, tmp_path, rows_file):
+    # it used to fail as "'utf-8' codec can't decode byte 0xff in position N", naming neither file nor line
+    out = tmp_path / "out"
+    out.mkdir()
+    pred_file = tmp_path / "pred.csv"
+    pred_file.write_bytes(b"symbol,price\nTW1,100.0\nTW2,200.0\n")
+    path, body = {
+        "predicted-prices": (pred_file, b"symbol,price\nTW1,100.0\nTW2,2\xff00.0\n"),
+        "summary": (out / "summary.csv", SUMMARY_HEADER.encode() + b"\ntwin,1.00,2.00\ntech,1.\xff00,2.00\n"),
+    }[rows_file]
+    path.write_bytes(body)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: not UTF-8: "):
+        cmd_backtest(config, "twin", out, predicted_prices=pred_file)
+    assert not list(out.glob("ledger_*"))
 
 
 def test_backtest_member_without_bars_from_invest_to_eval_date(env, tmp_path):

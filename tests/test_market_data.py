@@ -467,6 +467,12 @@ def test_asset_stats_needs_two_returns():
         asset_stats(daily_returns(np.array([1.0, 2.0])))
 
 
+def test_asset_stats_rejects_a_variance_that_overflows():
+    # every return is finite, but their squared deviations are not; the overflow warned and gave inf
+    with pytest.raises(ValueError, match="^daily return mean or variance is not finite$"):
+        asset_stats(daily_returns(np.array([10.0, 1e300, 10.0, 11.0])))
+
+
 # -------------------------------------------------------------------- align
 
 def test_align_identical_dates():

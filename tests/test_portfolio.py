@@ -1,22 +1,28 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, PCG64, SeedSequence
 
+from sectorport import portfolio
 from sectorport.market_data import align
 from sectorport.portfolio import (
     CovarianceMatrix,
     FrontierCloud,
     PortfolioWeights,
     _CSV_BLOCK_ROWS,
-    _weight_block,
     build_frontier,
     frontier_csv_blocks,
     max_sharpe_portfolio,
+    max_sharpe_weights,
     mean_and_covariance,
     min_variance_portfolio,
     portfolio_report,
@@ -24,7 +30,7 @@ from sectorport.portfolio import (
 )
 
 from conftest import series_from_closes
-from oracles import analytic_min_variance, portfolio_stats
+from oracles import analytic_min_variance, portfolio_stats, whole_array_frontier
 
 
 def equicorrelated_cov(vols, rho):
@@ -81,6 +87,13 @@ def test_mean_and_covariance_needs_three_dates():
         mean_and_covariance(("A",), aligned)
 
 
+def test_mean_and_covariance_names_the_symbol_whose_variance_overflows():
+    # B's returns are finite, but its variance overflows; it used to warn and fail as "not symmetric"
+    closes = np.array([[100.0, 10.0], [101.0, 1e300], [102.0, 10.0], [103.0, 11.0]])
+    with pytest.raises(ValueError, match="^B: annualized return mean or variance is not finite$"):
+        mean_and_covariance(("A", "B"), closes)
+
+
 # ---------------------------------------------------------- portfolio_stats
 
 def test_unit_vector_recovers_asset_stats():
@@ -123,20 +136,26 @@ def test_portfolio_stats_rejects_negative_quadratic_form():
 
 # ------------------------------------------------------------- weight rows
 
+def weight_rows(seed, count, n_assets):
+    """The weights of the seed's first count draws over n_assets uncorrelated unit-variance assets."""
+    cov = CovarianceMatrix(tuple(f"S{i}" for i in range(n_assets)), np.eye(n_assets))
+    return build_frontier(np.zeros(n_assets), cov, n_draws=count, risk_free=0.0, seed=seed).weights
+
+
 def test_single_asset_weight_is_one():
-    assert _weight_block(5, 1, 1)[0] == pytest.approx([1.0])
+    assert weight_rows(5, 1, 1)[0] == pytest.approx([1.0])
 
 
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=2**32))
 def test_random_weights_on_simplex(n, seed):
-    w = _weight_block(seed, 3, n)
+    w = weight_rows(seed, 3, n)
     assert (w >= 0).all()
     assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_random_weights_deterministic_per_seed():
-    a = _weight_block(7, 3, 5)
-    b = _weight_block(7, 3, 5)
+    a = weight_rows(7, 3, 5)
+    b = weight_rows(7, 3, 5)
     np.testing.assert_array_equal(a, b)
 
 
@@ -218,7 +237,7 @@ def test_frontier_draws_are_nested_prefixes():
 
 def test_weight_block_rows_match_sequential_random_weights():
     rng = Generator(PCG64(SeedSequence(9)))
-    rows = _weight_block(seed=9, count=4, n_assets=3)
+    rows = weight_rows(seed=9, count=4, n_assets=3)
     for i in range(4):
         x = rng.random(3)
         np.testing.assert_array_equal(x / x.sum(), rows[i])
@@ -227,7 +246,7 @@ def test_weight_block_rows_match_sequential_random_weights():
 def test_weight_block_divides_in_place_to_the_bits_of_the_out_of_place_division():
     raw = Generator(PCG64(SeedSequence(21))).random((20000, 12))
     want = raw / raw.sum(axis=1, keepdims=True)
-    assert _weight_block(21, 20000, 12).tobytes() == want.tobytes()
+    assert weight_rows(21, 20000, 12).tobytes() == want.tobytes()
 
 
 def test_frontier_point_stats_recompute_from_weights():
@@ -243,6 +262,128 @@ def test_frontier_point_stats_recompute_from_weights():
 def test_frontier_rejects_zero_draws():
     with pytest.raises(ValueError):
         build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=0, risk_free=0.01, seed=0)
+
+
+# -------------------------------------------------------------- block kernel
+
+def random_moments(k, seed):
+    """A mean vector and a positive-definite covariance of k symbols."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 0.3, (k, k))
+    cov = CovarianceMatrix(tuple(f"S{i}" for i in range(k)), a @ a.T / k + 0.01 * np.eye(k))
+    return rng.normal(0.1, 0.1, k), cov
+
+
+# Block sizes whose edges keep every draw's place in the BLAS kernel's groups (see _blocks):
+# below, at and across the edges of small blocks, and of the real one.
+BLOCK_SIZES = [16, 48, _CSV_BLOCK_ROWS]
+
+
+@st.composite
+def cloud_sizes(draw):
+    block = draw(st.sampled_from(BLOCK_SIZES))
+    offset = draw(st.one_of(st.sampled_from([-2, -1, 0, 1, 2]), st.integers(0, block - 1)))
+    return block, max(1, draw(st.integers(0, 2)) * block + offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), cloud_sizes(), st.integers(0, 2**32))
+def test_blocked_cloud_is_the_whole_array_formula_byte_for_byte(k, sizes, seed):
+    # clouds stay under three blocks: above about 32k rows the reference's whole-array GEMV, at two
+    # BLAS threads, splits at an unaligned row and leaves its own one-thread bits (see the thread test)
+    block, n_draws = sizes
+    mean, cov = random_moments(k, seed % 1000)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(portfolio, "_CSV_BLOCK_ROWS", block)
+        cloud = build_frontier(mean, cov, n_draws=n_draws, risk_free=0.01, seed=seed)
+        picked = max_sharpe_weights(mean, cov, n_draws, 0.01, seed)
+    want = whole_array_frontier(mean, cov, n_draws, 0.01, seed)
+    for got, ref in zip((cloud.weights, cloud.returns, cloud.risks, cloud.sharpes), want):
+        assert got.tobytes() == ref.tobytes()
+    # with k = 1 every draw is the weight 1.0 and every Sharpe is equal
+    assert picked.tobytes() == cloud.weights[max_sharpe_portfolio(cloud)].tobytes()
+
+
+@pytest.mark.parametrize(
+    "sharpes",
+    [[1, 3, 2, 3, 0, 3, 3], [1, 2, 2, 5, 0, 5, 1], [0, 0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 2, 2]],
+    ids=["tie-across-blocks", "tie-inside-a-block", "all-equal", "tie-in-the-ragged-block"],
+)
+def test_max_sharpe_weights_keeps_the_first_of_equal_sharpes(monkeypatch, sharpes):
+    # blocks of 2 rows, the last of 3: draw i's weights name it, and its Sharpe is its return
+    def draw_block(rng, mean, cov, weights, returns, risks):
+        lo = drawn.pop()
+        drawn.append(lo + len(weights))
+        weights[:] = np.arange(lo, lo + len(weights))[:, None]
+        returns[:] = sharpes[lo : lo + len(weights)]
+        risks[:] = 1.0
+
+    drawn = [0]
+    monkeypatch.setattr(portfolio, "_CSV_BLOCK_ROWS", 2)
+    monkeypatch.setattr(portfolio, "_draw_block", draw_block)
+    picked = max_sharpe_weights(np.zeros(1), CovarianceMatrix(("A",), np.ones((1, 1))), len(sharpes), 0.0, 0)
+    assert drawn == [len(sharpes)]
+    assert picked.tolist() == [float(np.argmax(sharpes))]
+
+
+def test_max_sharpe_weights_raises_what_build_frontier_raises():
+    cov = CovarianceMatrix(("A", "B"), np.zeros((2, 2)))
+    for call in (build_frontier, max_sharpe_weights):
+        with pytest.raises(ValueError, match="^annual_risk must be positive, got 0.0$"):
+            call(np.zeros(2), cov, 20_000, 0.01, 0)
+        with pytest.raises(ValueError, match="^n_draws must be >= 1$"):
+            call(np.zeros(2), cov, 0, 0.01, 0)
+        with pytest.raises(ValueError, match=r"^mean shape \(3,\) does not match 2 symbols$"):
+            call(np.zeros(3), cov, 10, 0.01, 0)
+
+
+def traced_peak(call):
+    """call's result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_max_sharpe_weights_holds_one_block_not_the_cloud():
+    mean, cov = random_moments(12, 0)
+    _, peak = traced_peak(lambda: max_sharpe_weights(mean, cov, 200_000, 0.01, 3))
+    # the cloud's weights alone are 19.2 MB
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_build_frontier_holds_nothing_the_size_of_the_weights_but_them():
+    mean, cov = random_moments(12, 0)
+    cloud, peak = traced_peak(lambda: build_frontier(mean, cov, n_draws=200_000, risk_free=0.01, seed=3))
+    returned = sum(a.nbytes for a in (cloud.weights, cloud.returns, cloud.risks, cloud.sharpes))
+    assert peak < returned + 4e6, f"peak {peak / 1e6:.1f} MB for {returned / 1e6:.1f} MB of columns"
+
+
+def test_frontier_bytes_do_not_depend_on_the_blas_thread_count():
+    # at two threads a whole-array GEMV over these 100,003 rows splits them at an unaligned row,
+    # whose sum then runs in another order than at one thread; 8192-row blocks split evenly
+    code = (
+        "import hashlib, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_portfolio import build_frontier, random_moments\n"
+        "mean, cov = random_moments(12, 0)\n"
+        "cloud = build_frontier(mean, cov, n_draws=100_003, risk_free=0.01, seed=3)\n"
+        "print(hashlib.sha256(cloud.returns.tobytes() + cloud.risks.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(portfolio.__file__).parents[1])
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", code, str(Path(__file__).parent)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    }
+    assert len(digests) == 1
 
 
 # ----------------------------------------------------------------- selectors

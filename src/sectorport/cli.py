@@ -54,12 +54,25 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _read_entry(path: Path, key: bytes) -> memoryview | None:
+    """The payload of the .cache entry at path, key + payload + sha256(key + payload), or None for a missing or
+    unreadable file, another key or a broken trailer."""
+    with suppress(OSError):
+        entry = memoryview(path.read_bytes())
+        if len(entry) >= 64 and entry[:32] == key and entry[-32:] == hashlib.sha256(entry[:-32]).digest():
+            return entry[32:-32]
+    return None
+
+
+def _write_entry(path: Path, key: bytes, payload: bytes):
+    _atomic_write(path, key + payload + hashlib.sha256(key + payload).digest())
+
+
 def _load_series(config: RunConfig, symbol: str, out_dir: Path) -> md.PriceSeries:
-    """symbol's prices, parsed once per out_dir. <out_dir>/.cache/<symbol>.cols holds the CSV's sha256,
-    the seven columns in CSV field order as little-endian 8-byte values, column after column, and the
-    sha256 of all the bytes before it. An entry sealed by that trailer, with the CSV's digest, 64 + 56 *
-    rows bytes and columns that pass the checks of a parse, is a hit; any other entry is a miss, which
-    parses the CSV and rewrites the entry."""
+    """symbol's prices, parsed once per out_dir. <out_dir>/.cache/<symbol>.cols is an entry keyed by the CSV's
+    sha256 whose payload is the seven columns in CSV field order as little-endian 8-byte values, column after
+    column. A payload of 56 * rows bytes whose columns pass the checks of a parse is a hit; anything else is a
+    miss, which parses the CSV and rewrites the entry."""
     path = Path(config.data_dir) / f"{symbol}.csv"
     if not path.exists():
         raise FileNotFoundError(f"no data file for {symbol}: expected {path}")
@@ -67,16 +80,15 @@ def _load_series(config: RunConfig, symbol: str, out_dir: Path) -> md.PriceSerie
     digest = hashlib.sha256(raw).digest()
     cache = Path(out_dir) / ".cache" / f"{symbol}.cols"
     dtypes = [np.dtype(t).newbyteorder("<") for t in md._COLUMN_DTYPES.values()]
-    with suppress(OSError, ValueError):
-        entry = cache.read_bytes()
-        body, rows = memoryview(entry)[:-32], max(len(entry) - 64, 0) // 56
-        sealed = entry[-32:] == hashlib.sha256(body).digest()
-        if sealed and entry[:32] == digest and len(entry) == 64 + 56 * rows:
-            columns = [np.frombuffer(body, t, rows, 32 + 8 * rows * k) for k, t in enumerate(dtypes)]
+    payload = _read_entry(cache, digest)
+    if payload is not None and len(payload) % 56 == 0:
+        rows = len(payload) // 56
+        with suppress(ValueError):
+            columns = [np.frombuffer(payload, t, rows, 8 * rows * k) for k, t in enumerate(dtypes)]
             return md.series_from_columns(symbol, dict(zip(md._CSV_FIELDS, columns)))
     series = md.parse_csv(raw, symbol)
-    body = digest + b"".join(c.astype(t).tobytes() for c, t in zip(md.csv_columns(series).values(), dtypes))
-    _atomic_write(cache, body + hashlib.sha256(body).digest())
+    columns = md.csv_columns(series).values()
+    _write_entry(cache, digest, b"".join(c.astype(t).tobytes() for c, t in zip(columns, dtypes)))
     return series
 
 
@@ -99,14 +111,20 @@ def _load_members(config: RunConfig, sector_name: str, out_dir: Path) -> dict[st
     return {sym: _load_series(config, sym, out_dir) for sym in config.sector(sector_name).symbols}
 
 
-def _sector_moments(config: RunConfig, sector_name: str, members: dict[str, md.PriceSeries]):
-    """(mean, covariance, frontier seed) of the sector's loaded member series over the training window."""
+def _sector_cloud(config: RunConfig, sector_name: str, members: dict[str, md.PriceSeries], out_dir: Path):
+    """(args, path, key) of the sector's cloud over the training window of its loaded member series: args are
+    max_sharpe_weights' (mean, covariance, n_draws, risk_free, seed), and <out_dir>/.cache/<sector>.pick is the
+    entry of the cloud's max-Sharpe weights, k little-endian float64 values, keyed by the sha256 of the cloud's
+    tag, repr((symbols, n_draws, risk_free, seed)) and the mean and covariance as little-endian float64 values."""
     series = [s.restrict(config.train_start, config.train_end) for s in members.values()]
     try:
         mean, cov = po.mean_and_covariance(tuple(members), md.align(series))
     except ValueError as exc:
         raise ValueError(f"{sector_name}: {exc}") from None
-    return mean, cov, derive_seed(config.seed, f"frontier:{sector_name}")
+    args = mean, cov, config.n_draws, config.risk_free, derive_seed(config.seed, f"frontier:{sector_name}")
+    key = po._CLOUD_TAG + repr((cov.symbols, *args[2:])).encode() + mean.astype("<f8").tobytes()
+    key += cov.entries.astype("<f8").tobytes()
+    return args, Path(out_dir) / ".cache" / f"{sector_name}.pick", hashlib.sha256(key).digest()
 
 
 def _write_frontier_csv(fh, cloud: po.FrontierCloud, path: Path):
@@ -157,16 +175,16 @@ def cmd_frontier(config: RunConfig, sector_name: str, out_dir: Path) -> tuple[Pa
     blocks, and otherwise by two processes (see _write_frontier_csv), during
     which a .frontier_<sector>.csv.* tail file exists beside the output.
     """
-    mean, cov, seed = _sector_moments(config, sector_name, _load_members(config, sector_name, out_dir))
-    cloud = po.build_frontier(mean, cov, n_draws=config.n_draws, risk_free=config.risk_free, seed=seed)
-    report = po.portfolio_report(
-        sector_name, cloud, po.min_variance_portfolio(cloud), po.max_sharpe_portfolio(cloud)
-    )
+    args, pick, key = _sector_cloud(config, sector_name, _load_members(config, sector_name, out_dir), out_dir)
+    cloud = po.build_frontier(*args)
+    best = po.max_sharpe_portfolio(cloud)
+    report = po.portfolio_report(sector_name, cloud, po.min_variance_portfolio(cloud), best)
     csv_path = Path(out_dir) / f"frontier_{sector_name}.csv"
     json_path = Path(out_dir) / f"report_{sector_name}.json"
     with _atomic_file(csv_path, "w") as fh:
         _write_frontier_csv(fh, cloud, csv_path)
     _atomic_write(json_path, _json_text(report))
+    _write_entry(pick, key, cloud.weights[best].astype("<f8").tobytes())
     return csv_path, json_path
 
 
@@ -177,9 +195,10 @@ def cmd_train(config: RunConfig, symbol: str, out_dir: Path) -> tuple[Path, Path
     lstm_config = replace(config.lstm, seed=derive_seed(config.seed, f"train:{symbol}"))
     try:
         model, trace = fc.train(lstm_config, series.closes)
+        md.asset_stats(md.daily_returns(series.closes))  # stats' check, after train's so that its errors come first
     except fc.InputRangeError as exc:  # named at the bar that holds the close
         raise ValueError(f"{symbol} on {series.dates[exc.row]}: {exc}") from None
-    except (ValueError, RuntimeError) as exc:  # too short, constant, or a non-finite loss
+    except (ValueError, RuntimeError) as exc:  # too short, constant, a non-finite loss, or overflowing return moments
         raise type(exc)(f"{symbol}: {exc}") from None
     ckpt_path = Path(out_dir) / "checkpoints" / f"{symbol}.ckpt"
     trace_path = Path(out_dir) / f"trace_{symbol}.csv"
@@ -189,12 +208,14 @@ def cmd_train(config: RunConfig, symbol: str, out_dir: Path) -> tuple[Path, Path
 
 
 def _read_rows(path: Path, header: str):
-    """(line number, name, *numbers) for each row of a small CSV whose line 1 is header and whose
-    rows are a name and one finite number per further header field; every error names path and line."""
-    lines = md.decode_utf8(path.read_bytes(), str(path)).strip().split("\n")
+    """(line number, name, *numbers) for each row of a small CSV whose first non-blank line is header and whose
+    rows are a name and one finite number per further header field; every error names path and the file's line."""
+    text = md.decode_utf8(path.read_bytes(), str(path))
+    first = text[: len(text) - len(text.lstrip())].count("\n") + 1  # the header's line number
+    lines = text.strip().split("\n")
     if lines[0].strip() != header:
-        raise ValueError(f"{path}: line 1: expected header {header!r}, got {lines[0]!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
+        raise ValueError(f"{path}: line {first}: expected header {header!r}, got {lines[0]!r}")
+    for lineno, line in enumerate(lines[1:], start=first + 1):
         name, *fields = [field.strip() for field in line.split(",")]
         try:
             numbers = [float(f) for f in fields]
@@ -281,8 +302,13 @@ def cmd_backtest(
     if weights_file is not None:
         weights = _read_weights(weights_file, symbols)
     else:
-        mean, cov, seed = _sector_moments(config, sector_name, members)
-        weights = po.PortfolioWeights(symbols, po.max_sharpe_weights(mean, cov, config.n_draws, config.risk_free, seed))
+        args, pick, key = _sector_cloud(config, sector_name, members, out_dir)
+        payload, weights = _read_entry(pick, key), None
+        with suppress(ValueError):  # a payload of another length, or weights that are not a portfolio, is a miss
+            weights = None if payload is None else po.PortfolioWeights(symbols, np.frombuffer(payload, "<f8"))
+        if weights is None:  # the streamed pick has the bits of the cloud's
+            weights = po.PortfolioWeights(symbols, po.max_sharpe_weights(*args))
+            _write_entry(pick, key, weights.weights.astype("<f8").tobytes())
 
     end_predicted = None
     if predicted_prices is not None:

@@ -131,6 +131,10 @@ def _blocks(n_draws: int) -> Iterator[tuple[int, int]]:
     return zip(edges, edges[1:])
 
 
+# Keys the .pick entries cli caches, so any change to the bits of a cloud of given arguments must change it.
+_CLOUD_TAG = b"sectorport cloud 1"
+
+
 def _draw_block(rng: Generator, mean: np.ndarray, cov: CovarianceMatrix, weights, returns, risks):
     """Fill weights with rng's next rows, each k doubles divided by their sum in place (the bits of an
     out-of-place division), returns with their w'mean, and risks with their sqrt(max(w'Cw, 0))."""

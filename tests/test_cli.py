@@ -24,6 +24,7 @@ import yaml
 from sectorport.cli import (
     _build_parser,
     _load_series,
+    _read_predicted_prices,
     cmd_backtest,
     cmd_frontier,
     cmd_plotdata,
@@ -34,7 +35,7 @@ from sectorport.cli import (
 import sectorport
 from sectorport import market_data as md
 from sectorport import portfolio as po
-from sectorport.config import RunConfig, SectorUniverse, load_config
+from sectorport.config import RunConfig, SectorUniverse, derive_seed, load_config
 from sectorport.market_data import CsvFormatError, parse_csv, serialize_csv
 
 from conftest import gbm_closes, series_from_closes, series_on
@@ -160,12 +161,14 @@ def overflowing(env, tmp_path):
         (["stats"], "AAA: daily return mean or variance is not finite"),
         (["frontier", "tech"], "tech: AAA: annualized return mean or variance is not finite"),
         (["backtest", "tech"], "tech: AAA: annualized return mean or variance is not finite"),
+        (["train", "AAA"], "AAA: daily return mean or variance is not finite"),
     ],
-    ids=["stats", "frontier", "backtest"],
+    ids=["stats", "frontier", "backtest", "train"],
 )
 def test_overflowing_return_moments_name_the_symbol(overflowing, tmp_path, capsys, argv, message):
-    # the CSV parses, since 1e300 is finite; stats used to write AAA's volatility as inf, and
-    # frontier and backtest to fail as "covariance matrix is not symmetric", each after a RuntimeWarning
+    # the CSV parses, since 1e300 is finite; stats used to write AAA's volatility as inf, frontier and
+    # backtest to fail as "covariance matrix is not symmetric", each after a RuntimeWarning, and train
+    # to write a checkpoint whose scaler max was 1e300
     out = tmp_path / "out"
     assert main(["--config", str(overflowing), "--out", str(out), *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -364,7 +367,7 @@ def test_artifacts_and_entries_take_their_mode_from_the_umask(config, tmp_path, 
     finally:
         os.umask(old)
     files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
-    assert files == [".cache/TW1.cols", ".cache/TW2.cols", "frontier_twin.csv", "report_twin.json"]
+    assert files == [".cache/TW1.cols", ".cache/TW2.cols", ".cache/twin.pick", "frontier_twin.csv", "report_twin.json"]
     assert {oct((tmp_path / f).stat().st_mode & 0o777) for f in files} == {oct(mode)}
 
 
@@ -759,6 +762,30 @@ def test_backtest_predicted_prices_without_header_names_file_and_line(config, tm
     assert not list((tmp_path / "out").glob("ledger_*"))
 
 
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (b"\n\nsymbol,price\nAAA,abc\n", "line 4: expected 'symbol,price' columns, got 'AAA,abc'"),
+        (b"\n\nsymbol,price\nAAA,1\xff\n", "line 4: not UTF-8: "),
+        (b" \r\n\t\nsymbol,price\nTW1,100.0\nTW1,100.0\n", "line 5: TW1 is listed twice"),
+        (b"\n\nsym,price\nTW1,100.0\n", "line 3: expected header 'symbol,price', got 'sym,price'"),
+    ],
+    ids=["columns", "utf-8", "twice", "header"],
+)
+def test_rows_file_errors_number_lines_as_the_file_does(tmp_path, body, error):
+    # lines were numbered after the text was stripped, so leading blank lines shifted every number but the UTF-8 one
+    path = tmp_path / "pred.csv"
+    path.write_bytes(body)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}"):
+        _read_predicted_prices(path)
+
+
+def test_rows_file_around_blank_lines_and_spaces_is_read(tmp_path):
+    path = tmp_path / "pred.csv"
+    path.write_bytes(b"\n \n  symbol,price \r\nTW1, 100.0\r\nTW2,200\n\n \n")
+    assert _read_predicted_prices(path) == {"TW1": 100.0, "TW2": 200.0}
+
+
 @pytest.mark.parametrize("rows_file", ["predicted-prices", "summary"])
 def test_rows_file_that_is_not_utf8_names_file_and_line(config, tmp_path, rows_file):
     # it used to fail as "'utf-8' codec can't decode byte 0xff in position N", naming neither file nor line
@@ -833,6 +860,136 @@ def test_backtest_prediction_is_the_plotdata_row_at_eval_date(config, tmp_path):
         _, actual, predicted = plot.read_text().strip().split("\n")[-1].split(",")
         assert float(actual) == pytest.approx(row["actual_price"], rel=1e-11)
         assert float(predicted) == pytest.approx(row["predicted_price"], rel=1e-6)
+
+
+# ---------------------------------------------------------------- pick cache
+
+@pytest.fixture
+def prices(tmp_path):
+    """A --predicted-prices file for every env symbol, so that a backtest needs no checkpoint."""
+    path = tmp_path / "pred.csv"
+    path.write_text("symbol,price\n" + "".join(f"{s},100.0\n" for s in [*SYMBOLS, "TW1", "TW2"]))
+    return path
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The n_draws of each cloud that max_sharpe_weights streams from here on."""
+    seen, real = [], po.max_sharpe_weights
+    monkeypatch.setattr(po, "max_sharpe_weights", lambda *args: seen.append(args[2]) or real(*args))
+    return seen
+
+
+def backtested(config, out, prices, sector="tech") -> dict[str, bytes]:
+    """The ledgers, summary.csv and .pick entry in out after backtest sector."""
+    cmd_backtest(config, sector, out, predicted_prices=prices)
+    names = [f"ledger_{sector}.json", f"ledger_{sector}.csv", "summary.csv", f".cache/{sector}.pick"]
+    return {name: (out / name).read_bytes() for name in names}
+
+
+def resealed(entry: bytes, payload: bytes) -> bytes:
+    """entry's key with payload and their sha256 trailer."""
+    return entry[:32] + payload + hashlib.sha256(entry[:32] + payload).digest()
+
+
+# What runs before the backtest under test, then how its .pick entry is damaged, and whether the backtest
+# then streams the cloud.
+PICK_SETUPS = {
+    "no entry": ([], None, True),
+    "entry from frontier": (["frontier"], None, False),
+    "entry from backtest": (["backtest"], None, False),
+    "a flipped byte": (["frontier"], lambda e: e[:40] + bytes([e[40] ^ 1]) + e[41:], True),
+    "truncated": (["frontier"], lambda e: e[:-8], True),
+    "a weight short": (["frontier"], lambda e: resealed(e, e[32:-40]), True),
+    "a byte short": (["frontier"], lambda e: resealed(e, e[32:-33]), True),
+    "a negative weight": (["frontier"], lambda e: resealed(e, np.array([1.5, -0.5, 0, 0, 0]).tobytes()), True),
+    "a NaN weight": (["frontier"], lambda e: resealed(e, np.array([np.nan, 1, 0, 0, 0]).tobytes()), True),
+}
+
+
+@pytest.mark.parametrize("runs, damage, streamed", PICK_SETUPS.values(), ids=PICK_SETUPS.keys())
+def test_backtest_bytes_do_not_depend_on_the_pick_entry(config, tmp_path, prices, streams, runs, damage, streamed):
+    cold = backtested(config, tmp_path / "cold", prices)
+    out, entry = tmp_path / "out", tmp_path / "out" / ".cache" / "tech.pick"
+    for run in runs:
+        if run == "frontier":
+            cmd_frontier(config, "tech", out)
+        else:
+            cmd_backtest(config, "tech", out, predicted_prices=prices)
+    if damage:
+        entry.write_bytes(damage(entry.read_bytes()))
+    streams.clear()
+    assert backtested(config, out, prices) == cold
+    assert streams == [config.n_draws] * streamed
+
+
+@pytest.mark.parametrize("n_draws", [300, 20_000])  # one block, and three
+def test_pick_entry_is_the_key_the_weights_and_a_sha256_trailer(config, env, tmp_path, prices, n_draws):
+    # frontier writes the entry that a cold backtest writes: its opt_risk draw, from the cloud it builds
+    config = replace(config, n_draws=n_draws)
+    csv_path, report_path = cmd_frontier(config, "tech", tmp_path / "frontier")
+    entry = (tmp_path / "frontier" / ".cache" / "tech.pick").read_bytes()
+    assert entry == backtested(config, tmp_path / "backtest", prices)[".cache/tech.pick"]
+    series = [parse_csv((env / "data" / f"{s}.csv").read_bytes(), s) for s in SYMBOLS]
+    closes = md.align([s.restrict(config.train_start, config.train_end) for s in series])
+    mean, cov = po.mean_and_covariance(tuple(SYMBOLS), closes)
+    seed = derive_seed(config.seed, "frontier:tech")
+    key = po._CLOUD_TAG + repr((tuple(SYMBOLS), n_draws, config.risk_free, seed)).encode()
+    key = hashlib.sha256(key + mean.astype("<f8").tobytes() + cov.entries.astype("<f8").tobytes()).digest()
+    weights = json.loads(report_path.read_text())["opt_risk"]["weights"]
+    payload = np.array([weights[s] for s in SYMBOLS], "<f8").tobytes()
+    assert entry == key + payload + hashlib.sha256(key + payload).digest()
+    assert len(entry) == 64 + 8 * len(SYMBOLS)
+
+
+def other_csv(config, tmp_path):
+    """config on a copy of its data whose AAA.csv holds another price path."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for csv in config.data_dir.glob("*.csv"):
+        (data / csv.name).write_bytes(csv.read_bytes())
+    write_series(data, "AAA", gbm_closes(N_DAYS, seed=999))
+    return replace(config, data_dir=data)
+
+
+STALE = {
+    "n_draws": lambda config, tmp_path: replace(config, n_draws=2000),
+    "seed": lambda config, tmp_path: replace(config, seed=12),
+    "risk_free": lambda config, tmp_path: replace(config, risk_free=0.2),
+    "an edited csv": other_csv,
+}
+
+
+@pytest.mark.parametrize("change", STALE.values(), ids=STALE.keys())
+def test_stale_pick_entry_is_a_miss_that_is_rewritten(config, tmp_path, prices, streams, change):
+    out = tmp_path / "out"
+    old = backtested(config, out, prices)
+    new = change(config, tmp_path)
+    streams.clear()
+    assert backtested(new, out, prices) == backtested(new, tmp_path / "cold", prices)
+    assert streams == [new.n_draws] * 2
+    # the picks differ, so a hit on the stale entry would have changed the ledger
+    assert (out / ".cache" / "tech.pick").read_bytes()[32:-32] != old[".cache/tech.pick"][32:-32]
+
+
+def test_pick_entry_copied_from_another_sector_is_a_miss(env, tmp_path, prices, streams):
+    # two sectors of two symbols each, so the copied payload has the right length
+    doc = base_doc(
+        sectors=[
+            {"name": "a", "members": [["AAA", 1.0], ["BBB", 1.0]]},
+            {"name": "b", "members": [["CCC", 1.0], ["DDD", 1.0]]},
+        ],
+        data_dir=str(env / "data"),
+    )
+    (tmp_path / "c.yaml").write_text(yaml.safe_dump(doc))
+    config, out = load_config(tmp_path / "c.yaml"), tmp_path / "out"
+    other = backtested(config, out, prices, "b")[".cache/b.pick"]
+    (out / ".cache" / "a.pick").write_bytes(other)
+    streams.clear()
+    got, cold = backtested(config, out, prices, "a"), backtested(config, tmp_path / "cold", prices, "a")
+    assert {**got, "summary.csv": None} == {**cold, "summary.csv": None}  # out's summary also holds b's row
+    assert streams == [config.n_draws] * 2
+    assert (out / ".cache" / "a.pick").read_bytes()[32:-32] != other[32:-32]
 
 
 # ------------------------------------------------------------------ plotdata

@@ -76,7 +76,8 @@ def test_each_demo_csv_is_parsed_once_across_stats_frontier_and_backtest(tmp_pat
     ):
         assert main(["--config", "demo/config.yaml", "--out", "demo/out", *args]) == 0
     assert sorted(parsed) == symbols
-    assert sorted(p.stem for p in (tmp_path / "demo" / "out" / ".cache").iterdir()) == symbols
+    entries = sorted(p.name for p in (tmp_path / "demo" / "out" / ".cache").iterdir())
+    assert entries == sorted([*(f"{s}.cols" for s in symbols), "tech.pick", "energy.pick"])
 
 
 def test_readme_subcommand_table_lists_exactly_the_subcommands():

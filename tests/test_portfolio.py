@@ -554,6 +554,21 @@ def test_frontier_csv_bytes_are_pinned_across_block_boundaries():
     assert hashlib.sha256("".join(blocks).encode()).hexdigest() == BLOCKS_CSV_SHA256
 
 
+# The tag that names the cloud's bits, and the sha256 of the cloud below, its columns in order as little-endian
+# float64. cli keys its cached picks by the tag, so a change to these bits fails here until both are changed.
+CLOUD_TAG, CLOUD_SHA256 = b"sectorport cloud 1", "d8406c1e47a4eb4636d8eb65cb67aea2805fe5a01e2bd90826d985c942ea11e5"
+
+
+def test_cloud_bits_are_the_ones_its_tag_names():
+    mean = np.array([0.08, 0.12, 0.05])
+    cov = CovarianceMatrix(("A", "B", "C"), np.array([[0.04, 0.006, 0.002], [0.006, 0.09, 0.01], [0.002, 0.01, 0.0225]]))
+    cloud = build_frontier(mean, cov, n_draws=20_000, risk_free=0.01, seed=9)
+    assert len(list(portfolio._blocks(cloud.n_draws))) == 3
+    columns = (cloud.weights, cloud.returns, cloud.risks, cloud.sharpes)
+    digest = hashlib.sha256(b"".join(c.astype("<f8").tobytes() for c in columns)).hexdigest()
+    assert (portfolio._CLOUD_TAG, digest) == (CLOUD_TAG, CLOUD_SHA256)
+
+
 def test_portfolio_report_shape():
     cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=50, risk_free=0.01, seed=0)
     report = portfolio_report("demo", cloud, min_variance_portfolio(cloud), max_sharpe_portfolio(cloud))

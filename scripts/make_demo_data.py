@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from sectorport.market_data import PriceSeries, serialize_csv
+from sectorport.market_data import CSV_HEADER
 
 SECTORS = {
     "tech": [("AAA", 25.1), ("BBB", 18.4), ("CCC", 12.2), ("DDD", 9.7), ("EEE", 9.1)],
@@ -22,22 +22,21 @@ SECTORS = {
 N_DAYS = 1440  # weekdays from 2016-01-01, ends past 2021-06-01
 
 
-def gbm_series(symbol: str, seed: int, start: dt.date) -> PriceSeries:
+def gbm_csv(seed: int, start: dt.date) -> str:
+    """N_DAYS weekday bars from start in the schema parse_csv reads, floats in their shortest round-trip form."""
     rng = np.random.default_rng(seed)
     s0 = rng.uniform(50.0, 2000.0)
     closes = s0 * np.exp(np.concatenate([[0.0], np.cumsum(rng.normal(4e-4, 0.015, N_DAYS - 1))]))
-    dates, opens, spreads, volumes = [], [], [], []
-    day = start
+    lines, day = [CSV_HEADER + "\n"], start
     for close in closes.tolist():
         while day.weekday() >= 5:
             day += dt.timedelta(days=1)
-        dates.append(day)
-        spreads.append(abs(float(rng.normal(0.0, 0.01))) * close)
-        opens.append(close * (1 + float(rng.normal(0, 0.003))))
-        volumes.append(int(rng.integers(10_000, 1_000_000)))
+        spread = abs(float(rng.normal(0.0, 0.01))) * close
+        open_ = close * (1 + float(rng.normal(0, 0.003)))
+        volume = int(rng.integers(10_000, 1_000_000))
+        lines.append("%s,%r,%r,%r,%r,%d,%r\n" % (day, open_, close + spread, close - spread, close, volume, close))
         day += dt.timedelta(days=1)
-    spreads = np.array(spreads)
-    return PriceSeries(symbol, dates, opens, closes + spreads, closes - spreads, closes, volumes, closes)
+    return "".join(lines)
 
 
 def main():
@@ -50,9 +49,8 @@ def main():
     data = root / "data"
     data.mkdir(parents=True, exist_ok=True)
     for i, (symbol, _) in enumerate(w for members in SECTORS.values() for w in members):
-        series = gbm_series(symbol, seed=args.seed * 1000 + i, start=dt.date(2016, 1, 1))
-        (data / f"{symbol}.csv").write_text(serialize_csv(series), encoding="utf-8")
-        print(f"wrote {data / f'{symbol}.csv'} ({len(series.dates)} bars)")
+        (data / f"{symbol}.csv").write_text(gbm_csv(args.seed * 1000 + i, dt.date(2016, 1, 1)), encoding="utf-8")
+        print(f"wrote {data / f'{symbol}.csv'} ({N_DAYS} bars)")
 
     config = {
         "data_dir": "data",

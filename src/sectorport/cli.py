@@ -54,12 +54,13 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _read_entry(path: Path, key: bytes) -> memoryview | None:
+def _read_entry(path: Path, key) -> memoryview | None:
     """The payload of the .cache entry at path, key + payload + sha256(key + payload), or None for a missing or
-    unreadable file, another key or a broken trailer."""
+    unreadable file, a broken trailer or a key other than key(the payload's length in bytes)."""
     with suppress(OSError):
         entry = memoryview(path.read_bytes())
-        if len(entry) >= 64 and entry[:32] == key and entry[-32:] == hashlib.sha256(entry[:-32]).digest():
+        sealed = len(entry) >= 64 and entry[-32:] == hashlib.sha256(entry[:-32]).digest()
+        if sealed and entry[:32] == key(len(entry) - 64):
             return entry[32:-32]
     return None
 
@@ -68,27 +69,32 @@ def _write_entry(path: Path, key: bytes, payload: bytes):
     _atomic_write(path, key + payload + hashlib.sha256(key + payload).digest())
 
 
+# Names the .cols payload and the parse that makes it; a new tag turns every entry written before it into a miss.
+_COLS_TAG = b"sectorport.cols: dates <M8[D], closes <f8, spikes rejected\n"
+
+
 def _load_series(config: RunConfig, symbol: str, out_dir: Path) -> md.PriceSeries:
-    """symbol's prices, parsed once per out_dir. <out_dir>/.cache/<symbol>.cols is an entry keyed by the CSV's
-    sha256 whose payload is the seven columns in CSV field order as little-endian 8-byte values, column after
-    column. A payload of 56 * rows bytes whose columns pass the checks of a parse is a hit; anything else is a
-    miss, which parses the CSV and rewrites the entry."""
+    """symbol's prices, parsed once per out_dir. <out_dir>/.cache/<symbol>.cols is an entry keyed by
+    sha256(_COLS_TAG + rows as 8 little-endian bytes + the CSV's bytes) whose payload is the dates as little-endian
+    datetime64[D], then the closes as little-endian float64. A payload of 16 * rows bytes that makes a PriceSeries
+    is a hit; anything else is a miss, which parses the CSV and rewrites the entry."""
     path = Path(config.data_dir) / f"{symbol}.csv"
     if not path.exists():
         raise FileNotFoundError(f"no data file for {symbol}: expected {path}")
     raw = path.read_bytes()
-    digest = hashlib.sha256(raw).digest()
+
+    def key(size: int) -> bytes:  # the row count is keyed, so a payload of the wrong rows or columns is a miss
+        return hashlib.sha256(_COLS_TAG + (size // 16).to_bytes(8, "little") + raw).digest()
+
     cache = Path(out_dir) / ".cache" / f"{symbol}.cols"
-    dtypes = [np.dtype(t).newbyteorder("<") for t in md._COLUMN_DTYPES.values()]
-    payload = _read_entry(cache, digest)
-    if payload is not None and len(payload) % 56 == 0:
-        rows = len(payload) // 56
+    payload = _read_entry(cache, key)
+    if payload is not None and len(payload) % 16 == 0:
+        half = len(payload) // 2
         with suppress(ValueError):
-            columns = [np.frombuffer(payload, t, rows, 8 * rows * k) for k, t in enumerate(dtypes)]
-            return md.series_from_columns(symbol, dict(zip(md._CSV_FIELDS, columns)))
+            return md.PriceSeries(symbol, np.frombuffer(payload[:half], "<M8[D]"), np.frombuffer(payload[half:], "<f8"))
     series = md.parse_csv(raw, symbol)
-    columns = md.csv_columns(series).values()
-    _write_entry(cache, digest, b"".join(c.astype(t).tobytes() for c, t in zip(columns, dtypes)))
+    payload = series.dates.astype("<M8[D]").tobytes() + series.closes.astype("<f8").tobytes()
+    _write_entry(cache, key(len(payload)), payload)
     return series
 
 
@@ -303,7 +309,7 @@ def cmd_backtest(
         weights = _read_weights(weights_file, symbols)
     else:
         args, pick, key = _sector_cloud(config, sector_name, members, out_dir)
-        payload, weights = _read_entry(pick, key), None
+        payload, weights = _read_entry(pick, lambda size: key), None
         with suppress(ValueError):  # a payload of another length, or weights that are not a portfolio, is a miss
             weights = None if payload is None else po.PortfolioWeights(symbols, np.frombuffer(payload, "<f8"))
         if weights is None:  # the streamed pick has the bits of the cloud's

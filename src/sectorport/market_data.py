@@ -1,12 +1,13 @@
 """Historical price ingestion, validation, and return/volatility statistics.
 
-A PriceSeries holds one NumPy array per CSV column, not one object per bar.
-Bars with a non-finite price, low above high, a non-positive close or a
-negative volume are rejected where the CSV is parsed.
+A PriceSeries holds a symbol's dates and closes as two NumPy arrays, not one
+object per bar. Bars with a non-finite price, low above high, a non-positive
+close or a negative volume are rejected where the CSV is parsed, and so is a
+close that spikes away from both neighbours and comes back.
 
 Everything downstream (frontier sampling, forecasting, backtesting) consumes
-close prices only; the other OHLCV columns are validated and stored but not
-used. Dates are aligned across symbols by intersection, never forward-filled.
+close prices only, so the other OHLCV columns are checked, then dropped.
+Dates are aligned across symbols by intersection, never forward-filled.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 TRADING_DAYS = 250
 CSV_HEADER = "date,open,high,low,close,volume,adj_close"
-_CSV_FIELDS = CSV_HEADER.split(",")
+SPIKE_FACTOR = 2.0  # an interior close above this times both neighbours, or below 1/this of both, is a spike
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
@@ -30,29 +31,23 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Date-ordered OHLCV columns for one symbol; row i of every column is one trading day.
-
-    ``dates`` is ``datetime64[D]``, ``volume`` int64 and the prices float64.
-    """
+    """One symbol's date-ordered closes: ``dates`` as ``datetime64[D]``, ``closes`` as float64."""
 
     symbol: str
     dates: np.ndarray = field(repr=False)
-    open: np.ndarray = field(repr=False)
-    high: np.ndarray = field(repr=False)
-    low: np.ndarray = field(repr=False)
     closes: np.ndarray = field(repr=False)
-    volume: np.ndarray = field(repr=False)
-    adj_close: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name, dtype in _COLUMN_DTYPES.items():
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "dates", np.asarray(self.dates, dtype="datetime64[D]"))
+        object.__setattr__(self, "closes", np.asarray(self.closes, dtype=float))
         if len(self.dates) == 0:
             raise ValueError(f"{self.symbol}: price series is empty")
-        if any(getattr(self, name).shape != (len(self.dates),) for name in _COLUMN_DTYPES):
-            raise ValueError(f"{self.symbol}: columns are not 1-D arrays of one length")
-        if (self.dates[1:] <= self.dates[:-1]).any():
+        if self.dates.ndim != 1 or self.closes.shape != self.dates.shape:
+            raise ValueError(f"{self.symbol}: dates and closes are not 1-D arrays of one length")
+        if not (self.dates[1:] > self.dates[:-1]).all():
             raise ValueError(f"{self.symbol}: dates are not strictly increasing")
+        if not ((0 < self.closes) & (self.closes < np.inf)).all():
+            raise ValueError(f"{self.symbol}: closes are not finite and positive")
 
     def span(self, start: dt.date, end: dt.date) -> tuple[int, int]:
         """Row range [lo, hi) of the dates with start <= date <= end; raises when it is empty."""
@@ -65,14 +60,11 @@ class PriceSeries:
     def restrict(self, start: dt.date, end: dt.date) -> "PriceSeries":
         """Sub-series with start <= date <= end."""
         lo, hi = self.span(start, end)
-        return PriceSeries(self.symbol, *(getattr(self, name)[lo:hi] for name in _COLUMN_DTYPES))
+        return PriceSeries(self.symbol, self.dates[lo:hi], self.closes[lo:hi])
 
 
-# PriceSeries columns and their dtypes, in CSV field order.
-_COLUMN_DTYPES = {
-    "dates": "datetime64[D]", "open": float, "high": float, "low": float,
-    "closes": float, "volume": np.int64, "adj_close": float,
-}
+# The parse's column dtypes, keyed by CSV field in header order.
+_COLUMN_DTYPES = dict(zip(CSV_HEADER.split(","), ["datetime64[D]", float, float, float, float, np.int64, float]))
 
 
 def parse_date(text: str) -> dt.date:
@@ -95,7 +87,9 @@ def parse_csv(raw_text: bytes | str, symbol: str) -> PriceSeries:
     order; the result is sorted by date. Duplicate dates are always rejected.
     A bar is invalid when a price is not finite (NaN or infinite), low >
     high, the close is not positive or the volume is negative; the first
-    invalid bar fails the parse. Dates must be YYYY-MM-DD (parse_date).
+    invalid bar fails the parse. So does the earliest close that spikes: more
+    than SPIKE_FACTOR times both its date-order neighbours, or less than
+    1/SPIKE_FACTOR of both. Dates must be YYYY-MM-DD (parse_date).
     Errors start with the symbol and name the line, and the column of a
     non-finite price; bytes that are not UTF-8 fail on their line.
     """
@@ -114,13 +108,25 @@ def parse_csv(raw_text: bytes | str, symbol: str) -> PriceSeries:
         raise CsvFormatError(f"{symbol}: {malformed}")
 
     order = np.argsort(columns["date"], kind="stable")
-    dates = columns["date"][order]
+    dates, closes = columns["date"][order], columns["close"][order]
     duplicates = np.flatnonzero(dates[1:] == dates[:-1])
     if duplicates.size:
         raise CsvFormatError(f"{symbol}: duplicate date {dates[duplicates[0]]}")
     if not order.size:
         raise CsvFormatError(f"{symbol}: no data rows")
-    return PriceSeries(symbol, *(column[order] for column in columns.values()))
+    # Divided rather than multiplied, so that no close near the float64 maximum overflows.
+    scaled = closes / SPIKE_FACTOR
+    up = scaled[1:-1] > np.maximum(closes[:-2], closes[2:])
+    down = np.minimum(scaled[:-2], scaled[2:]) > closes[1:-1]
+    spikes = np.flatnonzero(up | down)
+    if spikes.size:
+        i = spikes[0] + 1
+        before, close, after = closes[i - 1 : i + 2].tolist()
+        raise CsvFormatError(
+            f"{symbol}: line {linenos[order[i]]}: close {close!r} on {dates[i]} spikes against the closes "
+            f"{before!r} and {after!r} either side (a factor beyond {SPIKE_FACTOR:g} from both)"
+        )
+    return PriceSeries(symbol, dates, closes)
 
 
 def decode_utf8(raw: bytes, name: str) -> str:
@@ -150,22 +156,6 @@ def invalid_bar(columns: dict[str, np.ndarray]) -> tuple[int, str] | None:
     return i, message.format(**{name: column[i].item() for name, column in columns.items()})
 
 
-def csv_columns(series: PriceSeries) -> dict[str, np.ndarray]:
-    """series' columns keyed by CSV field, the form series_from_columns takes back."""
-    return {field: getattr(series, name) for field, name in zip(_CSV_FIELDS, _COLUMN_DTYPES)}
-
-
-def series_from_columns(symbol: str, columns: dict[str, np.ndarray]) -> PriceSeries:
-    """The PriceSeries of columns from csv_columns, checked as a parse is: ValueError for
-    another key, order, dtype or shape, a bar that breaks an invariant, or unsorted dates."""
-    if [(k, c.dtype) for k, c in columns.items()] != list(zip(_CSV_FIELDS, _COLUMN_DTYPES.values())):
-        raise ValueError(f"{symbol}: expected the columns {_CSV_FIELDS} in their parsed dtypes")
-    invalid = invalid_bar(columns)
-    if invalid is not None:
-        raise ValueError(f"{symbol}: row {invalid[0]}: invalid bar ({invalid[1]})")
-    return PriceSeries(symbol, *columns.values())
-
-
 def _columns_at_once(body: list[str]) -> tuple[dict[str, np.ndarray], range, None] | None:
     """_columns_by_line's result for a body with no malformed line, each column converted in one call.
 
@@ -180,7 +170,7 @@ def _columns_at_once(body: list[str]) -> tuple[dict[str, np.ndarray], range, Non
     try:
         columns = {
             name: np.array(list(map(int, fields[k::7])) if name == "volume" else fields[k::7], dtype=dtype)
-            for k, (name, dtype) in enumerate(zip(_CSV_FIELDS, _COLUMN_DTYPES.values()))
+            for k, (name, dtype) in enumerate(_COLUMN_DTYPES.items())
         }
         round_trip = columns["date"].astype("U10").tolist()
     except (ValueError, OverflowError, RuntimeError):
@@ -215,22 +205,9 @@ def _columns_by_line(body: list[str]) -> tuple[dict[str, np.ndarray], list[int],
             break
         rows.append(row)
         linenos.append(lineno)
-    values = list(zip(*rows)) or [()] * len(_CSV_FIELDS)
-    columns = {
-        name: np.array(column, dtype=dtype)
-        for name, column, dtype in zip(_CSV_FIELDS, values, _COLUMN_DTYPES.values())
-    }
+    values = list(zip(*rows)) or [()] * len(_COLUMN_DTYPES)
+    columns = {name: np.array(column, dtype=dtype) for (name, dtype), column in zip(_COLUMN_DTYPES.items(), values)}
     return columns, linenos, malformed
-
-
-def serialize_csv(series: PriceSeries) -> str:
-    """Render a PriceSeries in the exact schema parse_csv accepts.
-
-    Floats use shortest round-trip representation, so parsing the text
-    returns the same columns.
-    """
-    columns = zip(*(getattr(series, name).tolist() for name in _COLUMN_DTYPES))
-    return "".join([CSV_HEADER + "\n", *("%s,%r,%r,%r,%r,%d,%r\n" % row for row in columns)])
 
 
 def daily_returns(closes: np.ndarray) -> np.ndarray:

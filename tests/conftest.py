@@ -6,19 +6,8 @@ import pytest
 from sectorport.market_data import PriceSeries, CSV_HEADER
 
 
-def series_on(symbol, dates, closes, volume=1000) -> PriceSeries:
-    """PriceSeries with consistent OHLC derived from each close."""
-    closes = np.asarray(closes, dtype=float)
-    return PriceSeries(
-        symbol,
-        np.array(dates, dtype="datetime64[D]"),
-        open=closes,
-        high=closes * 1.05,
-        low=closes * 0.95,
-        closes=closes,
-        volume=np.full(len(closes), volume),
-        adj_close=closes,
-    )
+def series_on(symbol, dates, closes) -> PriceSeries:
+    return PriceSeries(symbol, np.array(dates, dtype="datetime64[D]"), np.asarray(closes, dtype=float))
 
 
 def weekdays(start: dt.date, n: int) -> list[dt.date]:
@@ -49,6 +38,12 @@ def csv_text(rows) -> str:
     for r in rows:
         lines.append(",".join(str(x) for x in r))
     return "\n".join(lines) + "\n"
+
+
+def series_csv(series: PriceSeries) -> str:
+    """CSV document of series: each bar opens and adjusts to its close, with high and low 5% either side."""
+    bars = zip(series.dates.tolist(), series.closes.tolist())
+    return csv_text((day, c, c * 1.05, c * 0.95, c, 1000, c) for day, c in bars)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from sectorport.cli import cmd_frontier, cmd_train
 from sectorport.config import load_config
 from sectorport.portfolio import PortfolioWeights, sharpe_ratio
 
-from conftest import gbm_closes, series_from_closes
+from conftest import gbm_closes, series_csv, series_from_closes
 from oracles import analytic_min_variance, gradient_check, portfolio_stats
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -213,11 +213,9 @@ def test_criterion_08_full_scale_smoke():
 def test_criterion_09_subcommand_determinism(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
-    from sectorport.market_data import serialize_csv
-
     for i, sym in enumerate(("AAA", "BBB", "CCC")):
         series = series_from_closes(sym, gbm_closes(320, seed=50 + i), start=dt.date(2016, 1, 4))
-        (data / f"{sym}.csv").write_text(serialize_csv(series), encoding="utf-8")
+        (data / f"{sym}.csv").write_text(series_csv(series), encoding="utf-8")
     doc = {
         "data_dir": str(data),
         "seed": 7,

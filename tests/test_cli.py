@@ -11,17 +11,21 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
 
 from sectorport.cli import (
+    _COLS_TAG,
     _build_parser,
     _load_series,
     _read_predicted_prices,
@@ -36,9 +40,10 @@ import sectorport
 from sectorport import market_data as md
 from sectorport import portfolio as po
 from sectorport.config import RunConfig, SectorUniverse, derive_seed, load_config
-from sectorport.market_data import CsvFormatError, parse_csv, serialize_csv
+from sectorport.market_data import CsvFormatError, parse_csv
 
-from conftest import gbm_closes, series_from_closes, series_on
+from conftest import gbm_closes, series_csv, series_from_closes, series_on
+from test_market_data import csv_documents
 
 SYMBOLS = ["AAA", "BBB", "CCC", "DDD", "EEE"]
 N_DAYS = 1440  # weekdays from 2016-01-01 passing 2021-06-01
@@ -46,7 +51,7 @@ N_DAYS = 1440  # weekdays from 2016-01-01 passing 2021-06-01
 
 def write_series(data_dir, symbol, closes, start=dt.date(2016, 1, 1)):
     series = series_from_closes(symbol, closes, start=start)
-    (data_dir / f"{symbol}.csv").write_text(serialize_csv(series), encoding="utf-8")
+    (data_dir / f"{symbol}.csv").write_text(series_csv(series), encoding="utf-8")
     return series
 
 
@@ -139,16 +144,19 @@ def test_stats_missing_file_names_symbol_and_path(env, tmp_path):
 
 @pytest.fixture
 def overflowing(env, tmp_path):
-    """Config of a copy of env's market whose AAA bar of 2019-06-03, in the training window,
-    has every price at 1e300 but the low, at 1e299."""
+    """Config of a copy of env's market whose AAA bars from 2019-06-03 on, in the training window,
+    have every price at 1e300 but the low, at 1e299: a step, not a spike that parse_csv rejects."""
     data = tmp_path / "data"
     data.mkdir()
     for csv in (env / "data").glob("*.csv"):
         text = csv.read_text()
         if csv.name == "AAA.csv":
-            bar = r"^2019-06-03,[^,]*,[^,]*,[^,]*,[^,]*,(\d+),[^,\n]*$"
-            text, n = re.subn(bar, r"2019-06-03,1e300,1e300,1e299,1e300,\1,1e300", text, flags=re.M)
-            assert n == 1
+            lines = text.split("\n")
+            at = next(k for k, line in enumerate(lines) if line.startswith("2019-06-03,"))
+            for k in range(at, len(lines) - 1):  # the last line is the empty one after the final newline
+                volume = lines[k].split(",")[5]
+                lines[k] = ",".join([lines[k][:10], "1e300", "1e300", "1e299", "1e300", volume, "1e300"])
+            text = "\n".join(lines)
         (data / csv.name).write_text(text)
     cfg_path = tmp_path / "c.yaml"
     cfg_path.write_text(yaml.safe_dump(base_doc(data_dir=str(data))))
@@ -175,9 +183,32 @@ def test_overflowing_return_moments_name_the_symbol(overflowing, tmp_path, capsy
     assert [p.name for p in out.iterdir()] == [".cache"]
 
 
+def test_a_close_that_spikes_and_comes_back_fails_stats_naming_its_line(env, tmp_path, capsys):
+    # one AAA bar in the training window at 1e10 used to parse, and stats wrote AAA's annual volatility as
+    # about 2e6; the CSV is edited after a first run, so its entry is there and the edit is what a miss sees
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    for csv in (env / "data").glob("*.csv"):
+        (data / csv.name).write_bytes(csv.read_bytes())
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump(base_doc(data_dir=str(data))))
+    assert main(["--config", str(cfg_path), "--out", str(out), "stats"]) == 0
+    lines = (data / "AAA.csv").read_text().split("\n")
+    at = next(k for k, line in enumerate(lines) if line.startswith("2019-06-03,"))
+    before, after = (float(lines[k].split(",")[4]) for k in (at - 1, at + 1))
+    lines[at] = f"2019-06-03,1e10,1e10,1e9,1e10,{lines[at].split(',')[5]},1e10"
+    (data / "AAA.csv").write_text("\n".join(lines))
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "--out", str(out), "stats"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: AAA: line {at + 1}: close 10000000000.0 on 2019-06-03 spikes against the closes {before!r} and "
+        f"{after!r} either side (a factor beyond 2 from both)\n"
+    )
+
+
 # --------------------------------------------------------------- price cache
 
-COLUMNS = ("dates", "open", "high", "low", "closes", "volume", "adj_close")
+COLUMNS = ("dates", "closes")
 
 
 def assert_same_series(got, want):
@@ -222,10 +253,9 @@ def parsed(csv):
     return parse_csv(csv.read_bytes(), "AAA")
 
 
-# A cache entry: the CSV's sha256, these columns one after another, then the sha256 of all of that.
-ENTRY_COLUMNS = {
-    "date": "<M8[D]", "open": "<f8", "high": "<f8", "low": "<f8", "close": "<f8", "volume": "<i8", "adj_close": "<f8",
-}
+# A cache entry: sha256(_COLS_TAG + the row count + the CSV), these columns one after another, then the sha256
+# of all of that.
+ENTRY_COLUMNS = {"date": "<M8[D]", "close": "<f8"}
 
 
 def sealed(digest: bytes, columns: dict) -> bytes:
@@ -236,7 +266,7 @@ def sealed(digest: bytes, columns: dict) -> bytes:
 
 def unsealed(entry: bytes) -> tuple[bytes, dict]:
     """The CSV digest and the columns of a well-formed entry."""
-    rows = (len(entry) - 64) // 56
+    rows = (len(entry) - 64) // 16
     columns = {
         name: np.frombuffer(entry, dtype, rows, 32 + 8 * rows * k).copy()
         for k, (name, dtype) in enumerate(ENTRY_COLUMNS.items())
@@ -244,15 +274,63 @@ def unsealed(entry: bytes) -> tuple[bytes, dict]:
     return entry[:32], columns
 
 
-def test_entry_is_the_csv_digest_the_columns_and_a_sha256_trailer(cached):
-    cfg, csv, out, entry = cached
-    good = entry.read_bytes()
-    assert len(good) == 64 + 56 * 60
+@pytest.mark.parametrize("rows", [1, 2, 3, 60, 1440])
+def test_entry_is_the_tagged_csv_digest_the_columns_and_a_sha256_trailer(tmp_path, rows):
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    write_series(data, "AAA", gbm_closes(rows, seed=3))
+    csv = data / "AAA.csv"
+    _load_series(RunConfig(data, (SectorUniverse("solo", (("AAA", 1.0),)),)), "AAA", out)
+    good = (out / ".cache" / "AAA.cols").read_bytes()
+    assert len(good) == 64 + 16 * rows
     assert good[-32:] == hashlib.sha256(good[:-32]).digest()
     digest, columns = unsealed(good)
-    assert digest == hashlib.sha256(csv.read_bytes()).digest()
-    assert_same_series(md.series_from_columns("AAA", columns), parsed(csv))
+    assert digest == hashlib.sha256(_COLS_TAG + rows.to_bytes(8, "little") + csv.read_bytes()).digest()
+    assert_same_series(md.PriceSeries("AAA", columns["date"], columns["close"]), parsed(csv))
     assert sealed(digest, columns) == good
+
+
+def seven_column_entry(csv) -> bytes:
+    """The entry older versions wrote for csv: keyed by the CSV's bare sha256, its seven columns in field order."""
+    rows = [line.split(",") for line in csv.read_text(encoding="utf-8").splitlines()[1:]]
+    dtypes = ["<M8[D]", "<f8", "<f8", "<f8", "<f8", "<i8", "<f8"]
+    columns = {k: np.array([row[k] for row in rows]).astype(t) for k, t in enumerate(dtypes)}
+    return sealed(hashlib.sha256(csv.read_bytes()).digest(), columns)
+
+
+def test_seven_column_entry_of_an_older_version_is_a_miss_that_is_rewritten(cached, parses):
+    # 56 bytes a row over 60 rows divides by 16 as well: only the key's tag tells the two layouts apart
+    cfg, csv, out, entry = cached
+    good = entry.read_bytes()
+    entry.write_bytes(seven_column_entry(csv))
+    assert (len(entry.read_bytes()) - 64) % 16 == 0
+    assert_same_series(_load_series(cfg, "AAA", out), parsed(csv))
+    assert parses == ["AAA"]
+    assert entry.read_bytes() == good
+
+
+@given(csv_documents())
+@settings(max_examples=60, deadline=None)
+def test_a_hit_returns_the_cold_load_bit_for_bit_and_parses_nothing(text):
+    try:
+        want = parse_csv(text, "AAA")
+    except CsvFormatError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as root:
+        data, out = Path(root, "data"), Path(root, "out")
+        data.mkdir()
+        (data / "AAA.csv").write_bytes(text.encode())
+        cfg = RunConfig(data, (SectorUniverse("solo", (("AAA", 1.0),)),))
+        with mock.patch.object(md, "parse_csv", wraps=md.parse_csv) as spy:
+            cold = _load_series(cfg, "AAA", out)
+            assert spy.call_count == 1
+            hit = _load_series(cfg, "AAA", out)
+            assert spy.call_count == 1
+    for series in (cold, hit):
+        assert series.symbol == "AAA"
+        for name in COLUMNS:
+            a, b = getattr(series, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_cache_hit_returns_the_parsed_columns_without_parsing(cached, parses):
@@ -277,9 +355,9 @@ def test_editing_one_close_invalidates_the_entry(cached, parses):
     assert parses == ["AAA"]
 
 
-def with_nan(column):
+def with_value(column, value):
     column = column.copy()
-    column[7] = np.nan
+    column[7] = value
     return column
 
 
@@ -304,13 +382,12 @@ COLUMN_DAMAGE = {
     "another digest": lambda d, c: {"digest": bytes(32)},
     "hex digest": lambda d, c: {"digest": d.hex().encode()},
     "no digest": lambda d, c: {"digest": b""},
-    "missing column": lambda d, c: {"volume": None},
+    "missing column": lambda d, c: {"close": None},  # 60 dates read as 30 dates and 30 tiny positive closes
     "extra column": lambda d, c: {"extra": np.zeros(60)},
     "one value extra": lambda d, c: {"extra": np.zeros(1)},  # the columns are where a hit reads them
     "short close": lambda d, c: {"close": c["close"][:-1]},
-    "NaN close": lambda d, c: {"close": with_nan(c["close"])},
-    "NaN open": lambda d, c: {"open": with_nan(c["open"])},
-    "low above high": lambda d, c: {"low": c["high"] * 2},
+    "NaN close": lambda d, c: {"close": with_value(c["close"], np.nan)},
+    "zero close": lambda d, c: {"close": with_value(c["close"], 0.0)},
     "reversed dates": lambda d, c: {"date": c["date"][::-1]},
 }
 
@@ -603,7 +680,7 @@ def test_backtest_published_it_ledger_via_override_files(tmp_path):
     for sym, _, start_price, end_price, _ in rows:
         # pin the exact invest/eval dates
         series = series_on(sym, [dt.date(2021, 1, 1), dt.date(2021, 6, 1)], [start_price, end_price])
-        (data / f"{sym}.csv").write_text(serialize_csv(series), encoding="utf-8")
+        (data / f"{sym}.csv").write_text(series_csv(series), encoding="utf-8")
     doc = base_doc(
         sectors=[{"name": "it", "members": [[r[0], 10.0] for r in rows]}],
         data_dir=str(data),
@@ -1061,7 +1138,7 @@ def test_plotdata_input_out_of_float32_range_names_symbol_and_date(tmp_path):
     # names the symbol, the bar's date and its close, not the range's first date.
     closes = gbm_closes(N_DAYS, seed=100)
     dates = series_from_closes("AAA", closes, start=dt.date(2016, 1, 1)).dates
-    closes[np.searchsorted(dates, np.datetime64("2021-02-01"))] = 1e300
+    closes[np.searchsorted(dates, np.datetime64("2021-02-01")) :] = 1e300  # a step: parse_csv rejects a spike
     (tmp_path / "data").mkdir()
     write_series(tmp_path / "data", "AAA", closes)
     cfg_path = tmp_path / "c.yaml"
@@ -1331,7 +1408,7 @@ def test_backtest_input_out_of_float32_range_names_symbol_and_date(tmp_path, clo
     dates = series_from_closes("TW1", closes, start=dt.date(2016, 1, 1)).dates
     (tmp_path / "data").mkdir()
     write_series(tmp_path / "data", "TW2", closes)
-    closes[np.searchsorted(dates, np.datetime64("2021-05-27"))] = close
+    closes[np.searchsorted(dates, np.datetime64("2021-05-27")) :] = close  # a step: parse_csv rejects a spike
     write_series(tmp_path / "data", "TW1", closes)
     cfg_path = tmp_path / "c.yaml"
     cfg_path.write_text(yaml.safe_dump(base_doc(sectors=[{"name": "twin", "members": [["TW1", 5.0], ["TW2", 5.0]]}])))
@@ -1353,7 +1430,7 @@ def test_train_input_out_of_float32_range_names_symbol_and_date(tmp_path, close)
     # (2020-12-15, among the last tenth of 2016-2020's windows) can overflow float32 once scaled
     closes = gbm_closes(N_DAYS, seed=200)
     dates = series_from_closes("AAA", closes, start=dt.date(2016, 1, 1)).dates
-    closes[np.searchsorted(dates, np.datetime64("2020-12-15"))] = close
+    closes[np.searchsorted(dates, np.datetime64("2020-12-15")) :] = close  # a step: parse_csv rejects a spike
     cfg, out = solo_config(tmp_path, closes), tmp_path / "out"
     expected = rf"^AAA on 2020-12-15: close {re.escape(repr(close))} is beyond float32 range once scaled$"
     with warnings.catch_warnings():

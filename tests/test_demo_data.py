@@ -13,7 +13,6 @@ from pathlib import Path
 import sectorport.market_data as md
 from sectorport.cli import _build_parser, main
 from sectorport.config import load_config
-from sectorport.market_data import serialize_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "make_demo_data.py"
@@ -42,9 +41,9 @@ def quick_start_commands() -> list[list[str]]:
 
 def test_demo_series_bytes_are_pinned():
     script = load_script()
-    series = script.gbm_series("AAA", 11000, dt.date(2016, 1, 1))
-    assert len(series.dates) == script.N_DAYS
-    assert hashlib.sha256(serialize_csv(series).encode()).hexdigest() == AAA_SHA256
+    text = script.gbm_csv(11000, dt.date(2016, 1, 1))
+    assert len(md.parse_csv(text, "AAA").dates) == script.N_DAYS
+    assert hashlib.sha256(text.encode()).hexdigest() == AAA_SHA256
 
 
 def test_readme_quick_start_runs_on_fresh_demo_data(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -17,12 +18,11 @@ from sectorport.market_data import (
     asset_stats,
     daily_returns,
     parse_csv,
-    serialize_csv,
 )
 
-from conftest import csv_text, series_from_closes, series_on, weekdays
+from conftest import csv_text, series_csv, series_from_closes, series_on, weekdays
 
-COLUMNS = ("dates", "open", "high", "low", "closes", "volume", "adj_close")
+COLUMNS = ("dates", "closes")
 
 
 # ---------------------------------------------------------------- parse_csv
@@ -151,6 +151,64 @@ def test_parse_rejects_duplicate_dates():
         parse_csv(text, "X")
 
 
+def _rows_of(closes, start=dt.date(2020, 1, 1)):
+    return [(d.isoformat(), c, c, c / 2, c, 100, c) for d, c in zip(weekdays(start, len(closes)), closes)]
+
+
+@given(
+    st.lists(st.floats(min_value=1.0, max_value=1.9), min_size=3, max_size=12),
+    st.data(),
+)
+@settings(max_examples=80)
+def test_a_close_that_spikes_and_comes_back_is_rejected(calm, data):
+    # closes within a factor of 1.9 of each other hold no spike; one interior close moved beyond a
+    # factor of 2 from both neighbours, up or down, is named by its line, date, close and both neighbours
+    closes = [c * 100 for c in calm]
+    at = data.draw(st.integers(1, len(closes) - 2), label="row")
+    factor = data.draw(st.floats(min_value=2.0, max_value=1e12, exclude_min=True), label="factor")
+    up = data.draw(st.booleans(), label="up")
+    neighbours = closes[at - 1], closes[at + 1]
+    closes[at] = max(neighbours) * factor if up else min(neighbours) / factor
+    rows = _rows_of(closes)
+    assert len(parse_csv(csv_text(_rows_of(calm)), "X").dates) == len(calm)
+    message = (
+        rf"^X: line {at + 2}: close {re.escape(repr(closes[at]))} on {rows[at][0]} spikes against the closes "
+        rf"{re.escape(repr(neighbours[0]))} and {re.escape(repr(neighbours[1]))} either side"
+    )
+    with pytest.raises(CsvFormatError, match=message):
+        parse_csv(csv_text(rows), "X")
+
+
+@given(
+    st.lists(st.floats(min_value=1.0, max_value=1.9), min_size=2, max_size=12),
+    st.data(),
+)
+@settings(max_examples=80)
+def test_a_step_change_is_accepted(calm, data):
+    # a jump, up or down by any factor, that does not come back is a change of level, not a spike
+    at = data.draw(st.integers(1, len(calm) - 1), label="row")
+    factor = data.draw(st.sampled_from([1e-12, 1e-3, 0.1, 10.0, 1e3, 1e12]), label="factor")
+    closes = [c * 100 * (factor if i >= at else 1.0) for i, c in enumerate(calm)]
+    series = parse_csv(csv_text(_rows_of(closes)), "X")
+    assert series.closes.tolist() == closes
+
+
+def test_spike_is_named_at_its_line_and_dates_are_its_neighbours():
+    # the neighbours are the bars before and after in date order, not the lines above and below
+    rows = _rows_of([10.0, 25.0, 11.0, 12.0])
+    text = csv_text([rows[2], rows[0], rows[3], rows[1]])
+    message = r"^X: line 5: close 25\.0 on 2020-01-02 spikes against the closes 10\.0 and 11\.0 either side"
+    with pytest.raises(CsvFormatError, match=message):
+        parse_csv(text, "X")
+
+
+def test_spike_check_near_the_float64_maximum_raises_no_overflow():
+    # pyproject makes a RuntimeWarning an error, so doubling 1e308 would fail here rather than report
+    assert len(parse_csv(csv_text(_rows_of([1e308, 1.5e308, 1.7e308])), "X").dates) == 3
+    with pytest.raises(CsvFormatError, match="line 3: close 1e\\+308 on 2020-01-02 spikes"):
+        parse_csv(csv_text(_rows_of([1e300, 1e308, 1e300])), "X")
+
+
 def test_parse_sorts_unordered_rows():
     text = csv_text(
         [
@@ -218,9 +276,9 @@ VOLUME_TRAPS = ["1_000", " 7", "1.5", "-3", "١٢", str(2**63), str(-(2**63) - 1
 
 
 @st.composite
-def _row_fields(draw):
+def _row_fields(draw, prices=st.floats(min_value=0.01, max_value=1e6)):
     date = draw(st.dates(dt.date(1, 1, 1), dt.date(9999, 12, 31))).isoformat()
-    price = draw(st.floats(min_value=0.01, max_value=1e6))
+    price = draw(prices)
     volume = draw(st.integers(0, 2**63 - 1))
     return [date, repr(price), repr(2 * price), repr(price / 2), repr(price), str(volume), repr(price)]
 
@@ -249,8 +307,11 @@ def _trap_lines(draw):
 
 @st.composite
 def csv_documents(draw):
-    """Price CSV text: valid rows with up to two trap lines among them."""
-    lines = [",".join(draw(_row_fields())) for _ in range(draw(st.integers(0, 6)))]
+    """Price CSV text: valid rows with up to two trap lines among them. In half the documents the rows'
+    prices lie within a factor of 1.99 of each other, so that no close spikes."""
+    low = draw(st.floats(min_value=0.01, max_value=1e6))
+    prices = draw(st.sampled_from([st.floats(min_value=0.01, max_value=1e6), st.floats(low, 1.99 * low)]))
+    lines = [",".join(draw(_row_fields(prices))) for _ in range(draw(st.integers(0, 6)))]
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(lines)))
         lines[at:at] = draw(_trap_lines())
@@ -301,9 +362,11 @@ def test_fast_path_agrees_with_the_per_line_loop(text):
 def test_fast_path_takes_a_clean_document():
     series = series_from_closes("X", [1.5, 2.25, 1e-300, 7e20])
     for eol in ("\n", "\r\n"):
-        fast = md._columns_at_once(_body(serialize_csv(series).replace("\n", eol)))
+        body = _body(series_csv(series).replace("\n", eol))
+        fast = md._columns_at_once(body)
         assert fast is not None
-        _assert_same_columns(list(fast[0].values()), [getattr(series, name) for name in COLUMNS])
+        _assert_same_columns(list(fast[0].values()), list(md._columns_by_line(body)[0].values()))
+        _assert_same_columns([fast[0]["date"], fast[0]["close"]], [series.dates, series.closes])
 
 
 TRAP_LINES = [f"{date},1,2,0.5,1.5,100,1.5" for date in DATE_TRAPS] + [
@@ -340,31 +403,19 @@ def test_fast_path_reads_numbers_as_python_does(fields):
 def price_series_strategy(draw):
     n = draw(st.integers(min_value=1, max_value=40))
     start = dt.date(2018, 1, 1) + dt.timedelta(days=draw(st.integers(0, 1000)))
-    prices = draw(
-        st.lists(
-            st.floats(min_value=0.01, max_value=1e6, allow_nan=False, allow_infinity=False),
-            min_size=n,
-            max_size=n,
-        )
-    )
+    prices = [draw(st.floats(min_value=0.01, max_value=1e6))]
+    for _ in range(n - 1):  # a step of less than 2x either way can make no spike
+        prices.append(prices[-1] * draw(st.floats(min_value=0.6, max_value=1.6)))
     return series_on("HYP", weekdays(start, n), prices)
 
 
 @given(price_series_strategy())
 @settings(max_examples=50)
 def test_csv_round_trip(series):
-    parsed = parse_csv(serialize_csv(series), series.symbol)
+    parsed = parse_csv(series_csv(series), series.symbol)
     assert parsed.symbol == series.symbol
     for name in COLUMNS:
         assert np.array_equal(getattr(parsed, name), getattr(series, name)), name
-
-
-def test_serialize_uses_exact_schema():
-    series = series_from_closes("X", [1.5, 2.5])
-    text = serialize_csv(series)
-    assert text.startswith(CSV_HEADER + "\n")
-    assert "\r" not in text
-    assert text.endswith("\n")
 
 
 # ------------------------------------------------------------ daily_returns

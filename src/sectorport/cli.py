@@ -135,13 +135,13 @@ def _sector_cloud(config: RunConfig, sector_name: str, members: dict[str, md.Pri
 
 def _write_frontier_csv(fh, cloud: po.FrontierCloud, path: Path):
     """Write cloud's export to fh. On two or more usable CPUs, for a cloud of four
-    blocks or more, a forked child formats the second half into a tail file beside
-    path while this process writes the first; the tail is then appended by a kernel
-    copy. A failure on either side raises, removes the tail and leaves no child."""
-    mid = cloud.n_draws // (2 * po._CSV_BLOCK_ROWS) * po._CSV_BLOCK_ROWS
+    draw blocks or more, a forked child formats the second half into a tail file
+    beside path while this process writes the first; the tail is then appended by a
+    kernel copy. A failure on either side raises, removes the tail and leaves no child."""
+    mid = cloud.n_draws // (2 * po._BLOCK_ROWS) * po._BLOCK_ROWS
     # Every platform that has sched_getaffinity also has fork.
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if len(cpus) < 2 or mid < 2 * po._CSV_BLOCK_ROWS:
+    if len(cpus) < 2 or mid < 2 * po._BLOCK_ROWS:
         fh.writelines(po.frontier_csv_blocks(cloud))
         return
     fd, tail = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -177,7 +177,7 @@ def cmd_frontier(config: RunConfig, sector_name: str, out_dir: Path) -> tuple[Pa
     """Write the frontier cloud CSV and the two-portfolio report JSON for a sector.
 
     The CSV is the same bytes however it is written: serially on one usable CPU,
-    where os.fork does not exist, or for a cloud of fewer than four export
+    where os.fork does not exist, or for a cloud of fewer than four draw
     blocks, and otherwise by two processes (see _write_frontier_csv), during
     which a .frontier_<sector>.csv.* tail file exists beside the output.
     """

@@ -6,8 +6,9 @@ each of returns, risks and Sharpe ratios. The minimum-variance and
 maximum-Sharpe portfolios are its argmin and argmax, and the selectors return
 those draw indices. Weight vectors are independent uniform(0,1)
 draws normalized to sum to one, so short selling is excluded by construction.
-The cloud is computed, and exported as CSV text, 8192 rows at a time: an export
-holds one block of text, and max_sharpe_weights one block of the cloud.
+The cloud is computed 8192 rows at a time, and exported as CSV text 1024 rows at
+a time: an export holds one block of text, and max_sharpe_weights one block of
+the cloud.
 
 Draw ``i`` always consumes doubles ``[i*n, (i+1)*n)`` of a single PCG64
 stream keyed by the seed, so the clouds of one seed are nested prefixes of
@@ -24,7 +25,9 @@ from numpy.random import Generator, PCG64, SeedSequence
 
 from .market_data import TRADING_DAYS, daily_returns
 
-_CSV_BLOCK_ROWS = 8192
+_BLOCK_ROWS = 8192
+# A block's floats and % arguments take about four times the memory of its text, so text blocks are smaller.
+_TEXT_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +125,12 @@ def sharpe_ratio(
 
 
 def _blocks(n_draws: int) -> Iterator[tuple[int, int]]:
-    """Row ranges [lo, hi) of the cloud's blocks of _CSV_BLOCK_ROWS rows, a lone last row joined to the one before.
+    """Row ranges [lo, hi) of the cloud's blocks of _BLOCK_ROWS rows, a lone last row joined to the one before.
 
     BLAS takes a GEMV's rows in small groups, the last few of a call by another kernel, and NumPy takes a one-row
     product as a dot, so these edges give each draw the bits of one whole-array product at one BLAS thread.
     """
-    edges = [*range(0, max(n_draws - 1, 1), _CSV_BLOCK_ROWS), n_draws]
+    edges = [*range(0, max(n_draws - 1, 1), _BLOCK_ROWS), n_draws]
     return zip(edges, edges[1:])
 
 
@@ -168,7 +171,7 @@ def build_frontier(mean: np.ndarray, cov: CovarianceMatrix, n_draws: int, risk_f
 def max_sharpe_weights(mean: np.ndarray, cov: CovarianceMatrix, n_draws: int, risk_free: float, seed: int):
     """build_frontier's weights at max_sharpe_portfolio's draw, from one reused block. A block's best draw
     replaces the best so far only on a higher Sharpe, so the first of equals wins, as in np.argmax."""
-    rng, mean, weights, returns, risks = _cloud_buffers(mean, cov, n_draws, seed, min(n_draws, _CSV_BLOCK_ROWS + 1))
+    rng, mean, weights, returns, risks = _cloud_buffers(mean, cov, n_draws, seed, min(n_draws, _BLOCK_ROWS + 1))
     best, best_sharpe = None, None
     for lo, hi in _blocks(n_draws):
         w, r, s = weights[: hi - lo], returns[: hi - lo], risks[: hi - lo]
@@ -193,23 +196,23 @@ def max_sharpe_portfolio(cloud: FrontierCloud) -> int:
 
 
 def frontier_csv_blocks(cloud: FrontierCloud, start: int = 0, stop: int | None = None) -> Iterator[str]:
-    """Frontier export of draws [start, stop) as text blocks of _CSV_BLOCK_ROWS rows,
-    after the header when start is 0.
+    """Frontier export of draws [start, stop) as text blocks of _TEXT_BLOCK_ROWS rows,
+    after the header when the range holds draw 0.
 
     Columns draw_index,risk,return,sharpe,w_<SYM>... with 12 significant digits.
     Each row's text depends only on its draw, so the exports of adjacent ranges,
     joined, are the export of their union; the whole cloud's joined blocks are the
-    file. A writer that consumes them one by one holds one block (about 2 MB at 12
-    symbols), never the whole text.
+    file. A writer that consumes them one by one holds one block (a traced peak of
+    about 1.3 MB at 12 symbols), never the whole text.
     """
     stop = cloud.n_draws if stop is None else stop
     row = "%d" + ",%.12g" * (3 + len(cloud.symbols)) + "\n"
-    if start == 0:
+    if start == 0 < stop:
         yield "draw_index,risk,return,sharpe," + ",".join(f"w_{s}" for s in cloud.symbols) + "\n"
     # The draw index goes through %d as a float.
     columns = (cloud.risks, cloud.returns, cloud.sharpes, cloud.weights)
-    for lo in range(start, stop, _CSV_BLOCK_ROWS):
-        hi = min(lo + _CSV_BLOCK_ROWS, stop)
+    for lo in range(start, stop, _TEXT_BLOCK_ROWS):
+        hi = min(lo + _TEXT_BLOCK_ROWS, stop)
         block = np.column_stack((np.arange(lo, hi), *(c[lo:hi] for c in columns)))
         yield (row * (hi - lo)) % tuple(block.ravel().tolist())
 

@@ -1,7 +1,8 @@
 """Reference computations the tests compare the library against.
 
-The portfolio tests compare the Monte-Carlo frontier against the first two,
-and the blocked cloud against whole_array_frontier, byte for byte;
+The portfolio tests compare the Monte-Carlo frontier against the first two
+and exact_max_sharpe, and the blocked cloud against whole_array_frontier, byte
+for byte;
 the LSTM kernel test compares every step of the time-major kernel against
 lstm_cell_step, and the mask tests the blocked dropout draw against
 dropout_mask; gradient_check compares BPTT against central finite
@@ -54,6 +55,34 @@ def analytic_min_variance(cov: CovarianceMatrix) -> PortfolioWeights:
             "fixture invalid for nonnegative comparison"
         )
     return PortfolioWeights(cov.symbols, w)
+
+
+def exact_max_sharpe(mean, cov: CovarianceMatrix, risk_free: float) -> tuple[float, np.ndarray]:
+    """The best Sharpe ratio of any nonnegative weights summing to one, and those weights, for k <= 12 symbols.
+
+    Maximizing the Sharpe ratio is minimizing x'Cx subject to (mean - risk_free)'x = 1 and x >= 0, and on the
+    optimum's support S its conditions give x_S proportional to C_S^-1 (mean_S - risk_free), the tangency
+    portfolio of S (Markowitz, "Portfolio Selection", 1952). So the optimum is the best of the supports' tangency
+    portfolios that are positive on all of S. Each of those is a feasible portfolio, and none can beat it.
+    Needs a mean above risk_free, so that the best Sharpe ratio is positive.
+    """
+    mean = np.asarray(mean, dtype=float)
+    k = len(cov.symbols)
+    if not 1 <= k <= 12 or mean.shape != (k,):
+        raise ValueError(f"need 1 to 12 symbols and a mean of each, got {k} and shape {mean.shape}")
+    if not (mean > risk_free).any():
+        raise ValueError("no mean exceeds the risk-free rate, so no long-only Sharpe ratio is positive")
+    best, best_weights = -np.inf, None
+    for support in range(1, 1 << k):
+        s = [i for i in range(k) if support >> i & 1]
+        x = np.linalg.solve(cov.entries[np.ix_(s, s)], mean[s] - risk_free)
+        if (x > 0).all():
+            w = np.zeros(k)
+            w[s] = x / x.sum()
+            sharpe = (w @ mean - risk_free) / np.sqrt(w @ cov.entries @ w)
+            if sharpe > best:
+                best, best_weights = float(sharpe), w
+    return best, best_weights
 
 
 def whole_array_frontier(mean, cov: CovarianceMatrix, n_draws: int, risk_free: float, seed: int):

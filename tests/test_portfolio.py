@@ -18,7 +18,8 @@ from sectorport.portfolio import (
     CovarianceMatrix,
     FrontierCloud,
     PortfolioWeights,
-    _CSV_BLOCK_ROWS,
+    _BLOCK_ROWS,
+    _TEXT_BLOCK_ROWS,
     build_frontier,
     frontier_csv_blocks,
     max_sharpe_portfolio,
@@ -30,7 +31,7 @@ from sectorport.portfolio import (
 )
 
 from conftest import series_from_closes
-from oracles import analytic_min_variance, portfolio_stats, whole_array_frontier
+from oracles import analytic_min_variance, exact_max_sharpe, portfolio_stats, whole_array_frontier
 
 
 def equicorrelated_cov(vols, rho):
@@ -276,7 +277,7 @@ def random_moments(k, seed):
 
 # Block sizes whose edges keep every draw's place in the BLAS kernel's groups (see _blocks):
 # below, at and across the edges of small blocks, and of the real one.
-BLOCK_SIZES = [16, 48, _CSV_BLOCK_ROWS]
+BLOCK_SIZES = [16, 48, _BLOCK_ROWS]
 
 
 @st.composite
@@ -294,7 +295,7 @@ def test_blocked_cloud_is_the_whole_array_formula_byte_for_byte(k, sizes, seed):
     block, n_draws = sizes
     mean, cov = random_moments(k, seed % 1000)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(portfolio, "_CSV_BLOCK_ROWS", block)
+        patch.setattr(portfolio, "_BLOCK_ROWS", block)
         cloud = build_frontier(mean, cov, n_draws=n_draws, risk_free=0.01, seed=seed)
         picked = max_sharpe_weights(mean, cov, n_draws, 0.01, seed)
     want = whole_array_frontier(mean, cov, n_draws, 0.01, seed)
@@ -319,7 +320,7 @@ def test_max_sharpe_weights_keeps_the_first_of_equal_sharpes(monkeypatch, sharpe
         risks[:] = 1.0
 
     drawn = [0]
-    monkeypatch.setattr(portfolio, "_CSV_BLOCK_ROWS", 2)
+    monkeypatch.setattr(portfolio, "_BLOCK_ROWS", 2)
     monkeypatch.setattr(portfolio, "_draw_block", draw_block)
     picked = max_sharpe_weights(np.zeros(1), CovarianceMatrix(("A",), np.ones((1, 1))), len(sharpes), 0.0, 0)
     assert drawn == [len(sharpes)]
@@ -527,6 +528,39 @@ def test_frontier_cloud_validates_shapes():
         cloud(("A",), np.ones((2, 1)), np.ones(2), np.zeros((2, 1)))
 
 
+# ------------------------------------------------------ exact long-only optimum
+
+@st.composite
+def long_only_problems(draw):
+    """Moments of 2 to 8 symbols and a risk-free rate below at least one mean."""
+    mean, cov = random_moments(draw(st.integers(2, 8)), draw(st.integers(0, 2**32 - 1)))
+    risk_free = draw(st.floats(-0.1, float(mean.max()), exclude_max=True))
+    return mean, cov, risk_free
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_only_problems(), st.integers(0, 2**32 - 1))
+def test_the_cloud_never_beats_the_exact_long_only_optimum(problem, seed):
+    mean, cov, risk_free = problem
+    exact, weights = exact_max_sharpe(mean, cov, risk_free)
+    ret, risk = portfolio_stats(PortfolioWeights(cov.symbols, weights), mean, cov)
+    assert (ret - risk_free) / risk == pytest.approx(exact, rel=1e-12)
+    cloud = build_frontier(mean, cov, n_draws=2000, risk_free=risk_free, seed=seed)
+    assert cloud.sharpes[max_sharpe_portfolio(cloud)] <= exact + 1e-12 * abs(exact)
+
+
+@settings(max_examples=20, deadline=None)
+@given(long_only_problems(), st.integers(0, 2**32 - 1))
+def test_more_draws_of_one_seed_never_widen_the_gap_to_the_exact_optimum(problem, seed):
+    mean, cov, risk_free = problem
+    exact, _ = exact_max_sharpe(mean, cov, risk_free)
+    gaps = []
+    for n_draws in (2000, 20_000):
+        cloud = build_frontier(mean, cov, n_draws=n_draws, risk_free=risk_free, seed=seed)
+        gaps.append(exact - cloud.sharpes[max_sharpe_portfolio(cloud)])
+    assert -1e-12 * abs(exact) <= gaps[1] <= gaps[0]
+
+
 # ------------------------------------------------------------------ exports
 
 def test_frontier_csv_layout():
@@ -542,15 +576,31 @@ def test_frontier_csv_layout():
     np.testing.assert_allclose(parsed, cloud.weights[0], rtol=1e-11)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3 * _TEXT_BLOCK_ROWS + 2), st.data())
+def test_export_cut_at_any_row_joins_to_the_whole_export(k, n_draws, data):
+    # cli's two-process export writes [0, mid) and [mid, n) apart and joins them
+    mean, cov = random_moments(k, n_draws)
+    cloud = build_frontier(mean, cov, n_draws=n_draws, risk_free=0.01, seed=n_draws)
+    whole = "".join(frontier_csv_blocks(cloud))
+    mid = data.draw(st.integers(0, n_draws), label="mid")
+    block = data.draw(st.sampled_from([1, 7, _TEXT_BLOCK_ROWS]), label="block")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(portfolio, "_TEXT_BLOCK_ROWS", block)
+        cut = "".join(frontier_csv_blocks(cloud, 0, mid)) + "".join(frontier_csv_blocks(cloud, mid))
+    assert cut == whole
+
+
 # sha256 of the export of the cloud below as one whole text, before it was streamed.
 BLOCKS_CSV_SHA256 = "bfdd8753fc7481dbbb5bf007e472cd525b3f7dc363c628cee2eda3ddee071e57"
 
 
 def test_frontier_csv_bytes_are_pinned_across_block_boundaries():
-    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=2 * _CSV_BLOCK_ROWS + 5, risk_free=0.01, seed=7)
+    # two full draw blocks and a partial one
+    cloud = build_frontier(FIVE_ASSET_MEAN, FIVE_ASSET_COV, n_draws=16_389, risk_free=0.01, seed=7)
     blocks = list(frontier_csv_blocks(cloud))
-    # the header, two full blocks and a partial one
-    assert [b.count("\n") for b in blocks] == [1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS, 5]
+    # the header, sixteen full text blocks and a partial one
+    assert [b.count("\n") for b in blocks] == [1, *[1024] * 16, 5]
     assert hashlib.sha256("".join(blocks).encode()).hexdigest() == BLOCKS_CSV_SHA256
 
 

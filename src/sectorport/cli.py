@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import fcntl
 import hashlib
 import json
 import os
@@ -119,7 +120,7 @@ def _load_members(config: RunConfig, sector_name: str, out_dir: Path) -> dict[st
 
 def _sector_cloud(config: RunConfig, sector_name: str, members: dict[str, md.PriceSeries], out_dir: Path):
     """(args, path, key) of the sector's cloud over the training window of its loaded member series: args are
-    max_sharpe_weights' (mean, covariance, n_draws, risk_free, seed), and <out_dir>/.cache/<sector>.pick is the
+    build_frontier's (mean, covariance, n_draws, risk_free, seed), and <out_dir>/.cache/<sector>.pick is the
     entry of the cloud's max-Sharpe weights, k little-endian float64 values, keyed by the sha256 of the cloud's
     tag, repr((symbols, n_draws, risk_free, seed)) and the mean and covariance as little-endian float64 values."""
     series = [s.restrict(config.train_start, config.train_end) for s in members.values()]
@@ -213,31 +214,24 @@ def cmd_train(config: RunConfig, symbol: str, out_dir: Path) -> tuple[Path, Path
     return ckpt_path, trace_path
 
 
-def _read_rows(path: Path, header: str):
-    """(line number, name, *numbers) for each row of a small CSV whose first non-blank line is header and whose
-    rows are a name and one finite number per further header field; every error names path and the file's line."""
+def _read_predicted_prices(path: Path) -> dict[str, float]:
+    """A --predicted-prices CSV: a first non-blank line 'symbol,price', then a positive price per symbol, each
+    symbol listed once; every error names path and the file's line."""
+    header = "symbol,price"
     text = md.decode_utf8(path.read_bytes(), str(path))
     first = text[: len(text) - len(text.lstrip())].count("\n") + 1  # the header's line number
     lines = text.strip().split("\n")
     if lines[0].strip() != header:
         raise ValueError(f"{path}: line {first}: expected header {header!r}, got {lines[0]!r}")
-    for lineno, line in enumerate(lines[1:], start=first + 1):
-        name, *fields = [field.strip() for field in line.split(",")]
-        try:
-            numbers = [float(f) for f in fields]
-        except ValueError:
-            numbers = []
-        if len(numbers) != header.count(","):
-            raise ValueError(f"{path}: line {lineno}: expected '{header}' columns, got {line!r}")
-        if not np.isfinite(numbers).all():
-            raise ValueError(f"{path}: line {lineno}: {name}: expected finite numbers, got {line!r}")
-        yield lineno, name, *numbers
-
-
-def _read_predicted_prices(path: Path) -> dict[str, float]:
-    """A --predicted-prices CSV: a positive price per symbol, each symbol listed once."""
     prices = {}
-    for lineno, sym, price in _read_rows(path, "symbol,price"):
+    for lineno, line in enumerate(lines[1:], start=first + 1):
+        sym, *fields = [field.strip() for field in line.split(",")]
+        try:
+            (price,) = [float(f) for f in fields]
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: expected '{header}' columns, got {line!r}") from None
+        if not np.isfinite(price):
+            raise ValueError(f"{path}: line {lineno}: {sym}: expected a finite price, got {line!r}")
         if sym in prices:
             raise ValueError(f"{path}: line {lineno}: {sym} is listed twice")
         if price <= 0:
@@ -246,16 +240,16 @@ def _read_predicted_prices(path: Path) -> dict[str, float]:
     return prices
 
 
-def _read_weights(path: Path, symbols: tuple[str, ...]) -> po.PortfolioWeights:
-    """A --weights-file: a JSON object {symbol: fraction} covering symbols; every error names path."""
+def _read_json(path: Path, keys: tuple[str, ...], build=list):
+    """build(the finite numbers at keys of the JSON object in the file at path); its errors and build's name path."""
     try:
         mapping = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(mapping, dict):
-            raise ValueError("expected a JSON object {symbol: fraction}")
-        missing = [s for s in symbols if s not in mapping]
+            raise ValueError(f"expected a JSON object with the keys {list(keys)}")
+        missing = [k for k in keys if k not in mapping]
         if missing:
-            raise ValueError(f"missing weights for {missing}")
-        return po.PortfolioWeights(symbols, np.array([_as_number(mapping[s], s) for s in symbols]))
+            raise ValueError(f"missing the keys {missing}")
+        return build([_as_number(mapping[k], k) for k in keys])
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
     except ValueError as exc:
@@ -279,13 +273,6 @@ def _forecast(series: md.PriceSeries, out_dir: Path, lo: int, hi: int) -> np.nda
         raise type(exc)(f"{series.symbol} on {series.dates[lo]}: {exc}") from None
 
 
-def _read_summary(path: Path) -> list[tuple[str, float, float]]:
-    """The (sector, predicted %, actual %) rows of summary.csv at path, [] when it does not exist."""
-    if not path.exists():
-        return []
-    return [(sector, pred, act) for _, sector, pred, act in _read_rows(path, bt.SUMMARY_HEADER)]
-
-
 def cmd_backtest(
     config: RunConfig,
     sector_name: str,
@@ -299,49 +286,73 @@ def cmd_backtest(
     valued at its last close in that range. Predicted end prices come from the
     per-symbol checkpoints unless a --predicted-prices CSV overrides them; a
     --weights-file JSON (symbol -> fraction) overrides the frontier-recommended
-    weights.
+    weights. summary.csv is rebuilt from the ledgers: a row for each configured
+    sector that has a ledger_<sector>.json, in config order. The command holds
+    an exclusive flock on the out_dir directory itself, so backtests on one
+    out_dir run one at a time and no lock file is made; an out_dir that it
+    made and left empty is removed when it fails.
     """
-    summary_path = Path(out_dir) / "summary.csv"
-    summary = _read_summary(summary_path)  # checked before anything, the price cache too, is written
-    members = _load_members(config, sector_name, out_dir)
-    symbols = tuple(members)
-    if weights_file is not None:
-        weights = _read_weights(weights_file, symbols)
-    else:
-        args, pick, key = _sector_cloud(config, sector_name, members, out_dir)
-        payload, weights = _read_entry(pick, lambda size: key), None
-        with suppress(ValueError):  # a payload of another length, or weights that are not a portfolio, is a miss
-            weights = None if payload is None else po.PortfolioWeights(symbols, np.frombuffer(payload, "<f8"))
-        if weights is None:  # the streamed pick has the bits of the cloud's
-            weights = po.PortfolioWeights(symbols, po.max_sharpe_weights(*args))
-            _write_entry(pick, key, weights.weights.astype("<f8").tobytes())
-
-    end_predicted = None
-    if predicted_prices is not None:
-        end_predicted = _read_predicted_prices(predicted_prices)
-        missing = [s for s in symbols if s not in end_predicted]
-        if missing:
-            raise ValueError(f"{predicted_prices}: missing predicted prices for {missing}")
-
-    buy, actual, predicted = [], [], []
-    for sym, series in members.items():
-        lo, hi = series.span(config.invest_date, config.eval_date)
-        buy.append(float(series.closes[lo]))
-        actual.append(float(series.closes[hi - 1]))
-        if end_predicted is None:
-            predicted.append(float(_forecast(series, out_dir, hi - 1, hi)[0]))
+    out_dir = Path(out_dir)
+    made = not out_dir.is_dir()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lock = os.open(out_dir, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        roi_keys = ("roi_predicted_pct", "roi_actual_pct")
+        rois = {  # read before anything, the price cache too, is written
+            s.sector_name: _read_json(path, roi_keys)
+            for s in config.sectors
+            if s.sector_name != sector_name and (path := out_dir / f"ledger_{s.sector_name}.json").exists()
+        }
+        members = _load_members(config, sector_name, out_dir)
+        symbols = tuple(members)
+        if weights_file is not None:
+            weights = _read_json(weights_file, symbols, lambda w: po.PortfolioWeights(symbols, np.array(w)))
         else:
-            predicted.append(end_predicted[sym])
+            args, pick, key = _sector_cloud(config, sector_name, members, out_dir)
+            payload, weights = _read_entry(pick, lambda size: key), None
+            with suppress(ValueError):  # a payload of another length, or weights that are not a portfolio, is a miss
+                weights = None if payload is None else po.PortfolioWeights(symbols, np.frombuffer(payload, "<f8"))
+            if weights is None:  # frontier's cloud and pick, so the entry is the one frontier writes
+                cloud = po.build_frontier(*args)
+                weights = po.PortfolioWeights(symbols, cloud.weights[po.max_sharpe_portfolio(cloud)])
+                _write_entry(pick, key, weights.weights.astype("<f8").tobytes())
 
-    ledger = bt.run_backtest(config.capital, weights, buy, actual, predicted, sector_name)
-    json_path = Path(out_dir) / f"ledger_{sector_name}.json"
-    csv_path = Path(out_dir) / f"ledger_{sector_name}.csv"
-    _atomic_write(json_path, _json_text(ledger))
-    _atomic_write(csv_path, bt.ledger_csv_text(ledger))
-    summary = [r for r in summary if r[0] != sector_name]
-    summary.append((sector_name, ledger["roi_predicted_pct"], ledger["roi_actual_pct"]))
-    _atomic_write(summary_path, bt.summary_csv_text(summary))
-    return json_path, csv_path, summary_path
+        end_predicted = None
+        if predicted_prices is not None:
+            end_predicted = _read_predicted_prices(predicted_prices)
+            missing = [s for s in symbols if s not in end_predicted]
+            if missing:
+                raise ValueError(f"{predicted_prices}: missing predicted prices for {missing}")
+
+        buy, actual, predicted = [], [], []
+        for sym, series in members.items():
+            lo, hi = series.span(config.invest_date, config.eval_date)
+            buy.append(float(series.closes[lo]))
+            actual.append(float(series.closes[hi - 1]))
+            if end_predicted is None:
+                predicted.append(float(_forecast(series, out_dir, hi - 1, hi)[0]))
+            else:
+                predicted.append(end_predicted[sym])
+
+        ledger = bt.run_backtest(config.capital, weights, buy, actual, predicted, sector_name)
+        json_path = out_dir / f"ledger_{sector_name}.json"
+        csv_path = out_dir / f"ledger_{sector_name}.csv"
+        summary_path = out_dir / "summary.csv"
+        _atomic_write(json_path, _json_text(ledger))
+        _atomic_write(csv_path, bt.ledger_csv_text(ledger))
+        rois[sector_name] = [ledger[k] for k in roi_keys]
+        _atomic_write(summary_path, bt.summary_csv_text(
+            [(s.sector_name, *rois[s.sector_name]) for s in config.sectors if s.sector_name in rois]
+        ))
+        return json_path, csv_path, summary_path
+    except BaseException:
+        if made:  # a failure before any write leaves no --out behind
+            with suppress(OSError):
+                out_dir.rmdir()
+        raise
+    finally:
+        os.close(lock)  # which releases the flock
 
 
 def cmd_plotdata(

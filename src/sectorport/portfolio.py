@@ -7,8 +7,7 @@ maximum-Sharpe portfolios are its argmin and argmax, and the selectors return
 those draw indices. Weight vectors are independent uniform(0,1)
 draws normalized to sum to one, so short selling is excluded by construction.
 The cloud is computed 8192 rows at a time, and exported as CSV text 1024 rows at
-a time: an export holds one block of text, and max_sharpe_weights one block of
-the cloud.
+a time, so an export holds one block of text.
 
 Draw ``i`` always consumes doubles ``[i*n, (i+1)*n)`` of a single PCG64
 stream keyed by the seed, so the clouds of one seed are nested prefixes of
@@ -150,37 +149,18 @@ def _draw_block(rng: Generator, mean: np.ndarray, cov: CovarianceMatrix, weights
     np.sqrt(np.maximum(risks, 0.0, out=risks), out=risks)
 
 
-def _cloud_buffers(mean, cov: CovarianceMatrix, n_draws: int, seed: int, rows: int):
-    """The seed's PCG64 stream, mean as a checked float vector, and weight, return and risk buffers of rows draws."""
+def build_frontier(mean: np.ndarray, cov: CovarianceMatrix, n_draws: int, risk_free: float, seed: int) -> FrontierCloud:
+    """Monte-Carlo cloud of the seed's first n_draws draws, computed block by block."""
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     mean, n = np.asarray(mean, dtype=float), len(cov.symbols)
     if mean.shape != (n,):
         raise ValueError(f"mean shape {mean.shape} does not match {n} symbols")
-    return Generator(PCG64(SeedSequence(seed))), mean, np.empty((rows, n)), np.empty(rows), np.empty(rows)
-
-
-def build_frontier(mean: np.ndarray, cov: CovarianceMatrix, n_draws: int, risk_free: float, seed: int) -> FrontierCloud:
-    """Monte-Carlo cloud of the seed's first n_draws draws, computed block by block."""
-    rng, mean, weights, returns, risks = _cloud_buffers(mean, cov, n_draws, seed, n_draws)
+    rng = Generator(PCG64(SeedSequence(seed)))
+    weights, returns, risks = np.empty((n_draws, n)), np.empty(n_draws), np.empty(n_draws)
     for lo, hi in _blocks(n_draws):
         _draw_block(rng, mean, cov, weights[lo:hi], returns[lo:hi], risks[lo:hi])
     return FrontierCloud(cov.symbols, weights, returns, risks, sharpe_ratio(returns, risks, risk_free))
-
-
-def max_sharpe_weights(mean: np.ndarray, cov: CovarianceMatrix, n_draws: int, risk_free: float, seed: int):
-    """build_frontier's weights at max_sharpe_portfolio's draw, from one reused block. A block's best draw
-    replaces the best so far only on a higher Sharpe, so the first of equals wins, as in np.argmax."""
-    rng, mean, weights, returns, risks = _cloud_buffers(mean, cov, n_draws, seed, min(n_draws, _BLOCK_ROWS + 1))
-    best, best_sharpe = None, None
-    for lo, hi in _blocks(n_draws):
-        w, r, s = weights[: hi - lo], returns[: hi - lo], risks[: hi - lo]
-        _draw_block(rng, mean, cov, w, r, s)
-        sharpes = sharpe_ratio(r, s, risk_free)
-        i = int(np.argmax(sharpes))
-        if best is None or sharpes[i] > best_sharpe:
-            best, best_sharpe = w[i].copy(), sharpes[i]
-    return best
 
 
 def min_variance_portfolio(cloud: FrontierCloud) -> int:

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import datetime as dt
+import fcntl
 import hashlib
 import io
 import itertools
@@ -793,46 +794,6 @@ def tree(root: Path) -> dict[str, bytes | None]:
     return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
-SUMMARY_HEADER = "sector,predicted_return_pct,actual_return_pct"
-
-
-def assert_summary_rejected_before_any_write(config, tmp_path, line, expected, summary=None):
-    """cmd_backtest twin on an out/ whose summary.csv has line as its line 3 raises expected on
-    line 3, or, given the whole summary text, raises expected on line 1; either way it writes
-    no ledger_twin.* and leaves out/ as it was, every file byte-unchanged."""
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "summary.csv").write_text(summary or f"{SUMMARY_HEADER}\ntwin,1.00,2.00\n{line}\n")
-    (out / "ledger_tech.json").write_text('{"sector": "tech"}\n')
-    before = tree(out)
-    pred_file = tmp_path / "pred.csv"
-    pred_file.write_text("symbol,price\nTW1,100.0\nTW2,200.0\n")
-    expected = f"{out / 'summary.csv'}: line {3 if summary is None else 1}: {expected}"
-    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-        cmd_backtest(config, "twin", out, predicted_prices=pred_file)
-    assert not list(out.glob("ledger_twin.*"))
-    assert tree(out) == before
-
-
-@pytest.mark.parametrize("line", ["tech,1.0", "tech,abc,1.0", "tech,1.0,2.0,3.0"])
-def test_backtest_malformed_summary_names_file_and_line(config, tmp_path, line):
-    expected = f"expected 'sector,predicted_return_pct,actual_return_pct' columns, got {line!r}"
-    assert_summary_rejected_before_any_write(config, tmp_path, line, expected)
-
-
-@pytest.mark.parametrize("line", ["tech,nan,1.0", "tech,1.0,inf", "tech,-inf,1.0", "tech,NaN,-Infinity"])
-def test_backtest_nonfinite_summary_return_names_file_and_line(config, tmp_path, line):
-    # float() reads these, so they used to pass the column check and be written back
-    assert_summary_rejected_before_any_write(config, tmp_path, line, f"tech: expected finite numbers, got {line!r}")
-
-
-def test_backtest_summary_without_header_names_file_and_line(config, tmp_path):
-    # line 1 used to be skipped unread, so the energy row was lost on the next backtest
-    summary = "energy,1.00,2.00\ntech,3.00,4.00\n"
-    expected = f"expected header {SUMMARY_HEADER!r}, got 'energy,1.00,2.00'"
-    assert_summary_rejected_before_any_write(config, tmp_path, None, expected, summary=summary)
-
-
 def test_backtest_predicted_prices_without_header_names_file_and_line(config, tmp_path):
     pred_file = tmp_path / "pred.csv"
     pred_file.write_text("TW1,100.0\nTW2,200.0\n")
@@ -866,19 +827,12 @@ def test_rows_file_around_blank_lines_and_spaces_is_read(tmp_path):
     assert _read_predicted_prices(path) == {"TW1": 100.0, "TW2": 200.0}
 
 
-@pytest.mark.parametrize("rows_file", ["predicted-prices", "summary"])
-def test_rows_file_that_is_not_utf8_names_file_and_line(config, tmp_path, rows_file):
+def test_rows_file_that_is_not_utf8_names_file_and_line(config, tmp_path):
     # it used to fail as "'utf-8' codec can't decode byte 0xff in position N", naming neither file nor line
     out = tmp_path / "out"
-    out.mkdir()
     pred_file = tmp_path / "pred.csv"
-    pred_file.write_bytes(b"symbol,price\nTW1,100.0\nTW2,200.0\n")
-    path, body = {
-        "predicted-prices": (pred_file, b"symbol,price\nTW1,100.0\nTW2,2\xff00.0\n"),
-        "summary": (out / "summary.csv", SUMMARY_HEADER.encode() + b"\ntwin,1.00,2.00\ntech,1.\xff00,2.00\n"),
-    }[rows_file]
-    path.write_bytes(body)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: not UTF-8: "):
+    pred_file.write_bytes(b"symbol,price\nTW1,100.0\nTW2,2\xff00.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(pred_file))}: line 3: not UTF-8: "):
         cmd_backtest(config, "twin", out, predicted_prices=pred_file)
     assert not list(out.glob("ledger_*"))
 
@@ -919,16 +873,6 @@ def test_backtest_parses_each_member_once(config, tmp_path, monkeypatch):
     assert sorted(parsed) == sorted(SYMBOLS)
 
 
-def test_backtest_rerun_leaves_summary_byte_identical(config, env, tmp_path):
-    pred_file = tmp_path / "pred.csv"
-    pred_file.write_text("symbol,price\n" + "".join(f"{s},100.0\n" for s in SYMBOLS))
-    out = tmp_path / "out"
-    _, _, summary = cmd_backtest(config, "tech", out, predicted_prices=pred_file)
-    first = summary.read_bytes()
-    cmd_backtest(config, "tech", out, predicted_prices=pred_file)
-    assert summary.read_bytes() == first
-
-
 def test_backtest_prediction_is_the_plotdata_row_at_eval_date(config, tmp_path):
     # both subcommands forecast through lstm.forecast; plotdata prints 12 digits
     for sym in ("TW1", "TW2"):
@@ -953,10 +897,10 @@ def prices(tmp_path):
 
 
 @pytest.fixture
-def streams(monkeypatch):
-    """The n_draws of each cloud that max_sharpe_weights streams from here on."""
-    seen, real = [], po.max_sharpe_weights
-    monkeypatch.setattr(po, "max_sharpe_weights", lambda *args: seen.append(args[2]) or real(*args))
+def clouds(monkeypatch):
+    """The n_draws of each cloud that build_frontier draws from here on."""
+    seen, real = [], po.build_frontier
+    monkeypatch.setattr(po, "build_frontier", lambda *args: seen.append(args[2]) or real(*args))
     return seen
 
 
@@ -973,7 +917,7 @@ def resealed(entry: bytes, payload: bytes) -> bytes:
 
 
 # What runs before the backtest under test, then how its .pick entry is damaged, and whether the backtest
-# then streams the cloud.
+# then draws the cloud.
 PICK_SETUPS = {
     "no entry": ([], None, True),
     "entry from frontier": (["frontier"], None, False),
@@ -987,8 +931,8 @@ PICK_SETUPS = {
 }
 
 
-@pytest.mark.parametrize("runs, damage, streamed", PICK_SETUPS.values(), ids=PICK_SETUPS.keys())
-def test_backtest_bytes_do_not_depend_on_the_pick_entry(config, tmp_path, prices, streams, runs, damage, streamed):
+@pytest.mark.parametrize("runs, damage, drawn", PICK_SETUPS.values(), ids=PICK_SETUPS.keys())
+def test_backtest_bytes_do_not_depend_on_the_pick_entry(config, tmp_path, prices, clouds, runs, damage, drawn):
     cold = backtested(config, tmp_path / "cold", prices)
     out, entry = tmp_path / "out", tmp_path / "out" / ".cache" / "tech.pick"
     for run in runs:
@@ -998,9 +942,9 @@ def test_backtest_bytes_do_not_depend_on_the_pick_entry(config, tmp_path, prices
             cmd_backtest(config, "tech", out, predicted_prices=prices)
     if damage:
         entry.write_bytes(damage(entry.read_bytes()))
-    streams.clear()
+    clouds.clear()
     assert backtested(config, out, prices) == cold
-    assert streams == [config.n_draws] * streamed
+    assert clouds == [config.n_draws] * drawn
 
 
 @pytest.mark.parametrize("n_draws", [300, 20_000])  # one block, and three
@@ -1041,18 +985,18 @@ STALE = {
 
 
 @pytest.mark.parametrize("change", STALE.values(), ids=STALE.keys())
-def test_stale_pick_entry_is_a_miss_that_is_rewritten(config, tmp_path, prices, streams, change):
+def test_stale_pick_entry_is_a_miss_that_is_rewritten(config, tmp_path, prices, clouds, change):
     out = tmp_path / "out"
     old = backtested(config, out, prices)
     new = change(config, tmp_path)
-    streams.clear()
+    clouds.clear()
     assert backtested(new, out, prices) == backtested(new, tmp_path / "cold", prices)
-    assert streams == [new.n_draws] * 2
+    assert clouds == [new.n_draws] * 2
     # the picks differ, so a hit on the stale entry would have changed the ledger
     assert (out / ".cache" / "tech.pick").read_bytes()[32:-32] != old[".cache/tech.pick"][32:-32]
 
 
-def test_pick_entry_copied_from_another_sector_is_a_miss(env, tmp_path, prices, streams):
+def test_pick_entry_copied_from_another_sector_is_a_miss(env, tmp_path, prices, clouds):
     # two sectors of two symbols each, so the copied payload has the right length
     doc = base_doc(
         sectors=[
@@ -1065,11 +1009,139 @@ def test_pick_entry_copied_from_another_sector_is_a_miss(env, tmp_path, prices, 
     config, out = load_config(tmp_path / "c.yaml"), tmp_path / "out"
     other = backtested(config, out, prices, "b")[".cache/b.pick"]
     (out / ".cache" / "a.pick").write_bytes(other)
-    streams.clear()
+    clouds.clear()
     got, cold = backtested(config, out, prices, "a"), backtested(config, tmp_path / "cold", prices, "a")
     assert {**got, "summary.csv": None} == {**cold, "summary.csv": None}  # out's summary also holds b's row
-    assert streams == [config.n_draws] * 2
+    assert clouds == [config.n_draws] * 2
     assert (out / ".cache" / "a.pick").read_bytes()[32:-32] != other[32:-32]
+
+
+# ------------------------------------------------------------------- summary
+
+def summary_after(config, out, prices, *sectors) -> bytes:
+    """summary.csv after a backtest of each of sectors in turn on out."""
+    for sector in sectors:
+        cmd_backtest(config, sector, out, predicted_prices=prices)
+    return (out / "summary.csv").read_bytes()
+
+
+def sectors_of(summary: bytes) -> list[str]:
+    return [line.split(",")[0] for line in summary.decode().splitlines()[1:]]
+
+
+def test_backtest_rerun_leaves_summary_byte_identical(config, tmp_path, prices):
+    # after another sector's backtest, the rerun's row used to move to the end, after twin's
+    first = summary_after(config, tmp_path, prices, "tech", "twin")
+    assert summary_after(config, tmp_path, prices, "tech") == first
+    assert sectors_of(first) == ["tech", "twin"]
+
+
+def test_summary_bytes_do_not_depend_on_backtest_order(config, tmp_path, prices):
+    first = summary_after(config, tmp_path / "a", prices, "twin", "tech")
+    assert first == summary_after(config, tmp_path / "b", prices, "tech", "twin")
+
+
+def test_summary_drops_the_row_of_a_sector_no_longer_configured(config, tmp_path, prices):
+    summary_after(config, tmp_path, prices, "tech", "twin")
+    only_tech = replace(config, sectors=config.sectors[:1])
+    cold = summary_after(only_tech, tmp_path / "cold", prices, "tech")
+    assert summary_after(only_tech, tmp_path, prices, "tech") == cold
+    assert sectors_of(cold) == ["tech"]
+
+
+# Each of these summary.csv texts used to be rejected when backtest read the file back.
+SUMMARY_HEADER = b"sector,predicted_return_pct,actual_return_pct"
+BAD_SUMMARIES = {
+    **{f"line {line!r}": SUMMARY_HEADER + b"\ntwin,1.00,2.00\n" + line + b"\n" for line in (
+        b"tech,1.0", b"tech,abc,1.0", b"tech,1.0,2.0,3.0",
+        b"tech,nan,1.0", b"tech,1.0,inf", b"tech,-inf,1.0", b"tech,NaN,-Infinity",
+    )},
+    "no header": b"energy,1.00,2.00\ntech,3.00,4.00\n",
+    "not UTF-8": SUMMARY_HEADER + b"\ntwin,1.00,2.00\ntech,1.\xff00,2.00\n",
+}
+
+
+@pytest.mark.parametrize("body", BAD_SUMMARIES.values(), ids=BAD_SUMMARIES.keys())
+def test_backtest_rebuilds_a_bad_summary_from_the_ledgers(config, tmp_path, prices, body):
+    out = tmp_path / "out"
+    summary_after(config, out, prices, "tech")
+    (out / "summary.csv").write_bytes(body)
+    cold = summary_after(config, tmp_path / "cold", prices, "tech", "twin")
+    assert summary_after(config, out, prices, "twin") == cold
+    assert sectors_of(cold) == ["tech", "twin"]
+
+
+BAD_LEDGERS = {
+    "not JSON": (b'{"roi_predicted_pct": 1.0,', "not valid JSON"),
+    "not UTF-8": (b'{"roi_predicted_pct": 1.\xff0}', "'utf-8' codec can't decode byte 0xff"),
+    "a key missing": (b'{"roi_predicted_pct": 1.0}', "missing the keys ['roi_actual_pct']"),
+    "NaN": (b'{"roi_predicted_pct": 1.0, "roi_actual_pct": NaN}', "roi_actual_pct: expected a finite number, got nan"),
+    "a string": (
+        b'{"roi_predicted_pct": "1.0", "roi_actual_pct": 2.0}',
+        "roi_predicted_pct: expected a finite number, got '1.0'",
+    ),
+}
+
+
+@pytest.mark.parametrize("body, error", BAD_LEDGERS.values(), ids=BAD_LEDGERS.keys())
+def test_bad_ledger_of_another_sector_is_named_before_anything_is_written(config, tmp_path, prices, body, error):
+    # twin's first backtest: a late check would have written its .cols and .pick entries by then
+    out = tmp_path / "out"
+    summary_after(config, out, prices, "tech")
+    ledger = out / "ledger_tech.json"
+    ledger.write_bytes(body)
+    before = tree(out)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{ledger}: {error}')}"):
+        cmd_backtest(config, "twin", out, predicted_prices=prices)
+    assert tree(out) == before
+
+
+def test_backtest_waits_for_the_lock_on_out_then_keeps_both_rows(env, config, tmp_path, prices):
+    # two backtests started together used to lose a row now and then
+    out = tmp_path / "out"
+    summary_after(config, out, prices, "twin")
+    code = "import sys\nfrom sectorport.cli import main\nprint('imported', flush=True)\nsys.exit(main(sys.argv[1:]))\n"
+    argv = ["--config", str(env / "config.yaml"), "--out", str(out), "backtest", "tech"]
+    src = str(Path(sectorport.__file__).parents[1])
+    lock = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        before = tree(out)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, *argv, "--predicted-prices", str(prices)],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "imported\n"
+        with pytest.raises(subprocess.TimeoutExpired):  # it would take a fraction of this
+            proc.wait(timeout=1.0)
+        assert tree(out) == before
+    finally:
+        os.close(lock)
+    proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert sectors_of((out / "summary.csv").read_bytes()) == ["tech", "twin"]
+
+
+def test_concurrent_backtests_on_one_out_keep_every_row(env, tmp_path, prices):
+    # more processes than CPUs, started together on a fresh out/: a row used to be lost in about 1 of 6 runs
+    sectors = [*base_doc()["sectors"], {"name": "duo", "members": [["AAA", 1.0], ["BBB", 1.0]]}]
+    cfg_path = tmp_path / "c.yaml"
+    cfg_path.write_text(yaml.safe_dump(base_doc(sectors=sectors, data_dir=str(env / "data"))))
+    out = tmp_path / "out"
+    src = str(Path(sectorport.__file__).parents[1])
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "sectorport.cli", "--config", str(cfg_path), "--out", str(out),
+             "backtest", s["name"], "--predicted-prices", str(prices)],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL,
+        )
+        for s in sectors
+    ]
+    assert [proc.wait(timeout=60) for proc in procs] == [0, 0, 0]
+    assert sectors_of((out / "summary.csv").read_bytes()) == ["tech", "twin", "duo"]
 
 
 # ------------------------------------------------------------------ plotdata

@@ -23,7 +23,6 @@ from sectorport.portfolio import (
     build_frontier,
     frontier_csv_blocks,
     max_sharpe_portfolio,
-    max_sharpe_weights,
     mean_and_covariance,
     min_variance_portfolio,
     portfolio_report,
@@ -297,45 +296,19 @@ def test_blocked_cloud_is_the_whole_array_formula_byte_for_byte(k, sizes, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(portfolio, "_BLOCK_ROWS", block)
         cloud = build_frontier(mean, cov, n_draws=n_draws, risk_free=0.01, seed=seed)
-        picked = max_sharpe_weights(mean, cov, n_draws, 0.01, seed)
     want = whole_array_frontier(mean, cov, n_draws, 0.01, seed)
     for got, ref in zip((cloud.weights, cloud.returns, cloud.risks, cloud.sharpes), want):
         assert got.tobytes() == ref.tobytes()
-    # with k = 1 every draw is the weight 1.0 and every Sharpe is equal
-    assert picked.tobytes() == cloud.weights[max_sharpe_portfolio(cloud)].tobytes()
 
 
-@pytest.mark.parametrize(
-    "sharpes",
-    [[1, 3, 2, 3, 0, 3, 3], [1, 2, 2, 5, 0, 5, 1], [0, 0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 2, 2]],
-    ids=["tie-across-blocks", "tie-inside-a-block", "all-equal", "tie-in-the-ragged-block"],
-)
-def test_max_sharpe_weights_keeps_the_first_of_equal_sharpes(monkeypatch, sharpes):
-    # blocks of 2 rows, the last of 3: draw i's weights name it, and its Sharpe is its return
-    def draw_block(rng, mean, cov, weights, returns, risks):
-        lo = drawn.pop()
-        drawn.append(lo + len(weights))
-        weights[:] = np.arange(lo, lo + len(weights))[:, None]
-        returns[:] = sharpes[lo : lo + len(weights)]
-        risks[:] = 1.0
-
-    drawn = [0]
-    monkeypatch.setattr(portfolio, "_BLOCK_ROWS", 2)
-    monkeypatch.setattr(portfolio, "_draw_block", draw_block)
-    picked = max_sharpe_weights(np.zeros(1), CovarianceMatrix(("A",), np.ones((1, 1))), len(sharpes), 0.0, 0)
-    assert drawn == [len(sharpes)]
-    assert picked.tolist() == [float(np.argmax(sharpes))]
-
-
-def test_max_sharpe_weights_raises_what_build_frontier_raises():
+def test_build_frontier_rejects_a_zero_risk_no_draws_and_a_mean_of_another_shape():
     cov = CovarianceMatrix(("A", "B"), np.zeros((2, 2)))
-    for call in (build_frontier, max_sharpe_weights):
-        with pytest.raises(ValueError, match="^annual_risk must be positive, got 0.0$"):
-            call(np.zeros(2), cov, 20_000, 0.01, 0)
-        with pytest.raises(ValueError, match="^n_draws must be >= 1$"):
-            call(np.zeros(2), cov, 0, 0.01, 0)
-        with pytest.raises(ValueError, match=r"^mean shape \(3,\) does not match 2 symbols$"):
-            call(np.zeros(3), cov, 10, 0.01, 0)
+    with pytest.raises(ValueError, match="^annual_risk must be positive, got 0.0$"):
+        build_frontier(np.zeros(2), cov, 20_000, 0.01, 0)
+    with pytest.raises(ValueError, match="^n_draws must be >= 1$"):
+        build_frontier(np.zeros(2), cov, 0, 0.01, 0)
+    with pytest.raises(ValueError, match=r"^mean shape \(3,\) does not match 2 symbols$"):
+        build_frontier(np.zeros(3), cov, 10, 0.01, 0)
 
 
 def traced_peak(call):
@@ -346,13 +319,6 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_max_sharpe_weights_holds_one_block_not_the_cloud():
-    mean, cov = random_moments(12, 0)
-    _, peak = traced_peak(lambda: max_sharpe_weights(mean, cov, 200_000, 0.01, 3))
-    # the cloud's weights alone are 19.2 MB
-    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_build_frontier_holds_nothing_the_size_of_the_weights_but_them():

@@ -240,10 +240,20 @@ def _read_predicted_prices(path: Path) -> dict[str, float]:
     return prices
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict, rejecting a key repeated in one object, where json keeps the last value."""
+    mapping = {}
+    for key, value in pairs:
+        if key in mapping:
+            raise ValueError(f"duplicate key {key!r}")
+        mapping[key] = value
+    return mapping
+
+
 def _read_json(path: Path, keys: tuple[str, ...], build=list):
     """build(the finite numbers at keys of the JSON object in the file at path); its errors and build's name path."""
     try:
-        mapping = json.loads(Path(path).read_text(encoding="utf-8"))
+        mapping = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
         if not isinstance(mapping, dict):
             raise ValueError(f"expected a JSON object with the keys {list(keys)}")
         missing = [k for k in keys if k not in mapping]
@@ -299,31 +309,31 @@ def cmd_backtest(
     try:
         fcntl.flock(lock, fcntl.LOCK_EX)
         roi_keys = ("roi_predicted_pct", "roi_actual_pct")
-        rois = {  # read before anything, the price cache too, is written
+        rois = {  # these and the two files below are read before anything, the price cache too, is written
             s.sector_name: _read_json(path, roi_keys)
             for s in config.sectors
             if s.sector_name != sector_name and (path := out_dir / f"ledger_{s.sector_name}.json").exists()
         }
-        members = _load_members(config, sector_name, out_dir)
-        symbols = tuple(members)
-        if weights_file is not None:
-            weights = _read_json(weights_file, symbols, lambda w: po.PortfolioWeights(symbols, np.array(w)))
-        else:
-            args, pick, key = _sector_cloud(config, sector_name, members, out_dir)
-            payload, weights = _read_entry(pick, lambda size: key), None
-            with suppress(ValueError):  # a payload of another length, or weights that are not a portfolio, is a miss
-                weights = None if payload is None else po.PortfolioWeights(symbols, np.frombuffer(payload, "<f8"))
-            if weights is None:  # frontier's cloud and pick, so the entry is the one frontier writes
-                cloud = po.build_frontier(*args)
-                weights = po.PortfolioWeights(symbols, cloud.weights[po.max_sharpe_portfolio(cloud)])
-                _write_entry(pick, key, weights.weights.astype("<f8").tobytes())
-
+        symbols = config.sector(sector_name).symbols
+        weights = None if weights_file is None else _read_json(
+            weights_file, symbols, lambda w: po.PortfolioWeights(symbols, np.array(w))
+        )
         end_predicted = None
         if predicted_prices is not None:
             end_predicted = _read_predicted_prices(predicted_prices)
             missing = [s for s in symbols if s not in end_predicted]
             if missing:
                 raise ValueError(f"{predicted_prices}: missing predicted prices for {missing}")
+        members = _load_members(config, sector_name, out_dir)
+        if weights is None:
+            args, pick, key = _sector_cloud(config, sector_name, members, out_dir)
+            payload = _read_entry(pick, lambda size: key)
+            with suppress(ValueError):  # a payload of another length, or weights that are not a portfolio, is a miss
+                weights = None if payload is None else po.PortfolioWeights(symbols, np.frombuffer(payload, "<f8"))
+            if weights is None:  # frontier's cloud and pick, so the entry is the one frontier writes
+                cloud = po.build_frontier(*args)
+                weights = po.PortfolioWeights(symbols, cloud.weights[po.max_sharpe_portfolio(cloud)])
+                _write_entry(pick, key, weights.weights.astype("<f8").tobytes())
 
         buy, actual, predicted = [], [], []
         for sym, series in members.items():

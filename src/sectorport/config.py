@@ -1,26 +1,27 @@
 """Run configuration: a YAML file with flat keys, sector blocks, and an lstm block.
 
-Unknown keys anywhere in the document are errors (catches typos), and every
-value is typed strictly where it enters: an integer key rejects 2.7 rather
-than truncating it, a numeric key rejects a bool or a string, a date key
-takes a YAML date or a YYYY-MM-DD string and nothing else, and a sector
-name or symbol, which becomes a CSV field and part of file names, rejects a
-comma, a line break, a path separator, and the names "", "." and "..".
-Errors name the key. All randomness in a run flows from the single `seed`
-via derive_seed, so each subcommand is independently reproducible.
+Unknown keys anywhere in the document are errors (catches typos). build types each
+value where it enters by its field's annotation, here and in a checkpoint header:
+an integer key rejects 2.7 rather than truncating it, a numeric key rejects a bool
+or a string and is stored as a float, and a date key takes a YAML date or a
+YYYY-MM-DD string and nothing else. A sector name or symbol, which becomes a CSV
+field and part of file names, rejects a comma, a line break, a path separator, and
+the names "", "." and "..". Errors name the key. All randomness in a run flows
+from the single `seed` via derive_seed, so each subcommand is independently reproducible.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
 
-from .market_data import parse_date
+from .market_data import decode_utf8, parse_date
 
 
 @dataclass(frozen=True)
@@ -68,16 +69,6 @@ class LstmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Strict types: a float would be truncated silently, a bool is an int to
-        # Python, and a string would only fail mid-run. Values are checked, not
-        # converted, so a checkpoint header keeps the types it was given.
-        for name in ("window", "horizon", "dense_width", "batch_size", "epochs", "seed"):
-            _as_int(getattr(self, name), name)
-        for name in ("dropout_rate", "learning_rate", "huber_delta"):
-            _as_number(getattr(self, name), name)
-        if not isinstance(self.lstm_layers, (list, tuple)):
-            raise ValueError(f"lstm_layers: expected a list of integers, got {self.lstm_layers!r}")
-        object.__setattr__(self, "lstm_layers", tuple(_as_int(w, "lstm_layers") for w in self.lstm_layers))
         if self.window < 1 or self.horizon < 1:
             raise ValueError("window and horizon must be >= 1")
         if not self.lstm_layers or any(w < 1 for w in self.lstm_layers):
@@ -139,16 +130,9 @@ class RunConfig:
 
     def all_symbols(self) -> tuple[str, ...]:
         """Member symbols in config order, first occurrence wins."""
-        seen: list[str] = []
-        for s in self.sectors:
-            for sym in s.symbols:
-                if sym not in seen:
-                    seen.append(sym)
-        return tuple(seen)
+        return tuple(dict.fromkeys(sym for s in self.sectors for sym in s.symbols))
 
 
-_TOP_KEYS = {f.name for f in fields(RunConfig)}
-_LSTM_KEYS = {f.name for f in fields(LstmConfig)} - {"seed"}
 _SECTOR_KEYS = {"name", "members"}
 
 
@@ -196,6 +180,35 @@ def _exponent_hint(value) -> str:
     if e and "." not in mantissa:
         mantissa += ".0"
     return f" (YAML 1.1 reads {value} as a string; write {mantissa}{e}{exponent})"
+
+
+def _as_widths(value, key: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key}: expected a list of integers, got {value!r}")
+    return tuple(_as_int(w, key) for w in value)
+
+
+# build's check of a value for a field, by the field's annotation: a string, under `from __future__ import annotations`.
+_CHECKS = {"int": _as_int, "float": _as_number, "dt.date": _as_date, "tuple[int, ...]": _as_widths}
+
+
+def build(cls, mapping, context: str, **given):
+    """A cls from mapping, read from outside the program, and the fields in given. A key that names no field
+    or a field that given fixes is an error, and so is a field without a default that neither sets. Each value
+    passes its field's check in _CHECKS, which stores a float field's value as a float. Every error starts
+    with context, and a value's error names its key after it."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{context} must be a mapping")
+    settable = {f.name: f for f in fields(cls) if f.name not in given}
+    _check_keys(mapping, set(settable), context)
+    try:
+        values = {key: _CHECKS[settable[key].type](value, key) for key, value in mapping.items()}
+        missing = [k for k, f in settable.items() if k not in values and f.default is f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"missing the keys {missing}")
+        return cls(**given, **values)
+    except ValueError as exc:
+        raise ValueError(f"{context}: {exc}") from None
 
 
 def _as_str(value, key: str) -> str:
@@ -274,42 +287,22 @@ _UniqueKeyLoader = _unique_key_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoad
 def load_config(path) -> RunConfig:
     """Load and validate a YAML run configuration."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.load(fh, Loader=_UniqueKeyLoader)
+    stream = io.StringIO(decode_utf8(path.read_bytes(), str(path)))
+    stream.name = str(path)  # the file that both parsers' marks name, as they would for an open file
+    doc = yaml.load(stream, Loader=_UniqueKeyLoader)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a mapping")
-    _check_keys(doc, _TOP_KEYS, str(path))
     if "data_dir" not in doc or "sectors" not in doc:
         raise ValueError(f"{path}: needs 'data_dir' and 'sectors'")
-
-    lstm_block = {} if doc.get("lstm") is None else doc["lstm"]
-    if not isinstance(lstm_block, dict):
-        raise ValueError(f"{path}: lstm must be a mapping")
-    _check_keys(lstm_block, _LSTM_KEYS, f"{path}: lstm")
-    seed = _as_int(doc.get("seed", 0), f"{path}: seed")
-    try:
-        lstm_config = LstmConfig(seed=seed, **lstm_block)
-    except ValueError as exc:
-        raise ValueError(f"{path}: lstm: {exc}") from exc
-
-    data_dir = _as_str(doc["data_dir"], f"{path}: data_dir")
+    data_dir = _as_str(doc.pop("data_dir"), f"{path}: data_dir")
     if not data_dir:  # Path('') is '.', which would read the CSVs beside the config
         raise ValueError(f"{path}: data_dir: expected a directory, got ''")
-
-    kwargs = {}
-    for key in ("train_start", "train_end", "invest_date", "eval_date"):
-        if key in doc:
-            kwargs[key] = _as_date(doc[key], f"{path}: {key}")
-    for key in ("capital", "risk_free"):
-        if key in doc:
-            kwargs[key] = _as_number(doc[key], f"{path}: {key}")
-    if "n_draws" in doc:
-        kwargs["n_draws"] = _as_int(doc["n_draws"], f"{path}: n_draws")
-
     if not isinstance(doc["sectors"], list):
         raise ValueError(f"{path}: sectors must be a list")
     try:
-        sectors = tuple(_parse_sector(b, i) for i, b in enumerate(doc["sectors"]))
-        return RunConfig(data_dir=path.parent / data_dir, sectors=sectors, lstm=lstm_config, seed=seed, **kwargs)
+        sectors = tuple(_parse_sector(b, i) for i, b in enumerate(doc.pop("sectors")))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from None
+    lstm = doc.pop("lstm", None)
+    config = build(RunConfig, doc, str(path), data_dir=path.parent / data_dir, sectors=sectors)
+    return replace(config, lstm=build(LstmConfig, {} if lstm is None else lstm, f"{path}: lstm", seed=config.seed))

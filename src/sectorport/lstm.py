@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .config import LstmConfig, _as_number
+from .config import LstmConfig, build
 
 CHECKPOINT_MAGIC = b"SPLSTMCK"
 CHECKPOINT_VERSION = 2
@@ -65,7 +65,7 @@ class Scaler:
 
     def __post_init__(self):
         if not self.max > self.min:
-            raise ValueError(f"scaler needs max > min, got [{self.min}, {self.max}]")
+            raise ValueError(f"expected max > min, got [{self.min}, {self.max}]")
 
     def transform(self, x):
         return (np.asarray(x, dtype=float) - self.min) / (self.max - self.min)
@@ -691,7 +691,7 @@ def checkpoint_bytes(model: LstmModel) -> bytes:
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
-        "scaler": {"min": model.scaler.min, "max": model.scaler.max},
+        "scaler": asdict(model.scaler),
     }
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = b"".join(
@@ -728,14 +728,8 @@ def model_from_checkpoint_bytes(blob: bytes) -> LstmModel:
     if hashlib.sha256(memoryview(blob)[:-_DIGEST_SIZE]).digest() != blob[-_DIGEST_SIZE:]:
         raise ValueError("checkpoint digest mismatch: the file is corrupt or truncated")
 
-    try:
-        config = LstmConfig(**header["config"])
-        bounds = [
-            _as_number(header["scaler"][key], f"corrupt checkpoint header: scaler {key}") for key in ("min", "max")
-        ]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"corrupt checkpoint header: {exc!r}") from exc
-    scaler = Scaler(*bounds)
+    config = build(LstmConfig, header.get("config"), "corrupt checkpoint header: config")
+    scaler = build(Scaler, header.get("scaler"), "corrupt checkpoint header: scaler")
 
     have, need = len(blob) - pos - _DIGEST_SIZE, 4 * _param_count(config)
     if have != need:

@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 from numpy.random import Generator, PCG64, SeedSequence
 
-from sectorport.config import LstmConfig
+from sectorport.config import LstmConfig, build
 from sectorport.lstm import (
     CHECKPOINT_MAGIC,
     Scaler,
@@ -76,7 +77,7 @@ def test_header_is_self_describing():
     assert set(header) == {"version", "config", "scaler"}
     assert header["version"] == 2
     assert header["scaler"] == {"min": 50.0, "max": 150.0}
-    assert LstmConfig(**header["config"]) == model.config
+    assert build(LstmConfig, header["config"], "config") == model.config
     expected = np.concatenate([a.ravel() for a in model.params.values()])
     np.testing.assert_array_equal(np.frombuffer(payload, dtype="<f4"), expected)
     assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
@@ -139,7 +140,24 @@ def test_scaler_bound_must_be_a_finite_number(key, value):
     # re-sealed, so the bound check and not the digest rejects it
     header, payload = split_blob(checkpoint_bytes(make_model()))
     header["scaler"][key] = value
-    with pytest.raises(ValueError, match=f"scaler {key}: expected a finite number"):
+    with pytest.raises(ValueError, match=f"^corrupt checkpoint header: scaler: {key}: expected a finite number"):
+        model_from_checkpoint_bytes(repack(header, payload))
+
+
+@pytest.mark.parametrize(
+    "part, change, message",
+    [
+        ("config", lambda config: {**config, "colour": "red"}, "config: unknown keys ['colour']"),
+        ("config", lambda config: list(config.values()), "config must be a mapping"),
+        ("scaler", lambda scaler: {"min": scaler["min"]}, "scaler: missing the keys ['max']"),
+    ],
+    ids=["unknown-key", "config-list", "scaler-without-max"],
+)
+def test_header_error_names_the_key(part, change, message):
+    # these used to report a Python exception's repr: TypeError(...) or KeyError('max')
+    header, payload = split_blob(checkpoint_bytes(make_model()))
+    header[part] = change(header[part])
+    with pytest.raises(ValueError, match=f"^corrupt checkpoint header: {re.escape(message)}$"):
         model_from_checkpoint_bytes(repack(header, payload))
 
 

@@ -745,7 +745,7 @@ def test_backtest_malformed_predicted_price_names_file_and_line(config, tmp_path
     pred_file.write_text(f"symbol,price\nAAA,100.0\n{line}\n{rest}")
     with pytest.raises(ValueError, match=rf"pred\.csv: line 3"):
         cmd_backtest(config, "tech", tmp_path / "out", predicted_prices=pred_file)
-    assert not list((tmp_path / "out").glob("ledger_*"))
+    assert not (tmp_path / "out").exists()  # the file is read before the price cache is written
 
 
 @pytest.mark.parametrize(
@@ -768,6 +768,16 @@ def test_backtest_weights_file_value_must_be_a_finite_number(config, tmp_path, t
     with pytest.raises(ValueError, match=rf"^{re.escape(str(weights))}: {message}"):
         cmd_backtest(config, "twin", tmp_path / "out", predicted_prices=pred_file, weights_file=weights)
     assert not list((tmp_path / "out").glob("ledger_*"))
+
+
+def test_backtest_weights_file_with_a_repeated_key_is_rejected_before_anything_is_written(config, tmp_path, prices):
+    # json keeps the last of two equal keys, so this file used to invest 0.2 in TW1
+    weights = tmp_path / "w.json"
+    weights.write_text('{"TW1": 0.9, "TW1": 0.2, "TW2": 0.8}')
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(weights))}: duplicate key 'TW1'$"):
+        cmd_backtest(config, "twin", out, predicted_prices=prices, weights_file=weights)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1075,6 +1085,10 @@ BAD_LEDGERS = {
     "not JSON": (b'{"roi_predicted_pct": 1.0,', "not valid JSON"),
     "not UTF-8": (b'{"roi_predicted_pct": 1.\xff0}', "'utf-8' codec can't decode byte 0xff"),
     "a key missing": (b'{"roi_predicted_pct": 1.0}', "missing the keys ['roi_actual_pct']"),
+    "a key repeated": (
+        b'{"roi_predicted_pct": 1.0, "roi_actual_pct": 2.0, "roi_predicted_pct": 3.0}',
+        "duplicate key 'roi_predicted_pct'",
+    ),
     "NaN": (b'{"roi_predicted_pct": 1.0, "roi_actual_pct": NaN}', "roi_actual_pct: expected a finite number, got nan"),
     "a string": (
         b'{"roi_predicted_pct": "1.0", "roi_actual_pct": 2.0}',

@@ -1,8 +1,9 @@
 import datetime as dt
 import importlib.util
+import json
 import re
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectorport import config as config_module
-from sectorport.config import LstmConfig, RunConfig, SectorUniverse, derive_seed, load_config
+from sectorport.config import LstmConfig, RunConfig, SectorUniverse, build, derive_seed, load_config
+from sectorport.lstm import Scaler
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,9 +68,10 @@ def test_endpoint_is_an_unknown_key_naming_the_file(tmp_path):
         load_config(path)
 
 
-def test_unknown_lstm_key_rejected(tmp_path):
-    path = write_config(tmp_path / "c.yaml", lstm={"window": 10, "wndow": 5})
-    with pytest.raises(ValueError, match="wndow"):
+@pytest.mark.parametrize("key", ["wndow", "seed"])  # the lstm block's seed is the top-level seed
+def test_unknown_lstm_key_rejected(tmp_path, key):
+    path = write_config(tmp_path / "c.yaml", lstm={"window": 10, key: 5})
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: lstm: unknown keys \\['{key}'\\]$"):
         load_config(path)
 
 
@@ -162,9 +165,10 @@ def test_n_draws_must_be_positive(tmp_path, n_draws):
 @pytest.mark.parametrize("key", ["huber_delta", "learning_rate"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_nonpositive_lstm_rate_names_its_key_alone(tmp_path, key, value):
-    # both keys used to share one message, so a bad huber_delta also named learning_rate
+    # both keys used to share one message, so a bad huber_delta also named learning_rate;
+    # a float key is stored as a float, so the integer 0 reads 0.0
     path = write_config(tmp_path / "c.yaml", lstm={"window": 10, "lstm_layers": [8], key: value})
-    expected = f"{path}: lstm: {key}: must be positive, got {value}"
+    expected = f"{path}: lstm: {key}: must be positive, got {float(value)}"
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         load_config(path)
 
@@ -422,6 +426,14 @@ def test_each_parser_names_the_file_and_line(tmp_path, monkeypatch, base, text, 
         load_config(path)
 
 
+def test_config_that_is_not_utf8_names_file_and_line(tmp_path):
+    # the codec's error named neither the file nor the line, only a byte offset
+    path = tmp_path / "c.yaml"
+    path.write_bytes(b"data_dir: data\n" + SECTORS.encode() + b"seed: 1\xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: not UTF-8: "):
+        load_config(path)
+
+
 # One line of a config in PyYAML's block layout: an optional "- " list-item marker, an optional key, the value.
 CONFIG_LINE = re.compile(r"^(?P<head>\s*(?:- )?)(?:(?P<key>\w+):)?(?P<value>.*)$")
 MUTANT_VALUES = ["0", "-1", "1e5", "[]", "null", "false", "''", "abc", "{1: a, foo: b}", "2016-02-30", "2021-13-01"]
@@ -485,3 +497,53 @@ def test_one_change_to_the_demo_config_loads_or_raises_naming_the_file(demo_conf
         assert isinstance(load_config(path), RunConfig)
     except (ValueError, yaml.YAMLError) as exc:
         assert str(path) in str(exc)
+
+
+# The fields that build reads from the YAML's top level; load_config reads data_dir, sectors and lstm itself.
+TOP_LEVEL = [f.name for f in fields(RunConfig) if f.name not in ("data_dir", "sectors", "lstm")]
+
+
+@pytest.mark.parametrize("value", [True, "x"], ids=["bool", "string"])
+@pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in (LstmConfig, Scaler) for f in fields(cls)])
+def test_every_lstm_and_scaler_field_rejects_a_bool_and_a_string_naming_its_key(cls, name, value):
+    # the check comes from the field's annotation: a type that build has no check for fails here
+    with pytest.raises(ValueError, match=f"^where: {name}: expected "):
+        build(cls, {name: value}, "where")
+
+
+@pytest.mark.parametrize("value", [True, "x"], ids=["bool", "string"])
+@pytest.mark.parametrize("name", TOP_LEVEL)
+def test_every_top_level_field_rejects_a_bool_and_a_string_naming_its_key(tmp_path, name, value):
+    path = write_config(tmp_path / "c.yaml", **{name: value})
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {name}: expected "):
+        load_config(path)
+
+
+def test_a_float_key_given_an_integer_is_stored_as_a_float(tmp_path):
+    # the lstm block kept YAML's int, so `huber_delta: 1` wrote 1 into the checkpoint header
+    path = write_config(tmp_path / "c.yaml", capital=100000, lstm={"huber_delta": 1, "dropout_rate": 0})
+    cfg = load_config(path)
+    assert [type(v) for v in (cfg.capital, cfg.lstm.huber_delta, cfg.lstm.dropout_rate)] == [float] * 3
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+lstm_configs = st.builds(
+    LstmConfig,
+    window=st.integers(1, 2**31),
+    horizon=st.integers(1, 2**31),
+    lstm_layers=st.lists(st.integers(1, 2**31), min_size=1, max_size=4).map(tuple),
+    dropout_rate=st.floats(0.0, 1.0, exclude_max=True),
+    dense_width=st.integers(1, 2**31),
+    batch_size=st.integers(1, 2**31),
+    epochs=st.integers(0, 2**31),
+    learning_rate=positive,
+    huber_delta=positive,
+    seed=st.integers(0, 2**63 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lstm_configs)
+def test_every_valid_lstm_config_round_trips_through_json(config):
+    # the path a checkpoint header takes: asdict, JSON text, then build
+    assert build(LstmConfig, json.loads(json.dumps(asdict(config))), "header") == config

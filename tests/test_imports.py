@@ -1,6 +1,6 @@
 """Every imported name is read in the file that imports it.
 
-An ast scan over src/sectorport, tests and scripts: each name that an import
+An ast scan over src/sectorport, tests, scripts and bench: each name that an import
 statement binds must appear as a read of that name somewhere in the same
 file. ``from __future__`` imports bind nothing and star imports are not
 scanned. This stands in for a linter's unused-import rule, so no linter is a
@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = (ROOT / "src" / "sectorport", ROOT / "tests", ROOT / "scripts")
+SCANNED = (ROOT / "src" / "sectorport", ROOT / "tests", ROOT / "scripts", ROOT / "bench")
 
 
 def unused_imports(source: str) -> list[str]:

@@ -24,14 +24,14 @@ def main():
 
     print(cmd_stats(config, out))
     for sector in config.sectors:
-        for path in cmd_frontier(config, sector.sector_name, out):
+        for path in cmd_frontier(config, sector.name, out):
             print(path)
     for symbol in config.all_symbols():
         for path in cmd_train(config, symbol, out):
             print(path)
     summary = None
     for sector in config.sectors:
-        ledger_json, ledger_csv, summary = cmd_backtest(config, sector.sector_name, out)
+        ledger_json, ledger_csv, summary = cmd_backtest(config, sector.name, out)
         print(ledger_json)
         print(ledger_csv)
     lead = config.sectors[0].symbols[0]

@@ -252,8 +252,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _read_json(path: Path, keys: tuple[str, ...], build=list):
     """build(the finite numbers at keys of the JSON object in the file at path); its errors and build's name path."""
+    text = md.decode_utf8(Path(path).read_bytes(), str(path))
     try:
-        mapping = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        mapping = json.loads(text, object_pairs_hook=_unique_keys)
         if not isinstance(mapping, dict):
             raise ValueError(f"expected a JSON object with the keys {list(keys)}")
         missing = [k for k in keys if k not in mapping]
@@ -310,9 +311,9 @@ def cmd_backtest(
         fcntl.flock(lock, fcntl.LOCK_EX)
         roi_keys = ("roi_predicted_pct", "roi_actual_pct")
         rois = {  # these and the two files below are read before anything, the price cache too, is written
-            s.sector_name: _read_json(path, roi_keys)
+            s.name: _read_json(path, roi_keys)
             for s in config.sectors
-            if s.sector_name != sector_name and (path := out_dir / f"ledger_{s.sector_name}.json").exists()
+            if s.name != sector_name and (path := out_dir / f"ledger_{s.name}.json").exists()
         }
         symbols = config.sector(sector_name).symbols
         weights = None if weights_file is None else _read_json(
@@ -353,7 +354,7 @@ def cmd_backtest(
         _atomic_write(csv_path, bt.ledger_csv_text(ledger))
         rois[sector_name] = [ledger[k] for k in roi_keys]
         _atomic_write(summary_path, bt.summary_csv_text(
-            [(s.sector_name, *rois[s.sector_name]) for s in config.sectors if s.sector_name in rois]
+            [(s.name, *rois[s.name]) for s in config.sectors if s.name in rois]
         ))
         return json_path, csv_path, summary_path
     except BaseException:

@@ -1,13 +1,14 @@
 """Run configuration: a YAML file with flat keys, sector blocks, and an lstm block.
 
-Unknown keys anywhere in the document are errors (catches typos). build types each
-value where it enters by its field's annotation, here and in a checkpoint header:
-an integer key rejects 2.7 rather than truncating it, a numeric key rejects a bool
-or a string and is stored as a float, and a date key takes a YAML date or a
-YYYY-MM-DD string and nothing else. A sector name or symbol, which becomes a CSV
-field and part of file names, rejects a comma, a line break, a path separator, and
-the names "", "." and "..". Errors name the key. All randomness in a run flows
-from the single `seed` via derive_seed, so each subcommand is independently reproducible.
+load_config is one build call. build types each value where it enters by its field's
+annotation (_CHECKS), here, in the sector and lstm blocks and in a checkpoint header, and
+rejects unknown keys (catches typos): an integer key rejects 2.7 rather than truncating it,
+a numeric key rejects a bool or a string and is stored as a float, and a date key takes a
+YAML date or a YYYY-MM-DD string and nothing else. A sector name or symbol, which becomes a
+CSV field and part of file names, rejects a comma, a line break, a path separator, and the
+names "", "." and "..". Errors name the key. All randomness in a run flows from the single
+`seed` via derive_seed, so each subcommand is independently reproducible; the lstm block
+has no seed of its own.
 """
 
 from __future__ import annotations
@@ -32,16 +33,18 @@ class SectorUniverse:
     not constrain portfolio weights.
     """
 
-    sector_name: str
+    name: str
     members: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        symbols = [s for s, _ in self.members]
-        if len(set(symbols)) != len(symbols):
-            raise ValueError(f"{self.sector_name}: duplicate member symbols")
-        for sym, w in self.members:
+        if not self.members:
+            raise ValueError("members is empty")
+        symbols = self.symbols
+        for i, (sym, w) in enumerate(self.members):
+            if sym in symbols[:i]:
+                raise ValueError(f"members: duplicate symbol {sym}")
             if w <= 0:
-                raise ValueError(f"{self.sector_name}: index weight for {sym} must be > 0")
+                raise ValueError(f"members: index weight for {sym} must be > 0")
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -110,16 +113,14 @@ class RunConfig:
         if self.n_draws < 1:
             raise ValueError(f"n_draws: must be >= 1, got {self.n_draws}")
         for i, s in enumerate(self.sectors):
-            if s.sector_name in (earlier.sector_name for earlier in self.sectors[:i]):
-                raise ValueError(f"sector {s.sector_name}: named again in sectors[{i}]")
-            if not s.members:
-                raise ValueError(f"sector {s.sector_name}: members is empty")
+            if s.name in (earlier.name for earlier in self.sectors[:i]):
+                raise ValueError(f"sector {s.name}: named again in sectors[{i}]")
 
     def sector(self, name: str) -> SectorUniverse:
         for s in self.sectors:
-            if s.sector_name == name:
+            if s.name == name:
                 return s
-        known = ", ".join(s.sector_name for s in self.sectors)
+        known = ", ".join(s.name for s in self.sectors)
         raise ValueError(f"unknown sector {name!r} (configured: {known})")
 
     def require_symbol(self, symbol: str):
@@ -131,9 +132,6 @@ class RunConfig:
     def all_symbols(self) -> tuple[str, ...]:
         """Member symbols in config order, first occurrence wins."""
         return tuple(dict.fromkeys(sym for s in self.sectors for sym in s.symbols))
-
-
-_SECTOR_KEYS = {"name", "members"}
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -188,8 +186,52 @@ def _as_widths(value, key: str) -> tuple[int, ...]:
     return tuple(_as_int(w, key) for w in value)
 
 
+def _as_name(value, key: str) -> str:
+    """A sector name or symbol: a string that is written into CSV files and makes
+    file names (<symbol>.csv, <symbol>.ckpt, frontier_<sector>.csv), so it holds
+    no comma, line break or path separator and is not empty, "." or ".."."""
+    if not isinstance(value, str):
+        raise ValueError(f"{key}: expected a string, got {value!r}")
+    if any(ch in value for ch in ",\r\n"):
+        raise ValueError(f"{key}: {value!r} contains a comma or a line break")
+    if value in ("", ".", "..") or any(ch in value for ch in "/\\"):
+        raise ValueError(f"{key}: {value!r} is not a file name (empty, '.', '..' or a path separator)")
+    return value
+
+
+def _as_dir(value, key: str) -> Path:
+    """A non-empty string: Path('') is '.', which would read the CSVs beside the config."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{key}: expected a directory, got {value!r}")
+    return Path(value)
+
+
+def _as_members(value, key: str) -> tuple[tuple[str, float], ...]:
+    if not isinstance(value, list) or not all(isinstance(m, list) and len(m) == 2 for m in value):
+        raise ValueError(f"{key}: expected [symbol, index_weight] pairs, got {value!r}")
+    return tuple(
+        (_as_name(sym, f"{key}[{j}] symbol"), _as_number(weight, f"{key}[{j}] index weight"))
+        for j, (sym, weight) in enumerate(value)
+    )
+
+
+def _as_sectors(value, key: str) -> tuple[SectorUniverse, ...]:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{key}: expected a non-empty list of sector blocks, got {value!r}")
+    return tuple(build(SectorUniverse, block, f"{key}[{i}]") for i, block in enumerate(value))
+
+
+def _as_lstm(value, key: str) -> LstmConfig:
+    """The lstm block, or the defaults where it is null. No seed: train derives each model's from `seed`."""
+    return build(LstmConfig, {} if value is None else value, key, seed=0)
+
+
 # build's check of a value for a field, by the field's annotation: a string, under `from __future__ import annotations`.
-_CHECKS = {"int": _as_int, "float": _as_number, "dt.date": _as_date, "tuple[int, ...]": _as_widths}
+_CHECKS = {
+    "int": _as_int, "float": _as_number, "str": _as_name, "Path": _as_dir, "dt.date": _as_date,
+    "tuple[int, ...]": _as_widths, "tuple[tuple[str, float], ...]": _as_members,
+    "tuple[SectorUniverse, ...]": _as_sectors, "LstmConfig": _as_lstm,
+}
 
 
 def build(cls, mapping, context: str, **given):
@@ -198,59 +240,20 @@ def build(cls, mapping, context: str, **given):
     passes its field's check in _CHECKS, which stores a float field's value as a float. Every error starts
     with context, and a value's error names its key after it."""
     if not isinstance(mapping, dict):
-        raise ValueError(f"{context} must be a mapping")
+        raise ValueError(f"{context}: expected a mapping, got {mapping!r}")
     settable = {f.name: f for f in fields(cls) if f.name not in given}
-    _check_keys(mapping, set(settable), context)
+    unknown = set(mapping) - set(settable)
+    if unknown:
+        raise ValueError(f"{context}: unknown keys {sorted(unknown, key=str)}")
     try:
         values = {key: _CHECKS[settable[key].type](value, key) for key, value in mapping.items()}
-        missing = [k for k, f in settable.items() if k not in values and f.default is f.default_factory is MISSING]
+        required = [k for k, f in settable.items() if f.default is f.default_factory is MISSING]
+        missing = sorted(set(required) - set(values))
         if missing:
             raise ValueError(f"missing the keys {missing}")
         return cls(**given, **values)
     except ValueError as exc:
         raise ValueError(f"{context}: {exc}") from None
-
-
-def _as_str(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{key}: expected a string, got {value!r}")
-    return value
-
-
-def _as_name(value, key: str) -> str:
-    """A sector name or symbol: a string that is written into CSV files and makes
-    file names (<symbol>.csv, <symbol>.ckpt, frontier_<sector>.csv), so it holds
-    no comma, line break or path separator and is not empty, "." or ".."."""
-    value = _as_str(value, key)
-    if any(ch in value for ch in ",\r\n"):
-        raise ValueError(f"{key}: {value!r} contains a comma or a line break")
-    if value in ("", ".", "..") or any(ch in value for ch in "/\\"):
-        raise ValueError(f"{key}: {value!r} is not a file name (empty, '.', '..' or a path separator)")
-    return value
-
-
-def _check_keys(mapping: dict, allowed: set[str], context: str):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValueError(f"{context}: unknown keys {sorted(unknown, key=str)}")
-
-
-def _parse_sector(block: dict, index: int) -> SectorUniverse:
-    if not isinstance(block, dict):
-        raise ValueError(f"sectors[{index}]: expected a mapping")
-    _check_keys(block, _SECTOR_KEYS, f"sectors[{index}]")
-    if "name" not in block or "members" not in block:
-        raise ValueError(f"sectors[{index}]: needs 'name' and 'members'")
-    name = _as_name(block["name"], f"sectors[{index}].name")
-    if not isinstance(block["members"], list):
-        raise ValueError(f"sector {name}: members are [symbol, index_weight] pairs")
-    members = []
-    for j, m in enumerate(block["members"]):
-        if not (isinstance(m, (list, tuple)) and len(m) == 2):
-            raise ValueError(f"sector {name}: members are [symbol, index_weight] pairs")
-        key = f"sector {name}: members[{j}]"
-        members.append((_as_name(m[0], f"{key} symbol"), _as_number(m[1], f"{key} index weight")))
-    return SectorUniverse(name, tuple(members))
 
 
 def _unique_key_loader(base: type) -> type:
@@ -285,24 +288,9 @@ _UniqueKeyLoader = _unique_key_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoad
 
 
 def load_config(path) -> RunConfig:
-    """Load and validate a YAML run configuration."""
+    """Load and validate a YAML run configuration; data_dir is relative to the file's directory."""
     path = Path(path)
     stream = io.StringIO(decode_utf8(path.read_bytes(), str(path)))
     stream.name = str(path)  # the file that both parsers' marks name, as they would for an open file
-    doc = yaml.load(stream, Loader=_UniqueKeyLoader)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a mapping")
-    if "data_dir" not in doc or "sectors" not in doc:
-        raise ValueError(f"{path}: needs 'data_dir' and 'sectors'")
-    data_dir = _as_str(doc.pop("data_dir"), f"{path}: data_dir")
-    if not data_dir:  # Path('') is '.', which would read the CSVs beside the config
-        raise ValueError(f"{path}: data_dir: expected a directory, got ''")
-    if not isinstance(doc["sectors"], list):
-        raise ValueError(f"{path}: sectors must be a list")
-    try:
-        sectors = tuple(_parse_sector(b, i) for i, b in enumerate(doc.pop("sectors")))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    lstm = doc.pop("lstm", None)
-    config = build(RunConfig, doc, str(path), data_dir=path.parent / data_dir, sectors=sectors)
-    return replace(config, lstm=build(LstmConfig, {} if lstm is None else lstm, f"{path}: lstm", seed=config.seed))
+    config = build(RunConfig, yaml.load(stream, Loader=_UniqueKeyLoader), str(path))
+    return replace(config, data_dir=path.parent / config.data_dir)

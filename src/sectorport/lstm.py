@@ -701,6 +701,16 @@ def checkpoint_bytes(model: LstmModel) -> bytes:
     return body + hashlib.sha256(body).digest()
 
 
+def _from_header(header: dict, part: str, cls):
+    """build's cls from the header's part, which holds every field: a writer's gap does not take a default."""
+    context = f"corrupt checkpoint header: {part}"
+    value = build(cls, header.get(part), context)
+    missing = sorted(set(vars(value)) - set(header[part]))
+    if missing:
+        raise ValueError(f"{context}: missing the keys {missing}")
+    return value
+
+
 def model_from_checkpoint_bytes(blob: bytes) -> LstmModel:
     """Parse and validate a checkpoint; raises ValueError on any corruption.
 
@@ -728,8 +738,7 @@ def model_from_checkpoint_bytes(blob: bytes) -> LstmModel:
     if hashlib.sha256(memoryview(blob)[:-_DIGEST_SIZE]).digest() != blob[-_DIGEST_SIZE:]:
         raise ValueError("checkpoint digest mismatch: the file is corrupt or truncated")
 
-    config = build(LstmConfig, header.get("config"), "corrupt checkpoint header: config")
-    scaler = build(Scaler, header.get("scaler"), "corrupt checkpoint header: scaler")
+    config, scaler = _from_header(header, "config", LstmConfig), _from_header(header, "scaler", Scaler)
 
     have, need = len(blob) - pos - _DIGEST_SIZE, 4 * _param_count(config)
     if have != need:

@@ -148,7 +148,7 @@ def test_scaler_bound_must_be_a_finite_number(key, value):
     "part, change, message",
     [
         ("config", lambda config: {**config, "colour": "red"}, "config: unknown keys ['colour']"),
-        ("config", lambda config: list(config.values()), "config must be a mapping"),
+        ("config", lambda config: [1, 2], "config: expected a mapping, got [1, 2]"),
         ("scaler", lambda scaler: {"min": scaler["min"]}, "scaler: missing the keys ['max']"),
     ],
     ids=["unknown-key", "config-list", "scaler-without-max"],
@@ -158,6 +158,18 @@ def test_header_error_names_the_key(part, change, message):
     header, payload = split_blob(checkpoint_bytes(make_model()))
     header[part] = change(header[part])
     with pytest.raises(ValueError, match=f"^corrupt checkpoint header: {re.escape(message)}$"):
+        model_from_checkpoint_bytes(repack(header, payload))
+
+
+@pytest.mark.parametrize("part, dropped", [("config", ["horizon", "window"]), ("scaler", ["max", "min"])])
+def test_header_without_every_field_is_rejected(part, dropped):
+    # re-sealed: window and horizon have defaults and leave the payload length alone, so a header
+    # without them used to load as a 50-close, one-day model
+    header, payload = split_blob(checkpoint_bytes(make_model()))
+    for key in dropped:
+        del header[part][key]
+    message = f"corrupt checkpoint header: {part}: missing the keys {dropped}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         model_from_checkpoint_bytes(repack(header, payload))
 
 

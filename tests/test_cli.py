@@ -41,6 +41,7 @@ import sectorport
 from sectorport import market_data as md
 from sectorport import portfolio as po
 from sectorport.config import RunConfig, SectorUniverse, derive_seed, load_config
+from sectorport.lstm import load_checkpoint
 from sectorport.market_data import CsvFormatError, parse_csv
 
 from conftest import gbm_closes, series_csv, series_from_closes, series_on
@@ -587,6 +588,14 @@ def test_train_writes_checkpoint_and_single_row_trace(config, tmp_path):
     assert lines[1].startswith("1,")
 
 
+def test_train_seeds_the_model_from_the_config_seed_and_the_symbol(config, tmp_path):
+    # the checkpoint header records the seed that train gave the model
+    configs = [config, replace(config, seed=config.seed + 1)]
+    seeds = [load_checkpoint(cmd_train(cfg, "AAA", tmp_path / str(cfg.seed))[0]).config.seed for cfg in configs]
+    assert seeds == [derive_seed(cfg.seed, "train:AAA") for cfg in configs]
+    assert seeds[0] != seeds[1]
+
+
 def test_train_reruns_are_byte_identical(config, tmp_path):
     c1, t1 = cmd_train(config, "BBB", tmp_path / "r1")
     c2, t2 = cmd_train(config, "BBB", tmp_path / "r2")
@@ -776,6 +785,16 @@ def test_backtest_weights_file_with_a_repeated_key_is_rejected_before_anything_i
     weights.write_text('{"TW1": 0.9, "TW1": 0.2, "TW2": 0.8}')
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=f"^{re.escape(str(weights))}: duplicate key 'TW1'$"):
+        cmd_backtest(config, "twin", out, predicted_prices=prices, weights_file=weights)
+    assert not out.exists()
+
+
+def test_backtest_weights_file_that_is_not_utf8_names_file_and_line(config, tmp_path, prices):
+    # the codec's error named neither the line nor the byte's place in it, only an offset into the file
+    weights = tmp_path / "w.json"
+    weights.write_bytes(b'{"TW1": 0.5,\n "TW2": 0.\xff5}')
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(weights))}: line 2: not UTF-8: "):
         cmd_backtest(config, "twin", out, predicted_prices=prices, weights_file=weights)
     assert not out.exists()
 
@@ -1083,7 +1102,7 @@ def test_backtest_rebuilds_a_bad_summary_from_the_ledgers(config, tmp_path, pric
 
 BAD_LEDGERS = {
     "not JSON": (b'{"roi_predicted_pct": 1.0,', "not valid JSON"),
-    "not UTF-8": (b'{"roi_predicted_pct": 1.\xff0}', "'utf-8' codec can't decode byte 0xff"),
+    "not UTF-8": (b'{"roi_predicted_pct": 1.0,\n "roi_actual_pct": 2.\xff0}', "line 2: not UTF-8: "),
     "a key missing": (b'{"roi_predicted_pct": 1.0}', "missing the keys ['roi_actual_pct']"),
     "a key repeated": (
         b'{"roi_predicted_pct": 1.0, "roi_actual_pct": 2.0, "roi_predicted_pct": 3.0}',

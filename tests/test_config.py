@@ -41,18 +41,11 @@ def test_load_config_basics(tmp_path):
     assert cfg.n_draws == 250
     assert cfg.capital == 100000.0
     assert cfg.data_dir == tmp_path / "data"
-    assert cfg.sectors[0].sector_name == "tech"
+    assert cfg.sectors[0].name == "tech"
     assert cfg.sectors[0].symbols == ("AAA", "BBB")
     assert cfg.lstm.window == 10
-    assert cfg.lstm.seed == 11
     assert cfg.train_start == dt.date(2016, 1, 1)
     assert cfg.eval_date == dt.date(2021, 6, 1)
-
-
-def test_seed_override_reaches_lstm_config(tmp_path):
-    cfg = load_config(write_config(tmp_path / "c.yaml", seed=99))
-    assert cfg.seed == 99
-    assert cfg.lstm.seed == 99
 
 
 def test_unknown_top_level_key_rejected(tmp_path):
@@ -68,7 +61,7 @@ def test_endpoint_is_an_unknown_key_naming_the_file(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("key", ["wndow", "seed"])  # the lstm block's seed is the top-level seed
+@pytest.mark.parametrize("key", ["wndow", "seed"])  # train derives the model's seed from the top-level seed
 def test_unknown_lstm_key_rejected(tmp_path, key):
     path = write_config(tmp_path / "c.yaml", lstm={"window": 10, key: 5})
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: lstm: unknown keys \\['{key}'\\]$"):
@@ -78,7 +71,7 @@ def test_unknown_lstm_key_rejected(tmp_path, key):
 @pytest.mark.parametrize("value", [0, [], False, ""], ids=["zero", "empty-list", "false", "empty-string"])
 def test_lstm_block_that_is_not_a_mapping_is_rejected_naming_the_file(tmp_path, value):
     path = write_config(tmp_path / "c.yaml", lstm=value)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: lstm must be a mapping$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: lstm: expected a mapping, got {value!r}')}$"):
         load_config(path)
 
 
@@ -101,7 +94,7 @@ def test_null_or_missing_lstm_block_loads_the_defaults(tmp_path):
     missing = tmp_path / "missing.yaml"
     missing.write_text(yaml.safe_dump(doc), encoding="utf-8")
     for path in (write_config(tmp_path / "null.yaml", lstm=None), missing):
-        assert load_config(path).lstm == LstmConfig(seed=11)
+        assert load_config(path).lstm == LstmConfig()
 
 
 def test_unknown_sector_key_rejected(tmp_path):
@@ -246,7 +239,7 @@ def test_lstm_fields_are_typed_strictly(tmp_path, key, value):
 def test_sector_name_must_be_a_csv_safe_string(tmp_path, name):
     # a comma or a line break in the name used to corrupt summary.csv
     path = write_config(tmp_path / "c.yaml", sectors=[{"name": name, "members": [["AAA", 1.0]]}])
-    with pytest.raises(ValueError, match=r"sectors\[0\]\.name"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: sectors\[0\]: name: "):
         load_config(path)
 
 
@@ -261,7 +254,7 @@ def test_sector_name_must_be_a_csv_safe_string(tmp_path, name):
 )
 def test_sector_members_are_typed_strictly(tmp_path, member, match):
     path = write_config(tmp_path / "c.yaml", sectors=[{"name": "tech", "members": [member]}])
-    with pytest.raises(ValueError, match=rf"members\[0\] {match}"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: sectors\[0\]: members\[0\] {match}: "):
         load_config(path)
 
 
@@ -283,7 +276,7 @@ def test_only_yyyy_mm_dd_date_strings_are_accepted(tmp_path, value):
 def test_sector_name_and_symbol_must_be_file_names(tmp_path, name):
     # names become files: <symbol>.csv under data_dir, <symbol>.ckpt and frontier_<sector>.csv under --out
     cases = [
-        ({"name": name, "members": [["AAA", 1.0]]}, r"sectors\[0\]\.name"),
+        ({"name": name, "members": [["AAA", 1.0]]}, r"sectors\[0\]: name"),
         ({"name": "tech", "members": [[name, 1.0]]}, r"members\[0\] symbol"),
     ]
     for sector, key in cases:
@@ -296,7 +289,7 @@ def test_dotted_symbol_stays_valid(tmp_path):
     sectors = [{"name": "nifty.it", "members": [["RELIANCE.NS", 1.0]]}]
     cfg = load_config(write_config(tmp_path / "c.yaml", sectors=sectors))
     assert cfg.all_symbols() == ("RELIANCE.NS",)
-    assert cfg.sectors[0].sector_name == "nifty.it"
+    assert cfg.sectors[0].name == "nifty.it"
 
 
 @pytest.mark.parametrize(
@@ -342,18 +335,44 @@ def test_sector_named_twice_is_rejected_naming_file_and_sector(tmp_path):
 def test_sector_without_members_is_rejected_naming_file_and_sector(tmp_path):
     # members: [] used to load and fail in frontier with "need at least one series to align"
     path = write_config(tmp_path / "c.yaml", sectors=[{"name": "tech", "members": []}])
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: sector tech: members is empty$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: sectors\[0\]: members is empty$"):
+        load_config(path)
+
+
+def test_empty_sectors_list_is_rejected_naming_the_file(tmp_path):
+    # sectors: [] used to load; stats wrote a header-only table and every frontier named no sector
+    path = write_config(tmp_path / "c.yaml", sectors=[])
+    expected = f"{path}: sectors: expected a non-empty list of sector blocks, got []"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         load_config(path)
 
 
 @pytest.mark.parametrize(
     "members, message",
-    [([["AAA", -1.0]], "tech: index weight for AAA must be > 0"), (["AAA"], "sector tech: members are")],
+    [
+        ([["AAA", -1.0]], "sectors[0]: members: index weight for AAA must be > 0"),
+        ([["AAA", 1.0], ["AAA", 2.0]], "sectors[0]: members: duplicate symbol AAA"),
+        (["AAA"], "sectors[0]: members: expected [symbol, index_weight] pairs, got ['AAA']"),
+        ("AAA", "sectors[0]: members: expected [symbol, index_weight] pairs, got 'AAA'"),
+    ],
+    ids=["negative-weight", "repeated-symbol", "bare-symbol", "not-a-list"],
 )
 def test_sector_block_errors_name_the_file(tmp_path, members, message):
     path = write_config(tmp_path / "c.yaml", sectors=[{"name": "tech", "members": members}])
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         load_config(path)
+
+
+def test_readme_configuration_example_loads(tmp_path):
+    # the example in README's Configuration section, so that it cannot drift from the config code
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    (example,) = re.findall(r"^```yaml\n(.*?)^```$", section, flags=re.M | re.S)
+    path = tmp_path / "c.yaml"
+    path.write_text(example, encoding="utf-8")
+    cfg = load_config(path)
+    assert (cfg.data_dir, cfg.seed, cfg.lstm) == (tmp_path / "data", 11, LstmConfig())
+    assert [(s.name, s.members) for s in cfg.sectors] == [("tech", (("AAA", 25.1), ("BBB", 12.4)))]
 
 
 SECTORS = "sectors: [{name: tech, members: [[AAA, 1.0]]}]\n"
@@ -499,21 +518,22 @@ def test_one_change_to_the_demo_config_loads_or_raises_naming_the_file(demo_conf
         assert str(path) in str(exc)
 
 
-# The fields that build reads from the YAML's top level; load_config reads data_dir, sectors and lstm itself.
-TOP_LEVEL = [f.name for f in fields(RunConfig) if f.name not in ("data_dir", "sectors", "lstm")]
+def wrong_values(cls) -> list[tuple[str, object]]:
+    """(field, value) for each field of cls: a bool, and a string unless the field holds a string or a path."""
+    return [(f.name, v) for f in fields(cls) for v in (True, "x") if v is True or f.type not in ("str", "Path")]
 
 
-@pytest.mark.parametrize("value", [True, "x"], ids=["bool", "string"])
-@pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in (LstmConfig, Scaler) for f in fields(cls)])
-def test_every_lstm_and_scaler_field_rejects_a_bool_and_a_string_naming_its_key(cls, name, value):
+@pytest.mark.parametrize(
+    "cls, name, value", [(cls, *case) for cls in (SectorUniverse, LstmConfig, Scaler) for case in wrong_values(cls)]
+)
+def test_every_sector_lstm_and_scaler_field_rejects_a_wrong_type_naming_its_key(cls, name, value):
     # the check comes from the field's annotation: a type that build has no check for fails here
     with pytest.raises(ValueError, match=f"^where: {name}: expected "):
         build(cls, {name: value}, "where")
 
 
-@pytest.mark.parametrize("value", [True, "x"], ids=["bool", "string"])
-@pytest.mark.parametrize("name", TOP_LEVEL)
-def test_every_top_level_field_rejects_a_bool_and_a_string_naming_its_key(tmp_path, name, value):
+@pytest.mark.parametrize("name, value", wrong_values(RunConfig))
+def test_every_top_level_field_rejects_a_wrong_type_naming_its_key(tmp_path, name, value):
     path = write_config(tmp_path / "c.yaml", **{name: value})
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {name}: expected "):
         load_config(path)

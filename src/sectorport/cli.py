@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -74,16 +75,17 @@ def _write_entry(path: Path, key: bytes, payload: bytes):
 _COLS_TAG = b"sectorport.cols: dates <M8[D], closes <f8, spikes rejected\n"
 
 
-def _load_series(config: RunConfig, symbol: str, out_dir: Path) -> md.PriceSeries:
-    """symbol's prices, parsed once per out_dir. <out_dir>/.cache/<symbol>.cols is an entry keyed by
-    sha256(_COLS_TAG + rows as 8 little-endian bytes + the CSV's bytes) whose payload is the dates as little-endian
-    datetime64[D], then the closes as little-endian float64. A payload of 16 * rows bytes that makes a PriceSeries
-    is a hit; anything else is a miss, which parses the CSV and rewrites the entry."""
+def _load_series(config: RunConfig, symbol: str, out_dir: Path) -> tuple[md.PriceSeries, bytes]:
+    """symbol's prices, parsed once per out_dir, and the key of their entry. <out_dir>/.cache/<symbol>.cols is an
+    entry keyed by sha256(_COLS_TAG + rows as 8 little-endian bytes + the CSV's bytes) whose payload is the dates as
+    little-endian datetime64[D], then the closes as little-endian float64. A payload of 16 * rows bytes that makes a
+    PriceSeries is a hit; anything else is a miss, which parses the CSV and rewrites the entry."""
     path = Path(config.data_dir) / f"{symbol}.csv"
     if not path.exists():
         raise FileNotFoundError(f"no data file for {symbol}: expected {path}")
     raw = path.read_bytes()
 
+    @functools.cache  # hashed once, so a hit hands its key back for free
     def key(size: int) -> bytes:  # the row count is keyed, so a payload of the wrong rows or columns is a miss
         return hashlib.sha256(_COLS_TAG + (size // 16).to_bytes(8, "little") + raw).digest()
 
@@ -92,18 +94,19 @@ def _load_series(config: RunConfig, symbol: str, out_dir: Path) -> md.PriceSerie
     if payload is not None and len(payload) % 16 == 0:
         half = len(payload) // 2
         with suppress(ValueError):
-            return md.PriceSeries(symbol, np.frombuffer(payload[:half], "<M8[D]"), np.frombuffer(payload[half:], "<f8"))
+            dates, closes = np.frombuffer(payload[:half], "<M8[D]"), np.frombuffer(payload[half:], "<f8")
+            return md.PriceSeries(symbol, dates, closes), key(len(payload))
     series = md.parse_csv(raw, symbol)
     payload = series.dates.astype("<M8[D]").tobytes() + series.closes.astype("<f8").tobytes()
     _write_entry(cache, key(len(payload)), payload)
-    return series
+    return series, key(len(payload))
 
 
 def cmd_stats(config: RunConfig, out_dir: Path) -> Path:
     """Per-symbol mean daily return and daily/annual volatility over the training window."""
     lines = ["symbol,mean_daily_return,daily_volatility,annual_volatility"]
     for symbol in config.all_symbols():
-        series = _load_series(config, symbol, out_dir).restrict(config.train_start, config.train_end)
+        series = _load_series(config, symbol, out_dir)[0].restrict(config.train_start, config.train_end)
         try:
             mean, daily, annual = md.asset_stats(md.daily_returns(series.closes))
         except ValueError as exc:  # too few bars in the training window, or an overflow
@@ -114,24 +117,29 @@ def cmd_stats(config: RunConfig, out_dir: Path) -> Path:
     return path
 
 
-def _load_members(config: RunConfig, sector_name: str, out_dir: Path) -> dict[str, md.PriceSeries]:
+def _load_members(config: RunConfig, sector_name: str, out_dir: Path) -> dict[str, tuple[md.PriceSeries, bytes]]:
     return {sym: _load_series(config, sym, out_dir) for sym in config.sector(sector_name).symbols}
 
 
-def _sector_cloud(config: RunConfig, sector_name: str, members: dict[str, md.PriceSeries], out_dir: Path):
-    """(args, path, key) of the sector's cloud over the training window of its loaded member series: args are
-    build_frontier's (mean, covariance, n_draws, risk_free, seed), and <out_dir>/.cache/<sector>.pick is the
-    entry of the cloud's max-Sharpe weights, k little-endian float64 values, keyed by the sha256 of the cloud's
-    tag, repr((symbols, n_draws, risk_free, seed)) and the mean and covariance as little-endian float64 values."""
-    series = [s.restrict(config.train_start, config.train_end) for s in members.values()]
+def _pick_key(config: RunConfig, sector_name: str, members: dict, out_dir: Path) -> tuple[Path, bytes]:
+    """(path, key) of <out_dir>/.cache/<sector>.pick, the entry of the max-Sharpe weights of the sector's cloud,
+    k little-endian float64 values. The key is the sha256 of the cloud's tag, repr((symbols, train_start,
+    train_end, n_draws, risk_free, seed)) and each member's .cols key: every input of the moments and the draw."""
+    seed = derive_seed(config.seed, f"frontier:{sector_name}")
+    settings = (tuple(members), config.train_start, config.train_end, config.n_draws, config.risk_free, seed)
+    key = po._CLOUD_TAG + repr(settings).encode() + b"".join(cols_key for _, cols_key in members.values())
+    return Path(out_dir) / ".cache" / f"{sector_name}.pick", hashlib.sha256(key).digest()
+
+
+def _sector_cloud(config: RunConfig, sector_name: str, members: dict) -> tuple:
+    """build_frontier's (mean, covariance, n_draws, risk_free, seed) for the sector's cloud over the training
+    window of its loaded members."""
+    series = [s.restrict(config.train_start, config.train_end) for s, _ in members.values()]
     try:
         mean, cov = po.mean_and_covariance(tuple(members), md.align(series))
     except ValueError as exc:
         raise ValueError(f"{sector_name}: {exc}") from None
-    args = mean, cov, config.n_draws, config.risk_free, derive_seed(config.seed, f"frontier:{sector_name}")
-    key = po._CLOUD_TAG + repr((cov.symbols, *args[2:])).encode() + mean.astype("<f8").tobytes()
-    key += cov.entries.astype("<f8").tobytes()
-    return args, Path(out_dir) / ".cache" / f"{sector_name}.pick", hashlib.sha256(key).digest()
+    return mean, cov, config.n_draws, config.risk_free, derive_seed(config.seed, f"frontier:{sector_name}")
 
 
 def _write_frontier_csv(fh, cloud: po.FrontierCloud, path: Path):
@@ -182,8 +190,8 @@ def cmd_frontier(config: RunConfig, sector_name: str, out_dir: Path) -> tuple[Pa
     blocks, and otherwise by two processes (see _write_frontier_csv), during
     which a .frontier_<sector>.csv.* tail file exists beside the output.
     """
-    args, pick, key = _sector_cloud(config, sector_name, _load_members(config, sector_name, out_dir), out_dir)
-    cloud = po.build_frontier(*args)
+    members = _load_members(config, sector_name, out_dir)
+    cloud = po.build_frontier(*_sector_cloud(config, sector_name, members))
     best = po.max_sharpe_portfolio(cloud)
     report = po.portfolio_report(sector_name, cloud, po.min_variance_portfolio(cloud), best)
     csv_path = Path(out_dir) / f"frontier_{sector_name}.csv"
@@ -191,14 +199,14 @@ def cmd_frontier(config: RunConfig, sector_name: str, out_dir: Path) -> tuple[Pa
     with _atomic_file(csv_path, "w") as fh:
         _write_frontier_csv(fh, cloud, csv_path)
     _atomic_write(json_path, _json_text(report))
-    _write_entry(pick, key, cloud.weights[best].astype("<f8").tobytes())
+    _write_entry(*_pick_key(config, sector_name, members, out_dir), cloud.weights[best].astype("<f8").tobytes())
     return csv_path, json_path
 
 
 def cmd_train(config: RunConfig, symbol: str, out_dir: Path) -> tuple[Path, Path]:
     """Train the forecaster on a symbol's training-window closes; write checkpoint and trace."""
     config.require_symbol(symbol)
-    series = _load_series(config, symbol, out_dir).restrict(config.train_start, config.train_end)
+    series = _load_series(config, symbol, out_dir)[0].restrict(config.train_start, config.train_end)
     lstm_config = replace(config.lstm, seed=derive_seed(config.seed, f"train:{symbol}"))
     try:
         model, trace = fc.train(lstm_config, series.closes)
@@ -327,17 +335,17 @@ def cmd_backtest(
                 raise ValueError(f"{predicted_prices}: missing predicted prices for {missing}")
         members = _load_members(config, sector_name, out_dir)
         if weights is None:
-            args, pick, key = _sector_cloud(config, sector_name, members, out_dir)
+            pick, key = _pick_key(config, sector_name, members, out_dir)
             payload = _read_entry(pick, lambda size: key)
             with suppress(ValueError):  # a payload of another length, or weights that are not a portfolio, is a miss
                 weights = None if payload is None else po.PortfolioWeights(symbols, np.frombuffer(payload, "<f8"))
             if weights is None:  # frontier's cloud and pick, so the entry is the one frontier writes
-                cloud = po.build_frontier(*args)
+                cloud = po.build_frontier(*_sector_cloud(config, sector_name, members))
                 weights = po.PortfolioWeights(symbols, cloud.weights[po.max_sharpe_portfolio(cloud)])
                 _write_entry(pick, key, weights.weights.astype("<f8").tobytes())
 
         buy, actual, predicted = [], [], []
-        for sym, series in members.items():
+        for sym, (series, _) in members.items():
             lo, hi = series.span(config.invest_date, config.eval_date)
             buy.append(float(series.closes[lo]))
             actual.append(float(series.closes[hi - 1]))
@@ -375,7 +383,7 @@ def cmd_plotdata(
     day-by-day tracking rather than recursive multi-step forecasting.
     """
     config.require_symbol(symbol)
-    series = _load_series(config, symbol, out_dir)
+    series = _load_series(config, symbol, out_dir)[0]
     lo, hi = series.span(start, end)
     predicted = _forecast(series, out_dir, lo, hi)
 

@@ -133,8 +133,9 @@ def _blocks(n_draws: int) -> Iterator[tuple[int, int]]:
     return zip(edges, edges[1:])
 
 
-# Keys the .pick entries cli caches, so any change to the bits of a cloud of given arguments must change it.
-_CLOUD_TAG = b"sectorport cloud 1"
+# Keys the .pick entries cli caches by the prices and settings a cloud is built from, so any change to the bits of
+# PriceSeries.restrict, market_data.align, mean_and_covariance or the draw must change it.
+_CLOUD_TAG = b"sectorport cloud 2"
 
 
 def _draw_block(rng: Generator, mean: np.ndarray, cov: CovarianceMatrix, weights, returns, risks):

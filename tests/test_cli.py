@@ -16,6 +16,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -306,7 +307,7 @@ def test_seven_column_entry_of_an_older_version_is_a_miss_that_is_rewritten(cach
     good = entry.read_bytes()
     entry.write_bytes(seven_column_entry(csv))
     assert (len(entry.read_bytes()) - 64) % 16 == 0
-    assert_same_series(_load_series(cfg, "AAA", out), parsed(csv))
+    assert_same_series(_load_series(cfg, "AAA", out)[0], parsed(csv))
     assert parses == ["AAA"]
     assert entry.read_bytes() == good
 
@@ -324,10 +325,11 @@ def test_a_hit_returns_the_cold_load_bit_for_bit_and_parses_nothing(text):
         (data / "AAA.csv").write_bytes(text.encode())
         cfg = RunConfig(data, (SectorUniverse("solo", (("AAA", 1.0),)),))
         with mock.patch.object(md, "parse_csv", wraps=md.parse_csv) as spy:
-            cold = _load_series(cfg, "AAA", out)
+            cold, cold_key = _load_series(cfg, "AAA", out)
             assert spy.call_count == 1
-            hit = _load_series(cfg, "AAA", out)
+            hit, hit_key = _load_series(cfg, "AAA", out)
             assert spy.call_count == 1
+            assert cold_key == hit_key == (out / ".cache" / "AAA.cols").read_bytes()[:32]
     for series in (cold, hit):
         assert series.symbol == "AAA"
         for name in COLUMNS:
@@ -338,7 +340,9 @@ def test_a_hit_returns_the_cold_load_bit_for_bit_and_parses_nothing(text):
 def test_cache_hit_returns_the_parsed_columns_without_parsing(cached, parses):
     cfg, csv, out, entry = cached
     before = entry.read_bytes()
-    assert_same_series(_load_series(cfg, "AAA", out), parsed(csv))
+    series, key = _load_series(cfg, "AAA", out)
+    assert_same_series(series, parsed(csv))
+    assert key == before[:32]  # a hit hands back its entry's key
     assert parses == []
     assert entry.read_bytes() == before
 
@@ -351,7 +355,7 @@ def test_editing_one_close_invalidates_the_entry(cached, parses):
     lines[30] = ",".join(fields)
     csv.write_text("\n".join(lines), encoding="utf-8")
     for _ in range(2):  # a miss that rewrites the entry, then a hit on it
-        series = _load_series(cfg, "AAA", out)
+        series = _load_series(cfg, "AAA", out)[0]
         assert series.closes[29] == float(fields[4])
         assert_same_series(series, parsed(csv))
     assert parses == ["AAA"]
@@ -410,7 +414,7 @@ def test_damaged_entry_is_a_miss_that_parses_and_rewrites_it(cached, parses, dam
     cfg, csv, out, entry = cached
     good = entry.read_bytes()
     entry.write_bytes(damaged(good, damage))
-    assert_same_series(_load_series(cfg, "AAA", out), parsed(csv))
+    assert_same_series(_load_series(cfg, "AAA", out)[0], parsed(csv))
     assert parses == ["AAA"]
     assert entry.read_bytes() == good
 
@@ -423,7 +427,7 @@ def test_no_single_byte_flip_yields_other_columns(cached, parses):
     for i in range(0, len(good), 3):
         entry.write_bytes(good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1 :])
         parses.clear()
-        assert_same_series(_load_series(cfg, "AAA", out), want)
+        assert_same_series(_load_series(cfg, "AAA", out)[0], want)
         assert parses == ["AAA"] and entry.read_bytes() == good, i
 
 
@@ -933,6 +937,21 @@ def clouds(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def moments(monkeypatch):
+    """The calls from here on to each of PriceSeries.restrict, md.align and po.mean_and_covariance, by name."""
+    seen = Counter()
+    for owner, name in [(md.PriceSeries, "restrict"), (md, "align"), (po, "mean_and_covariance")]:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, real=real: seen.update([name]) or real(*args))
+    return seen
+
+
+def moments_of(clouds: int) -> Counter:
+    """The calls that taking tech's moments for clouds clouds makes, a restrict for each of its members."""
+    return Counter(restrict=len(SYMBOLS) * clouds, align=clouds, mean_and_covariance=clouds)
+
+
 def backtested(config, out, prices, sector="tech") -> dict[str, bytes]:
     """The ledgers, summary.csv and .pick entry in out after backtest sector."""
     cmd_backtest(config, sector, out, predicted_prices=prices)
@@ -961,7 +980,10 @@ PICK_SETUPS = {
 
 
 @pytest.mark.parametrize("runs, damage, drawn", PICK_SETUPS.values(), ids=PICK_SETUPS.keys())
-def test_backtest_bytes_do_not_depend_on_the_pick_entry(config, tmp_path, prices, clouds, runs, damage, drawn):
+def test_backtest_bytes_do_not_depend_on_the_pick_entry(
+    config, tmp_path, prices, clouds, moments, runs, damage, drawn
+):
+    # a hit takes no moments: its key is the members' .cols keys and the settings, not the mean and covariance
     cold = backtested(config, tmp_path / "cold", prices)
     out, entry = tmp_path / "out", tmp_path / "out" / ".cache" / "tech.pick"
     for run in runs:
@@ -971,9 +993,12 @@ def test_backtest_bytes_do_not_depend_on_the_pick_entry(config, tmp_path, prices
             cmd_backtest(config, "tech", out, predicted_prices=prices)
     if damage:
         entry.write_bytes(damage(entry.read_bytes()))
+    assert moments == moments_of(1 + len(runs))  # the cold backtest's miss, then each run's, frontier's too
     clouds.clear()
+    moments.clear()
     assert backtested(config, out, prices) == cold
     assert clouds == [config.n_draws] * drawn
+    assert moments == moments_of(drawn)
 
 
 @pytest.mark.parametrize("n_draws", [300, 20_000])  # one block, and three
@@ -983,46 +1008,72 @@ def test_pick_entry_is_the_key_the_weights_and_a_sha256_trailer(config, env, tmp
     csv_path, report_path = cmd_frontier(config, "tech", tmp_path / "frontier")
     entry = (tmp_path / "frontier" / ".cache" / "tech.pick").read_bytes()
     assert entry == backtested(config, tmp_path / "backtest", prices)[".cache/tech.pick"]
-    series = [parse_csv((env / "data" / f"{s}.csv").read_bytes(), s) for s in SYMBOLS]
-    closes = md.align([s.restrict(config.train_start, config.train_end) for s in series])
-    mean, cov = po.mean_and_covariance(tuple(SYMBOLS), closes)
+    cols_keys = [(tmp_path / "frontier" / ".cache" / f"{s}.cols").read_bytes()[:32] for s in SYMBOLS]
+    for s, cols_key in zip(SYMBOLS, cols_keys):  # each the key of the member's .cols entry, named by its CSV
+        csv = (env / "data" / f"{s}.csv").read_bytes()
+        rows = len(parse_csv(csv, s).dates)
+        assert cols_key == hashlib.sha256(_COLS_TAG + rows.to_bytes(8, "little") + csv).digest()
     seed = derive_seed(config.seed, "frontier:tech")
-    key = po._CLOUD_TAG + repr((tuple(SYMBOLS), n_draws, config.risk_free, seed)).encode()
-    key = hashlib.sha256(key + mean.astype("<f8").tobytes() + cov.entries.astype("<f8").tobytes()).digest()
+    settings = (tuple(SYMBOLS), config.train_start, config.train_end, n_draws, config.risk_free, seed)
+    key = hashlib.sha256(po._CLOUD_TAG + repr(settings).encode() + b"".join(cols_keys)).digest()
     weights = json.loads(report_path.read_text())["opt_risk"]["weights"]
     payload = np.array([weights[s] for s in SYMBOLS], "<f8").tobytes()
     assert entry == key + payload + hashlib.sha256(key + payload).digest()
     assert len(entry) == 64 + 8 * len(SYMBOLS)
 
 
-def other_csv(config, tmp_path):
-    """config on a copy of its data whose AAA.csv holds another price path."""
+def with_aaa(config, tmp_path, closes):
+    """config on a copy of its data whose AAA.csv holds closes."""
     data = tmp_path / "data"
     data.mkdir()
     for csv in config.data_dir.glob("*.csv"):
         (data / csv.name).write_bytes(csv.read_bytes())
-    write_series(data, "AAA", gbm_closes(N_DAYS, seed=999))
+    write_series(data, "AAA", closes)
     return replace(config, data_dir=data)
+
+
+def other_csv(config, tmp_path):
+    """config on a copy of its data whose AAA.csv holds another price path."""
+    return with_aaa(config, tmp_path, gbm_closes(N_DAYS, seed=999))
+
+
+def csv_edited_after_train_end(config, tmp_path):
+    """config on a copy of its data whose AAA.csv holds 5% higher closes after train_end, the same bytes up to it."""
+    closes = gbm_closes(N_DAYS, seed=100)  # AAA's, as env writes it
+    after = series_from_closes("AAA", closes, start=dt.date(2016, 1, 1)).dates > np.datetime64(config.train_end)
+    new = with_aaa(config, tmp_path, np.where(after, closes * 1.05, closes))
+    old, edited = ((c.data_dir / "AAA.csv").read_text().splitlines() for c in (config, new))
+    kept = len(after) - after.sum() + 1  # the header and every row up to train_end
+    assert old[:kept] == edited[:kept] and old[kept:] != edited[kept:] and len(old) == len(edited)
+    return new
 
 
 STALE = {
     "n_draws": lambda config, tmp_path: replace(config, n_draws=2000),
     "seed": lambda config, tmp_path: replace(config, seed=12),
     "risk_free": lambda config, tmp_path: replace(config, risk_free=0.2),
+    "train_start": lambda config, tmp_path: replace(config, train_start=dt.date(2018, 1, 1)),
+    "train_end": lambda config, tmp_path: replace(config, train_end=dt.date(2020, 6, 30)),
     "an edited csv": other_csv,
+    "a csv edited only after train_end": csv_edited_after_train_end,
 }
 
 
 @pytest.mark.parametrize("change", STALE.values(), ids=STALE.keys())
-def test_stale_pick_entry_is_a_miss_that_is_rewritten(config, tmp_path, prices, clouds, change):
+def test_stale_pick_entry_is_a_miss_that_is_rewritten(config, tmp_path, prices, clouds, moments, change):
     out = tmp_path / "out"
-    old = backtested(config, out, prices)
+    old = backtested(config, out, prices)[".cache/tech.pick"]
     new = change(config, tmp_path)
     clouds.clear()
+    moments.clear()
     assert backtested(new, out, prices) == backtested(new, tmp_path / "cold", prices)
     assert clouds == [new.n_draws] * 2
-    # the picks differ, so a hit on the stale entry would have changed the ledger
-    assert (out / ".cache" / "tech.pick").read_bytes()[32:-32] != old[".cache/tech.pick"][32:-32]
+    assert moments == moments_of(2)
+    entry = (out / ".cache" / "tech.pick").read_bytes()
+    assert entry[:32] != old[:32]
+    # the picks differ, so a hit on the stale entry would have changed the ledger; an edit after train_end
+    # leaves the moments, and so the pick, as they were, and draws the cloud once more all the same
+    assert (entry[32:-32] == old[32:-32]) == (change is csv_edited_after_train_end)
 
 
 def test_pick_entry_copied_from_another_sector_is_a_miss(env, tmp_path, prices, clouds):

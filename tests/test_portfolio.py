@@ -1,3 +1,4 @@
+import datetime as dt
 import hashlib
 import math
 import os
@@ -29,7 +30,7 @@ from sectorport.portfolio import (
     sharpe_ratio,
 )
 
-from conftest import series_from_closes
+from conftest import gbm_closes, series_from_closes
 from oracles import analytic_min_variance, exact_max_sharpe, portfolio_stats, whole_array_frontier
 
 
@@ -570,9 +571,12 @@ def test_frontier_csv_bytes_are_pinned_across_block_boundaries():
     assert hashlib.sha256("".join(blocks).encode()).hexdigest() == BLOCKS_CSV_SHA256
 
 
-# The tag that names the cloud's bits, and the sha256 of the cloud below, its columns in order as little-endian
-# float64. cli keys its cached picks by the tag, so a change to these bits fails here until both are changed.
-CLOUD_TAG, CLOUD_SHA256 = b"sectorport cloud 1", "d8406c1e47a4eb4636d8eb65cb67aea2805fe5a01e2bd90826d985c942ea11e5"
+# The tag that names the cloud's bits and those of the moments it is drawn from, the sha256 of the cloud below, its
+# columns in order as little-endian float64, and the sha256 of the moments below, the mean then the covariance.
+# cli keys its cached picks by the tag and the prices, not by the moments, so a change to these bits fails here
+# until the tag and the digest are changed.
+CLOUD_TAG, CLOUD_SHA256 = b"sectorport cloud 2", "d8406c1e47a4eb4636d8eb65cb67aea2805fe5a01e2bd90826d985c942ea11e5"
+MOMENTS_SHA256 = "5527d9a27a72ac094b6a3d1ea68386ceda2f70e1ca0f0ca00e6411edeed33f05"
 
 
 def test_cloud_bits_are_the_ones_its_tag_names():
@@ -583,6 +587,16 @@ def test_cloud_bits_are_the_ones_its_tag_names():
     columns = (cloud.weights, cloud.returns, cloud.risks, cloud.sharpes)
     digest = hashlib.sha256(b"".join(c.astype("<f8").tobytes() for c in columns)).hexdigest()
     assert (portfolio._CLOUD_TAG, digest) == (CLOUD_TAG, CLOUD_SHA256)
+
+
+def test_moment_bits_are_the_ones_the_cloud_tag_names():
+    # restrict, align and mean_and_covariance over three series that share some dates and not others
+    series = [series_from_closes(s, gbm_closes(400, seed), start) for s, seed, start in
+              [("A", 1, dt.date(2019, 1, 1)), ("B", 2, dt.date(2019, 1, 7)), ("C", 3, dt.date(2018, 12, 3))]]
+    closes = align([s.restrict(dt.date(2019, 1, 1), dt.date(2020, 3, 31)) for s in series])
+    mean, cov = mean_and_covariance(("A", "B", "C"), closes)
+    digest = hashlib.sha256(mean.astype("<f8").tobytes() + cov.entries.astype("<f8").tobytes()).hexdigest()
+    assert (portfolio._CLOUD_TAG, digest) == (CLOUD_TAG, MOMENTS_SHA256)
 
 
 def test_portfolio_report_shape():

@@ -22,9 +22,7 @@ def _round_half_away(x: float) -> float:
 
 
 def roi(capital: float, end_value: float) -> float:
-    """Rate of return in percent of the invested capital."""
-    if capital <= 0:
-        raise ValueError(f"capital must be positive, got {capital}")
+    """Rate of return in percent of the invested capital, which RunConfig holds positive."""
     return (end_value - capital) / capital * 100.0
 
 
@@ -39,20 +37,16 @@ def run_backtest(
     """JSON-ready ledger: capital split per weights at the buy prices, the holding valued
     at the actual and at the predicted end prices, and the ROI pair.
 
-    The three price sequences follow weights.symbols, one price per symbol. Per-symbol
-    amounts are capital*weight rounded half-away-from-zero to whole currency units; any
-    residual from rounding is left unallocated rather than redistributed. Zero-weight
-    symbols stay in the ledger with zero shares. Each total is the left-to-right sum of
-    its row values in symbol order.
+    The three price sequences follow weights.symbols, one price per symbol, and one of
+    another length fails zip(strict=True). Buy prices are closes, which parse_csv and
+    PriceSeries hold positive. Per-symbol amounts are capital*weight rounded
+    half-away-from-zero to whole currency units; any residual from rounding is left
+    unallocated rather than redistributed. Zero-weight symbols stay in the ledger with
+    zero shares. Each total is the left-to-right sum of its row values in symbol order.
     """
-    for name, prices in (("start", buy), ("actual", actual), ("predicted", predicted)):
-        if len(prices) < len(weights.symbols):
-            raise ValueError(f"missing {name} price for {weights.symbols[len(prices)]}")
     rows = []
     for symbol, weight, *prices in zip(weights.symbols, weights.weights, buy, actual, predicted, strict=True):
         buy_price, actual_price, predicted_price = map(float, prices)
-        if buy_price <= 0:
-            raise ValueError(f"nonpositive start price {buy_price} for {symbol}")
         amount = float(_round_half_away(capital * float(weight)))
         shares = amount / buy_price
         rows.append(

@@ -222,9 +222,10 @@ def cmd_train(config: RunConfig, symbol: str, out_dir: Path) -> tuple[Path, Path
     return ckpt_path, trace_path
 
 
-def _read_predicted_prices(path: Path) -> dict[str, float]:
-    """A --predicted-prices CSV: a first non-blank line 'symbol,price', then a positive price per symbol, each
-    symbol listed once; every error names path and the file's line."""
+def _read_predicted_prices(path: Path, symbols: tuple[str, ...]) -> list[float]:
+    """The prices of symbols, in order, from a --predicted-prices CSV: a first non-blank line 'symbol,price', then
+    a positive price per symbol, each symbol listed once and other symbols ignored; every error names path, and
+    the file's line or the symbols it misses."""
     header = "symbol,price"
     text = md.decode_utf8(path.read_bytes(), str(path))
     first = text[: len(text) - len(text.lstrip())].count("\n") + 1  # the header's line number
@@ -245,7 +246,10 @@ def _read_predicted_prices(path: Path) -> dict[str, float]:
         if price <= 0:
             raise ValueError(f"{path}: line {lineno}: {sym}: price {price:g} is not positive")
         prices[sym] = price
-    return prices
+    missing = [s for s in symbols if s not in prices]
+    if missing:
+        raise ValueError(f"{path}: missing predicted prices for {missing}")
+    return [prices[s] for s in symbols]
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -327,12 +331,7 @@ def cmd_backtest(
         weights = None if weights_file is None else _read_json(
             weights_file, symbols, lambda w: po.PortfolioWeights(symbols, np.array(w))
         )
-        end_predicted = None
-        if predicted_prices is not None:
-            end_predicted = _read_predicted_prices(predicted_prices)
-            missing = [s for s in symbols if s not in end_predicted]
-            if missing:
-                raise ValueError(f"{predicted_prices}: missing predicted prices for {missing}")
+        predicted = [] if predicted_prices is None else _read_predicted_prices(predicted_prices, symbols)
         members = _load_members(config, sector_name, out_dir)
         if weights is None:
             pick, key = _pick_key(config, sector_name, members, out_dir)
@@ -344,15 +343,13 @@ def cmd_backtest(
                 weights = po.PortfolioWeights(symbols, cloud.weights[po.max_sharpe_portfolio(cloud)])
                 _write_entry(pick, key, weights.weights.astype("<f8").tobytes())
 
-        buy, actual, predicted = [], [], []
-        for sym, (series, _) in members.items():
+        buy, actual = [], []
+        for series, _ in members.values():
             lo, hi = series.span(config.invest_date, config.eval_date)
             buy.append(float(series.closes[lo]))
             actual.append(float(series.closes[hi - 1]))
-            if end_predicted is None:
+            if predicted_prices is None:
                 predicted.append(float(_forecast(series, out_dir, hi - 1, hi)[0]))
-            else:
-                predicted.append(end_predicted[sym])
 
         ledger = bt.run_backtest(config.capital, weights, buy, actual, predicted, sector_name)
         json_path = out_dir / f"ledger_{sector_name}.json"

@@ -358,10 +358,11 @@ def forward_batch(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch of scaled windows through the stack.
 
-    X has shape (batch, window) and is cast to the model's dtype; returns
-    predictions in (0, 1) and the cache needed for backpropagation, all in
-    that dtype. Dropout is applied only when training; rate 0 applies no masks
-    at all, so it matches inference exactly. Every mask, the final hidden
+    X has shape (batch, window), as input_windows makes it, and is cast to the
+    model's dtype; returns predictions in (0, 1) and the cache needed for
+    backpropagation, all in that dtype. Dropout is applied only when training,
+    with masks drawn from rng; rate 0 applies no masks at all, so it matches
+    inference exactly and needs no rng. Every mask, the final hidden
     state's as a (1, B, H) sequence, is drawn by _sequence_mask. A layer's
     dropped-out sequence feeds the next layer from that layer's h buffer,
     which it overwrites; BPTT rebuilds it from the h and the mask. The cached
@@ -369,12 +370,8 @@ def forward_batch(
     next call that takes the same pool, or until backward_batch consumes it.
     """
     X = np.asarray(X, dtype=model.dtype)
-    if X.ndim != 2 or X.shape[1] != model.config.window:
-        raise ValueError(f"expected (batch, {model.config.window}) input, got {X.shape}")
     rate = model.config.dropout_rate
     use_dropout = training and rate > 0.0
-    if use_dropout and rng is None:
-        raise ValueError("training forward with dropout needs an rng")
 
     x = seq = np.ascontiguousarray(X.T)[:, :, None]
     caches: list[_LayerCache] = []

@@ -236,8 +236,6 @@ def asset_stats(returns: np.ndarray) -> tuple[float, float, float]:
 def align(series_list: list[PriceSeries]) -> np.ndarray:
     """Close matrix (n_dates, n_series) over the intersection of all series' dates,
     one column per series in series_list order."""
-    if not series_list:
-        raise ValueError("need at least one series to align")
     # Dates are sorted and unique, and filtering keeps them so; intersect1d would sort them again.
     dates = functools.reduce(lambda d, e: d[np.isin(d, e, assume_unique=True)], [s.dates for s in series_list])
     if not dates.size:

@@ -31,22 +31,15 @@ _TEXT_BLOCK_ROWS = 1024
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
-    """Annualized return covariance, validated symmetric and PSD."""
+    """Annualized return covariance, a symmetric k x k matrix as mean_and_covariance builds it, validated PSD."""
 
     symbols: tuple[str, ...]
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(self.symbols):
-            raise ValueError(f"covariance shape {m.shape} does not match {len(self.symbols)} symbols")
-        if not np.all(np.abs(m - m.T) <= 1e-12):
-            raise ValueError("covariance matrix is not symmetric")
-        sym = (m + m.T) / 2.0
-        eigvals = np.linalg.eigvalsh(sym)
+        eigvals = np.linalg.eigvalsh(self.entries)
         if eigvals.min() < -1e-9:
             raise ValueError(f"covariance matrix is not PSD (min eigenvalue {eigvals.min():.3g})")
-        object.__setattr__(self, "entries", sym)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,14 +71,6 @@ class FrontierCloud:
     returns: np.ndarray = field(repr=False)
     risks: np.ndarray = field(repr=False)
     sharpes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n, k = len(self.weights), len(self.symbols)
-        if n < 1:
-            raise ValueError("empty frontier cloud")
-        shapes = [np.shape(a) for a in (self.weights, self.returns, self.risks, self.sharpes)]
-        if shapes != [(n, k), (n,), (n,), (n,)]:
-            raise ValueError(f"column shapes {shapes} do not fit {n} draws of {k} symbols")
 
     @property
     def n_draws(self) -> int:
@@ -140,25 +125,19 @@ _CLOUD_TAG = b"sectorport cloud 2"
 
 def _draw_block(rng: Generator, mean: np.ndarray, cov: CovarianceMatrix, weights, returns, risks):
     """Fill weights with rng's next rows, each k doubles divided by their sum in place (the bits of an
-    out-of-place division), returns with their w'mean, and risks with their sqrt(max(w'Cw, 0))."""
+    out-of-place division), returns with their w'mean, and risks with their sqrt(max(w'Cw, 0)). Such a w has
+    |w| <= 1, so CovarianceMatrix's PSD check keeps w'Cw >= -1e-9 and the clamp takes only rounding."""
     rng.random(out=weights)
     weights /= weights.sum(axis=1, keepdims=True)
     np.matmul(weights, mean, out=returns)
     np.einsum("ij,ij->i", weights @ cov.entries, weights, out=risks)
-    if risks.min() < -1e-9:
-        raise ValueError(f"invalid covariance: w'Cw = {risks.min():.3g} < 0")
     np.sqrt(np.maximum(risks, 0.0, out=risks), out=risks)
 
 
 def build_frontier(mean: np.ndarray, cov: CovarianceMatrix, n_draws: int, risk_free: float, seed: int) -> FrontierCloud:
     """Monte-Carlo cloud of the seed's first n_draws draws, computed block by block."""
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    mean, n = np.asarray(mean, dtype=float), len(cov.symbols)
-    if mean.shape != (n,):
-        raise ValueError(f"mean shape {mean.shape} does not match {n} symbols")
     rng = Generator(PCG64(SeedSequence(seed)))
-    weights, returns, risks = np.empty((n_draws, n)), np.empty(n_draws), np.empty(n_draws)
+    weights, returns, risks = np.empty((n_draws, len(cov.symbols))), np.empty(n_draws), np.empty(n_draws)
     for lo, hi in _blocks(n_draws):
         _draw_block(rng, mean, cov, weights[lo:hi], returns[lo:hi], risks[lo:hi])
     return FrontierCloud(cov.symbols, weights, returns, risks, sharpe_ratio(returns, risks, risk_free))
@@ -171,8 +150,6 @@ def min_variance_portfolio(cloud: FrontierCloud) -> int:
 
 def max_sharpe_portfolio(cloud: FrontierCloud) -> int:
     """Draw index of the cloud's maximum Sharpe ratio; ties resolve to the lowest index."""
-    if (cloud.risks <= 0).any():
-        raise ValueError("all points must have positive risk")
     return int(np.argmax(cloud.sharpes))
 
 

@@ -177,9 +177,8 @@ def overflowing(env, tmp_path):
     ids=["stats", "frontier", "backtest", "train"],
 )
 def test_overflowing_return_moments_name_the_symbol(overflowing, tmp_path, capsys, argv, message):
-    # the CSV parses, since 1e300 is finite; stats used to write AAA's volatility as inf, frontier and
-    # backtest to fail as "covariance matrix is not symmetric", each after a RuntimeWarning, and train
-    # to write a checkpoint whose scaler max was 1e300
+    # the CSV parses, since 1e300 is finite, but AAA's return moments overflow: each subcommand fails
+    # naming AAA and writes no artifact, neither a stats row nor a checkpoint scaled to that close
     out = tmp_path / "out"
     assert main(["--config", str(overflowing), "--out", str(out), *argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -851,13 +850,23 @@ def test_rows_file_errors_number_lines_as_the_file_does(tmp_path, body, error):
     path = tmp_path / "pred.csv"
     path.write_bytes(body)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}"):
-        _read_predicted_prices(path)
+        _read_predicted_prices(path, ("TW1",))
+
+
+def test_backtest_predicted_prices_missing_a_member_names_file_and_member(config, tmp_path):
+    # TW3 is not a twin member, so it is ignored; TW2 is, so its missing price is named before anything is written
+    pred_file = tmp_path / "pred.csv"
+    pred_file.write_text("symbol,price\nTW1,100.0\nTW3,300.0\n")
+    expected = f"{pred_file}: missing predicted prices for ['TW2']"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        cmd_backtest(config, "twin", tmp_path / "out", predicted_prices=pred_file)
+    assert not (tmp_path / "out").exists()
 
 
 def test_rows_file_around_blank_lines_and_spaces_is_read(tmp_path):
     path = tmp_path / "pred.csv"
     path.write_bytes(b"\n \n  symbol,price \r\nTW1, 100.0\r\nTW2,200\n\n \n")
-    assert _read_predicted_prices(path) == {"TW1": 100.0, "TW2": 200.0}
+    assert _read_predicted_prices(path, ("TW2", "TW1")) == [200.0, 100.0]
 
 
 def test_rows_file_that_is_not_utf8_names_file_and_line(config, tmp_path):

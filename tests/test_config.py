@@ -140,9 +140,14 @@ def test_all_symbols_preserves_order_dedupes(tmp_path):
     assert load_config(path).all_symbols() == ("X", "Y", "Z")
 
 
-def test_capital_must_be_positive():
-    with pytest.raises(ValueError, match="capital"):
-        RunConfig(data_dir=".", sectors=(SectorUniverse("s", (("A", 1.0),)),), capital=0.0)
+@pytest.mark.parametrize("capital", [0, -5])
+def test_capital_must_be_positive(tmp_path, capital):
+    # the one check of the capital that roi divides by; a float key is stored as a float, so 0 reads 0.0
+    path = write_config(tmp_path / "c.yaml", capital=capital)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: capital must be positive, got {capital}\.0$"):
+        load_config(path)
+    with pytest.raises(ValueError, match=rf"^capital must be positive, got {capital}\.0$"):
+        RunConfig(data_dir=".", sectors=(SectorUniverse("s", (("A", 1.0),)),), capital=float(capital))
 
 
 @pytest.mark.parametrize("n_draws", [0, -1])
@@ -333,7 +338,7 @@ def test_sector_named_twice_is_rejected_naming_file_and_sector(tmp_path):
 
 
 def test_sector_without_members_is_rejected_naming_file_and_sector(tmp_path):
-    # members: [] used to load and fail in frontier with "need at least one series to align"
+    # the one check that a sector has members: market_data.align assumes at least one series
     path = write_config(tmp_path / "c.yaml", sectors=[{"name": "tech", "members": []}])
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: sectors\[0\]: members is empty$"):
         load_config(path)

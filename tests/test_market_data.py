@@ -71,6 +71,19 @@ def test_non_finite_value_in_any_float_column_is_rejected(n, data):
         parse_csv(text, "X")
 
 
+@pytest.mark.parametrize(
+    "index, value, problem",
+    [(4, 0, "close 0.0 is not positive"), (4, -1.5, "close -1.5 is not positive"), (5, -100, "volume -100 is negative")],
+    ids=["zero-close", "negative-close", "negative-volume"],
+)
+def test_parse_names_the_line_of_a_nonpositive_close_or_a_negative_volume(index, value, problem):
+    # the error names the line; run_backtest divides by buy closes without checking them again
+    rows = [[f"2020-01-0{2 + i}", 1, 2, 0.5, 1.5, 100, 1.5] for i in range(3)]
+    rows[1][index] = value
+    with pytest.raises(CsvFormatError, match=rf"^X: line 3: invalid bar \({re.escape(problem)}\)$"):
+        parse_csv(csv_text(rows), "X")
+
+
 def test_parse_rejects_volume_beyond_int64():
     text = csv_text([("2020-01-02", 1, 2, 0.5, 1.5, 100, 1.5), ("2020-01-03", 1, 2, 0.5, 1.5, 2**63, 1.5)])
     with pytest.raises(CsvFormatError, match="line 3: volume 9223372036854775808 is out of range"):
@@ -547,11 +560,6 @@ def test_align_disjoint_dates_error():
     b = series_from_closes("B", [1, 2], start=dt.date(2021, 1, 1))
     with pytest.raises(ValueError, match="no common dates"):
         align([a, b])
-
-
-def test_align_needs_input():
-    with pytest.raises(ValueError):
-        align([])
 
 
 @given(st.data())
